@@ -30,42 +30,23 @@ from repro.experiments.runner import ExperimentParams, SuiteRunner
 #: rewrites only its own key, so partial runs keep the other sections.
 BENCH_ENGINE_JSON = Path(__file__).resolve().parent.parent / "BENCH_engine.json"
 
-#: Campaign-scale results (workload cache, shared-memory pool replay);
-#: same merge discipline, separate file so the engine numbers and the
-#: campaign numbers can be regenerated independently.
-BENCH_CAMPAIGN_JSON = (Path(__file__).resolve().parent.parent
-                       / "BENCH_campaign.json")
-
-
-def _merge_section(path: Path, section: str, payload) -> None:
-    data = {}
-    if path.exists():
-        try:
-            data = json.loads(path.read_text())
-        except ValueError:
-            data = {}
-    data[section] = payload
-    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-
 
 def update_bench_json(section: str, payload) -> None:
     """Merge ``payload`` under ``section`` in ``BENCH_engine.json``."""
-    _merge_section(BENCH_ENGINE_JSON, section, payload)
-
-
-def update_campaign_json(section: str, payload) -> None:
-    """Merge ``payload`` under ``section`` in ``BENCH_campaign.json``."""
-    _merge_section(BENCH_CAMPAIGN_JSON, section, payload)
+    data = {}
+    if BENCH_ENGINE_JSON.exists():
+        try:
+            data = json.loads(BENCH_ENGINE_JSON.read_text())
+        except ValueError:
+            data = {}
+    data[section] = payload
+    BENCH_ENGINE_JSON.write_text(json.dumps(data, indent=2, sort_keys=True)
+                                 + "\n")
 
 
 @pytest.fixture(scope="session")
 def bench_json():
     return update_bench_json
-
-
-@pytest.fixture(scope="session")
-def campaign_json():
-    return update_campaign_json
 
 
 def _harness_params() -> ExperimentParams:

@@ -9,7 +9,7 @@ Examples::
     pomtlb details --benchmarks mcf --metrics-out windows.json
     pomtlb profile --benchmarks mcf --scheme pom
     pomtlb campaign --output results.txt
-    pomtlb campaign --workers 4 --workload-cache ~/.cache/pomtlb-workloads
+    pomtlb campaign --workers 4 --checkpoint runs.jsonl
     pomtlb trace pack core0.trace core0.pwl.gz
     pomtlb trace unpack core0.pwl.gz roundtrip.trace
     pomtlb audit --benchmarks gcc,mcf --refs 2000 --scale 0.05
@@ -138,12 +138,6 @@ def _build_parser() -> argparse.ArgumentParser:
                             metavar="SECONDS",
                             help="base exponential-backoff delay between "
                                  "attempts (default 0.25)")
-    resilience.add_argument("--workload-cache", default="", metavar="DIR",
-                            help="compile campaign workloads into this "
-                                 "content-addressed packed-trace cache; a "
-                                 "second campaign with the same workload "
-                                 "parameters replays from it instead of "
-                                 "regenerating traces")
     resilience.add_argument("--checkpoint", default="", metavar="PATH",
                             help="persist finished campaign runs to this "
                                  "JSONL store as they complete")
@@ -688,7 +682,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.experiment != "campaign":
         for flag, name in ((args.checkpoint, "--checkpoint"),
                            (args.resume, "--resume"),
-                           (args.workload_cache, "--workload-cache"),
                            (args.inject_faults, "--inject-faults"),
                            (args.status_out, "--status-out"),
                            (args.telemetry_dir, "--telemetry-dir")):
@@ -743,7 +736,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                                           obs_factory=obs_factory,
                                           checkpoint_path=args.checkpoint,
                                           resume=args.resume, faults=faults,
-                                          workload_cache=args.workload_cache,
                                           telemetry=telemetry)
                 text = json.dumps(
                     [json.loads(report.to_json()) for report in result],
@@ -756,7 +748,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                     obs_factory=obs_factory,
                     checkpoint_path=args.checkpoint,
                     resume=args.resume, faults=faults,
-                    workload_cache=args.workload_cache,
                     telemetry=telemetry)
                 text = buffer.getvalue()
             if result.failures:

@@ -59,7 +59,7 @@ class PackedTraceError(ReproError):
 
     Covers truncation, magic/version mismatches and checksum failures
     on the columnar format (:mod:`repro.workloads.packed`); ``path``
-    names the offending file or shared-memory segment when known.
+    names the offending file when known.
     """
 
     def __init__(self, message: str, path: str = "") -> None:

@@ -353,9 +353,9 @@ class Machine:
             large_get = large_pages.get
             small_get = small_pages.get
             if cols is not None:
-                # Columnar replay: a packed (cache / shared-memory)
-                # stream is consumed straight off its icount/vaddr/write
-                # columns — no MemoryReference tuple is materialized.
+                # Columnar replay: a packed stream is consumed straight
+                # off its icount/vaddr/write columns — no
+                # MemoryReference tuple is materialized.
                 # Mirrors the tuple loop below line for line; keep the
                 # two in sync.
                 icounts, vaddrs, writebits = cols

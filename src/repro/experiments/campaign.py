@@ -19,16 +19,15 @@ from __future__ import annotations
 import dataclasses
 import sys
 import time
-from typing import Iterable, List, Optional, TextIO
+from typing import Dict, Iterable, List, Optional, TextIO, Tuple
 
 from ..common import addr
 from ..faults import NO_FAULTS, FaultPlan
 from ..obs import NO_TELEMETRY, NULL_TRACER
 from ..resilience import (CheckpointStore, RetryPolicy, RunRequest,
                           execute_runs, run_key)
-from ..workloads import shm as workload_shm
-from ..workloads.cache import WorkloadCache, params_workload_key
-from ..workloads.packed import decode_container, encode_workload
+from ..resilience.workers import simulate_request
+from ..workloads.packed import encode_workload
 from ..workloads.suite import BENCHMARKS, get_profile
 from ..workloads.trace import validate_stream
 from . import figures, tables
@@ -112,93 +111,31 @@ def campaign_requests(params: ExperimentParams,
     return requests
 
 
-class _CompiledWorkloads:
-    """The campaign's workload compilation state (tentpole of PR 4).
+def _compile_workloads(requests: List[RunRequest]
+                       ) -> Tuple[List[RunRequest], int]:
+    """Attach each request's packed workload; returns (requests, compiled).
 
-    Each distinct (benchmark, num_cores, refs_per_core, seed, scale)
-    workload is compiled to the packed columnar format exactly once in
-    the campaign parent — from the on-disk cache when one is configured,
-    generated otherwise — instead of once per scheme inside every run.
-    Pooled workers attach the compiled bytes through shared memory (one
-    physical copy for the whole pool) or mmap the cache file; serial
-    runs replay the parent's containers directly.
+    A workload is fixed by (benchmark, num_cores, refs_per_core, seed,
+    scale), so each distinct one is generated, validated and packed once
+    here in the parent instead of once per scheme inside every run.
     """
-
-    def __init__(self, cache_dir: str, parallel: bool) -> None:
-        self.cache = WorkloadCache(cache_dir) if cache_dir else None
-        self.parallel = parallel
-        self.containers = {}   # workload key -> DecodedContainer
-        self.refs = {}         # workload key -> WorkloadRef
-        self.arena = (workload_shm.WorkloadArena()
-                      if parallel and workload_shm.shm_available() else None)
-        self.compiled = 0
-        self.cache_hits = 0
-
-    def compile(self, requests):
-        """Compile every distinct workload; returns requests with refs."""
-        for request in requests:
-            key = params_workload_key(request.benchmark, request.params)
-            if key in self.containers:
-                continue
-            self._compile_one(key, request)
-        if not self.parallel:
-            return requests
-        return [dataclasses.replace(
-                    request, workload_ref=self.refs.get(
-                        params_workload_key(request.benchmark,
-                                            request.params)))
-                for request in requests]
-
-    def _compile_one(self, key: str, request) -> None:
+    compiled: Dict[tuple, bytes] = {}
+    attached = []
+    for request in requests:
         params = request.params
-        blob = None
-        if self.cache is not None:
-            container, hit = self.cache.get_or_compile(request.benchmark,
-                                                       params)
-            self.cache_hits += hit
-            self.compiled += not hit
-            path = self.cache.entry_path(key)
-        else:
-            profile = get_profile(request.benchmark)
-            workload = profile.build(num_cores=params.num_cores,
-                                     refs_per_core=params.refs_per_core,
-                                     seed=params.seed, scale=params.scale)
+        key = (request.benchmark, params.num_cores, params.refs_per_core,
+               params.seed, params.scale)
+        blob = compiled.get(key)
+        if blob is None:
+            workload = get_profile(request.benchmark).build(
+                num_cores=params.num_cores,
+                refs_per_core=params.refs_per_core,
+                seed=params.seed, scale=params.scale)
             for stream in workload.streams:
                 validate_stream(stream)
-            blob = encode_workload(workload, validated=True)
-            container = decode_container(blob)
-            self.compiled += 1
-            path = ""
-        self.containers[key] = container
-        if self.arena is not None:
-            if blob is None:
-                with open(path, "rb") as handle:
-                    blob = handle.read()
-            name = self.arena.publish(key, blob)
-            self.refs[key] = workload_shm.WorkloadRef(
-                benchmark=request.benchmark, key=key, path=path,
-                shm_name=name)
-        elif self.parallel and path:
-            self.refs[key] = workload_shm.WorkloadRef(
-                benchmark=request.benchmark, key=key, path=path)
-
-    def workload(self, request):
-        """A fresh replay workload for one serial run, or None."""
-        key = params_workload_key(request.benchmark, request.params)
-        container = self.containers.get(key)
-        if container is None:
-            return None
-        return container.workload()
-
-    def release(self) -> None:
-        """Unlink shared segments and drop container buffers."""
-        if self.arena is not None:
-            self.arena.release()
-            self.arena = None
-        for container in self.containers.values():
-            container.backing.close()
-        self.containers = {}
-        self.refs = {}
+            blob = compiled[key] = encode_workload(workload, validated=True)
+        attached.append(dataclasses.replace(request, workload=blob))
+    return attached, len(compiled)
 
 
 def run_all(params: Optional[ExperimentParams] = None,
@@ -210,8 +147,6 @@ def run_all(params: Optional[ExperimentParams] = None,
             resume: bool = False,
             faults: FaultPlan = NO_FAULTS,
             progress: Optional[TextIO] = None,
-            workload_cache: str = "",
-            share_workloads: bool = True,
             telemetry=NO_TELEMETRY) -> CampaignResult:
     """Run the whole campaign, streaming rendered reports to ``out``.
 
@@ -220,14 +155,6 @@ def run_all(params: Optional[ExperimentParams] = None,
     on disk, so the same command with ``resume=True`` picks up where the
     interruption hit.  Per-run progress goes to ``progress`` (default
     stderr); the report stream on ``out`` stays byte-deterministic.
-
-    ``workload_cache`` names a directory for the content-addressed
-    packed workload cache (``--workload-cache``); a second campaign
-    with the same workload parameters replays from it without
-    regenerating a single trace.  ``share_workloads=False`` disables
-    workload compilation entirely (every run regenerates its own
-    streams) — the status-quo comparator the throughput benchmark and
-    equivalence tests measure against.
 
     ``telemetry`` (default :data:`repro.obs.NO_TELEMETRY`) aggregates
     campaign-wide metrics, streams NDJSON status events, and writes the
@@ -287,11 +214,9 @@ def run_all(params: Optional[ExperimentParams] = None,
         for key, predicted in predictions.items():
             telemetry.predict(key, predicted)
 
-    workloads = (_CompiledWorkloads(workload_cache, parallel)
-                 if share_workloads else None)
     try:
         return _run_all_inner(params, names, requests, out, progress,
-                              include_sensitivity, runner, workloads,
+                              include_sensitivity, runner,
                               simulate_parallel=parallel,
                               checkpoint=checkpoint, retry=retry,
                               faults=faults, tracer=tracer,
@@ -304,62 +229,36 @@ def run_all(params: Optional[ExperimentParams] = None,
 
 
 def _run_all_inner(params, names, requests, out, progress,
-                   include_sensitivity, runner, workloads, *,
+                   include_sensitivity, runner, *,
                    simulate_parallel, checkpoint, retry, faults, tracer,
                    on_outcome, cost, telemetry) -> CampaignResult:
     parallel = simulate_parallel
     # Monotonic, not wall clock: an NTP step mid-campaign must not
     # corrupt the finishing time (or any duration derived from it).
     started = time.monotonic()
-    try:
-        if workloads is not None:
-            requests = workloads.compile(requests)
-            if workloads.cache is not None:
-                stats = workloads.cache.stats()
-                hits, misses = stats["hits"], stats["misses"]
-                rejected = stats["rejected"]
-                cache_note = (f" (cache: {hits} hits, {misses} misses"
-                              + (f", {rejected} rejected" if rejected
-                                 else "") + ")")
-            else:
-                # No cache directory: every distinct workload was
-                # compiled fresh, which the telemetry reconciliation
-                # counts as a miss (hits + misses == workloads needed).
-                hits, misses, rejected = 0, workloads.compiled, 0
-                cache_note = ""
-            _progress_write(progress,
-                            f"# workloads: {workloads.compiled} compiled, "
-                            f"{workloads.cache_hits} cached{cache_note}\n")
-            if telemetry.enabled:
-                telemetry.workloads_compiled(workloads.compiled, hits,
-                                             misses, rejected)
+    requests, compiled = _compile_workloads(requests)
+    _progress_write(progress, f"# workloads: {compiled} compiled\n")
+    if telemetry.enabled:
+        telemetry.workloads_compiled(compiled)
 
-        simulate = None
-        if not parallel:
-            def simulate(request, fault):  # in-process: keep obs support
-                from .runner import simulate_run
-                obs = (runner.obs_factory(request.benchmark, request.scheme)
-                       if runner.obs_factory else None)
-                workload = (workloads.workload(request)
-                            if workloads is not None else None)
-                return simulate_run(request.benchmark, request.scheme,
-                                    request.params, fault=fault, obs=obs,
-                                    workload=workload)
+    simulate = None
+    if not parallel:
+        def simulate(request, fault):  # in-process: keep obs support
+            obs = (runner.obs_factory(request.benchmark, request.scheme)
+                   if runner.obs_factory else None)
+            return simulate_request(request, fault, obs=obs)
 
-        outcomes = execute_runs(requests,
-                                workers=params.workers,
-                                timeout_s=params.run_timeout_s,
-                                retry=retry,
-                                faults=faults,
-                                checkpoint=checkpoint,
-                                tracer=tracer,
-                                on_outcome=on_outcome,
-                                simulate=simulate,
-                                cost=cost if parallel else None,
-                                telemetry=telemetry)
-    finally:
-        if workloads is not None:
-            workloads.release()
+    outcomes = execute_runs(requests,
+                            workers=params.workers,
+                            timeout_s=params.run_timeout_s,
+                            retry=retry,
+                            faults=faults,
+                            checkpoint=checkpoint,
+                            tracer=tracer,
+                            on_outcome=on_outcome,
+                            simulate=simulate,
+                            cost=cost if parallel else None,
+                            telemetry=telemetry)
 
     result = CampaignResult()
     for outcome in outcomes:

@@ -150,10 +150,11 @@ def simulate_run(benchmark: str, scheme: str, params: ExperimentParams,
     :class:`~repro.faults.FaultPlan` (``raise`` / ``corrupt-trace``;
     process-level kinds are handled by the executor).
 
-    ``workload`` replays a pre-compiled workload (a packed cache /
-    shared-memory attach, see :mod:`repro.workloads.cache`) instead of
+    ``workload`` replays a pre-compiled workload (the campaign decodes
+    the packed bytes on its run request, see
+    :func:`repro.resilience.workers.simulate_request`) instead of
     regenerating one; results are bit-identical either way.  Streams
-    whose ``validated`` flag is set (a trusted cache hit) skip
+    whose ``validated`` flag is set (checked before packing) skip
     re-validation — any mutation, including the ``corrupt-trace``
     fault, clears the flag, so damage is still caught.
     """
@@ -171,8 +172,8 @@ def simulate_run(benchmark: str, scheme: str, params: ExperimentParams,
                       if fault is not None and fault[0] == "raise" else None)
     streams = workload.streams
     if params.batch and HAS_NUMPY:
-        # The batch engine consumes columnar streams; workload-cache
-        # attaches already are packed, fresh builds are columnarised
+        # The batch engine consumes columnar streams; compiled
+        # workloads already are packed, fresh builds are columnarised
         # here (validated just above, so the flag is trustworthy).
         # Packed and tuple streams replay bit-identically either way.
         streams = [stream if getattr(stream, "columns", None) is not None

@@ -97,11 +97,10 @@ def dashboard_document(telemetry) -> Dict[str, object]:
     report's") is checkable by parsing the JSON back out of the file.
     """
     counts = dict(telemetry._counts)
-    cache_hits, cache_misses = telemetry._cache_counts()
     runs = sorted(telemetry.runs.values(),
                   key=lambda r: (r["benchmark"], r["scheme"], r["key"]))
     return {
-        "version": 1,
+        "version": 2,
         "summary": {
             "total_runs": telemetry.total_runs,
             "workers": telemetry.workers,
@@ -109,8 +108,6 @@ def dashboard_document(telemetry) -> Dict[str, object]:
             "failed": counts["failed"],
             "restored": counts["restored"],
             "retries": telemetry.retries,
-            "cache_hits": cache_hits,
-            "cache_misses": cache_misses,
             "busy_seconds": round(telemetry.busy_seconds, 6),
         },
         "lpt": telemetry.lpt.summary(),
@@ -196,7 +193,7 @@ _DASHBOARD_TEMPLATE = """<!DOCTYPE html>
     <th>benchmark</th><th>scheme</th><th>state</th>
     <th class="num">attempts</th><th class="num">wall s</th>
     <th class="num">cpu s</th><th class="num">predicted s</th>
-    <th class="num">sched err</th><th>workload</th>
+    <th class="num">sched err</th><th>error</th>
   </tr></thead><tbody></tbody></table>
   <details><summary>Raw metric families</summary>
     <pre id="metrics"></pre></details>
@@ -216,15 +213,12 @@ _DASHBOARD_TEMPLATE = """<!DOCTYPE html>
       ? "–" : Number(value).toFixed(digits === undefined ? 2 : digits);
   }
   document.getElementById("sub").textContent =
-    s.total_runs + " runs planned · " + s.workers + " worker(s) · " +
-    "workload cache " + s.cache_hits + " hits / " +
-    s.cache_misses + " misses" +
+    s.total_runs + " runs planned · " + s.workers + " worker(s)" +
     (doc.lpt.runs ? " · LPT MAPE " + fmt(100 * doc.lpt.mape, 1) +
        "% (bias " + fmt(100 * doc.lpt.bias, 1) + "%)" : "");
   var tiles = document.getElementById("tiles");
   [["completed", s.completed], ["failed", s.failed],
-   ["restored", s.restored], ["retries", s.retries],
-   ["cache hits", s.cache_hits], ["cache misses", s.cache_misses]]
+   ["restored", s.restored], ["retries", s.retries]]
     .forEach(function (pair) {
       var tile = el("div", "tile");
       tile.appendChild(el("div", "v", String(pair[1])));
@@ -289,8 +283,7 @@ _DASHBOARD_TEMPLATE = """<!DOCTYPE html>
       ? fmt(100 * (run.wall_s - run.predicted_s) / run.predicted_s, 0) + "%"
       : "–";
     tr.appendChild(el("td", "num", err));
-    tr.appendChild(el("td", null,
-      run.workload_source || (run.error ? run.error : "–")));
+    tr.appendChild(el("td", null, run.error || "–"));
     tbody.appendChild(tr);
   });
   document.getElementById("metrics").textContent =

@@ -7,14 +7,13 @@ treatment, behind the same null-object discipline:
 * :class:`MetricsRegistry` — counters / gauges / summaries with
   Prometheus-style labels.  It is **multiprocessing-safe by
   construction**: only the campaign parent ever mutates it.  Workers
-  measure their own attempt (wall seconds, CPU seconds, how the
-  workload was sourced) and ship the measurement back over the existing
-  result pipe; the parent aggregates.  No locks, no shared memory, no
-  write races.
+  measure their own attempt (wall seconds, CPU seconds) and ship the
+  measurement back over the existing result pipe; the parent
+  aggregates.  No locks, no shared memory, no write races.
 * :class:`CampaignTelemetry` — the hub the campaign and the resilient
   executor call into: run-lifecycle spans (queued → dispatched →
-  running → retried / failed / completed), workload-cache and
-  shared-memory-arena events, checkpoint skip/write counts, per-worker
+  running → retried / failed / completed), workload compilation,
+  checkpoint skip/write counts, per-worker
   busy fraction, and the :class:`LptAccuracy` tracker comparing
   :mod:`repro.experiments.schedule` predicted cost against actual
   duration per run — the calibration signal adaptive sweeps need.
@@ -46,11 +45,11 @@ from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 #: Bumped when the NDJSON status-stream schema changes; every event
 #: carries it as ``v`` so consumers can reject streams they don't speak.
-STATUS_VERSION = 1
+STATUS_VERSION = 2
 
 #: Campaign accepted: totals and pool shape.
 CAMPAIGN_START = "campaign_start"
-#: Workload compilation finished (cache hits/misses are final).
+#: Workload compilation finished.
 WORKLOADS = "workloads"
 #: One attempt of one run was dispatched (serial or into a pool worker).
 RUN_START = "run_start"
@@ -68,7 +67,7 @@ CAMPAIGN_END = "campaign_end"
 #: monotonic clock — and ``ts`` — wall-clock epoch seconds).
 STATUS_EVENT_FIELDS: Dict[str, Tuple[str, ...]] = {
     CAMPAIGN_START: ("total_runs", "workers"),
-    WORKLOADS: ("compiled", "cache_hits", "cache_misses"),
+    WORKLOADS: ("compiled",),
     RUN_START: ("key", "benchmark", "scheme", "attempt", "mode",
                 "predicted_s"),
     RUN_RETRY: ("key", "benchmark", "scheme", "attempt", "error",
@@ -78,7 +77,7 @@ STATUS_EVENT_FIELDS: Dict[str, Tuple[str, ...]] = {
     HEARTBEAT: ("elapsed_s", "queued", "running", "completed", "failed",
                 "restored", "retries", "busy_frac"),
     CAMPAIGN_END: ("elapsed_s", "completed", "failed", "restored",
-                   "retries", "simulated", "cache_hits", "cache_misses"),
+                   "retries", "simulated"),
 }
 
 #: Terminal states a ``run_end`` event may carry.
@@ -295,8 +294,7 @@ class NullTelemetry:
     def campaign_start(self, total_runs: int, workers: int) -> None:
         pass
 
-    def workloads_compiled(self, compiled: int, cache_hits: int,
-                           cache_misses: int, rejected: int = 0) -> None:
+    def workloads_compiled(self, compiled: int) -> None:
         pass
 
     def predict(self, key: str, seconds: float) -> None:
@@ -318,8 +316,7 @@ class NullTelemetry:
 
     def run_finished(self, key: str, request, ok: bool, attempts: int,
                      wall_s: float, cpu_s: Optional[float] = None,
-                     error: Optional[str] = None,
-                     workload_source: Optional[str] = None) -> None:
+                     error: Optional[str] = None) -> None:
         pass
 
     def checkpoint_write(self, ok: bool) -> None:
@@ -409,26 +406,11 @@ class CampaignTelemetry(NullTelemetry):
         self._emit(CAMPAIGN_START, total_runs=total_runs,
                    workers=self.workers)
 
-    def workloads_compiled(self, compiled: int, cache_hits: int,
-                           cache_misses: int, rejected: int = 0) -> None:
-        help_compiled = "Workloads compiled this campaign (cache misses " \
-                        "plus uncached generation)."
-        self.registry.counter("pomtlb_campaign_workloads_compiled_total",
-                              help_compiled).inc(compiled)
+    def workloads_compiled(self, compiled: int) -> None:
         self.registry.counter(
-            "pomtlb_campaign_workload_cache_hits_total",
-            "Workload-cache hits (compiled containers reused).").inc(
-                cache_hits)
-        self.registry.counter(
-            "pomtlb_campaign_workload_cache_misses_total",
-            "Workload-cache misses (containers compiled fresh).").inc(
-                cache_misses)
-        if rejected:
-            self.registry.counter(
-                "pomtlb_campaign_workload_cache_rejected_total",
-                "Damaged workload-cache entries discarded.").inc(rejected)
-        self._emit(WORKLOADS, compiled=compiled, cache_hits=cache_hits,
-                   cache_misses=cache_misses)
+            "pomtlb_campaign_workloads_compiled_total",
+            "Distinct workloads compiled this campaign.").inc(compiled)
+        self._emit(WORKLOADS, compiled=compiled)
 
     def predict(self, key: str, seconds: float) -> None:
         self.lpt.predict(key, seconds)
@@ -443,7 +425,7 @@ class CampaignTelemetry(NullTelemetry):
                       "attempts": 0, "queued_t": self.clock() - self.started,
                       "wall_s": None, "cpu_s": None,
                       "predicted_s": self.lpt.predicted(key),
-                      "error": None, "workload_source": None}
+                      "error": None}
             self.runs[key] = record
         return record
 
@@ -498,13 +480,11 @@ class CampaignTelemetry(NullTelemetry):
 
     def run_finished(self, key: str, request, ok: bool, attempts: int,
                      wall_s: float, cpu_s: Optional[float] = None,
-                     error: Optional[str] = None,
-                     workload_source: Optional[str] = None) -> None:
+                     error: Optional[str] = None) -> None:
         record = self._run(key, request)
         state = "ok" if ok else "failed"
         record.update(state=state, attempts=attempts, wall_s=wall_s,
-                      cpu_s=cpu_s, error=error,
-                      workload_source=workload_source)
+                      cpu_s=cpu_s, error=error)
         self._counts[state] += 1
         self.busy_seconds += max(0.0, wall_s)
         self.registry.counter("pomtlb_campaign_runs_total",
@@ -522,13 +502,6 @@ class CampaignTelemetry(NullTelemetry):
             "pomtlb_campaign_worker_busy_seconds",
             "Attempt durations summed across the pool.").observe(
                 max(0.0, wall_s))
-        if workload_source is not None:
-            self.registry.counter(
-                "pomtlb_campaign_workload_source_total",
-                "How run workloads were obtained (shm attach, mmap, "
-                "parent container, regenerated after a vanished "
-                "segment, generated fresh).",
-                source=workload_source).inc()
         if ok:
             self.lpt.observe(key, request.benchmark, request.scheme, wall_s)
         self._emit(RUN_END, key=key, benchmark=request.benchmark,
@@ -578,7 +551,6 @@ class CampaignTelemetry(NullTelemetry):
 
     def campaign_end(self, simulated: int = 0) -> None:
         elapsed = self.clock() - self.started
-        cache = self._cache_counts()
         self.registry.gauge(
             "pomtlb_campaign_elapsed_seconds",
             "Campaign wall-clock (monotonic).").set(round(elapsed, 6))
@@ -600,17 +572,7 @@ class CampaignTelemetry(NullTelemetry):
                    completed=self._counts["ok"],
                    failed=self._counts["failed"],
                    restored=self._counts["restored"],
-                   retries=self.retries, simulated=simulated,
-                   cache_hits=cache[0], cache_misses=cache[1])
-
-    def _cache_counts(self) -> Tuple[int, int]:
-        def value(name: str) -> int:
-            family = self.registry._families.get(name)
-            if family is None:
-                return 0
-            return sum(metric.value for metric in family.series.values())
-        return (value("pomtlb_campaign_workload_cache_hits_total"),
-                value("pomtlb_campaign_workload_cache_misses_total"))
+                   retries=self.retries, simulated=simulated)
 
     def export(self) -> List[str]:
         """Write the Prometheus and dashboard artifacts; returns paths."""
@@ -645,8 +607,6 @@ class StatusSnapshot:
         self.restored = 0
         self.retries = 0
         self.compiled = 0
-        self.cache_hits = 0
-        self.cache_misses = 0
         self.elapsed_s = 0.0
         self.busy_frac = 0.0
         self.queued = 0
@@ -676,8 +636,6 @@ class StatusSnapshot:
             self.workers = event["workers"]
         elif etype == WORKLOADS:
             self.compiled = event["compiled"]
-            self.cache_hits = event["cache_hits"]
-            self.cache_misses = event["cache_misses"]
         elif etype == RUN_START:
             self.running[event["key"]] = dict(event)
             if event["predicted_s"] is not None:
@@ -738,8 +696,7 @@ def render_top(snapshot: StatusSnapshot) -> str:
         f"workers {snapshot.workers} · busy {100 * snapshot.busy_frac:.0f}% "
         f"· queued {snapshot.queued} · running {len(snapshot.running)} "
         f"· retries {snapshot.retries}",
-        f"workloads: {snapshot.compiled} compiled · cache "
-        f"{snapshot.cache_hits} hits / {snapshot.cache_misses} misses",
+        f"workloads: {snapshot.compiled} compiled",
     ]
     lpt = snapshot.lpt.summary()
     if lpt["runs"]:

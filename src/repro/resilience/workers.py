@@ -31,7 +31,7 @@ import os
 import sys
 import time
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..common.errors import ReproError, RunTimeout, WorkerCrash
@@ -55,11 +55,11 @@ class RunRequest:
     benchmark: str
     scheme: str
     params: object  # ExperimentParams; duck-typed to avoid an import cycle
-    #: Optional WorkloadRef (repro.workloads.shm) naming a pre-compiled
-    #: workload the worker should attach instead of regenerating one.
-    #: Never participates in the checkpoint key: replaying a compiled
-    #: workload is bit-identical to regenerating it.
-    workload_ref: object = None
+    #: The packed workload (:func:`repro.workloads.packed.encode_workload`
+    #: bytes) the run replays; empty means the run generates its own.
+    #: Kept out of equality, ``repr`` and the checkpoint key: replaying
+    #: a compiled workload is bit-identical to regenerating it.
+    workload: bytes = field(default=b"", repr=False, compare=False)
 
     @property
     def label(self) -> str:
@@ -108,15 +108,14 @@ class RunOutcome:
 
 # -- child-process side --------------------------------------------------------
 
-def _measurement(wall_s: float, cpu_s: Optional[float],
-                 workload: Optional[str]) -> dict:
+def _measurement(wall_s: float, cpu_s: Optional[float]) -> dict:
     """The attempt measurement that rides the result pipe.
 
     Workers never touch the parent's metrics registry: they measure
     their own attempt and ship the numbers home with the result, which
     is what makes campaign telemetry multiprocessing-safe without locks.
     """
-    return {"wall_s": wall_s, "cpu_s": cpu_s, "workload": workload}
+    return {"wall_s": wall_s, "cpu_s": cpu_s}
 
 
 def _child_entry(request: RunRequest, fault: Optional[Tuple[str, int]],
@@ -132,55 +131,35 @@ def _child_entry(request: RunRequest, fault: Optional[Tuple[str, int]],
             if kind == "hang":
                 while True:  # parked until the parent's timeout kills us
                     time.sleep(60)
-        run, source = _simulate_measured(request, fault)
+        run = simulate_request(request, fault)
         meas = _measurement(time.monotonic() - started,
-                            time.process_time() - started_cpu, source)
+                            time.process_time() - started_cpu)
         conn.send(("ok", run, meas))
     except BaseException as error:  # noqa: BLE001 - must cross the pipe
         meas = _measurement(time.monotonic() - started,
-                            time.process_time() - started_cpu, None)
+                            time.process_time() - started_cpu)
         conn.send(("error", ErrorInfo.from_exception(error), meas))
     finally:
         conn.close()
 
 
-def _simulate_measured(request: RunRequest,
-                       fault: Optional[Tuple[str, int]]):
-    """One attempt plus how its workload was sourced.
+def simulate_request(request: RunRequest, fault: Optional[Tuple[str, int]],
+                     obs=None):
+    """One attempt of ``request``, serial or in a pool worker.
 
-    The source tag feeds the ``pomtlb_campaign_workload_source_total``
-    telemetry counter: ``shm`` (arena attach), ``mmap`` (cache file),
-    ``regenerated`` (ref was dead — vanished segment / torn cache
-    entry) or ``generated`` (no ref at all).
+    A request that carries packed workload bytes replays them; one that
+    carries none generates its workload from the benchmark profile.
+    Pool workers are forked per attempt, so the bytes reach the child
+    by inheritance rather than by copy (under spawn they are pickled,
+    17 bytes per reference).
     """
     from ..experiments.runner import simulate_run
+    from ..workloads.packed import decode_container
 
-    if request.workload_ref is None:
-        return simulate_run(request.benchmark, request.scheme,
-                            request.params, fault=fault), "generated"
-    from ..common.errors import PackedTraceError
-    from ..workloads.shm import attach_container
-
-    try:
-        container = attach_container(request.workload_ref)
-    except PackedTraceError:
-        # The compiled workload is gone or damaged (parent released the
-        # segment, cache file torn).  Regenerating is always correct —
-        # the ref is an optimization, never the source of truth.
-        return simulate_run(request.benchmark, request.scheme,
-                            request.params, fault=fault), "regenerated"
-    source = "shm" if request.workload_ref.shm_name else "mmap"
-    try:
-        return simulate_run(request.benchmark, request.scheme,
-                            request.params, fault=fault,
-                            workload=container.workload()), source
-    finally:
-        container.backing.close()
-
-
-def _simulate(request: RunRequest, fault: Optional[Tuple[str, int]]):
-    """Serial-mode default simulation callable (result only)."""
-    return _simulate_measured(request, fault)[0]
+    workload = (decode_container(request.workload).workload()
+                if request.workload else None)
+    return simulate_run(request.benchmark, request.scheme, request.params,
+                        fault=fault, obs=obs, workload=workload)
 
 
 # -- the executor --------------------------------------------------------------
@@ -218,9 +197,9 @@ def execute_runs(requests: List[RunRequest],
 
     ``simulate`` overrides the in-process simulation callable
     (``(request, fault) -> BenchmarkRun``) and applies to serial mode
-    only — worker processes always import the canonical
-    :func:`repro.experiments.runner.simulate_run`.  The campaign uses it
-    to thread per-run observability through in-process execution.
+    only — worker processes always run :func:`simulate_request`.  The
+    campaign uses it to thread per-run observability through in-process
+    execution.
 
     ``cost`` estimates a request's wall-clock seconds (see
     :func:`repro.experiments.schedule.cost_function`).  In pooled mode
@@ -269,7 +248,7 @@ def execute_runs(requests: List[RunRequest],
                           reverse=True)
             _run_pooled(todo, workers, context)
         else:
-            _run_serial(todo, context, simulate or _simulate)
+            _run_serial(todo, context, simulate or simulate_request)
     return [outcomes[key] for key in order]
 
 
@@ -320,8 +299,7 @@ class _Context:
                 attempt.key, attempt.request, ok=True,
                 attempts=attempt.number,
                 wall_s=meas.get("wall_s", 0.0),
-                cpu_s=meas.get("cpu_s"),
-                workload_source=meas.get("workload"))
+                cpu_s=meas.get("cpu_s"))
         _trace_complete(self.tracer, outcome)
         if self.on_outcome:
             self.on_outcome(outcome)
@@ -355,8 +333,7 @@ class _Context:
                 attempts=attempt.number,
                 wall_s=meas.get("wall_s", 0.0),
                 cpu_s=meas.get("cpu_s"),
-                error=f"{error.type}: {error.message}",
-                workload_source=meas.get("workload"))
+                error=f"{error.type}: {error.message}")
         if self.tracer.enabled:
             self.tracer.emit(obs_events.RUN_FAILURE,
                              benchmark=attempt.request.benchmark,
@@ -408,7 +385,7 @@ def _run_serial(todo: List[_Attempt], ctx: _Context,
             retry_attempt = ctx.fail_or_retry(
                 attempt, ErrorInfo.from_exception(error),
                 meas=_measurement(time.monotonic() - started,
-                                  time.process_time() - started_cpu, None))
+                                  time.process_time() - started_cpu))
             if retry_attempt is not None:
                 queue.append(retry_attempt)
             if telemetry.enabled:
@@ -416,8 +393,7 @@ def _run_serial(todo: List[_Attempt], ctx: _Context,
             continue
         ctx.succeed(attempt, run,
                     meas=_measurement(time.monotonic() - started,
-                                      time.process_time() - started_cpu,
-                                      None))
+                                      time.process_time() - started_cpu))
         if telemetry.enabled:
             telemetry.sample(queued=len(queue), running=0)
 
@@ -451,7 +427,7 @@ class _Worker:
         """An error message for attempts that never reported themselves
         (crashed or killed children): wall time is parent-measured."""
         return ("error", ErrorInfo.from_exception(error),
-                _measurement(time.monotonic() - self.started, None, None))
+                _measurement(time.monotonic() - self.started, None))
 
     def poll(self) -> Optional[Tuple[str, object, dict]]:
         """Non-blocking check: a ("ok"|"error", payload, meas) message, a

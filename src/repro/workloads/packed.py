@@ -8,19 +8,20 @@ This module stores the same records as three per-stream *columns* —
 bitmap at one bit per record (17 bytes/record total) — inside a single
 fixed-header container that can be
 
-* written atomically to the on-disk workload cache
-  (:mod:`repro.workloads.cache`),
-* memory-mapped or :class:`~multiprocessing.shared_memory.SharedMemory`-
-  attached **zero-copy** (decoding builds ``memoryview`` casts over the
-  source buffer; no per-record object is materialised), and
+* attached as bytes to a campaign run request (the parent compiles each
+  distinct workload once) or written atomically to a ``.pwl`` file
+  (``pomtlb trace pack``, audit repro artifacts),
+* decoded **zero-copy** from bytes or a memory-mapped file (decoding
+  builds ``memoryview`` casts over the source buffer; no per-record
+  object is materialised), and
 * replayed directly by the simulator's hot loop
   (:meth:`repro.core.system.Machine.run` reads the columns without
   constructing ``MemoryReference`` tuples).
 
 Round-tripping is exact: packing then unpacking reproduces the original
 records bit for bit, which is what lets the campaign prove byte-identical
-reports whether a run replays a generated, packed, or shared-memory
-workload (tests/integration/test_workload_equivalence.py).
+reports whether a run replays a generated or a packed workload
+(tests/integration/test_workload_equivalence.py).
 
 Container layout (all integers little-endian)::
 
@@ -35,8 +36,8 @@ Container layout (all integers little-endian)::
 ``flags`` bit 0 records that every stream passed
 :func:`~repro.workloads.trace.validate_stream` before encoding; loaders
 verify the CRC-32 (computed over the whole container with the CRC field
-zeroed, so header damage is caught too) and propagate the flag so cache
-hits skip re-validation.  A ``.gz`` suffix gzips the whole
+zeroed, so header damage is caught too) and propagate the flag so
+replays skip re-validation.  A ``.gz`` suffix gzips the whole
 container (decoded from a decompressed copy — gzip forfeits zero-copy).
 """
 
@@ -55,8 +56,7 @@ from ..common.fileio import atomic_write_bytes
 from .trace import MemoryReference
 
 #: Bumped when the container layout changes; loaders reject other
-#: versions, and the workload-cache key embeds it so a format change
-#: invalidates every cached entry at once.
+#: versions.
 FORMAT_VERSION = 1
 
 MAGIC = b"POMTLBW\x01"
@@ -272,12 +272,12 @@ def unpack_stream(stream: PackedStream):
 class PackedBuffer:
     """Owns the buffer behind a decoded workload and its exported views.
 
-    Decoding is zero-copy, which means the mmap / shared-memory segment
-    must outlive every column view cut from it.  The buffer object rides
-    on the decoded workload (``workload.backing``); :meth:`close`
-    releases the views *first* (streams drop their columns) and only
-    then closes the underlying map — closing an mmap or SharedMemory
-    with exported views raises ``BufferError`` otherwise.
+    Decoding is zero-copy, which means the bytes or mmap must outlive
+    every column view cut from it.  The buffer object rides on the
+    decoded workload (``workload.backing``); :meth:`close` releases the
+    views *first* (streams drop their columns) and only then closes the
+    underlying map — closing an mmap with exported views raises
+    ``BufferError`` otherwise.
     """
 
     def __init__(self, owner=None, views: Optional[List[memoryview]] = None,
@@ -429,7 +429,7 @@ def decode_container(buffer, path: str = "", owner=None,
                      verify_crc: bool = True) -> DecodedContainer:
     """Parse a packed container from any bytes-like buffer, zero-copy.
 
-    ``owner`` (an mmap or SharedMemory-like object with ``close()``)
+    ``owner`` (an mmap or other object with ``close()``)
     is adopted by the returned container's :class:`PackedBuffer` so its
     lifetime is tied to the decoded streams.  Raises
     :class:`~repro.common.errors.PackedTraceError` on any damage —
@@ -535,7 +535,7 @@ def save_packed(path: str, streams: Sequence, benchmark: str = "",
                           validated=validated)
     if path.endswith(".gz"):
         # mtime pinned to zero so identical workloads gzip to identical
-        # bytes — the cache and tests compare files, not just contents.
+        # bytes — tests compare files, not just contents.
         blob = gzip.compress(blob, mtime=0)
     atomic_write_bytes(path, blob)
 

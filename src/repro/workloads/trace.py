@@ -205,8 +205,8 @@ def validate_stream(stream: CoreStream) -> None:
 
     Instruction counts must be non-decreasing (references issue in
     program order) and addresses must fit a 64-bit virtual address.
-    Runs before every simulation (except on validated workload-cache
-    hits, whose header flag records this check already passed), so a
+    Runs before every simulation (except on packed streams whose
+    ``validated`` flag records this check already passed), so a
     corrupt stream — hand-edited, torn, or injected by the fault
     harness — fails with a diagnostic instead of poisoning results.
     """

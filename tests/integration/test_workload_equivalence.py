@@ -1,30 +1,26 @@
-"""Differential replay equivalence (ISSUE 4 acceptance criterion).
+"""Differential replay equivalence of packed workload bytes.
 
-The packed workload pipeline is a pure transport optimisation: for every
-scheme, replaying a workload from the packed columnar format — whether
-decoded in-process, mmap'd from the on-disk cache, or attached through a
-shared-memory segment — must produce *bit-identical* results to
-regenerating the streams from the profile.  Identical means every
-``SimulationResult`` counter, every ``StatRegistry`` value, and every
-performance-model quantity; campaign reports must come out
-byte-identical end to end.
+The campaign compiles each distinct workload once, packs it with
+``encode_workload`` and hands the bytes to every run on its
+``RunRequest``.  That is a pure transport: for every scheme, replaying
+``decode_container(blob).workload()`` must produce *bit-identical*
+results to regenerating the streams from the profile.  Identical means
+every ``SimulationResult`` counter, every ``StatRegistry`` value, and
+every performance-model quantity; campaign reports must come out
+byte-identical whether runs execute serially or in a pool.
 """
 
 import dataclasses
 import io
+import os
+import subprocess
+import sys
 
 import pytest
 
 from repro.experiments import campaign
 from repro.experiments.runner import ExperimentParams, simulate_run
-from repro.workloads.cache import WorkloadCache
 from repro.workloads.packed import decode_container, encode_workload
-from repro.workloads.shm import (
-    WorkloadArena,
-    WorkloadRef,
-    attach_container,
-    shm_available,
-)
 from repro.workloads.suite import get_profile
 from repro.workloads.trace import validate_stream
 
@@ -51,73 +47,34 @@ def fingerprint(run):
     }
 
 
-def build_workload(bench):
-    profile = get_profile(bench)
-    workload = profile.build(num_cores=PARAMS.num_cores,
-                             refs_per_core=PARAMS.refs_per_core,
-                             seed=PARAMS.seed, scale=PARAMS.scale)
+def packed_bytes(bench):
+    """The bytes the campaign parent would attach to ``bench``'s runs."""
+    workload = get_profile(bench).build(num_cores=PARAMS.num_cores,
+                                        refs_per_core=PARAMS.refs_per_core,
+                                        seed=PARAMS.seed, scale=PARAMS.scale)
     for stream in workload.streams:
         validate_stream(stream)
-    return workload
+    return encode_workload(workload, validated=True)
 
 
 @pytest.mark.parametrize("bench", ["gups", "graph500"])
 class TestReplayModes:
     def test_packed_replay_is_bit_identical(self, bench):
-        container = decode_container(
-            encode_workload(build_workload(bench), validated=True))
-        try:
-            for scheme in SCHEMES:
-                generated = simulate_run(bench, scheme, PARAMS)
-                packed = simulate_run(bench, scheme, PARAMS,
-                                      workload=container.workload())
-                assert fingerprint(packed) == fingerprint(generated), scheme
-        finally:
-            container.backing.close()
-
-    def test_cache_file_replay_is_bit_identical(self, bench, tmp_path):
-        cache = WorkloadCache(str(tmp_path / "wl"))
-        container, _ = cache.get_or_compile(bench, PARAMS)
-        try:
-            for scheme in SCHEMES:
-                generated = simulate_run(bench, scheme, PARAMS)
-                cached = simulate_run(bench, scheme, PARAMS,
-                                      workload=container.workload())
-                assert fingerprint(cached) == fingerprint(generated), scheme
-        finally:
-            container.backing.close()
-
-    @pytest.mark.skipif(not shm_available(), reason="no POSIX shm")
-    def test_shared_memory_replay_is_bit_identical(self, bench):
-        workload = build_workload(bench)
-        with WorkloadArena() as arena:
-            name = arena.publish_workload("eq" + "0" * 30, workload,
-                                          validated=True)
-            container = attach_container(
-                WorkloadRef(benchmark=bench, key="eq" + "0" * 30,
-                            shm_name=name))
-            try:
-                for scheme in SCHEMES:
-                    generated = simulate_run(bench, scheme, PARAMS)
-                    shared = simulate_run(bench, scheme, PARAMS,
-                                          workload=container.workload())
-                    assert fingerprint(shared) == \
-                        fingerprint(generated), scheme
-            finally:
-                container.backing.close()
+        blob = packed_bytes(bench)
+        for scheme in SCHEMES:
+            generated = simulate_run(bench, scheme, PARAMS)
+            packed = simulate_run(bench, scheme, PARAMS,
+                                  workload=decode_container(blob).workload())
+            assert fingerprint(packed) == fingerprint(generated), scheme
 
     def test_one_container_many_replays(self, bench):
         """Back-to-back replays off one container don't interfere."""
-        container = decode_container(
-            encode_workload(build_workload(bench), validated=True))
-        try:
-            first = simulate_run(bench, "pom", PARAMS,
-                                 workload=container.workload())
-            second = simulate_run(bench, "pom", PARAMS,
-                                  workload=container.workload())
-            assert fingerprint(first) == fingerprint(second)
-        finally:
-            container.backing.close()
+        container = decode_container(packed_bytes(bench))
+        first = simulate_run(bench, "pom", PARAMS,
+                             workload=container.workload())
+        second = simulate_run(bench, "pom", PARAMS,
+                              workload=container.workload())
+        assert fingerprint(first) == fingerprint(second)
 
 
 TINY = ExperimentParams(num_cores=1, refs_per_core=300, scale=0.02, seed=5,
@@ -132,33 +89,49 @@ def campaign_text(params=TINY, **kwargs):
     return out.getvalue()
 
 
-def strip_params_line(text):
-    """Drop the one header line that legitimately differs (workers=)."""
-    return "\n".join(line for line in text.splitlines()
-                     if not line.startswith("# params:"))
-
-
 class TestCampaignEquivalence:
-    def test_serial_shared_matches_status_quo(self):
-        status_quo = campaign_text(share_workloads=False)
+    def test_serial_shared_matches_status_quo(self, monkeypatch):
         shared = campaign_text()
-        assert shared == status_quo
+        # Status quo: requests carry no bytes, every run regenerates.
+        monkeypatch.setattr(campaign, "_compile_workloads",
+                            lambda requests: (requests, 0))
+        assert campaign_text() == shared
 
-    def test_cold_and_warm_cache_match_status_quo(self, tmp_path):
-        status_quo = campaign_text(share_workloads=False)
-        cold = campaign_text(workload_cache=str(tmp_path / "wl"))
-        warm = campaign_text(workload_cache=str(tmp_path / "wl"))
-        assert cold == status_quo
-        assert warm == status_quo
-
-    @pytest.mark.skipif(not shm_available(), reason="no POSIX shm")
-    def test_pooled_shm_matches_pooled_status_quo(self, tmp_path):
-        pooled = dataclasses.replace(TINY, workers=2)
-        status_quo = campaign_text(pooled, include_sensitivity=False,
-                                   share_workloads=False)
-        shm = campaign_text(pooled, include_sensitivity=False,
-                            workload_cache=str(tmp_path / "wl"))
-        assert shm == status_quo
-        # And across worker counts only the params header line differs.
+    def test_pooled_matches_serial(self):
+        # The "# params:" header leaves out execution knobs such as
+        # workers=, so the two reports match byte for byte.
+        pooled = campaign_text(dataclasses.replace(TINY, workers=2),
+                               include_sensitivity=False)
         serial = campaign_text(include_sensitivity=False)
-        assert strip_params_line(shm) == strip_params_line(serial)
+        assert pooled == serial
+
+
+_POOLED_CAMPAIGN = """
+import io, os
+from multiprocessing import resource_tracker
+from repro.experiments import campaign
+from repro.experiments.runner import ExperimentParams
+
+before = set(os.listdir("/dev/shm")) if os.path.isdir("/dev/shm") else set()
+params = ExperimentParams(num_cores=1, refs_per_core=300, scale=0.02, seed=5,
+                          workers=2, max_retries=0, retry_backoff_s=0.0)
+result = campaign.run_all(params, ["gups"], out=io.StringIO(),
+                          progress=io.StringIO(), include_sensitivity=False)
+assert not result.failures and result.simulated > 0
+after = set(os.listdir("/dev/shm")) if os.path.isdir("/dev/shm") else set()
+print("tracker", resource_tracker._resource_tracker._fd is None)
+print("segments", sorted(n for n in after - before
+                         if n.startswith("pomtlb-wl-")))
+"""
+
+
+def test_pooled_campaign_needs_no_shared_memory():
+    """Bytes ride the fork: no resource tracker, no /dev/shm segment."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir,
+                       "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    done = subprocess.run([sys.executable, "-c", _POOLED_CAMPAIGN],
+                          env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["tracker True", "segments []"]

@@ -27,11 +27,11 @@ def populated_telemetry():
     hub = CampaignTelemetry(clock=lambda: clock[0],
                             wall=lambda: 1700000000.0)
     hub.campaign_start(3, 2)
-    hub.workloads_compiled(2, 1, 1, rejected=1)
+    hub.workloads_compiled(2)
     hub.predict("k1", 0.5)
     clock[0] += 2.0
     hub.run_finished("k1", _Request(), ok=True, attempts=1, wall_s=1.0,
-                     cpu_s=0.8, workload_source="shm")
+                     cpu_s=0.8)
     hub.run_finished("k2", _Request("mcf", "tsb"), ok=False, attempts=2,
                      wall_s=0.2, error="WorkerCrash: signal 9")
     hub.run_restored("k3", _Request("mcf"))
@@ -100,7 +100,10 @@ class TestDashboardDocument:
         assert summary["total_runs"] == 3
         assert summary["completed"] + summary["failed"] \
             + summary["restored"] == summary["total_runs"]
-        assert summary["cache_hits"] == 1 and summary["cache_misses"] == 1
+        assert not any(name.startswith("cache") for name in summary)
+        assert doc["metrics"][
+            "pomtlb_campaign_workloads_compiled_total"]["series"][0][
+                "value"] == 2
 
     def test_runs_sorted_and_carry_calibration(self):
         doc = dashboard_document(populated_telemetry())

@@ -121,7 +121,7 @@ class TestStatusSchema:
         hub, clock = telemetry(tmp_path)
         request = _Request()
         hub.campaign_start(2, 2)
-        hub.workloads_compiled(2, 1, 1)
+        hub.workloads_compiled(2)
         hub.predict("k1", 0.5)
         hub.run_queued("k1", request)
         hub.run_dispatched("k1", request, attempt=1, mode="pool")
@@ -131,7 +131,7 @@ class TestStatusSchema:
         hub.run_dispatched("k1", request, attempt=2, mode="pool")
         clock.advance(0.6)
         hub.run_finished("k1", request, ok=True, attempts=2, wall_s=0.6,
-                         cpu_s=0.5, workload_source="shm")
+                         cpu_s=0.5)
         hub.run_restored("k2", _Request("mcf", "tsb"))
         hub.heartbeat(queued=0, running=0)
         hub.run_finished("k3", _Request("mcf"), ok=False, attempts=3,
@@ -183,7 +183,10 @@ class TestStatusSchema:
         assert set(STATUS_EVENT_FIELDS) == {
             "campaign_start", "workloads", "run_start", "run_retry",
             "run_end", "heartbeat", "campaign_end"}
-        assert STATUS_VERSION == 1
+        assert STATUS_VERSION == 2
+        assert STATUS_EVENT_FIELDS["workloads"] == ("compiled",)
+        assert not any("cache" in name for fields
+                       in STATUS_EVENT_FIELDS.values() for name in fields)
 
 
 class TestHeartbeat:
@@ -257,7 +260,7 @@ class TestSnapshotAndTop:
         hub, clock = telemetry(tmp_path)
         request = _Request()
         hub.campaign_start(3, 2)
-        hub.workloads_compiled(3, 2, 1)
+        hub.workloads_compiled(3)
         hub.predict("k1", 0.5)
         hub.run_dispatched("k1", request, attempt=1, mode="pool")
         clock.advance(0.6)
@@ -275,7 +278,7 @@ class TestSnapshotAndTop:
         assert (snapshot.completed, snapshot.failed, snapshot.restored) == \
             (1, 1, 1)
         assert snapshot.done == snapshot.total_runs == 3
-        assert snapshot.cache_hits == 2 and snapshot.cache_misses == 1
+        assert snapshot.compiled == 3
         assert snapshot.running == {}
         assert snapshot.lpt.summary()["runs"] == 1
         assert snapshot.errors == ["(gups, pom): WorkerCrash: signal 9"]
@@ -285,6 +288,7 @@ class TestSnapshotAndTop:
         assert "1 ok, 1 failed, 1 restored" in view
         assert "100%" in view
         assert "WorkerCrash" in view
+        assert "workloads: 3 compiled\n" in view
 
     def test_snapshot_tolerates_garbage_lines(self):
         snapshot = StatusSnapshot()
@@ -296,9 +300,11 @@ class TestSnapshotAndTop:
 
     def test_render_top_mid_flight(self, tmp_path):
         snapshot = StatusSnapshot()
-        snapshot.apply({"v": 1, "event": "campaign_start", "t": 0.0,
+        snapshot.apply({"v": STATUS_VERSION, "event": "campaign_start",
+                        "t": 0.0,
                         "ts": 0.0, "total_runs": 4, "workers": 2})
-        snapshot.apply({"v": 1, "event": "run_start", "t": 0.1, "ts": 0.1,
+        snapshot.apply({"v": STATUS_VERSION, "event": "run_start", "t": 0.1,
+                        "ts": 0.1,
                         "key": "k1", "benchmark": "gups", "scheme": "pom",
                         "attempt": 1, "mode": "pool", "predicted_s": 0.5})
         view = render_top(snapshot)

@@ -32,6 +32,17 @@ class _StubRun:
     scheme = "pom"
 
 
+class TestRunRequest:
+    def test_workload_bytes_stay_out_of_identity(self):
+        bare = request()
+        packed = RunRequest("gups", "pom", TINY, workload=b"\xa5PACKED" * 8)
+        assert packed == bare and hash(packed) == hash(bare)
+        assert run_key(packed.benchmark, packed.scheme, packed.params) \
+            == run_key(bare.benchmark, bare.scheme, bare.params)
+        assert "PACKED" not in repr(packed) and "workload" not in repr(packed)
+        assert repr(packed) == repr(bare)
+
+
 class TestSerial:
     def test_success(self):
         calls = []
@@ -297,7 +308,6 @@ class TestTelemetryHooks:
         assert kwargs["ok"] is True
         assert kwargs["wall_s"] > 0        # measured inside the worker
         assert kwargs["cpu_s"] is not None
-        assert kwargs["workload_source"] is not None
         (_, kwargs) = telemetry.of("run_dispatched")[0]
         assert kwargs["mode"] == "pool"
 
