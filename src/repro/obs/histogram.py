@@ -14,19 +14,30 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
+#: One bucket per bit length of a value below 2**64 (the recordable range).
+_BUCKETS = 65
+#: Minimum of an empty histogram: above every recordable value.
+_NO_MIN = 1 << 64
+
 
 class LogHistogram:
-    """Power-of-two-bucketed histogram of non-negative integer latencies."""
+    """Power-of-two-bucketed histogram of integer latencies below 2**64."""
 
-    __slots__ = ("name", "count", "total", "min", "max", "_buckets")
+    __slots__ = ("name", "count", "total", "_min", "max", "_buckets")
 
     def __init__(self, name: str = "") -> None:
         self.name = name
         self.count = 0
         self.total = 0
-        self.min: Optional[int] = None
+        self._min = _NO_MIN
         self.max = 0
-        self._buckets: Dict[int, int] = {}
+        #: count per bucket index (a list: recording is one increment)
+        self._buckets: List[int] = [0] * _BUCKETS
+
+    @property
+    def min(self) -> Optional[int]:
+        """Smallest value recorded; ``None`` when empty."""
+        return self._min if self.count else None
 
     # -- recording (hot path) ----------------------------------------------
 
@@ -34,14 +45,13 @@ class LogHistogram:
         """Count one observation of ``value`` (negative values clamp to 0)."""
         if value < 0:
             value = 0
-        bucket = int(value).bit_length()
-        self._buckets[bucket] = self._buckets.get(bucket, 0) + 1
+        self._buckets[value.bit_length()] += 1
         self.count += 1
         self.total += value
         if value > self.max:
             self.max = value
-        if self.min is None or value < self.min:
-            self.min = value
+        if value < self._min:
+            self._min = value
 
     def record_many(self, value: int, n: int) -> None:
         """Count ``n`` observations of the same ``value`` in O(1).
@@ -55,14 +65,17 @@ class LogHistogram:
             return
         if value < 0:
             value = 0
-        bucket = int(value).bit_length()
-        self._buckets[bucket] = self._buckets.get(bucket, 0) + n
+        self._buckets[value.bit_length()] += n
         self.count += n
         self.total += value * n
         if value > self.max:
             self.max = value
-        if self.min is None or value < self.min:
-            self.min = value
+        if value < self._min:
+            self._min = value
+
+    def _nonempty(self):
+        """``(bucket, count)`` of every non-empty bucket, ascending."""
+        return [(bucket, n) for bucket, n in enumerate(self._buckets) if n]
 
     # -- derived metrics ----------------------------------------------------
 
@@ -79,8 +92,7 @@ class LogHistogram:
         target = max(1, -(-self.count * p // 100))  # ceil, at least rank 1
         cumulative = 0
         estimate = 0.0
-        for bucket in sorted(self._buckets):
-            in_bucket = self._buckets[bucket]
+        for bucket, in_bucket in self._nonempty():
             if cumulative + in_bucket >= target:
                 lo = 0 if bucket == 0 else 1 << (bucket - 1)
                 hi = 0 if bucket == 0 else (1 << bucket) - 1
@@ -109,32 +121,30 @@ class LogHistogram:
         """Forget every observation (used at the warmup boundary)."""
         self.count = 0
         self.total = 0
-        self.min = None
+        self._min = _NO_MIN
         self.max = 0
-        self._buckets.clear()
+        self._buckets = [0] * _BUCKETS
 
     def merge(self, other: "LogHistogram") -> None:
         """Accumulate another histogram's observations into this one."""
-        for bucket, n in other._buckets.items():
-            self._buckets[bucket] = self._buckets.get(bucket, 0) + n
+        for bucket, n in other._nonempty():
+            self._buckets[bucket] += n
         self.count += other.count
         self.total += other.total
-        if other.count:
-            if other.max > self.max:
-                self.max = other.max
-            if self.min is None or (other.min is not None
-                                    and other.min < self.min):
-                self.min = other.min
+        if other.max > self.max:
+            self.max = other.max
+        if other._min < self._min:
+            self._min = other._min
 
     # -- reporting ----------------------------------------------------------
 
     def buckets(self) -> List[List[int]]:
         """``[lo, hi, count]`` rows for every non-empty bucket, ascending."""
         rows = []
-        for bucket in sorted(self._buckets):
+        for bucket, n in self._nonempty():
             lo = 0 if bucket == 0 else 1 << (bucket - 1)
             hi = 0 if bucket == 0 else (1 << bucket) - 1
-            rows.append([lo, hi, self._buckets[bucket]])
+            rows.append([lo, hi, n])
         return rows
 
     def as_dict(self) -> Dict[str, object]:
@@ -163,10 +173,10 @@ class LogHistogram:
         histogram.count = int(data["count"])  # type: ignore[arg-type]
         histogram.total = int(data["total"])  # type: ignore[arg-type]
         histogram.max = int(data["max"])  # type: ignore[arg-type]
-        histogram.min = int(data["min"]) if histogram.count else None  # type: ignore[arg-type]
+        if histogram.count:
+            histogram._min = int(data["min"])  # type: ignore[arg-type]
         for lo, _hi, n in data.get("buckets", []):  # type: ignore[union-attr]
-            bucket = int(lo).bit_length()
-            histogram._buckets[bucket] = int(n)
+            histogram._buckets[int(lo).bit_length()] = int(n)
         return histogram
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

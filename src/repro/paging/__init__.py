@@ -1,7 +1,7 @@
 """Radix page tables, paging-structure caches, native and nested walkers."""
 
 from .nested import MAX_NESTED_REFS, NestedOutcome, NestedWalker
-from .page_table import LeafMapping, RadixPageTable, WalkStep
+from .page_table import LeafMapping, RadixPageTable
 from .walk_cache import PagingStructureCache
 from .walker import NativeWalker, WalkOutcome
 
@@ -14,5 +14,4 @@ __all__ = [
     "PagingStructureCache",
     "RadixPageTable",
     "WalkOutcome",
-    "WalkStep",
 ]

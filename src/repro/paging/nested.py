@@ -18,8 +18,9 @@ Acceleration modelled, matching the baseline hardware the paper measures:
 This is the hottest non-replay loop of the simulator (every L2 TLB miss
 of every scheme ends here in virtualized mode), so the walk bodies
 hoist attribute lookups, split traced/untraced loops and refill the
-PSCs from single tree descents; behaviour is bit-identical to the
-frozen reference copy in :mod:`repro.core._refimpl.nested`.
+PSCs with one dict probe per level of the flat page tables; behaviour
+is bit-identical to the frozen reference copy in
+:mod:`repro.core._refimpl.nested`.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from ..common.errors import AddressError
 from ..common.stats import StatGroup
 from ..obs import events
 from ..obs.tracer import NULL_TRACER
-from .page_table import LeafMapping, RadixPageTable
+from .page_table import VA_MASK, LeafMapping, RadixPageTable
 from .walk_cache import PagingStructureCache
 from .walker import PteAccess
 
@@ -68,11 +69,6 @@ class NestedWalker:
         self._nested_walks = stats.counter("nested_walks")
         self._nested_cycles = stats.counter("nested_cycles")
         self._nested_refs = stats.counter("nested_refs")
-        # Host-physical addresses of guest table frames, memoized for the
-        # combined-PSC refill.  Guest table frames are host-mapped when
-        # allocated and that mapping is never changed or removed, so the
-        # translation is a run constant per frame.
-        self._host_base_memo = {}
 
     # -- host dimension ----------------------------------------------------------
 
@@ -87,38 +83,41 @@ class NestedWalker:
         start_level, table_base, cycles = host_psc.lookup(gpa)
         try:
             if table_base is None:
-                steps, leaf = host_table.walk(gpa)
+                ptes, leaf = host_table.walk(gpa)
             else:
-                steps, leaf = host_table.walk_from(gpa, start_level,
-                                                   table_base)
+                ptes, leaf = host_table.walk_from(gpa, start_level,
+                                                  table_base)
         except AddressError:
             self.stats.inc("host_psc_stale")
             host_psc.invalidate(gpa)
-            steps, leaf = host_table.walk(gpa)
+            start_level = addr.RADIX_LEVELS
+            ptes, leaf = host_table.walk(gpa)
         tr = self.trace
         pte_access = self._pte_access
-        refs = len(steps)
         if tr.active:
-            for step in steps:
-                step_cycles = pte_access(step.pte_paddr)
+            for step, pte in enumerate(ptes):
+                step_cycles = pte_access(pte)
                 cycles += step_cycles
                 tr.emit(events.WALK_STEP, cycles=step_cycles, dim="host",
-                        level=step.level)
+                        level=start_level - step)
         else:
-            for step in steps:
-                cycles += pte_access(step.pte_paddr)
+            for pte in ptes:
+                cycles += pte_access(pte)
         # _PrefixCache.fill inlined per level (~3 refills per host walk;
         # warm, the upper levels are already resident-and-newest and the
         # whole body is the get + two compares of the first branch).
+        tables = host_table._tables
+        va = gpa & VA_MASK
         by_level = host_psc.by_level
-        for level, base in host_table.table_bases(gpa,
-                                                  2 if leaf.large else 1):
+        for level in range(2 if leaf.large else 1, addr.RADIX_LEVELS):
             pc = by_level[level]
             cap = pc.capacity
             if not cap:
                 continue
             entries = pc._entries
-            pkey = gpa >> pc.shift
+            shift = pc.shift
+            pkey = gpa >> shift
+            base = tables[level][va >> shift]
             resident = entries.get(pkey)
             if resident is not None:
                 if resident == base and next(reversed(entries)) == pkey:
@@ -127,7 +126,7 @@ class NestedWalker:
             elif len(entries) >= cap:
                 del entries[next(iter(entries))]
             entries[pkey] = base
-        return leaf.translate(gpa), cycles, refs
+        return leaf.translate(gpa), cycles, len(ptes)
 
     # -- full 2-D walk ------------------------------------------------------
 
@@ -138,15 +137,16 @@ class NestedWalker:
         start_level, cached, cycles = guest_psc.lookup(gva)
         try:
             if cached is None:
-                steps, leaf = guest_table.walk(gva)
+                ptes, leaf = guest_table.walk(gva)
             else:
-                steps, leaf = guest_table.walk_from(gva, start_level,
-                                                    cached[0])
+                ptes, leaf = guest_table.walk_from(gva, start_level,
+                                                   cached[0])
         except AddressError:
             self.stats.inc("guest_psc_stale")
             guest_psc.invalidate(gva)
             cached = None
-            steps, leaf = guest_table.walk(gva)
+            start_level = addr.RADIX_LEVELS
+            ptes, leaf = guest_table.walk(gva)
         tr = self.trace
         tracing = tr.active
         pte_access = self._pte_access
@@ -157,16 +157,16 @@ class NestedWalker:
             # Combined-PSC hit: the host address of this guest table is
             # cached, no nested host walk for it.
             gpa_base, hpa_base = cached
-            step = steps[0]
-            step_cycles = pte_access(hpa_base + (step.pte_paddr - gpa_base))
+            step_cycles = pte_access(hpa_base + (ptes[0] - gpa_base))
             cycles += step_cycles
             total_refs += 1
             if tracing:
                 tr.emit(events.WALK_STEP, cycles=step_cycles, dim="guest",
-                        level=step.level)
+                        level=start_level)
             first = 1
-        for step in steps[first:]:
-            pte_hpa, host_cycles, host_refs = host_translate(step.pte_paddr)
+        for step in range(first, len(ptes)):
+            pte = ptes[step]
+            pte_hpa, host_cycles, host_refs = host_translate(pte)
             cycles += host_cycles
             total_refs += host_refs
             step_cycles = pte_access(pte_hpa)
@@ -174,7 +174,7 @@ class NestedWalker:
             total_refs += 1
             if tracing:
                 tr.emit(events.WALK_STEP, cycles=step_cycles, dim="guest",
-                        level=step.level)
+                        level=start_level - step)
         # Final column: translate the data page's gPA through the host.
         host_frame_addr, host_cycles, host_refs = host_translate(leaf.frame)
         cycles += host_cycles
@@ -192,30 +192,36 @@ class NestedWalker:
         return NestedOutcome(cycles, total_refs, host_frame_addr, leaf.large)
 
     def _refill_guest_psc(self, gva: int, leaf: LeafMapping) -> None:
-        """Refill the combined cache with (gPA, hPA) guest-table bases."""
-        memo = self._host_base_memo
+        """Refill the combined cache with (gPA, hPA) guest-table bases.
+
+        Guest table frames are host-mapped when allocated and that
+        mapping never changes while the VM lives, so a resident entry
+        with the same gPA base already holds the right hPA: the host
+        lookup runs only when an entry is actually (re)written.
+        """
+        tables = self.guest_table._tables
+        host_lookup = self.host_table.lookup
+        va = gva & VA_MASK
         by_level = self.guest_psc.by_level
-        for level, gpa_base in self.guest_table.table_bases(
-                gva, 2 if leaf.large else 1):
-            value = memo.get(gpa_base)
-            if value is None:
-                hpa_leaf = self.host_table.lookup(gpa_base)
-                if hpa_leaf is None:
-                    continue
-                value = memo[gpa_base] = (gpa_base,
-                                          hpa_leaf.translate(gpa_base))
+        for level in range(2 if leaf.large else 1, addr.RADIX_LEVELS):
             # _PrefixCache.fill inlined (cf. host_translate).
             pc = by_level[level]
             cap = pc.capacity
             if not cap:
                 continue
             entries = pc._entries
-            pkey = gva >> pc.shift
+            shift = pc.shift
+            pkey = gva >> shift
+            gpa_base = tables[level][va >> shift]
             resident = entries.get(pkey)
+            if (resident is not None and resident[0] == gpa_base
+                    and next(reversed(entries)) == pkey):
+                continue
+            hpa_leaf = host_lookup(gpa_base)
+            if hpa_leaf is None:
+                continue
             if resident is not None:
-                if resident == value and next(reversed(entries)) == pkey:
-                    continue
                 del entries[pkey]
             elif len(entries) >= cap:
                 del entries[next(iter(entries))]
-            entries[pkey] = value
+            entries[pkey] = (gpa_base, hpa_leaf.translate(gpa_base))

@@ -16,10 +16,15 @@ caches and DRAM.
 Levels follow the paper's Figure 1 numbering: level 4 = PML4 (root),
 3 = PDPT, 2 = PD, 1 = PT.  A 2 MiB mapping terminates at level 2.
 
-This module is on the nested-walk hot path (a cold 2-D walk touches up
-to 24 table entries), so the per-level index extraction is inlined and
-the walk results are NamedTuples; behaviour is bit-identical to the
-frozen reference copy in :mod:`repro.core._refimpl.page_table`.
+Storage is flat rather than a tree of nodes.  ``_tables[level]`` maps the
+VA prefix a level-``level`` table covers (``va >> TABLE_SHIFT[level]``)
+to that table's base address, and two leaf dicts hold the mappings by
+small and large VPN.  Tables are created top-down and never deleted, so
+a table exists only if every table above it does: any one table or leaf
+is found with a single dict probe, and a walk that starts at a
+PSC-supplied base checks that base with one lookup.  Behaviour is
+bit-identical to the frozen reference tree in
+:mod:`repro.core._refimpl.page_table`.
 """
 
 from __future__ import annotations
@@ -31,15 +36,30 @@ from ..common.errors import AddressError, TranslationFault
 
 PTE_BYTES = 8
 
-#: VA shift of the 9-bit index at each level (index 0 unused).
-_LEVEL_SHIFT = tuple(
-    None if level == 0
-    else addr.SMALL_PAGE_SHIFT + addr.RADIX_LEVEL_BITS * (level - 1)
-    for level in range(addr.RADIX_LEVELS + 1))
-_INDEX_MASK = addr.ENTRIES_PER_TABLE - 1
+#: Addresses are truncated to the modelled 48-bit space, as the 9-bit
+#: per-level index extraction of a hardware walk does; table keys are
+#: prefixes of the truncated address.
+VA_MASK = (1 << addr.VA_BITS) - 1
 _ROOT_LEVEL = addr.RADIX_LEVELS
 _SHIFT_SMALL = addr.SMALL_PAGE_SHIFT
 _SHIFT_LARGE = addr.LARGE_PAGE_SHIFT
+
+#: VA prefix shift of the table at each level (index 0 unused): the
+#: level-``L`` table covering ``va`` is ``_tables[L][va >> TABLE_SHIFT[L]]``.
+#: Levels 1..3 match the PDE/PDP/PML4 cache prefixes of the PSCs.
+TABLE_SHIFT = tuple(
+    None if level == 0
+    else addr.SMALL_PAGE_SHIFT + addr.RADIX_LEVEL_BITS * level
+    for level in range(addr.RADIX_LEVELS + 1))
+#: ``(va >> _PTE_SHIFT[L]) & _PTE_MASK`` is ``PTE_BYTES * index`` at level L.
+_PTE_SHIFT = tuple(None if shift is None else shift - addr.RADIX_LEVEL_BITS - 3
+                   for shift in TABLE_SHIFT)
+_PTE_MASK = (addr.ENTRIES_PER_TABLE - 1) * PTE_BYTES
+#: ``_LEVELS_BELOW[L][large]``: the levels a walk from level L visits
+#: after L itself, down to the small (level 1) or large (level 2) leaf.
+_LEVELS_BELOW = tuple((tuple(range(start - 1, 0, -1)),
+                       tuple(range(start - 1, 1, -1)))
+                      for start in range(addr.RADIX_LEVELS + 1))
 
 #: signature of a frame allocator: returns the base address of a fresh
 #: 4 KiB frame in the table's output address space.
@@ -57,59 +77,24 @@ class LeafMapping(NamedTuple):
         return self.frame | addr.page_offset(vaddr, self.large)
 
 
-class WalkStep(NamedTuple):
-    """One memory reference of a table walk."""
-
-    level: int       # 4 = PML4 .. 1 = PT
-    pte_paddr: int   # address of the entry in the output address space
-
-
-class _TableNode:
-    """One 4 KiB table: 512 entries, each a child node or a leaf."""
-
-    __slots__ = ("base", "children", "leaves")
-
-    def __init__(self, base: int) -> None:
-        self.base = base
-        self.children: Dict[int, "_TableNode"] = {}
-        self.leaves: Dict[int, LeafMapping] = {}
-
-    def entry_paddr(self, index: int) -> int:
-        return self.base + PTE_BYTES * index
-
-
 class RadixPageTable:
-    """A 4-level radix tree with explicit table frame addresses."""
+    """A 4-level radix table with explicit table frame addresses."""
 
     def __init__(self, frame_allocator: FrameAllocator, name: str = "pt") -> None:
         self.name = name
         self._alloc = frame_allocator
-        self._root = _TableNode(self._alloc())
-        self._mapped_small = 0
-        self._mapped_large = 0
-        # Memoized complete table_bases() descents.  Safe because table
-        # nodes are never deleted or relocated (unmap_page removes only
-        # leaves; map_page reuses existing nodes), so a complete
-        # (level, base) list for a VA prefix can never change.
-        self._bases_memo: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
-        # Memoized successful walk_from() results, keyed by
-        # (page-granular VA prefix, start_level, table_base).  Two tiers
-        # so every offset inside a 2 MiB mapping shares one entry.  A
-        # successful walk can only go stale when its leaf is replaced or
-        # removed — map_page over an existing leaf and unmap_page clear
-        # both memos; new mappings need no action (an address that now
-        # resolves previously faulted, and faults are never memoized).
-        # table_base lives in the key, so the stale-base AddressError
-        # path still takes the uncached walk.
-        self._walk_memo_small: Dict[Tuple[int, int, int],
-                                    Tuple[List[WalkStep], LeafMapping]] = {}
-        self._walk_memo_large: Dict[Tuple[int, int, int],
-                                    Tuple[List[WalkStep], LeafMapping]] = {}
+        #: level -> {VA prefix: table base}; index 0 unused.  The
+        #: walkers read PSC-refill bases straight from it.
+        self._tables: Tuple[Optional[Dict[int, int]], ...] = (
+            None, {}, {}, {}, {0: self._alloc()})
+        #: leaves by small VPN (level 1) and by large VPN (level 2).
+        self._small: Dict[int, LeafMapping] = {}
+        self._large: Dict[int, LeafMapping] = {}
 
     @property
     def root_base(self) -> int:
         """Address of the root (PML4) table frame — the CR3 analogue."""
-        return self._root.base
+        return self._tables[_ROOT_LEVEL][0]
 
     # -- construction --------------------------------------------------------
 
@@ -123,197 +108,139 @@ class RadixPageTable:
         if frame & (addr.page_size(large) - 1):
             raise AddressError(
                 f"frame {frame:#x} not aligned to {'2MiB' if large else '4KiB'}")
-        leaf_level = 2 if large else 1
-        node = self._root
-        for level in range(_ROOT_LEVEL, leaf_level, -1):
-            index = (vaddr >> _LEVEL_SHIFT[level]) & _INDEX_MASK
-            if index in node.leaves:
-                raise AddressError(
-                    f"{self.name}: VA {vaddr:#x} already covered by a large page")
-            child = node.children.get(index)
-            if child is None:
-                child = _TableNode(self._alloc())
-                node.children[index] = child
-            node = child
-        index = (vaddr >> _LEVEL_SHIFT[leaf_level]) & _INDEX_MASK
-        if large and index in node.children:
+        va = vaddr & VA_MASK
+        key = va >> _SHIFT_LARGE
+        if large and key in self._tables[1]:
             raise AddressError(
                 f"{self.name}: VA {vaddr:#x} already covered by small pages")
-        if index not in node.leaves:
-            if large:
-                self._mapped_large += 1
-            else:
-                self._mapped_small += 1
-        elif self._walk_memo_small or self._walk_memo_large:
-            # Re-mapping replaces a leaf some memoized walk may end at.
-            self._walk_memo_small.clear()
-            self._walk_memo_large.clear()
-        node.leaves[index] = LeafMapping(frame=frame, large=large)
+        if not large and key in self._large:
+            raise AddressError(
+                f"{self.name}: VA {vaddr:#x} already covered by a large page")
+        # Missing tables are allocated top-down, as a hardware-style
+        # descent would; allocation order fixes every frame address.
+        for level in (3, 2) if large else (3, 2, 1):
+            table = self._tables[level]
+            if va >> TABLE_SHIFT[level] not in table:
+                table[va >> TABLE_SHIFT[level]] = self._alloc()
+        if large:
+            self._large[key] = LeafMapping(frame, True)
+        else:
+            self._small[va >> _SHIFT_SMALL] = LeafMapping(frame, False)
 
     def unmap_page(self, vaddr: int, large: bool = False) -> bool:
         """Remove the leaf for the page containing ``vaddr``."""
-        leaf_level = 2 if large else 1
-        node = self._root
-        for level in range(_ROOT_LEVEL, leaf_level, -1):
-            node = node.children.get((vaddr >> _LEVEL_SHIFT[level]) & _INDEX_MASK)
-            if node is None:
-                return False
-        index = (vaddr >> _LEVEL_SHIFT[leaf_level]) & _INDEX_MASK
-        if index in node.leaves:
-            del node.leaves[index]
-            if large:
-                self._mapped_large -= 1
-            else:
-                self._mapped_small -= 1
-            self._walk_memo_small.clear()
-            self._walk_memo_large.clear()
-            return True
-        return False
+        va = vaddr & VA_MASK
+        if large:
+            return self._large.pop(va >> _SHIFT_LARGE, None) is not None
+        return self._small.pop(va >> _SHIFT_SMALL, None) is not None
 
     # -- walking ------------------------------------------------------------
 
-    def walk(self, vaddr: int) -> Tuple[List[WalkStep], LeafMapping]:
-        """Full walk from the root; returns the steps and the leaf.
+    def walk(self, vaddr: int) -> Tuple[Tuple[int, ...], LeafMapping]:
+        """Full walk from the root; returns the PTE addresses and the leaf.
 
         Raises :class:`TranslationFault` when the address is unmapped.
         """
-        return self.walk_from(vaddr, _ROOT_LEVEL, self._root.base)
+        return self.walk_from(vaddr, _ROOT_LEVEL, self._tables[_ROOT_LEVEL][0])
 
-    def walk_from(self, vaddr: int, start_level: int,
-                  table_base: int) -> Tuple[List[WalkStep], LeafMapping]:
+    def walk_from(self, vaddr: int, start_level: int, table_base: int
+                  ) -> Tuple[Tuple[int, ...], LeafMapping]:
         """Walk starting at ``start_level`` (a PSC hit skips upper levels).
 
         ``table_base`` must be the base of the level-``start_level`` table
-        covering ``vaddr`` — i.e. what the PSC cached.
+        covering ``vaddr`` — i.e. what the PSC cached; a different base
+        raises :class:`AddressError` (stale PSC entry).  Returns the PTE
+        address of every level touched, step ``i`` at level
+        ``start_level - i``, and the leaf.
         """
-        cached = self._walk_memo_large.get(
-            (vaddr >> _SHIFT_LARGE, start_level, table_base))
-        if cached is None:
-            cached = self._walk_memo_small.get(
-                (vaddr >> _SHIFT_SMALL, start_level, table_base))
-        if cached is not None:
-            return cached
-        name = self.name
-        node = self._root
-        for level in range(_ROOT_LEVEL, start_level, -1):
-            node = node.children.get((vaddr >> _LEVEL_SHIFT[level]) & _INDEX_MASK)
-            if node is None:
-                raise TranslationFault(vaddr, space=name)
-        if node.base != table_base:
+        va = vaddr & VA_MASK
+        tables = self._tables
+        base = tables[start_level].get(va >> TABLE_SHIFT[start_level])
+        if base != table_base:
+            if base is None:
+                raise TranslationFault(vaddr, space=self.name)
             raise AddressError(
-                f"{name}: stale table base {table_base:#x} at level {start_level}")
-        steps: List[WalkStep] = []
-        append = steps.append
-        level = start_level
-        while True:
-            index = (vaddr >> _LEVEL_SHIFT[level]) & _INDEX_MASK
-            append(WalkStep(level, node.base + PTE_BYTES * index))
-            leaf = node.leaves.get(index)
-            if leaf is not None:
-                if level != (2 if leaf.large else 1):
-                    raise AddressError(
-                        f"{name}: leaf at wrong level {level}")
-                result = (steps, leaf)
-                if leaf.large:
-                    self._walk_memo_large[
-                        (vaddr >> _SHIFT_LARGE, start_level, table_base)] = result
-                else:
-                    self._walk_memo_small[
-                        (vaddr >> _SHIFT_SMALL, start_level, table_base)] = result
-                return result
-            node = node.children.get(index)
-            if node is None:
-                raise TranslationFault(vaddr, space=name)
-            level -= 1
+                f"{self.name}: stale table base {table_base:#x} "
+                f"at level {start_level}")
+        # A leaf implies every table above it, so only a missing leaf
+        # can fault from here on.
+        leaf = self._large.get(va >> _SHIFT_LARGE)
+        if leaf is None:
+            leaf = self._small.get(va >> _SHIFT_SMALL)
+            if leaf is None:
+                raise TranslationFault(vaddr, space=self.name)
+        ptes = [base + ((va >> _PTE_SHIFT[start_level]) & _PTE_MASK)]
+        for level in _LEVELS_BELOW[start_level][leaf.large]:
+            ptes.append(tables[level][va >> TABLE_SHIFT[level]]
+                        + ((va >> _PTE_SHIFT[level]) & _PTE_MASK))
+        return tuple(ptes), leaf
 
     def table_base(self, vaddr: int, level: int) -> Optional[int]:
         """Base address of the level-``level`` table covering ``vaddr``.
 
-        Used when refilling a paging-structure cache after a walk.  The
-        returned table is the one whose entries are indexed at ``level``;
-        ``None`` when the covering table does not exist (or ``level`` is
-        the root, which needs no cache).
+        ``None`` when the covering table does not exist.
         """
-        node = self._root
-        for lvl in range(_ROOT_LEVEL, level, -1):
-            node = node.children.get((vaddr >> _LEVEL_SHIFT[lvl]) & _INDEX_MASK)
-            if node is None:
-                return None
-        return node.base
+        return self._tables[level].get((vaddr & VA_MASK) >> TABLE_SHIFT[level])
 
     def table_bases(self, vaddr: int, min_level: int) -> List[Tuple[int, int]]:
-        """``(level, base)`` of every covering table, level 3 down to
-        ``min_level``, in one descent.
-
-        Equivalent to calling :meth:`table_base` once per level (levels
-        whose covering table does not exist are skipped), but walks the
-        tree once instead of once per level — the PSC-refill loops of
-        the walkers call this after every page walk.  Results are in
-        ascending level order.
+        """``(level, base)`` of every covering table from ``min_level`` up
+        to level 3, ascending; levels whose table does not exist are
+        skipped (the PSC-refill set of a walk ending at ``min_level``).
         """
-        memo_key = (vaddr >> _LEVEL_SHIFT[min_level + 1], min_level)
-        bases = self._bases_memo.get(memo_key)
-        if bases is not None:
-            return bases
+        va = vaddr & VA_MASK
+        tables = self._tables
         bases = []
-        node = self._root
-        for lvl in range(_ROOT_LEVEL, min_level, -1):
-            node = node.children.get((vaddr >> _LEVEL_SHIFT[lvl]) & _INDEX_MASK)
-            if node is None:
-                break
-            bases.append((lvl - 1, node.base))
-        bases.reverse()
-        if len(bases) == _ROOT_LEVEL - min_level:
-            # Complete down to min_level: every node on the path exists
-            # and node bases are immutable, so this can be cached.
-            # Partial results could grow as tables are created; those
-            # are recomputed (they only occur off the post-walk path).
-            self._bases_memo[memo_key] = bases
+        for level in range(min_level, _ROOT_LEVEL):
+            base = tables[level].get(va >> TABLE_SHIFT[level])
+            if base is not None:
+                bases.append((level, base))
         return bases
 
     # -- functional lookup (no timing) ----------------------------------------
 
     def lookup(self, vaddr: int) -> Optional[LeafMapping]:
         """Translate without recording steps; ``None`` when unmapped."""
-        node = self._root
-        for level in range(_ROOT_LEVEL, 0, -1):
-            index = (vaddr >> _LEVEL_SHIFT[level]) & _INDEX_MASK
-            leaf = node.leaves.get(index)
-            if leaf is not None:
-                return leaf
-            node = node.children.get(index)
-            if node is None:
-                return None
-        return None
+        va = vaddr & VA_MASK
+        leaf = self._large.get(va >> _SHIFT_LARGE)
+        if leaf is not None:
+            return leaf
+        return self._small.get(va >> _SHIFT_SMALL)
 
     # -- introspection -----------------------------------------------------
 
     @property
     def mapped_pages(self) -> Tuple[int, int]:
         """(small, large) leaf counts."""
-        return self._mapped_small, self._mapped_large
+        return len(self._small), len(self._large)
 
     def table_count(self) -> int:
         """Number of table frames allocated (root included)."""
-        count = 0
-        stack = [self._root]
-        while stack:
-            node = stack.pop()
-            count += 1
-            stack.extend(node.children.values())
-        return count
+        return sum(len(self._tables[level])
+                   for level in range(1, _ROOT_LEVEL + 1))
 
     def table_frames(self) -> List[int]:
         """Base addresses of every table frame (root included).
 
-        Table nodes are never deleted or relocated, so this is exactly
-        the set of frames the allocator handed out — what a teardown
-        must return to the allocator's free list.
+        Tables are never deleted or relocated, so this is exactly the
+        set of frames the allocator handed out — what a teardown must
+        return to the allocator's free list.  The order is a depth-first
+        pre-order that visits each table's children newest first (a
+        teardown frees frames in this order, and LIFO reuse hands them
+        to the next boot in reverse, so the order fixes the addresses a
+        recreated VM gets).
         """
+        tables = self._tables
+        # level -> {parent prefix: [child prefixes, in creation order]}
+        children: List[Dict[int, List[int]]] = [{} for _ in tables]
+        for level in range(1, _ROOT_LEVEL):
+            kids = children[level + 1]
+            for key in tables[level]:
+                kids.setdefault(key >> addr.RADIX_LEVEL_BITS, []).append(key)
         frames: List[int] = []
-        stack = [self._root]
+        stack = [(_ROOT_LEVEL, 0)]
         while stack:
-            node = stack.pop()
-            frames.append(node.base)
-            stack.extend(node.children.values())
+            level, key = stack.pop()
+            frames.append(tables[level][key])
+            stack.extend((level - 1, child)
+                         for child in children[level].get(key, ()))
         return frames

@@ -102,8 +102,8 @@ class PagingStructureCache:
         self._pml4 = _PrefixCache(config.pml4_entries, _LEVELS[2][2])
         #: level -> cache (index 0 unused); level order matches _LEVELS.
         #: Public: the walkers' refill loops index it directly, skipping
-        #: the range check of :meth:`fill` (their levels come from
-        #: ``table_bases`` and are 1..3 by construction).
+        #: the range check of :meth:`fill` (their levels are 1..3 by
+        #: construction).
         self.by_level = (None, self._pde, self._pdp, self._pml4)
         self._by_level = self.by_level
         self._hit_latency = config.hit_latency_cycles

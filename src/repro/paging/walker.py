@@ -6,9 +6,10 @@ nested walker.  Every PTE reference goes through the caller-supplied
 PTE caching exactly as in the baseline the paper measures against.
 
 The walk loop hoists its attribute lookups, splits the traced and
-untraced PTE loops, refills the PSC from a single tree descent and
-bumps its counters through resolved slots; behaviour is bit-identical
-to the frozen reference copy in :mod:`repro.core._refimpl.walker`.
+untraced PTE loops, reads the PSC-refill bases straight from the flat
+table and bumps its counters through resolved slots; behaviour is
+bit-identical to the frozen reference copy in
+:mod:`repro.core._refimpl.walker`.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from ..common.errors import AddressError
 from ..common.stats import StatGroup
 from ..obs import events
 from ..obs.tracer import NULL_TRACER
-from .page_table import LeafMapping, RadixPageTable
+from .page_table import TABLE_SHIFT, VA_MASK, LeafMapping, RadixPageTable
 from .walk_cache import PagingStructureCache
 
 #: PTE access callback: physical address -> CPU cycles.
@@ -60,31 +61,32 @@ class NativeWalker:
         start_level, table_base, cycles = psc.lookup(vaddr)
         try:
             if table_base is None:
-                steps, leaf = page_table.walk(vaddr)
+                ptes, leaf = page_table.walk(vaddr)
             else:
-                steps, leaf = page_table.walk_from(vaddr, start_level,
-                                                   table_base)
+                ptes, leaf = page_table.walk_from(vaddr, start_level,
+                                                  table_base)
         except AddressError:
             # Stale PSC entry (mapping changed under it): retry from root.
             self.stats.inc("psc_stale")
             psc.invalidate(vaddr)
-            steps, leaf = page_table.walk(vaddr)
+            start_level = addr.RADIX_LEVELS
+            ptes, leaf = page_table.walk(vaddr)
         tr = self.trace
         pte_access = self._pte_access
-        refs = len(steps)
+        refs = len(ptes)
         if tr.active:
-            for step in steps:
-                step_cycles = pte_access(step.pte_paddr)
+            for step, pte in enumerate(ptes):
+                step_cycles = pte_access(pte)
                 cycles += step_cycles
                 tr.emit(events.WALK_STEP, cycles=step_cycles, dim="native",
-                        level=step.level)
+                        level=start_level - step)
         else:
-            for step in steps:
-                cycles += pte_access(step.pte_paddr)
-        by_level = psc.by_level
-        for level, base in page_table.table_bases(vaddr,
-                                                  2 if leaf.large else 1):
-            by_level[level].fill(vaddr, base)
+            for pte in ptes:
+                cycles += pte_access(pte)
+        tables = page_table._tables
+        va = vaddr & VA_MASK
+        for level in range(2 if leaf.large else 1, addr.RADIX_LEVELS):
+            psc.fill(vaddr, level, tables[level][va >> TABLE_SHIFT[level]])
         slot = self._walks
         slot.value += 1
         slot.touched = True

@@ -44,6 +44,9 @@ class PhysicalMemory:
         self._free_large: List[int] = []
         self._free_small_set: Set[int] = set()
         self._free_large_set: Set[int] = set()
+        # Running live-byte count, so an allocation need not recount the
+        # books; audit() checks it against bytes_allocated.
+        self._live_bytes = 0
         self._peak_bytes = 0
 
     def alloc_frame(self, large: bool = False) -> int:
@@ -61,6 +64,7 @@ class PhysicalMemory:
                 if frame + addr.LARGE_PAGE_SIZE > self._large_limit:
                     raise AddressError("out of 2MiB frames")
                 self._large_next = frame + addr.LARGE_PAGE_SIZE
+            live = self._live_bytes + addr.LARGE_PAGE_SIZE
         else:
             if self._free_small:
                 frame = self._free_small.pop()
@@ -70,7 +74,8 @@ class PhysicalMemory:
                 if frame + addr.SMALL_PAGE_SIZE > self._small_limit:
                     raise AddressError("out of 4KiB frames")
                 self._small_next = frame + addr.SMALL_PAGE_SIZE
-        live = self.bytes_allocated
+            live = self._live_bytes + addr.SMALL_PAGE_SIZE
+        self._live_bytes = live
         if live > self._peak_bytes:
             self._peak_bytes = live
         return frame
@@ -104,6 +109,7 @@ class PhysicalMemory:
             raise AddressError(f"double free of {label} frame {frame:#x}")
         free_list.append(frame)
         free_set.add(frame)
+        self._live_bytes -= size
 
     # -- accounting ----------------------------------------------------------
 
@@ -136,7 +142,8 @@ class PhysicalMemory:
         Raises :class:`~repro.common.errors.AddressError` when the free
         lists disagree with the bump pointers — duplicate entries,
         misaligned or out-of-range frames, or more frames free than were
-        ever handed out.  Used by the ``memory-conservation`` verify
+        ever handed out — or when the running live-byte count disagrees
+        with the books.  Used by the ``memory-conservation`` verify
         invariant after every ``destroy_vm``.
         """
         for label, large, free_list, free_set, region_base, bump_next in (
@@ -156,6 +163,10 @@ class PhysicalMemory:
                 if frame & (size - 1) or not region_base <= frame < bump_next:
                     raise AddressError(
                         f"{label} free list holds bad frame {frame:#x}")
+        if self._live_bytes != self.bytes_allocated:
+            raise AddressError(
+                f"live-byte count {self._live_bytes} disagrees with the "
+                f"{self.bytes_allocated} bytes the free lists imply")
         return {
             "small_live": self.small_allocated,
             "large_live": self.large_allocated,

@@ -24,6 +24,9 @@ from ..paging.page_table import RadixPageTable
 from .memory_manager import PhysicalMemory
 from .thp import ThpPolicy
 
+_LARGE_SHIFT = addr.LARGE_PAGE_SHIFT
+_SMALL_SHIFT = addr.SMALL_PAGE_SHIFT
+
 
 class ResolvedPage(NamedTuple):
     """Fast-path result: everything the MMU needs about one page."""
@@ -88,9 +91,9 @@ class VirtualMachine:
 
     def _alloc_guest_table_frame(self) -> int:
         """Guest page-table frames live in gPA space and are host-mapped."""
-        gpa = self.guest_memory.alloc_frame(large=False)
-        hpa = self.host_memory.alloc_frame(large=False)
-        self.host_table.map_page(gpa, hpa, large=False)
+        gpa = self.guest_memory.alloc_frame(False)
+        hpa = self.host_memory.alloc_frame(False)
+        self.host_table.map_page(gpa, hpa, False)
         self._guest_table_hpa.append(hpa)
         return gpa
 
@@ -126,20 +129,23 @@ class VirtualMachine:
 
     def touch(self, asid: int, vaddr: int) -> ResolvedPage:
         """Ensure the page containing ``vaddr`` is fully mapped."""
-        proc = self.process(asid)
-        page = proc.resolve(vaddr)
+        proc = self.processes.get(asid) or self.process(asid)
+        large_vpn = vaddr >> _LARGE_SHIFT
+        small_vpn = vaddr >> _SMALL_SHIFT
+        page = (proc.large_pages.get(large_vpn)
+                or proc.small_pages.get(small_vpn))
         if page is not None:
             return page
-        large = self.thp.is_large_region(asid, vaddr >> addr.LARGE_PAGE_SHIFT)
-        gpa_frame = self.guest_memory.alloc_frame(large=large)
-        hpa_frame = self.host_memory.alloc_frame(large=large)
-        proc.guest_table.map_page(vaddr, gpa_frame, large=large)
-        self.host_table.map_page(gpa_frame, hpa_frame, large=large)
-        page = ResolvedPage(large=large, guest_frame=gpa_frame, host_frame=hpa_frame)
+        large = self.thp.is_large_region(asid, large_vpn)
+        gpa_frame = self.guest_memory.alloc_frame(large)
+        hpa_frame = self.host_memory.alloc_frame(large)
+        proc.guest_table.map_page(vaddr, gpa_frame, large)
+        self.host_table.map_page(gpa_frame, hpa_frame, large)
+        page = ResolvedPage(large, gpa_frame, hpa_frame)
         if large:
-            proc.large_pages[vaddr >> addr.LARGE_PAGE_SHIFT] = page
+            proc.large_pages[large_vpn] = page
         else:
-            proc.small_pages[vaddr >> addr.SMALL_PAGE_SHIFT] = page
+            proc.small_pages[small_vpn] = page
         return page
 
     def resolve(self, asid: int, vaddr: int) -> Optional[ResolvedPage]:

@@ -22,15 +22,15 @@ class TestMapping:
     def test_small_page_walk_has_four_steps(self):
         pt = make_table()
         pt.map_page(0x1000, 0x200000)
-        steps, leaf = pt.walk(0x1234)
-        assert [s.level for s in steps] == [4, 3, 2, 1]
+        ptes, leaf = pt.walk(0x1234)
+        assert len(ptes) == 4  # levels 4, 3, 2, 1
         assert leaf.frame == 0x200000 and not leaf.large
 
     def test_large_page_walk_has_three_steps(self):
         pt = make_table()
         pt.map_page(0x0, 0x400000, large=True)
-        steps, leaf = pt.walk(0x123456)
-        assert [s.level for s in steps] == [4, 3, 2]
+        ptes, leaf = pt.walk(0x123456)
+        assert len(ptes) == 3  # levels 4, 3, 2
         assert leaf.large
 
     def test_translate(self):
@@ -76,11 +76,11 @@ class TestWalkAddresses:
         pt = make_table()
         va = (3 << 39) | (5 << 30) | (7 << 21) | (9 << 12)
         pt.map_page(va, 0x200000)
-        steps, _ = pt.walk(va)
-        assert steps[0].pte_paddr == pt.root_base + PTE_BYTES * 3
-        for step, index in zip(steps[1:], (5, 7, 9)):
-            base = pt.table_base(va, step.level)
-            assert step.pte_paddr == base + PTE_BYTES * index
+        ptes, _ = pt.walk(va)
+        assert ptes[0] == pt.root_base + PTE_BYTES * 3
+        for level, pte, index in zip((3, 2, 1), ptes[1:], (5, 7, 9)):
+            base = pt.table_base(va, level)
+            assert pte == base + PTE_BYTES * index
 
     def test_sibling_pages_share_tables(self):
         pt = make_table()
@@ -102,8 +102,8 @@ class TestWalkFrom:
         pt = make_table()
         pt.map_page(0x1000, 0x200000)
         base = pt.table_base(0x1000, 1)
-        steps, leaf = pt.walk_from(0x1000, 1, base)
-        assert len(steps) == 1 and steps[0].level == 1
+        ptes, leaf = pt.walk_from(0x1000, 1, base)
+        assert ptes == (base + PTE_BYTES * 1,)  # one level-1 step
         assert leaf.frame == 0x200000
 
     def test_walk_from_detects_stale_base(self):

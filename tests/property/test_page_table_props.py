@@ -89,6 +89,5 @@ class TestMappingProperties:
         table = make_table()
         va = region << addr.LARGE_PAGE_SHIFT
         table.map_page(va, 1 << addr.LARGE_PAGE_SHIFT)
-        steps, _ = table.walk(va)
-        pte_addrs = [s.pte_paddr for s in steps]
-        assert len(set(pte_addrs)) == len(pte_addrs)
+        ptes, _ = table.walk(va)
+        assert len(set(ptes)) == len(ptes)

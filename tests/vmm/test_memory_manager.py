@@ -138,6 +138,36 @@ class TestReclamation:
         assert counters["large_free"] == 1
         assert counters["bytes_allocated"] == 3 * addr.SMALL_PAGE_SIZE
 
+    def test_live_byte_counter_matches_recount_under_churn(self):
+        # The running counter must equal the books at every step, and the
+        # peak must be what recounting bytes_allocated after every
+        # allocation (the old definition) gives.
+        mem = PhysicalMemory(base=0, size_bytes=addr.GiB)
+        live = []
+        recounted_peak = 0
+        for step in range(400):
+            large = step % 7 == 3
+            if live and step % 3 == 2:
+                frame, was_large = live.pop(step % len(live))
+                mem.free_frame(frame, large=was_large)
+            else:
+                live.append((mem.alloc_frame(large=large), large))
+                recounted_peak = max(recounted_peak, mem.bytes_allocated)
+            assert mem._live_bytes == mem.bytes_allocated
+            assert mem.audit()["bytes_allocated"] == mem._live_bytes
+        while live:
+            frame, was_large = live.pop()
+            mem.free_frame(frame, large=was_large)
+        assert mem._live_bytes == mem.bytes_allocated == 0
+        assert mem.peak_bytes == recounted_peak > 0
+
+    def test_audit_catches_drifted_live_byte_counter(self):
+        mem = PhysicalMemory(base=0, size_bytes=addr.GiB)
+        mem.alloc_frame()
+        mem._live_bytes += addr.SMALL_PAGE_SIZE  # planted drift
+        with pytest.raises(AddressError, match="live-byte count"):
+            mem.audit()
+
     def test_audit_catches_corrupt_free_list(self):
         mem = PhysicalMemory(base=0, size_bytes=addr.GiB)
         mem.alloc_frame()
