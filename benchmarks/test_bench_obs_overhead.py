@@ -10,6 +10,7 @@ the disabled side takes at least a second, keeping that slack near 5%
 of the run rather than hiding a real overhead.
 """
 
+import gc
 from time import perf_counter
 
 from repro.common.config import SystemConfig
@@ -48,11 +49,14 @@ def _best_of_alternating(first, second, rounds=_ROUNDS):
     """Best time of each of two runs, timed in alternation.
 
     Alternating rounds expose both sides to the same host load, so a
-    busy spell cannot land on one side only.
+    busy spell cannot land on one side only.  A full collection before
+    each timed run keeps one side's leftover garbage out of the other
+    side's timing.
     """
     best = [float("inf"), float("inf")]
     for _ in range(rounds):
         for side, fn in enumerate((first, second)):
+            gc.collect()
             started = perf_counter()
             fn()
             best[side] = min(best[side], perf_counter() - started)

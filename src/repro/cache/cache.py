@@ -52,8 +52,9 @@ class SetAssociativeCache:
         self._set_shift = addr.ilog2(self._num_sets)
         self._ways = config.ways
         # One {tag: kind} dict per set, ordered oldest -> most recent.
+        # (A list comprehension: a generator resumes a frame per set.)
         self._tags: Tuple[Dict[int, str], ...] = tuple(
-            {} for _ in range(self._num_sets))
+            [{} for _ in range(self._num_sets)])
         # Dirty lines, by (set, tag); populated only when callers use the
         # write-back API (mark_dirty / fill(dirty=True)).
         self._dirty: set = set()

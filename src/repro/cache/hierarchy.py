@@ -17,7 +17,7 @@ Two access flavours exist because the POM-TLB flow differs from a load:
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ..common.config import SystemConfig
 from ..common.stats import StatRegistry
@@ -380,6 +380,66 @@ class CacheHierarchy:
         slot.value += 1
         slot.touched = True
 
+    def tlb_line_refill(self, core: int, paddr: int) -> None:
+        """:meth:`invalidate_tlb_line` then :meth:`tlb_line_fill`, fused.
+
+        A POM-TLB set rewritten after a walk is stale in every cache and
+        refreshed on the requester's path.  Each cache's set and tag are
+        computed once; the per-core L2s share one geometry.  The L3 and
+        the requester's L2 drop the line and refill it in one step (a
+        dropped line leaves room, so only an absent line can evict).
+        """
+        l2 = self._l2[core]
+        line = paddr >> l2._line_shift
+        set2 = line & l2._set_mask
+        tag2 = line >> l2._set_shift
+        for cache in self._l2:
+            if cache is l2:
+                continue
+            tags = cache._tags[set2]
+            if tag2 in tags:
+                del tags[tag2]
+                if cache._dirty:
+                    cache._dirty.discard((set2, tag2))
+        l3 = self._l3
+        line = paddr >> l3._line_shift
+        set3 = line & l3._set_mask
+        tags = l3._tags[set3]
+        tag = line >> l3._set_shift
+        if tag in tags:
+            del tags[tag]
+            if l3._dirty:
+                l3._dirty.discard((set3, tag))
+        elif len(tags) >= l3._ways:
+            victim = next(iter(tags))
+            slot = (l3._data_evictions if tags.pop(victim) == DATA
+                    else l3._tlb_evictions)
+            slot.value += 1
+            slot.touched = True
+            if l3._dirty:
+                l3._dirty.discard((set3, victim))
+        tags[tag] = TLB
+        slot = l3._tlb_fills
+        slot.value += 1
+        slot.touched = True
+        tags = l2._tags[set2]
+        if tag2 in tags:
+            del tags[tag2]
+            if l2._dirty:
+                l2._dirty.discard((set2, tag2))
+        elif len(tags) >= l2._ways:
+            victim = next(iter(tags))
+            slot = (l2._data_evictions if tags.pop(victim) == DATA
+                    else l2._tlb_evictions)
+            slot.value += 1
+            slot.touched = True
+            if l2._dirty:
+                l2._dirty.discard((set2, victim))
+        tags[tag2] = TLB
+        slot = l2._tlb_fills
+        slot.value += 1
+        slot.touched = True
+
     def tlb_line_cached(self, core: int, paddr: int) -> bool:
         """Side-effect-free check used to train the bypass predictor."""
         # contains() inlined twice — runs alongside every tlb_line_probe.
@@ -416,6 +476,34 @@ class CacheHierarchy:
             cache.invalidate(paddr)
         if self._l4 is not None:
             self._l4.invalidate(paddr)
+
+    def invalidate_lines(self, addrs: Sequence[int],
+                         tlb_only: bool = False) -> None:
+        """:meth:`invalidate_line` (or, with ``tlb_only``,
+        :meth:`invalidate_tlb_line`) for every address in ``addrs``.
+
+        Loops over the caches outside and the addresses inside with no
+        call per line (VM teardown drops hundreds).  Dropping lines
+        commutes, so the result equals the per-address calls.
+        """
+        for cache in self._tlb_line_caches if tlb_only else self._all_caches:
+            line_shift = cache._line_shift
+            set_mask = cache._set_mask
+            set_shift = cache._set_shift
+            all_tags = cache._tags
+            dirty = cache._dirty
+            for paddr in addrs:
+                line = paddr >> line_shift
+                set_idx = line & set_mask
+                tags = all_tags[set_idx]
+                tag = line >> set_shift
+                if tag in tags:
+                    del tags[tag]
+                    if dirty:
+                        dirty.discard((set_idx, tag))
+        if not tlb_only and self._l4 is not None:
+            for paddr in addrs:
+                self._l4.invalidate(paddr)
 
     def invalidate_tlb_line(self, paddr: int) -> None:
         """Drop a stale POM-TLB line (insert or shootdown).

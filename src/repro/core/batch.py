@@ -53,6 +53,8 @@ from ..cache.cache import DATA
 from ..common import addr
 from ..tlb.entry import TlbEntry
 
+_new = tuple.__new__  # TlbEntry without its Python-level __new__
+
 HAS_NUMPY = _np is not None
 
 _SMALL_SHIFT = addr.SMALL_PAGE_SHIFT
@@ -225,7 +227,7 @@ def _sorted_pages(pages: Dict):
     if not n:
         return None, None
     keys = _np.fromiter(pages.keys(), dtype=_np.int64, count=n)
-    frames = _np.fromiter((page[2] for page in pages.values()),
+    frames = _np.fromiter([page[2] for page in pages.values()],
                           dtype=_np.int64, count=n)
     order = _np.argsort(keys, kind="stable")
     return keys[order], frames[order]
@@ -348,6 +350,8 @@ def try_replay(machine, streams, max_references, warmup_references):
     histograms = obs.histograms
     rec_t = rec_p = None
     if histograms is not None:
+        # Bound list appends of the deferred histograms (no frame per
+        # recorded latency); folded at every slice end.
         rec_t = histograms["translation_cycles"].record
         rec_p = histograms["penalty_cycles"].record
     verifier = machine.verifier
@@ -556,7 +560,7 @@ def try_replay(machine, streams, max_references, warmup_references):
                             st.e1l += 1
                         else:
                             st.e1s += 1
-                    tset[k] = TlbEntry(ppns[j])
+                    tset[k] = _new(TlbEntry, (ppns[j], True))
                     if large:
                         st.f1l += 1
                     else:
@@ -724,6 +728,7 @@ def try_replay(machine, streams, max_references, warmup_references):
             st = states[s]
             if debut[s] and st is not None:
                 st.cursor = int(lidx_np[flatnonzero(sid_np == s)[-1]]) + 1
+        obs.fold()
         g0 = g1
 
     # -- commit pending fast-path counts ------------------------------------

@@ -34,7 +34,7 @@ the engine-equivalence test, the exact same counters.
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from ..cache.hierarchy import CacheHierarchy
 from ..common import addr
@@ -56,6 +56,10 @@ _SMALL_SHIFT = addr.SMALL_PAGE_SHIFT  # 12
 _LARGE_SHIFT = addr.LARGE_PAGE_SHIFT  # 21
 _SMALL_MASK = addr.SMALL_PAGE_SIZE - 1
 _LARGE_MASK = addr.LARGE_PAGE_SIZE - 1
+#: ``tuple.__new__``: the miss path builds its NamedTuples (TlbEntry,
+#: TranslationResult) with this C call instead of their generated
+#: Python-level ``__new__``.
+_new = tuple.__new__
 
 
 class TranslationResult(NamedTuple):
@@ -150,8 +154,9 @@ class TranslationScheme:
             return tlbs.l1_hit_result
         l1_idx = l1.probe_index
         l2 = tlbs.l2
+        entry = _new(TlbEntry, (page.host_frame >> shift, True))
         if l2.lookup(key) is not None:
-            l1.insert_at(l1_idx, key, TlbEntry(page.host_frame >> shift))
+            l1.insert_at(l1_idx, key, entry)
             return tlbs.l2_hit_result
         l2_idx = l2.probe_index
         slot = self._l2_misses
@@ -159,15 +164,15 @@ class TranslationScheme:
         slot.touched = True
         vm_id = (ctx >> 1) & 0xFFFF
         asid = (ctx >> 17) & 0xFFFF
-        penalty = self._resolve_miss(core, vm_id, asid, vaddr, page)
-        entry = TlbEntry(page.host_frame >> shift)
+        penalty = self._resolve_miss(core, vm_id, asid, vaddr, page, entry)
         l2.insert_at(l2_idx, key, entry)
         l1.insert_at(l1_idx, key, entry)
         slot = self._penalty_cycles
         slot.value += penalty
         slot.touched = True
-        return TranslationResult(tlbs.l1_latency + tlbs.l2_latency + penalty,
-                                 True, penalty)
+        return _new(TranslationResult,
+                    (tlbs.l1_latency + tlbs.l2_latency + penalty, True,
+                     penalty))
 
     def resolve_packed(self, core: int, ctx: int, vaddr: int,
                        page: ResolvedPage, key: int, l1_idx: int,
@@ -185,15 +190,15 @@ class TranslationScheme:
         slot = self._l2_misses
         slot.value += 1
         slot.touched = True
-        penalty = self._resolve_miss(core, (ctx >> 1) & 0xFFFF,
-                                     (ctx >> 17) & 0xFFFF, vaddr, page)
         tlbs = self.cores[core]
         if key & 1:
-            entry = TlbEntry(page.host_frame >> _LARGE_SHIFT)
+            entry = _new(TlbEntry, (page.host_frame >> _LARGE_SHIFT, True))
             l1 = tlbs.l1_large
         else:
-            entry = TlbEntry(page.host_frame >> _SMALL_SHIFT)
+            entry = _new(TlbEntry, (page.host_frame >> _SMALL_SHIFT, True))
             l1 = tlbs.l1_small
+        penalty = self._resolve_miss(core, (ctx >> 1) & 0xFFFF,
+                                     (ctx >> 17) & 0xFFFF, vaddr, page, entry)
         tlbs.l2.insert_at(l2_idx, key, entry)
         l1.insert_at(l1_idx, key, entry)
         slot = self._penalty_cycles
@@ -223,9 +228,9 @@ class TranslationScheme:
             tr.emit(events.TLB_PROBE, cycles=tlbs.l1_latency, level="l1",
                     hit=False)
         cycles += tlbs.l2_latency
+        entry = TlbEntry(page.host_frame >> addr.page_shift(page.large))
         if tlbs.l2.lookup(key) is not None:
-            l1.insert_at(l1_idx, key, TlbEntry(page.host_frame >>
-                                               addr.page_shift(page.large)))
+            l1.insert_at(l1_idx, key, entry)
             if tr.active:
                 tr.emit(events.TLB_PROBE, cycles=tlbs.l2_latency, level="l2",
                         hit=True)
@@ -236,8 +241,7 @@ class TranslationScheme:
             tr.emit(events.TLB_PROBE, cycles=tlbs.l2_latency, level="l2",
                     hit=False)
         self._l2_misses.add()
-        penalty = self._resolve_miss(core, vm_id, asid, vaddr, page)
-        entry = TlbEntry(page.host_frame >> addr.page_shift(page.large))
+        penalty = self._resolve_miss(core, vm_id, asid, vaddr, page, entry)
         tlbs.l2.insert_at(l2_idx, key, entry)
         l1.insert_at(l1_idx, key, entry)
         self._penalty_cycles.add(penalty)
@@ -246,8 +250,12 @@ class TranslationScheme:
         return TranslationResult(cycles + penalty, True, penalty)
 
     def _resolve_miss(self, core: int, vm_id: int, asid: int, vaddr: int,
-                      page: ResolvedPage) -> int:
-        """Scheme-specific resolution; returns cycles spent."""
+                      page: ResolvedPage, entry: TlbEntry) -> int:
+        """Scheme-specific resolution; returns cycles spent.
+
+        ``entry`` is the translation the L1/L2 TLBs will receive; a
+        scheme that refills a backing structure installs the same one.
+        """
         raise NotImplementedError
 
     # -- shootdown --------------------------------------------------------------
@@ -340,29 +348,26 @@ class BaselineWalkScheme(TranslationScheme):
     name = "baseline"
 
     def _resolve_miss(self, core: int, vm_id: int, asid: int, vaddr: int,
-                      page: ResolvedPage) -> int:
+                      page: ResolvedPage, entry: TlbEntry) -> int:
         return (self.cores[core].l2_miss_overhead
                 + self._walk(core, vm_id, asid, vaddr))
+
+
+#: Where a POM-TLB set fetch was served from (``set_from_<source>``).
+_SET_SOURCES = ("l2", "l3", "dram", "dram_bypass", "dram_uncached")
 
 
 class _PomFlowStats:
     """Resolve-once handles over the shared ``pom_flow`` stat group."""
 
     def __init__(self, flow_stats) -> None:
-        self.group = flow_stats
         self.resolved = (flow_stats.counter("resolved_first_try"),
                          flow_stats.counter("resolved_second_try"))
         self.resolved_by_walk = flow_stats.counter("resolved_by_walk")
         self.prefetches = flow_stats.counter("prefetches")
-        self._sources: Dict[str, object] = {}
-
-    def count_source(self, source: str) -> None:
-        slot = self._sources.get(source)
-        if slot is None:
-            slot = self._sources[source] = self.group.counter(
-                f"set_from_{source}")
-        slot.value += 1
-        slot.touched = True
+        #: source name -> counter slot (untouched counters stay unreported)
+        self.sources = {source: flow_stats.counter(f"set_from_{source}")
+                        for source in _SET_SOURCES}
 
 
 class PomTlbScheme(TranslationScheme):
@@ -386,7 +391,7 @@ class PomTlbScheme(TranslationScheme):
                                  and config.predictor.bypass_enabled)
 
     def _resolve_miss(self, core: int, vm_id: int, asid: int, vaddr: int,
-                      page: ResolvedPage) -> int:
+                      page: ResolvedPage, entry: TlbEntry) -> int:
         predictor = self.predictors[core]
         pom = self.pom
         hierarchy = self.hierarchy
@@ -403,7 +408,9 @@ class PomTlbScheme(TranslationScheme):
                            and hierarchy.tlb_line_cached(core, true_addr))
 
         ctx = (asid << 17) | (vm_id << 1)
-        entry: Optional[TlbEntry] = None
+        flow = self._flow
+        uncached = not self._cache_entries or bypass
+        found: Optional[TlbEntry] = None
         # Attempt loop unrolled: first probe at the predicted size, then
         # the other size.  Exactly one attempt matches ``page_large``, so
         # its set address is ``true_addr`` from above — no re-hash.
@@ -412,17 +419,39 @@ class PomTlbScheme(TranslationScheme):
         while True:
             set_addr = (true_addr if large == page_large
                         else pom.set_address(vaddr, vm_id, large))
-            cycles += self._fetch_set(core, set_addr, bypass)
+            # Bring the set to the MMU (stacked-DRAM fetches call the
+            # channel, not the PomTlb forwarder).
+            if uncached:
+                fetch_cycles = pom.dram.access(set_addr)
+                if bypass:
+                    # Bypass skips the lookup latency, not the fill: the
+                    # fetched set is still installed like any memory read.
+                    hierarchy.tlb_line_fill(core, set_addr)
+                source = "dram_bypass" if bypass else "dram_uncached"
+            else:
+                fetch_cycles, level = hierarchy.tlb_line_probe(core, set_addr)
+                if level is None:
+                    fetch_cycles += pom.dram.access(set_addr)
+                    hierarchy.tlb_line_fill(core, set_addr)
+                    source = "dram"
+                else:
+                    source = level
+            slot = flow.sources[source]
+            slot.value += 1
+            slot.touched = True
+            if tr.active:
+                tr.emit(events.POM_FETCH, cycles=fetch_cycles, source=source)
+            cycles += fetch_cycles
             if large:
                 key = ((vaddr >> _LARGE_SHIFT) << 33) | ctx | 1
             else:
                 key = ((vaddr >> _SMALL_SHIFT) << 33) | ctx
-            entry = pom.probe(vaddr, key, vm_id, large)
+            found = pom.probe(vaddr, key, vm_id, large)
             if tr.active:
                 tr.emit(events.POM_PROBE, attempt=attempt, large=large,
-                        hit=entry is not None)
-            if entry is not None:
-                slot = self._flow.resolved[attempt]
+                        hit=found is not None)
+            if found is not None:
+                slot = flow.resolved[attempt]
                 slot.value += 1
                 slot.touched = True
                 break
@@ -430,25 +459,25 @@ class PomTlbScheme(TranslationScheme):
                 break
             attempt = 1
             large = not predicted_large
-        if entry is None:
+        if found is None:
             cycles += self._walk(core, vm_id, asid, vaddr)
-            self._flow.resolved_by_walk.add()
+            slot = flow.resolved_by_walk
+            slot.value += 1
+            slot.touched = True
             if page_large:
                 key = ((vaddr >> _LARGE_SHIFT) << 33) | ctx | 1
-                shift = _LARGE_SHIFT
             else:
                 key = ((vaddr >> _SMALL_SHIFT) << 33) | ctx
-                shift = _SMALL_SHIFT
-            set_paddr, _evicted = pom.insert(
-                vaddr, key, TlbEntry(page.host_frame >> shift),
-                vm_id, page_large)
+            set_paddr, _evicted = pom.insert(vaddr, key, entry, vm_id,
+                                             page_large)
             # The set's cached copies are stale now; refresh the
             # requester's path, drop everyone else's.
-            hierarchy.invalidate_tlb_line(set_paddr)
             if self._cache_entries:
-                hierarchy.tlb_line_fill(core, set_paddr)
+                hierarchy.tlb_line_refill(core, set_paddr)
+            else:
+                hierarchy.invalidate_tlb_line(set_paddr)
         predictor.record_size(vaddr, page_large)
-        if self._cache_entries and entry is not None:
+        if self._cache_entries and found is not None:
             # Train the bypass bit only on POM-resolved misses: a
             # compulsory miss says nothing about whether probing the
             # caches is worthwhile (the line did not exist yet).
@@ -470,31 +499,9 @@ class PomTlbScheme(TranslationScheme):
         set_addr = self.pom.set_address(next_vaddr, vm_id, large)
         if self.hierarchy.tlb_line_cached(core, set_addr):
             return
-        self.pom.dram_access(set_addr)
+        self.pom.dram.access(set_addr)
         self.hierarchy.tlb_line_fill(core, set_addr)
         self._flow.prefetches.add()
-
-    def _fetch_set(self, core: int, set_addr: int, bypass: bool) -> int:
-        """Bring one POM-TLB set to the MMU; returns cycles."""
-        if not self._cache_entries or bypass:
-            cycles = self.pom.dram_access(set_addr)
-            if bypass:
-                # Bypass skips the lookup latency, not the fill: the
-                # fetched set is still installed like any memory read.
-                self.hierarchy.tlb_line_fill(core, set_addr)
-            source = "dram_bypass" if bypass else "dram_uncached"
-        else:
-            cycles, level = self.hierarchy.tlb_line_probe(core, set_addr)
-            if level is None:
-                cycles += self.pom.dram_access(set_addr)
-                self.hierarchy.tlb_line_fill(core, set_addr)
-                source = "dram"
-            else:
-                source = level
-        self._flow.count_source(source)
-        if self.trace.active:
-            self.trace.emit(events.POM_FETCH, cycles=cycles, source=source)
-        return cycles
 
     def _shootdown_backend(self, vm_id: int, asid: int, vaddr: int) -> int:
         cycles = 0
@@ -503,13 +510,12 @@ class PomTlbScheme(TranslationScheme):
             set_paddr = self.pom.invalidate(vaddr, k, vm_id, large)
             if set_paddr is not None:
                 self.hierarchy.invalidate_tlb_line(set_paddr)
-                cycles += self.pom.dram_access(set_paddr)  # set write-back
+                cycles += self.pom.dram.access(set_paddr)  # set write-back
         return cycles
 
     def _invalidate_vm_backend(self, vm_id: int) -> int:
         dropped = self.pom.invalidate_vm(vm_id)
-        for set_paddr in dropped:
-            self.hierarchy.invalidate_tlb_line(set_paddr)
+        self.hierarchy.invalidate_lines(dropped, tlb_only=True)
         return len(dropped)
 
 
@@ -567,7 +573,7 @@ class SharedL2Scheme(TranslationScheme):
         if l1.lookup(key) is not None:
             return tlbs.l1_hit_result
         l1_idx = l1.probe_index
-        entry_template = TlbEntry(page.host_frame >> shift)
+        entry_template = _new(TlbEntry, (page.host_frame >> shift, True))
         # Shadow bookkeeping: would the baseline's private L2 have missed?
         shadow = self._shadow[core]
         shadow_miss = shadow.lookup(key) is None
@@ -585,7 +591,8 @@ class SharedL2Scheme(TranslationScheme):
             slot = self._penalty_cycles
             slot.value += extra_hit_cost
             slot.touched = True
-            return TranslationResult(cycles, shadow_miss, extra_hit_cost)
+            return _new(TranslationResult,
+                        (cycles, shadow_miss, extra_hit_cost))
         shared_idx = shared.probe_index
         penalty = extra_hit_cost + tlbs.l2_miss_overhead
         vm_id = (ctx >> 1) & 0xFFFF
@@ -596,7 +603,8 @@ class SharedL2Scheme(TranslationScheme):
         slot = self._penalty_cycles
         slot.value += penalty
         slot.touched = True
-        return TranslationResult(cycles + penalty, shadow_miss, penalty)
+        return _new(TranslationResult,
+                    (cycles + penalty, shadow_miss, penalty))
 
     def _translate_traced(self, core: int, ctx: int, vaddr: int,
                           page: ResolvedPage) -> TranslationResult:
@@ -649,7 +657,8 @@ class SharedL2Scheme(TranslationScheme):
         return TranslationResult(cycles + penalty, shadow_miss, penalty)
 
     def _resolve_miss(self, core: int, vm_id: int, asid: int, vaddr: int,
-                      page: ResolvedPage) -> int:  # pragma: no cover
+                      page: ResolvedPage,
+                      entry: TlbEntry) -> int:  # pragma: no cover
         raise AssertionError("SharedL2Scheme overrides translate_packed()")
 
     def _shootdown_backend(self, vm_id: int, asid: int, vaddr: int) -> int:
@@ -680,7 +689,7 @@ class TsbScheme(TranslationScheme):
         self.tsb = TranslationStorageBuffer(self.tsb_config, stats.group("tsb"))
 
     def _resolve_miss(self, core: int, vm_id: int, asid: int, vaddr: int,
-                      page: ResolvedPage) -> int:
+                      page: ResolvedPage, entry: TlbEntry) -> int:
         cfg = self.tsb_config
         tsb = self.tsb
         hierarchy = self.hierarchy
@@ -743,8 +752,7 @@ class TsbScheme(TranslationScheme):
         # TSB entries are ordinary *data* lines in the caches, so the
         # dead entries' lines are dropped everywhere, not just L2/L3.
         dropped = self.tsb.invalidate_vm(vm_id)
-        for entry_addr in dropped:
-            self.hierarchy.invalidate_line(entry_addr)
+        self.hierarchy.invalidate_lines(dropped)
         return len(dropped)
 
 
@@ -773,7 +781,7 @@ class SkewedPomScheme(TranslationScheme):
         self._cache_entries = config.cache_tlb_entries
 
     def _resolve_miss(self, core: int, vm_id: int, asid: int, vaddr: int,
-                      page: ResolvedPage) -> int:
+                      page: ResolvedPage, entry: TlbEntry) -> int:
         predictor = self.predictors[core]
         pom = self.pom
         hierarchy = self.hierarchy
@@ -790,18 +798,20 @@ class SkewedPomScheme(TranslationScheme):
         page_large = page.large
         if page_large:
             true_key = ((vaddr >> _LARGE_SHIFT) << 33) | ctx | 1
-            shift = _LARGE_SHIFT
         else:
             true_key = ((vaddr >> _SMALL_SHIFT) << 33) | ctx
-            shift = _SMALL_SHIFT
         first_line = pom.candidates(true_key)[0][2]
         line_was_cached = (self._cache_entries
                            and hierarchy.tlb_line_cached(core, first_line))
 
         flow = self._flow
+        sources = flow.sources
+        # Stacked-DRAM fetches call the channel, not the PomTlb forwarder
+        # (bound per miss, so a profiler's per-instance wrapper is seen).
+        dram_access = pom.dram.access
         cache_entries = self._cache_entries
         uncached = not cache_entries or bypass
-        entry: Optional[TlbEntry] = None
+        found: Optional[TlbEntry] = None
         # Attempt loop unrolled (cf. PomTlbScheme): first probe at the
         # predicted size, then the other size.
         attempt = 0
@@ -814,7 +824,7 @@ class SkewedPomScheme(TranslationScheme):
             # make this the hottest fetch loop of any scheme.
             for way, slot, line_addr in pom.candidates(key):
                 if uncached:
-                    fetch_cycles = pom.dram_access(line_addr)
+                    fetch_cycles = dram_access(line_addr)
                     if bypass:
                         hierarchy.tlb_line_fill(core, line_addr)
                     source = "dram_bypass" if bypass else "dram_uncached"
@@ -822,23 +832,25 @@ class SkewedPomScheme(TranslationScheme):
                     fetch_cycles, level = hierarchy.tlb_line_probe(
                         core, line_addr)
                     if level is None:
-                        fetch_cycles += pom.dram_access(line_addr)
+                        fetch_cycles += dram_access(line_addr)
                         hierarchy.tlb_line_fill(core, line_addr)
                         source = "dram"
                     else:
                         source = level
-                flow.count_source(source)
+                counter = sources[source]
+                counter.value += 1
+                counter.touched = True
                 if tr.active:
                     tr.emit(events.POM_FETCH, cycles=fetch_cycles,
                             source=source)
                 cycles += fetch_cycles
-                entry = pom.probe_slot(key, way, slot)
-                if entry is not None:
+                found = pom.probe_slot(key, way, slot)
+                if found is not None:
                     break
             if tr.active:
                 tr.emit(events.POM_PROBE, attempt=attempt, large=large,
-                        hit=entry is not None)
-            if entry is not None:
+                        hit=found is not None)
+            if found is not None:
                 counter = flow.resolved[attempt]
                 counter.value += 1
                 counter.touched = True
@@ -847,16 +859,18 @@ class SkewedPomScheme(TranslationScheme):
                 break
             attempt = 1
             large = not predicted_large
-        if entry is None:
+        if found is None:
             cycles += self._walk(core, vm_id, asid, vaddr)
-            self._flow.resolved_by_walk.add()
-            line_addr, _evicted = pom.insert(
-                true_key, TlbEntry(page.host_frame >> shift))
-            hierarchy.invalidate_tlb_line(line_addr)
-            if self._cache_entries:
-                hierarchy.tlb_line_fill(core, line_addr)
+            counter = flow.resolved_by_walk
+            counter.value += 1
+            counter.touched = True
+            line_addr, _evicted = pom.insert(true_key, entry)
+            if cache_entries:
+                hierarchy.tlb_line_refill(core, line_addr)
+            else:
+                hierarchy.invalidate_tlb_line(line_addr)
         predictor.record_size(vaddr, page_large)
-        if self._cache_entries and entry is not None:
+        if cache_entries and found is not None:
             predictor.record_bypass(vaddr, line_was_cached)
         return cycles
 
@@ -867,13 +881,12 @@ class SkewedPomScheme(TranslationScheme):
             line_addr = self.pom.invalidate(k)
             if line_addr is not None:
                 self.hierarchy.invalidate_tlb_line(line_addr)
-                cycles += self.pom.dram_access(line_addr)
+                cycles += self.pom.dram.access(line_addr)
         return cycles
 
     def _invalidate_vm_backend(self, vm_id: int) -> int:
         dropped = self.pom.invalidate_vm(vm_id)
-        for line_addr in dropped:
-            self.hierarchy.invalidate_tlb_line(line_addr)
+        self.hierarchy.invalidate_lines(dropped, tlb_only=True)
         return len(dropped)
 
 

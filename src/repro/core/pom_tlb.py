@@ -69,7 +69,9 @@ class PomTlb:
         self._large_mask = self.config.large_sets - 1
         self._small_base = self.config.small_base
         self._large_base = self.config.large_base
-        # Sparse set storage per partition, keyed by set index.
+        # Sparse set storage per partition, keyed by set index; a set
+        # exists only while it holds an entry, so a VM teardown scans
+        # live sets, not every set any VM ever touched.
         self._sets: Tuple[Dict[int, _Set], Dict[int, _Set]] = ({}, {})
         # Indexed by the ``large`` flag (False == 0, True == 1).
         self._hits = (self.stats.counter("hits_small"),
@@ -190,6 +192,8 @@ class PomTlb:
         entries = self._sets[large].get(index)
         if entries and key in entries:
             del entries[key]
+            if not entries:
+                del self._sets[large][index]
             self.stats.inc("shootdowns")
             return self.addressing.set_address(vaddr, vm_id, large)
         return None
@@ -203,18 +207,20 @@ class PomTlb:
         L2D$/L3D$ keep serving the dead VM's sets.
         """
         vm_bits = pack_context(vm_id, 0) & KEY_VM_FIELD_MASK
-        touched: List[int] = []
-        for large, sets in enumerate(self._sets):
-            base = self._large_base if large else self._small_base
-            for index, entries in sets.items():
-                doomed = [k for k in entries
-                          if k & KEY_VM_FIELD_MASK == vm_bits]
-                for k in doomed:
-                    del entries[k]
-                touched.extend([base + index * _LINE] * len(doomed))
-        if touched:
-            self.stats.inc("shootdowns", len(touched))
-        return touched
+        # One flat scan over every resident entry, no call per set.
+        doomed = [(sets, index, key, base + index * _LINE)
+                  for sets, base in ((self._sets[0], self._small_base),
+                                     (self._sets[1], self._large_base))
+                  for index, entries in sets.items()
+                  for key in entries if key & KEY_VM_FIELD_MASK == vm_bits]
+        for sets, index, key, _set_paddr in doomed:
+            entries = sets[index]
+            del entries[key]
+            if not entries:
+                del sets[index]
+        if doomed:
+            self.stats.inc("shootdowns", len(doomed))
+        return [set_paddr for _sets, _index, _key, set_paddr in doomed]
 
     # -- introspection -----------------------------------------------------
 

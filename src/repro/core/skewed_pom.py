@@ -39,6 +39,7 @@ from ..tlb.entry import KEY_VM_FIELD_MASK, TlbEntry, pack_context, pack_key
 #: Distinct odd multipliers, one per way (Knuth-style hashing).
 _WAY_MIX = (0x9E3779B1, 0x85EBCA77, 0xC2B2AE3D, 0x27D4EB2F)
 _VM_SPREAD = 0x9E37
+_LINE_SHIFT = addr.CACHE_LINE_SHIFT
 
 
 class SkewedPomTlb:
@@ -104,13 +105,14 @@ class SkewedPomTlb:
                 base_mix ^= 0x5A5A5A5A
             mask = self._mask
             way_bytes = self._way_bytes
-            base_address = self.config.base_address
-            geom = self._geom[key] = tuple(
-                (way, slot,
-                 base_address + way * way_bytes
-                 + (slot >> 2 << addr.CACHE_LINE_SHIFT))
-                for way in range(self._ways)
-                for slot in (((vpn * _WAY_MIX[way]) ^ base_mix) & mask,))
+            line_base = self.config.base_address
+            ways = []
+            for way in range(self._ways):
+                slot = ((vpn * _WAY_MIX[way]) ^ base_mix) & mask
+                ways.append((way, slot,
+                             line_base + (slot >> 2 << _LINE_SHIFT)))
+                line_base += way_bytes
+            geom = self._geom[key] = tuple(ways)
         return geom
 
     def _line_address(self, way: int, slot: int) -> int:
@@ -127,9 +129,6 @@ class SkewedPomTlb:
 
     def lines_for_key(self, key: int) -> List[int]:
         return [line for _way, _slot, line in self.candidates(key)]
-
-    def dram_access(self, line_addr: int) -> int:
-        return self.dram.access(line_addr)
 
     # -- functional content -----------------------------------------------------
 
@@ -208,13 +207,17 @@ class SkewedPomTlb:
         the caller can drop stale cached copies of those lines.
         """
         vm_bits = pack_context(vm_id, 0) & KEY_VM_FIELD_MASK
-        doomed = [pos for pos, (key, _e, _t) in self._slots.items()
+        slots = self._slots
+        doomed = [pos for pos, (key, _e, _t) in slots.items()
                   if key & KEY_VM_FIELD_MASK == vm_bits]
         for pos in doomed:
-            del self._slots[pos]
+            del slots[pos]
         if doomed:
             self.stats.inc("shootdowns", len(doomed))
-        return [self._line_address(way, slot) for way, slot in doomed]
+        # _line_address inlined
+        base, way_bytes = self.config.base_address, self._way_bytes
+        return [base + way * way_bytes + (slot >> 2 << _LINE_SHIFT)
+                for way, slot in doomed]
 
     def resident(self) -> Iterator[Tuple[int, int, int]]:
         """Yield ``(way, slot, packed_key)`` for every resident entry."""

@@ -27,10 +27,11 @@ from ..common.config import SystemConfig
 from ..common.stats import StatRegistry
 from ..faults import NO_TRANSLATION_FAULTS
 from ..obs import Observability
-from ..obs.histogram import LogHistogram
+from ..obs.histogram import FOLD_AT, LogHistogram
 from ..obs.windows import WindowedMetrics
 from ..tlb.entry import pack_context
 from ..verify.verifier import NO_VERIFIER, Verifier
+from ..vmm.memory_manager import PhysicalMemory
 from ..vmm.thp import ThpPolicy
 from ..vmm.vm import FreedFrames, Host, NativeProcess, ResolvedPage
 from ..workloads.trace import CoreStream, interleave_batched
@@ -47,6 +48,26 @@ _LARGE_MASK = addr.LARGE_PAGE_SIZE - 1
 #: Write-bitmap bit -> the exact bool the tuple path passes, so packed
 #: replay feeds ``data_access`` bit-identical arguments.
 _WRITE_BOOL = (False, True)
+
+
+# The machine hands these to its walkers and VMs as partials over plain
+# data, not as bound methods: a bound method would make every Machine a
+# reference cycle that only a full garbage collection frees.
+
+def _thp_policy(seed: int, fractions: Dict[int, float], default: float,
+                context_seed: int) -> ThpPolicy:
+    """THP policy of one VM (or native asid)."""
+    return ThpPolicy(fractions.get(context_seed, default),
+                     seed=seed * 1000 + context_seed)
+
+
+def _native_process(processes: Dict[int, NativeProcess],
+                    memory: PhysicalMemory, thp, asid: int) -> NativeProcess:
+    """The native process ``asid``, created on first use."""
+    proc = processes.get(asid)
+    if proc is None:
+        proc = processes[asid] = NativeProcess(asid, memory, thp(asid))
+    return proc
 
 
 @dataclass
@@ -177,6 +198,11 @@ class Machine:
                                         tlb_priority=tlb_priority)
         self.host = Host(memory_bytes=host_memory_bytes)
         self._native_processes: Dict[int, NativeProcess] = {}
+        self._thp = partial(_thp_policy, seed, self.thp_fractions,
+                            thp_large_fraction)
+        self._native_process = partial(_native_process,
+                                       self._native_processes,
+                                       self.host.memory, self._thp)
         self.walkers = WalkerPool(config, self.stats, self.hierarchy,
                                   self.host,
                                   native_resolver=self._native_process)
@@ -208,18 +234,6 @@ class Machine:
         self.batch_fallback_reason: Optional[str] = None
 
     # -- software contexts ----------------------------------------------------
-
-    def _thp(self, context_seed: int) -> ThpPolicy:
-        fraction = self.thp_fractions.get(context_seed,
-                                          self.thp_large_fraction)
-        return ThpPolicy(fraction, seed=self.seed * 1000 + context_seed)
-
-    def _native_process(self, asid: int) -> NativeProcess:
-        proc = self._native_processes.get(asid)
-        if proc is None:
-            proc = NativeProcess(asid, self.host.memory, self._thp(asid))
-            self._native_processes[asid] = proc
-        return proc
 
     def touch(self, vm_id: int, asid: int, vaddr: int) -> ResolvedPage:
         """Demand-page ``vaddr`` in (public: handy for tests/REPL use)."""
@@ -313,7 +327,12 @@ class Machine:
         tracer = obs.tracer
         histograms = obs.histograms
         record_translation = record_penalty = None
+        # Latencies are recorded with the histograms' bound list appends
+        # and folded whenever the translation list reaches FOLD_AT (the
+        # check runs at chunk starts; without histograms it never fires).
+        translation_pending: list = []
         if histograms is not None:
+            translation_pending = histograms["translation_cycles"].pending
             record_translation = histograms["translation_cycles"].record
             record_penalty = histograms["penalty_cycles"].record
         windows = obs.windows
@@ -346,6 +365,8 @@ class Machine:
         if pending:
             chunks = self._chunks_with_events(chunks, pending, infos)
         for stream, lo, hi in chunks:
+            if len(translation_pending) >= FOLD_AT:
+                obs.fold()
             info = infos.get(id(stream))
             if info is None:
                 info = infos[id(stream)] = self._stream_info(stream)
@@ -517,6 +538,7 @@ class Machine:
         (:func:`repro.core.batch.try_replay`), which produce the exact
         same five tallies.
         """
+        self.obs.fold()
         windows = self.obs.windows
         if windows is not None:
             windows.finish()

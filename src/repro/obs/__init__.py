@@ -35,8 +35,9 @@ class Observability:
     """Per-machine observability configuration and state.
 
     ``tracer`` defaults to the null tracer (tracing off).  ``histograms``
-    defaults to on: recording is O(1) per reference and what lets
-    ``pomtlb details`` report latency percentiles without extra flags.
+    defaults to on: recording is one list append per reference, and
+    it is what lets ``pomtlb details`` report latency percentiles
+    without extra flags.
     ``window`` > 0 enables windowed metrics with that many references
     per window.
     """
@@ -70,6 +71,12 @@ class Observability:
             predictor.trace = self.tracer
         if self.window:
             self.windows = WindowedMetrics(self.window, machine.stats)
+
+    def fold(self) -> None:
+        """Fold every histogram's pending values into its buckets."""
+        if self.histograms is not None:
+            for histogram in self.histograms.values():
+                histogram.fold()
 
     def reset(self) -> None:
         """Zero collected data at the warmup boundary (stats reset)."""

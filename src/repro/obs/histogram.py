@@ -2,8 +2,9 @@
 
 A :class:`LogHistogram` keeps one counter per power-of-two bucket
 (bucket ``b`` holds values in ``[2**(b-1), 2**b - 1]``; bucket 0 holds
-the value 0), so recording is O(1) with constant, tiny memory no matter
-how long the run — the property that lets the simulator keep latency
+the value 0).  Recording appends to a pending list with no Python frame
+and readers fold it into the buckets, so both stay cheap no matter how
+long the run — the property that lets the simulator keep latency
 distributions on by default.  Percentiles are estimated by linear
 interpolation inside the covering bucket and clamped to the observed
 ``[min, max]`` range, which makes single-sample and constant-valued
@@ -12,46 +13,79 @@ histograms exact.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Dict, List, Optional
 
 #: One bucket per bit length of a value below 2**64 (the recordable range).
 _BUCKETS = 65
 #: Minimum of an empty histogram: above every recordable value.
 _NO_MIN = 1 << 64
+#: Pending-list length at which the scalar replay loop folds.
+FOLD_AT = 4096
 
 
 class LogHistogram:
-    """Power-of-two-bucketed histogram of integer latencies below 2**64."""
+    """Power-of-two-bucketed histogram of integer latencies below 2**64.
 
-    __slots__ = ("name", "count", "total", "_min", "max", "_buckets")
+    Recording is deferred: :attr:`record` is the bound ``append`` of a
+    pending list, so the replay loops and the DRAM channel record a
+    latency with one C-level call and no Python frame.  Every reader
+    folds the pending values into the buckets first (:meth:`fold`).
+    Bucket, count, total, min and max are order-independent, so a fold
+    gives exactly the state eager recording would have.  The scalar
+    replay loop folds whenever the list reaches :data:`FOLD_AT` and the
+    batch engine at every slice end, so the list stays short.
+    """
+
+    __slots__ = ("name", "_count", "_total", "_min", "_max", "_buckets",
+                 "pending", "record")
 
     def __init__(self, name: str = "") -> None:
         self.name = name
-        self.count = 0
-        self.total = 0
+        self._count = 0
+        self._total = 0
         self._min = _NO_MIN
-        self.max = 0
-        #: count per bucket index (a list: recording is one increment)
+        self._max = 0
+        #: count per bucket index (a list: folding is one increment each)
         self._buckets: List[int] = [0] * _BUCKETS
+        #: Values recorded since the last fold.  Cleared in place, never
+        #: rebound, so hoisted references stay valid across :meth:`reset`.
+        self.pending: List[int] = []
+        #: Count one observation of a value (negative values clamp to 0
+        #: when folded): the pending list's bound ``append``.
+        self.record = self.pending.append
+
+    def fold(self) -> None:
+        """Move every pending value into the buckets."""
+        pending = self.pending
+        if pending:
+            record_many = self.record_many
+            for value, n in Counter(pending).items():
+                record_many(value, n)
+            pending.clear()
+
+    # -- folded readers -------------------------------------------------------
+
+    @property
+    def count(self) -> int:
+        self.fold()
+        return self._count
+
+    @property
+    def total(self) -> int:
+        self.fold()
+        return self._total
+
+    @property
+    def max(self) -> int:
+        self.fold()
+        return self._max
 
     @property
     def min(self) -> Optional[int]:
         """Smallest value recorded; ``None`` when empty."""
-        return self._min if self.count else None
-
-    # -- recording (hot path) ----------------------------------------------
-
-    def record(self, value: int) -> None:
-        """Count one observation of ``value`` (negative values clamp to 0)."""
-        if value < 0:
-            value = 0
-        self._buckets[value.bit_length()] += 1
-        self.count += 1
-        self.total += value
-        if value > self.max:
-            self.max = value
-        if value < self._min:
-            self._min = value
+        self.fold()
+        return self._min if self._count else None
 
     def record_many(self, value: int, n: int) -> None:
         """Count ``n`` observations of the same ``value`` in O(1).
@@ -66,15 +100,16 @@ class LogHistogram:
         if value < 0:
             value = 0
         self._buckets[value.bit_length()] += n
-        self.count += n
-        self.total += value * n
-        if value > self.max:
-            self.max = value
+        self._count += n
+        self._total += value * n
+        if value > self._max:
+            self._max = value
         if value < self._min:
             self._min = value
 
     def _nonempty(self):
         """``(bucket, count)`` of every non-empty bucket, ascending."""
+        self.fold()
         return [(bucket, n) for bucket, n in enumerate(self._buckets) if n]
 
     # -- derived metrics ----------------------------------------------------
@@ -119,20 +154,22 @@ class LogHistogram:
 
     def reset(self) -> None:
         """Forget every observation (used at the warmup boundary)."""
-        self.count = 0
-        self.total = 0
+        self.pending.clear()
+        self._count = 0
+        self._total = 0
         self._min = _NO_MIN
-        self.max = 0
+        self._max = 0
         self._buckets = [0] * _BUCKETS
 
     def merge(self, other: "LogHistogram") -> None:
         """Accumulate another histogram's observations into this one."""
+        self.fold()
         for bucket, n in other._nonempty():
             self._buckets[bucket] += n
-        self.count += other.count
-        self.total += other.total
-        if other.max > self.max:
-            self.max = other.max
+        self._count += other._count
+        self._total += other._total
+        if other._max > self._max:
+            self._max = other._max
         if other._min < self._min:
             self._min = other._min
 
@@ -170,14 +207,27 @@ class LogHistogram:
         rows; only the raw state is read back.
         """
         histogram = cls(str(data.get("name", "")))
-        histogram.count = int(data["count"])  # type: ignore[arg-type]
-        histogram.total = int(data["total"])  # type: ignore[arg-type]
-        histogram.max = int(data["max"])  # type: ignore[arg-type]
-        if histogram.count:
+        histogram._count = int(data["count"])  # type: ignore[arg-type]
+        histogram._total = int(data["total"])  # type: ignore[arg-type]
+        histogram._max = int(data["max"])  # type: ignore[arg-type]
+        if histogram._count:
             histogram._min = int(data["min"])  # type: ignore[arg-type]
         for lo, _hi, n in data.get("buckets", []):  # type: ignore[union-attr]
             histogram._buckets[int(lo).bit_length()] = int(n)
         return histogram
+
+    # -- pickling (results cross the campaign's worker pipes) ---------------
+
+    def __getstate__(self):
+        self.fold()
+        return (self.name, self._count, self._total, self._min, self._max,
+                self._buckets)
+
+    def __setstate__(self, state) -> None:
+        (self.name, self._count, self._total, self._min, self._max,
+         self._buckets) = state
+        self.pending = []
+        self.record = self.pending.append
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"LogHistogram({self.name!r}, n={self.count}, "

@@ -32,12 +32,14 @@ from ..common.errors import AddressError
 from ..common.stats import StatGroup
 from ..obs import events
 from ..obs.tracer import NULL_TRACER
-from .page_table import VA_MASK, LeafMapping, RadixPageTable
+from .page_table import LARGE_OFFSET, SMALL_OFFSET, VA_MASK, RadixPageTable
 from .walk_cache import PagingStructureCache
 from .walker import PteAccess
 
 #: Worst-case reference count of one nested walk (paper Figure 1).
 MAX_NESTED_REFS = 24
+
+_new = tuple.__new__  # NamedTuple construction without a Python frame
 
 
 class NestedOutcome(NamedTuple):
@@ -126,7 +128,9 @@ class NestedWalker:
             elif len(entries) >= cap:
                 del entries[next(iter(entries))]
             entries[pkey] = base
-        return leaf.translate(gpa), cycles, len(ptes)
+        # leaf.translate(gpa) inlined
+        return (leaf[0] | (gpa & (LARGE_OFFSET if leaf[1] else SMALL_OFFSET)),
+                cycles, len(ptes))
 
     # -- full 2-D walk ------------------------------------------------------
 
@@ -179,32 +183,17 @@ class NestedWalker:
         host_frame_addr, host_cycles, host_refs = host_translate(leaf.frame)
         cycles += host_cycles
         total_refs += host_refs
-        self._refill_guest_psc(gva, leaf)
-        slot = self._nested_walks
-        slot.value += 1
-        slot.touched = True
-        slot = self._nested_cycles
-        slot.value += cycles
-        slot.touched = True
-        slot = self._nested_refs
-        slot.value += total_refs
-        slot.touched = True
-        return NestedOutcome(cycles, total_refs, host_frame_addr, leaf.large)
-
-    def _refill_guest_psc(self, gva: int, leaf: LeafMapping) -> None:
-        """Refill the combined cache with (gPA, hPA) guest-table bases.
-
-        Guest table frames are host-mapped when allocated and that
-        mapping never changes while the VM lives, so a resident entry
-        with the same gPA base already holds the right hPA: the host
-        lookup runs only when an entry is actually (re)written.
-        """
-        tables = self.guest_table._tables
+        # Refill the combined cache with (gPA, hPA) guest-table bases.
+        # Guest table frames are host-mapped when allocated and that
+        # mapping never changes while the VM lives, so a resident entry
+        # with the same gPA base already holds the right hPA: the host
+        # lookup runs only when an entry is actually (re)written.
+        # _PrefixCache.fill inlined (cf. host_translate).
+        tables = guest_table._tables
         host_lookup = self.host_table.lookup
         va = gva & VA_MASK
-        by_level = self.guest_psc.by_level
+        by_level = guest_psc.by_level
         for level in range(2 if leaf.large else 1, addr.RADIX_LEVELS):
-            # _PrefixCache.fill inlined (cf. host_translate).
             pc = by_level[level]
             cap = pc.capacity
             if not cap:
@@ -224,4 +213,17 @@ class NestedWalker:
                 del entries[pkey]
             elif len(entries) >= cap:
                 del entries[next(iter(entries))]
-            entries[pkey] = (gpa_base, hpa_leaf.translate(gpa_base))
+            # hpa_leaf.translate(gpa_base) inlined
+            entries[pkey] = (gpa_base, hpa_leaf[0] | (
+                gpa_base & (LARGE_OFFSET if hpa_leaf[1] else SMALL_OFFSET)))
+        slot = self._nested_walks
+        slot.value += 1
+        slot.touched = True
+        slot = self._nested_cycles
+        slot.value += cycles
+        slot.touched = True
+        slot = self._nested_refs
+        slot.value += total_refs
+        slot.touched = True
+        return _new(NestedOutcome,
+                    (cycles, total_refs, host_frame_addr, leaf[1]))

@@ -43,6 +43,13 @@ VA_MASK = (1 << addr.VA_BITS) - 1
 _ROOT_LEVEL = addr.RADIX_LEVELS
 _SHIFT_SMALL = addr.SMALL_PAGE_SHIFT
 _SHIFT_LARGE = addr.LARGE_PAGE_SHIFT
+#: Offset masks of a small / large page.
+SMALL_OFFSET = addr.SMALL_PAGE_SIZE - 1
+LARGE_OFFSET = addr.LARGE_PAGE_SIZE - 1
+#: ``tuple.__new__``: builds a NamedTuple with no Python frame (the
+#: generated ``__new__`` is a Python function); map_page runs on every
+#: first touch.
+_new = tuple.__new__
 
 #: VA prefix shift of the table at each level (index 0 unused): the
 #: level-``L`` table covering ``va`` is ``_tables[L][va >> TABLE_SHIFT[L]]``.
@@ -60,6 +67,11 @@ _PTE_MASK = (addr.ENTRIES_PER_TABLE - 1) * PTE_BYTES
 _LEVELS_BELOW = tuple((tuple(range(start - 1, 0, -1)),
                        tuple(range(start - 1, 1, -1)))
                       for start in range(addr.RADIX_LEVELS + 1))
+
+#: ``_DESCENT[large]``: ``(level, TABLE_SHIFT[level])`` of every table
+#: :meth:`RadixPageTable.map_page` must find or create, root side first.
+_DESCENT = tuple(tuple((level, TABLE_SHIFT[level]) for level in levels)
+                 for levels in ((3, 2, 1), (3, 2)))
 
 #: signature of a frame allocator: returns the base address of a fresh
 #: 4 KiB frame in the table's output address space.
@@ -105,7 +117,7 @@ class RadixPageTable:
         ``frame`` must be aligned to the page size.  Re-mapping an already
         mapped page replaces the leaf (the OS changing a mapping).
         """
-        if frame & (addr.page_size(large) - 1):
+        if frame & (LARGE_OFFSET if large else SMALL_OFFSET):
             raise AddressError(
                 f"frame {frame:#x} not aligned to {'2MiB' if large else '4KiB'}")
         va = vaddr & VA_MASK
@@ -118,14 +130,16 @@ class RadixPageTable:
                 f"{self.name}: VA {vaddr:#x} already covered by a large page")
         # Missing tables are allocated top-down, as a hardware-style
         # descent would; allocation order fixes every frame address.
-        for level in (3, 2) if large else (3, 2, 1):
-            table = self._tables[level]
-            if va >> TABLE_SHIFT[level] not in table:
-                table[va >> TABLE_SHIFT[level]] = self._alloc()
+        tables = self._tables
+        for level, shift in _DESCENT[large]:
+            table = tables[level]
+            prefix = va >> shift
+            if prefix not in table:
+                table[prefix] = self._alloc()
         if large:
-            self._large[key] = LeafMapping(frame, True)
+            self._large[key] = _new(LeafMapping, (frame, True))
         else:
-            self._small[va >> _SHIFT_SMALL] = LeafMapping(frame, False)
+            self._small[va >> _SHIFT_SMALL] = _new(LeafMapping, (frame, False))
 
     def unmap_page(self, vaddr: int, large: bool = False) -> bool:
         """Remove the leaf for the page containing ``vaddr``."""

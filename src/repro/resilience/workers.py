@@ -27,12 +27,13 @@ leaving the checkpoint resumable.
 from __future__ import annotations
 
 import multiprocessing
+import multiprocessing.connection
 import os
 import sys
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..common.errors import ReproError, RunTimeout, WorkerCrash
 from ..faults import NO_FAULTS, FaultPlan
@@ -44,8 +45,9 @@ from .retry import RetryPolicy, is_transient
 #: Exit code a crash-injected worker dies with (SIGABRT convention).
 CRASH_EXIT_CODE = 134
 
-#: Parent scheduler poll interval, seconds.
-_POLL_S = 0.01
+#: Blocks until a worker's result pipe or process sentinel is ready, or
+#: the timeout passes (the pooled dispatcher's only wait).
+_wait = multiprocessing.connection.wait
 
 
 @dataclass(frozen=True)
@@ -465,9 +467,36 @@ class _Worker:
         self.conn.close()
 
 
+def _wait_bound(running: Sequence[_Worker], queue: Sequence[_Attempt],
+                workers: int, now: float,
+                heartbeat_s: Optional[float]) -> Optional[float]:
+    """Seconds the dispatcher may block, or None (until a worker is ready).
+
+    The nearest of: a running attempt's timeout deadline, the earliest
+    backoff end when a slot is free, and the telemetry heartbeat.
+    """
+    bounds = [worker.deadline for worker in running
+              if worker.deadline is not None]
+    if queue and len(running) < workers:
+        bounds.append(min(attempt.ready_at for attempt in queue))
+    if heartbeat_s:
+        bounds.append(now + heartbeat_s)
+    return max(0.0, min(bounds) - now) if bounds else None
+
+
 def _run_pooled(todo: List[_Attempt], workers: int, ctx: _Context) -> None:
+    """Dispatch attempts to at most ``workers`` child processes.
+
+    Event-driven: the loop blocks in :data:`_wait` on every running
+    worker's result pipe and process sentinel, bounded by
+    :func:`_wait_bound`, and loops again at once whenever a worker
+    finished so its slot refills without waiting.
+    """
     ctx_mp = _mp_context()
     telemetry = ctx.telemetry
+    heartbeat_s = getattr(telemetry, "heartbeat_s", None)
+    if not telemetry.enabled or not isinstance(heartbeat_s, (int, float)):
+        heartbeat_s = None  # no heartbeat cadence to keep
     queue = deque(todo)
     running: List[_Worker] = []
     try:
@@ -505,11 +534,16 @@ def _run_pooled(todo: List[_Attempt], workers: int, ctx: _Context) -> None:
                                                       meas=meas)
                     if retry_attempt is not None:
                         queue.append(retry_attempt)
+            finished = len(still_running) < len(running)
             running = still_running
             if telemetry.enabled:
                 telemetry.sample(queued=len(queue), running=len(running))
-            if queue or running:
-                time.sleep(_POLL_S)
+            if finished or not (queue or running):
+                continue  # refill the freed slots now
+            ready = [worker.conn for worker in running]
+            ready.extend(worker.process.sentinel for worker in running)
+            _wait(ready, _wait_bound(running, queue, workers,
+                                     time.monotonic(), heartbeat_s))
     except BaseException:
         for worker in running:
             worker.kill()

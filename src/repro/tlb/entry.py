@@ -30,7 +30,6 @@ what makes counter equivalence with the NamedTuple engine automatic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 KEY_VM_BITS = 16
@@ -103,12 +102,13 @@ class TlbKey(NamedTuple):
         return unpack_key(packed)
 
 
-@dataclass
-class TlbEntry:
+class TlbEntry(NamedTuple):
     """Payload of one translation: the host-physical frame + attributes.
 
     ``writable`` stands in for the protection bits of the paper's ``attr``
     field; LRU bits are kept by the containing structure, not the entry.
+    Immutable, so one entry is shared by every structure a miss fills;
+    hot paths build it with ``tuple.__new__(TlbEntry, (ppn, True))``.
     """
 
     ppn: int

@@ -38,7 +38,7 @@ class SramTlb:
         self._set_mask = self._num_sets - 1
         self._ways = config.ways
         self._sets: Tuple[Dict[int, TlbEntry], ...] = tuple(
-            {} for _ in range(self._num_sets))
+            [{} for _ in range(self._num_sets)])
         self._hits = stats.counter("hits")
         self._misses = stats.counter("misses")
         self._fills = stats.counter("fills")
@@ -137,30 +137,31 @@ class SramTlb:
 
     def invalidate_asid(self, vm_id: int, asid: int) -> int:
         """Drop all translations of one guest process; returns count."""
-        context = pack_context(vm_id, asid)
-        return self._invalidate_if(
-            lambda k: k & KEY_CONTEXT_MASK == context)
+        return self._drop(KEY_CONTEXT_MASK, pack_context(vm_id, asid))
 
     def invalidate_vm(self, vm_id: int) -> int:
         """Drop all translations of one VM (e.g. VM teardown)."""
-        vm_bits = pack_context(vm_id, 0)
-        return self._invalidate_if(
-            lambda k: k & KEY_VM_FIELD_MASK == vm_bits)
+        return self._drop(KEY_VM_FIELD_MASK, pack_context(vm_id, 0))
 
     def flush(self) -> int:
         """Full flush; returns the number of entries dropped."""
-        return self._invalidate_if(lambda k: True)
-
-    def _invalidate_if(self, predicate) -> int:
-        dropped = 0
+        dropped = len(self)
         for entries in self._sets:
-            doomed = [key for key in entries if predicate(key)]
-            for key in doomed:
-                del entries[key]
-            dropped += len(doomed)
+            entries.clear()
         if dropped:
             self.stats.inc("shootdowns", dropped)
         return dropped
+
+    def _drop(self, mask: int, bits: int) -> int:
+        """Drop every key with ``key & mask == bits``; returns count."""
+        # One flat scan over every set, no call per key.
+        doomed = [(entries, key) for entries in self._sets if entries
+                  for key in entries if key & mask == bits]
+        for entries, key in doomed:
+            del entries[key]
+        if doomed:
+            self.stats.inc("shootdowns", len(doomed))
+        return len(doomed)
 
     # -- introspection --------------------------------------------------------
 

@@ -15,7 +15,7 @@ exact same frame addresses.
 
 from __future__ import annotations
 
-from typing import Dict, List, Set
+from typing import Dict, List, Sequence, Set
 
 from ..common import addr
 from ..common.errors import AddressError
@@ -92,24 +92,35 @@ class PhysicalMemory:
         reclaim-accounting bug that would otherwise corrupt the free
         list silently.
         """
+        self.free_frames((frame,), large)
+
+    def free_frames(self, frames: Sequence[int], large: bool = False) -> None:
+        """:meth:`free_frame` for each of ``frames``, in order.
+
+        One call for a whole teardown; every frame is checked as
+        :meth:`free_frame` checks it.
+        """
         size = addr.page_size(large)
         label = "2MiB" if large else "4KiB"
-        if frame & (size - 1):
-            raise AddressError(f"free of misaligned {label} frame {frame:#x}")
         if large:
             region_base, bump_next = self._small_limit, self._large_next
             free_list, free_set = self._free_large, self._free_large_set
         else:
             region_base, bump_next = self.base, self._small_next
             free_list, free_set = self._free_small, self._free_small_set
-        if not region_base <= frame < bump_next:
-            raise AddressError(
-                f"free of {label} frame {frame:#x} that was never allocated")
-        if frame in free_set:
-            raise AddressError(f"double free of {label} frame {frame:#x}")
-        free_list.append(frame)
-        free_set.add(frame)
-        self._live_bytes -= size
+        offset_mask = size - 1
+        for frame in frames:
+            if frame & offset_mask:
+                raise AddressError(
+                    f"free of misaligned {label} frame {frame:#x}")
+            if not region_base <= frame < bump_next:
+                raise AddressError(f"free of {label} frame {frame:#x} "
+                                   "that was never allocated")
+            if frame in free_set:
+                raise AddressError(f"double free of {label} frame {frame:#x}")
+            free_list.append(frame)
+            free_set.add(frame)
+            self._live_bytes -= size
 
     # -- accounting ----------------------------------------------------------
 

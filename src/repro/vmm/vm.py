@@ -17,6 +17,7 @@ for the paper's native-vs-virtualized characterisation (Figures 2/3).
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, List, NamedTuple, Optional
 
 from ..common import addr
@@ -26,6 +27,7 @@ from .thp import ThpPolicy
 
 _LARGE_SHIFT = addr.LARGE_PAGE_SHIFT
 _SMALL_SHIFT = addr.SMALL_PAGE_SHIFT
+_new = tuple.__new__  # NamedTuple construction without a Python frame
 
 
 class ResolvedPage(NamedTuple):
@@ -59,6 +61,18 @@ class GuestProcess:
                 + len(self.large_pages) * addr.LARGE_PAGE_SIZE)
 
 
+def _alloc_guest_table_frame(guest_memory: PhysicalMemory,
+                             host_memory: PhysicalMemory,
+                             host_table: RadixPageTable,
+                             guest_table_hpa: List[int]) -> int:
+    """Guest page-table frames live in gPA space and are host-mapped."""
+    gpa = guest_memory.alloc_frame(False)
+    hpa = host_memory.alloc_frame(False)
+    host_table.map_page(gpa, hpa, False)
+    guest_table_hpa.append(hpa)
+    return gpa
+
+
 class VirtualMachine:
     """One VM: guest-physical space, host (EPT) table, guest processes."""
 
@@ -83,19 +97,16 @@ class VirtualMachine:
         """Return (creating on first use) the guest process ``asid``."""
         proc = self.processes.get(asid)
         if proc is None:
-            guest_table = RadixPageTable(self._alloc_guest_table_frame,
+            # A partial over the VM's parts, not a bound method: the
+            # table must not point back at the VM (a reference cycle).
+            allocator = partial(_alloc_guest_table_frame, self.guest_memory,
+                                self.host_memory, self.host_table,
+                                self._guest_table_hpa)
+            guest_table = RadixPageTable(allocator,
                                          name=f"vm{self.vm_id}.guest{asid}")
             proc = GuestProcess(asid, guest_table)
             self.processes[asid] = proc
         return proc
-
-    def _alloc_guest_table_frame(self) -> int:
-        """Guest page-table frames live in gPA space and are host-mapped."""
-        gpa = self.guest_memory.alloc_frame(False)
-        hpa = self.host_memory.alloc_frame(False)
-        self.host_table.map_page(gpa, hpa, False)
-        self._guest_table_hpa.append(hpa)
-        return gpa
 
     # -- teardown accounting ------------------------------------------------
 
@@ -107,12 +118,13 @@ class VirtualMachine:
         complete set :meth:`Host.destroy_vm` must reclaim.
         """
         frames = [(hpa, False) for hpa in self._guest_table_hpa]
-        frames.extend((base, False) for base in self.host_table.table_frames())
+        frames.extend([(base, False)
+                       for base in self.host_table.table_frames()])
         for proc in self.processes.values():
-            frames.extend((page.host_frame, False)
-                          for page in proc.small_pages.values())
-            frames.extend((page.host_frame, True)
-                          for page in proc.large_pages.values())
+            frames.extend([(page.host_frame, False)
+                           for page in proc.small_pages.values()])
+            frames.extend([(page.host_frame, True)
+                           for page in proc.large_pages.values()])
         return frames
 
     def live_bytes(self) -> int:
@@ -141,7 +153,7 @@ class VirtualMachine:
         hpa_frame = self.host_memory.alloc_frame(large)
         proc.guest_table.map_page(vaddr, gpa_frame, large)
         self.host_table.map_page(gpa_frame, hpa_frame, large)
-        page = ResolvedPage(large, gpa_frame, hpa_frame)
+        page = _new(ResolvedPage, (large, gpa_frame, hpa_frame))
         if large:
             proc.large_pages[large_vpn] = page
         else:
@@ -201,7 +213,7 @@ class NativeProcess:
         large = self.thp.is_large_region(self.asid, vaddr >> addr.LARGE_PAGE_SHIFT)
         frame = self.host_memory.alloc_frame(large=large)
         self.page_table.map_page(vaddr, frame, large=large)
-        page = ResolvedPage(large=large, guest_frame=frame, host_frame=frame)
+        page = _new(ResolvedPage, (large, frame, frame))
         if large:
             self.large_pages[vaddr >> addr.LARGE_PAGE_SHIFT] = page
         else:
@@ -260,11 +272,12 @@ class Host:
         vm = self.vms.pop(vm_id, None)
         if vm is None:
             raise KeyError(f"vm {vm_id} does not exist")
-        small = large = 0
-        for frame, is_large in vm.host_frames():
-            self.memory.free_frame(frame, large=is_large)
-            if is_large:
-                large += 1
-            else:
-                small += 1
-        return FreedFrames(small=small, large=large)
+        frames = vm.host_frames()
+        # The two sizes have separate free lists, so freeing each size
+        # in host_frames order keeps LIFO reuse (and every later frame
+        # address) unchanged.
+        small = [frame for frame, is_large in frames if not is_large]
+        large = [frame for frame, is_large in frames if is_large]
+        self.memory.free_frames(small)
+        self.memory.free_frames(large, large=True)
+        return FreedFrames(small=len(small), large=len(large))

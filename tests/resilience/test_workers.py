@@ -227,6 +227,74 @@ class TestPooled:
         assert outcomes[0].failure.error.type == "RunTimeout"
 
 
+class _FakeWorker:
+    """Stands in for a pooled child: finishes when the fake wait says so."""
+
+    live = []
+
+    def __init__(self, ctx_mp, attempt, fault, timeout_s):
+        self.attempt = attempt
+        self.deadline = None
+        self.done = False
+        self.conn = object()
+        self.process = type("Process", (), {"sentinel": object()})()
+        _FakeWorker.live.append(self)
+
+    def poll(self):
+        if not self.done:
+            return None
+        _FakeWorker.live.remove(self)
+        return ("ok", _StubRun(), {"wall_s": 0.0, "cpu_s": 0.0})
+
+    def kill(self):
+        pass
+
+
+class TestPooledDispatch:
+    def test_never_blocks_while_a_finished_result_is_ready(self, monkeypatch):
+        """Every wait happens with full slots and no uncollected result;
+        a worker's result wakes the dispatcher, which refills its slot
+        before it waits again.  The dispatcher never sleeps."""
+        from repro.resilience import workers
+
+        waits = []
+
+        def fake_wait(objects, timeout=None):
+            live = list(_FakeWorker.live)
+            assert not any(worker.done for worker in live)
+            waits.append((len(live), timeout))
+            live[0].done = True  # the oldest worker reports
+            return [live[0].conn]
+
+        def no_sleep(seconds):
+            raise AssertionError(f"pooled dispatcher slept {seconds}s")
+
+        _FakeWorker.live = []
+        monkeypatch.setattr(workers, "_Worker", _FakeWorker)
+        monkeypatch.setattr(workers, "_wait", fake_wait)
+        monkeypatch.setattr(workers.time, "sleep", no_sleep)
+        requests = [request(params=ExperimentParams(seed=seed))
+                    for seed in range(5)]
+        outcomes = execute_runs(requests, workers=2, retry=FAST_RETRY)
+        assert all(outcome.ok for outcome in outcomes)
+        # Two slots stay busy until the queue drains; no timeout bound
+        # without deadlines, backoff or telemetry.
+        assert waits == [(2, None)] * 4 + [(1, None)]
+
+    def test_wait_is_bounded_by_deadline_backoff_and_heartbeat(self):
+        from repro.resilience.workers import _Attempt, _wait_bound
+
+        worker = type("W", (), {"deadline": 12.0})()
+        backing_off = _Attempt(request(), "k", 2, ready_at=10.5)
+        assert _wait_bound([worker], [], 2, 10.0, None) == 2.0
+        assert _wait_bound([worker], [backing_off], 2, 10.0, None) == 0.5
+        # A full pool cannot launch, so a backoff end is no reason to wake.
+        assert _wait_bound([worker], [backing_off], 1, 10.0, None) == 2.0
+        assert _wait_bound([worker], [], 2, 10.0, 0.25) == 0.25
+        assert _wait_bound([], [], 2, 10.0, None) is None
+        assert _wait_bound([worker], [], 2, 13.0, None) == 0.0
+
+
 class _RecordingTelemetry:
     """Records every executor hook call; enabled so gates stay open."""
 
