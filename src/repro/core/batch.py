@@ -4,11 +4,12 @@
 machine state ``Machine.run``'s scalar loop drives, but restructured
 around numpy:
 
-1. **Global merge order up front.**  ``interleave_batched`` is a k-way
-   merge by ``(icount, core, source)`` over per-stream non-decreasing
-   icount columns, which is exactly a stable lexicographic sort of the
-   concatenated columns.  One ``np.lexsort`` replaces the heap walk and
-   yields the whole replay order as an index array.
+1. **Global merge order up front.**  The replay order
+   (:func:`~repro.workloads.trace.merge_order`) is a merge by
+   ``(icount, core, source)`` over per-stream non-decreasing icount
+   columns, which is exactly a stable lexicographic sort of the
+   concatenated columns.  One ``np.lexsort`` yields the whole replay
+   order as an index array.
 2. **Pure per-reference values vectorized.**  For each slice of the
    global order, whole stream columns are resolved at once: page lookup
    (binary search over sorted VPN arrays), packed TLB keys, L1-TLB set
@@ -118,7 +119,7 @@ class _StreamState:
         # _stream_info creates the stream's VM/process lazily — calling
         # it here, at the stream's first replayed reference, keeps the
         # host-memory frame allocation order identical to the scalar
-        # engine's first-chunk creation.
+        # engine's.
         core, ctx, large_pages, small_pages, touch_slow, cols = (
             machine._stream_info(stream))
         self.core = core
@@ -746,8 +747,8 @@ def try_replay(machine, streams, max_references, warmup_references):
             f"warmup ({warmup_references}) consumed the whole trace")
 
     # Final per-core last-icounts over everything processed: identical
-    # to the scalar loop's chunk-end updates (last processed reference
-    # of each core wins; warm-up-only cores keep their warm-up value).
+    # to the scalar loop's (last processed reference of each core wins;
+    # warm-up-only cores keep their warm-up value).
     if processed:
         pc = cores_g[:processed]
         for core in _np.unique(pc):

@@ -143,30 +143,71 @@ class TranslationScheme:
             return self._translate_traced(core, ctx, vaddr, page)
         tlbs = self.cores[core]
         if page.large:
-            key = ((vaddr >> _LARGE_SHIFT) << 33) | ctx | 1
-            l1 = tlbs.l1_large
             shift = _LARGE_SHIFT
+            vpn = vaddr >> _LARGE_SHIFT
+            key = (vpn << 33) | ctx | 1
+            l1 = tlbs.l1_large
         else:
-            key = ((vaddr >> _SMALL_SHIFT) << 33) | ctx
-            l1 = tlbs.l1_small
             shift = _SMALL_SHIFT
-        if l1.lookup(key) is not None:
+            vpn = vaddr >> _SMALL_SHIFT
+            key = (vpn << 33) | ctx
+            l1 = tlbs.l1_small
+        # SramTlb.lookup/insert_at unrolled over the set dicts, like
+        # CacheHierarchy.data_access: pop + reinsert is lookup's
+        # move-to-end, and the fills skip insert_at's already-resident
+        # branch (the probe of that set just missed).
+        vpn ^= (((ctx >> 1) & 0xFFFF) * 0x9E37) ^ (((ctx >> 17) & 0xFFFF)
+                                                   * 0x85EB)
+        set1 = l1._sets[vpn & l1._set_mask]
+        found = set1.pop(key, None)
+        if found is not None:
+            set1[key] = found
+            slot = l1._hits
+            slot.value += 1
+            slot.touched = True
             return tlbs.l1_hit_result
-        l1_idx = l1.probe_index
-        l2 = tlbs.l2
-        entry = _new(TlbEntry, (page.host_frame >> shift, True))
-        if l2.lookup(key) is not None:
-            l1.insert_at(l1_idx, key, entry)
-            return tlbs.l2_hit_result
-        l2_idx = l2.probe_index
-        slot = self._l2_misses
+        slot = l1._misses
         slot.value += 1
         slot.touched = True
-        vm_id = (ctx >> 1) & 0xFFFF
-        asid = (ctx >> 17) & 0xFFFF
-        penalty = self._resolve_miss(core, vm_id, asid, vaddr, page, entry)
-        l2.insert_at(l2_idx, key, entry)
-        l1.insert_at(l1_idx, key, entry)
+        entry = _new(TlbEntry, (page.host_frame >> shift, True))
+        l2 = tlbs.l2
+        set2 = l2._sets[vpn & l2._set_mask]
+        found = set2.pop(key, None)
+        if found is None:
+            slot = l2._misses
+            slot.value += 1
+            slot.touched = True
+            slot = self._l2_misses
+            slot.value += 1
+            slot.touched = True
+            penalty = self._resolve_miss(core, (ctx >> 1) & 0xFFFF,
+                                         (ctx >> 17) & 0xFFFF, vaddr, page,
+                                         entry)
+            if len(set2) >= l2._ways:
+                del set2[next(iter(set2))]
+                slot = l2._evictions
+                slot.value += 1
+                slot.touched = True
+            set2[key] = entry
+            slot = l2._fills
+            slot.value += 1
+            slot.touched = True
+        else:
+            set2[key] = found
+            slot = l2._hits
+            slot.value += 1
+            slot.touched = True
+        if len(set1) >= l1._ways:
+            del set1[next(iter(set1))]
+            slot = l1._evictions
+            slot.value += 1
+            slot.touched = True
+        set1[key] = entry
+        slot = l1._fills
+        slot.value += 1
+        slot.touched = True
+        if found is not None:
+            return tlbs.l2_hit_result
         slot = self._penalty_cycles
         slot.value += penalty
         slot.touched = True
@@ -563,46 +604,97 @@ class SharedL2Scheme(TranslationScheme):
             return self._translate_traced(core, ctx, vaddr, page)
         tlbs = self.cores[core]
         if page.large:
-            key = ((vaddr >> _LARGE_SHIFT) << 33) | ctx | 1
-            l1 = tlbs.l1_large
             shift = _LARGE_SHIFT
+            vpn = vaddr >> _LARGE_SHIFT
+            key = (vpn << 33) | ctx | 1
+            l1 = tlbs.l1_large
         else:
-            key = ((vaddr >> _SMALL_SHIFT) << 33) | ctx
-            l1 = tlbs.l1_small
             shift = _SMALL_SHIFT
-        if l1.lookup(key) is not None:
+            vpn = vaddr >> _SMALL_SHIFT
+            key = (vpn << 33) | ctx
+            l1 = tlbs.l1_small
+        # SRAM probes unrolled as in TranslationScheme.translate_packed.
+        vpn ^= (((ctx >> 1) & 0xFFFF) * 0x9E37) ^ (((ctx >> 17) & 0xFFFF)
+                                                   * 0x85EB)
+        set1 = l1._sets[vpn & l1._set_mask]
+        found = set1.pop(key, None)
+        if found is not None:
+            set1[key] = found
+            slot = l1._hits
+            slot.value += 1
+            slot.touched = True
             return tlbs.l1_hit_result
-        l1_idx = l1.probe_index
-        entry_template = _new(TlbEntry, (page.host_frame >> shift, True))
+        slot = l1._misses
+        slot.value += 1
+        slot.touched = True
+        entry = _new(TlbEntry, (page.host_frame >> shift, True))
         # Shadow bookkeeping: would the baseline's private L2 have missed?
         shadow = self._shadow[core]
-        shadow_miss = shadow.lookup(key) is None
+        entries = shadow._sets[vpn & shadow._set_mask]
+        found = entries.pop(key, None)
+        shadow_miss = found is None
         if shadow_miss:
-            shadow.insert_at(shadow.probe_index, key, entry_template)
+            slot = shadow._misses
+            slot.value += 1
+            slot.touched = True
+            if len(entries) >= shadow._ways:
+                del entries[next(iter(entries))]
+                slot = shadow._evictions
+                slot.value += 1
+                slot.touched = True
+            entries[key] = entry
+            slot = shadow._fills
+            slot.value += 1
+            slot.touched = True
             slot = self._l2_misses
+            slot.value += 1
+            slot.touched = True
+        else:
+            entries[key] = found
+            slot = shadow._hits
             slot.value += 1
             slot.touched = True
         shared = self._shared_tlb
         cycles = tlbs.l1_latency + self._shared_latency
-        extra_hit_cost = self._extra_hit_cost
-        entry = shared.lookup(key)
-        if entry is not None:
-            l1.insert_at(l1_idx, key, entry)
-            slot = self._penalty_cycles
-            slot.value += extra_hit_cost
+        penalty = self._extra_hit_cost
+        entries = shared._sets[vpn & shared._set_mask]
+        found = entries.pop(key, None)
+        if found is not None:
+            entries[key] = found
+            slot = shared._hits
+            slot.value += 1
             slot.touched = True
-            return _new(TranslationResult,
-                        (cycles, shadow_miss, extra_hit_cost))
-        shared_idx = shared.probe_index
-        penalty = extra_hit_cost + tlbs.l2_miss_overhead
-        vm_id = (ctx >> 1) & 0xFFFF
-        asid = (ctx >> 17) & 0xFFFF
-        penalty += self._walk(core, vm_id, asid, vaddr)  # dispatch as baseline
-        shared.insert_at(shared_idx, key, entry_template)
-        l1.insert_at(l1_idx, key, entry_template)
+            entry = found
+        else:
+            slot = shared._misses
+            slot.value += 1
+            slot.touched = True
+            penalty += tlbs.l2_miss_overhead + self._walk(
+                core, (ctx >> 1) & 0xFFFF, (ctx >> 17) & 0xFFFF,
+                vaddr)  # dispatch as baseline
+            if len(entries) >= shared._ways:
+                del entries[next(iter(entries))]
+                slot = shared._evictions
+                slot.value += 1
+                slot.touched = True
+            entries[key] = entry
+            slot = shared._fills
+            slot.value += 1
+            slot.touched = True
+        if len(set1) >= l1._ways:
+            del set1[next(iter(set1))]
+            slot = l1._evictions
+            slot.value += 1
+            slot.touched = True
+        set1[key] = entry
+        slot = l1._fills
+        slot.value += 1
+        slot.touched = True
         slot = self._penalty_cycles
         slot.value += penalty
         slot.touched = True
+        if found is not None:
+            return _new(TranslationResult, (cycles, shadow_miss, penalty))
         return _new(TranslationResult,
                     (cycles + penalty, shadow_miss, penalty))
 

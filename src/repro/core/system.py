@@ -34,7 +34,7 @@ from ..verify.verifier import NO_VERIFIER, Verifier
 from ..vmm.memory_manager import PhysicalMemory
 from ..vmm.thp import ThpPolicy
 from ..vmm.vm import FreedFrames, Host, NativeProcess, ResolvedPage
-from ..workloads.trace import CoreStream, interleave_batched
+from ..workloads.trace import CoreStream, merge_order
 from .batch import resolve_batch_flag
 from .batch import try_replay as _batch_try_replay
 from .mmu import TranslationScheme, make_scheme
@@ -248,9 +248,10 @@ class Machine:
         """Per-stream constants hoisted out of the replay hot loop.
 
         Creates the stream's VM/process on first use — at the stream's
-        first chunk, which is exactly where the seed engine's first
-        ``touch`` would have created them, so page-frame allocation
-        order (and thus every downstream address) is unchanged.
+        first replayed reference, which is exactly where the seed
+        engine's first ``touch`` would have created them, so page-frame
+        allocation order (and thus every downstream address) is
+        unchanged.
         """
         vm_id, asid = stream.vm_id, stream.asid
         if self.config.virtualized:
@@ -264,8 +265,8 @@ class Machine:
         # ``touch`` so profiling/instrumentation wrappers still see it;
         # resolved pages are served straight from the process dicts.
         touch_slow = partial(self.touch, vm_id, asid)
-        # Packed streams expose columns for tuple-free replay; resolved
-        # here (once per stream) so the tuple path pays nothing per chunk.
+        # Packed streams expose columns for the batch engine's
+        # tuple-free replay.
         columns = getattr(stream, "columns", None)
         return (stream.core, pack_context(vm_id, asid),
                 proc.large_pages, proc.small_pages, touch_slow,
@@ -328,8 +329,7 @@ class Machine:
         histograms = obs.histograms
         record_translation = record_penalty = None
         # Latencies are recorded with the histograms' bound list appends
-        # and folded whenever the translation list reaches FOLD_AT (the
-        # check runs at chunk starts; without histograms it never fires).
+        # and folded whenever the translation list reaches FOLD_AT.
         translation_pending: list = []
         if histograms is not None:
             translation_pending = histograms["translation_cycles"].pending
@@ -358,176 +358,105 @@ class Machine:
         warming = bool(warmup_remaining)
         warmup_boundary: Dict[int, int] = {}
         last_icount: Dict[int, int] = {}
-        stop_at = max_references if max_references is not None else float("inf")
-        infos: Dict[int, tuple] = {}
-        stopped = False
-        chunks = interleave_batched(streams)
-        if pending:
-            chunks = self._chunks_with_events(chunks, pending, infos)
-        for stream, lo, hi in chunks:
-            if len(translation_pending) >= FOLD_AT:
-                obs.fold()
-            info = infos.get(id(stream))
+        merged = merge_order(streams)
+        sources = merged.streams
+        owner = merged.owner
+        icounts = merged.icounts
+        vaddrs = merged.vaddrs
+        writes = merged.writes
+        order = merged.order
+        stop_at = (max_references if max_references is not None
+                   else len(order) + 1)
+        # Per-stream constants hoisted out of the loop, resolved at the
+        # stream's first reference and again after every event (a
+        # destroyed VM's page dicts and packed context are dead).
+        infos: List[Optional[tuple]] = [None] * len(sources)
+        queue = list(reversed(pending))  # pop() yields earliest-first
+        next_event = max(queue[-1].position, 0) if queue else -1
+        replayed = 0
+        for position, j in enumerate(order):
+            if position == next_event:
+                while queue and queue[-1].position <= position:
+                    queue.pop().apply(self)
+                next_event = queue[-1].position if queue else -1
+                infos = [None] * len(sources)
+            s = owner[j]
+            info = infos[s]
             if info is None:
-                info = infos[id(stream)] = self._stream_info(stream)
-            core, ctx, large_pages, small_pages, touch_slow, cols = info
-            large_get = large_pages.get
-            small_get = small_pages.get
-            if cols is not None:
-                # Columnar replay: a packed stream is consumed straight
-                # off its icount/vaddr/write columns — no
-                # MemoryReference tuple is materialized.
-                # Mirrors the tuple loop below line for line; keep the
-                # two in sync.
-                icounts, vaddrs, writebits = cols
-                i = lo
-                for i in range(lo, hi):
-                    if warming:
-                        if warmup_remaining:
-                            key = -1 if -1 in warmup_remaining else core
-                            if key in warmup_remaining:
-                                warmup_remaining[key] -= 1
-                                if warmup_remaining[key] <= 0:
-                                    del warmup_remaining[key]
-                        else:
-                            warming = False
-                            references = 0
-                            translation_cycles = 0
-                            data_cycles = 0
-                            self.stats.reset()
-                            obs.reset()
-                            verifier.reset()
-                            if tracer.enabled:
-                                tracer.marker("stats_reset")
-                            warmup_boundary = dict(last_icount)
-                    if faults_active:
-                        on_translation()
-                    vaddr = vaddrs[i]
-                    page = large_get(vaddr >> _LARGE_SHIFT)
-                    if page is None:
-                        page = small_get(vaddr >> _SMALL_SHIFT)
-                        if page is None:
-                            page = touch_slow(vaddr)
-                    result = translate_packed(core, ctx, vaddr, page)
-                    translation_cycles += result[0]
-                    hpa = page[2] | (vaddr & (_LARGE_MASK if page[0]
-                                              else _SMALL_MASK))
-                    data_cycles += data_access(
-                        core, hpa,
-                        is_write=_WRITE_BOOL[(writebits[i >> 3]
-                                              >> (i & 7)) & 1])
-                    if record_translation is not None:
-                        record_translation(result[0])
-                        if result[1]:
-                            record_penalty(result[2])
-                    if record_window is not None:
-                        record_window(result[0], result[1], result[2])
-                    if verifier_active:
-                        on_verify(result)
-                    references += 1
-                    if warming:
-                        last_icount[core] = icounts[i]
-                    if references >= stop_at:
-                        stopped = True
-                        break
-                if hi > lo:
-                    last_icount[core] = icounts[i]
-                if stopped:
-                    break
-                continue
-            refs = stream.references
-            ref = None
-            for i in range(lo, hi):
-                ref = refs[i]
-                if warming:
-                    if warmup_remaining:
-                        key = -1 if -1 in warmup_remaining else core
-                        if key in warmup_remaining:
-                            warmup_remaining[key] -= 1
-                            if warmup_remaining[key] <= 0:
-                                del warmup_remaining[key]
-                    else:
-                        warming = False
-                        references = 0
-                        translation_cycles = 0
-                        data_cycles = 0
-                        self.stats.reset()
-                        obs.reset()
-                        verifier.reset()
-                        if tracer.enabled:
-                            tracer.marker("stats_reset")
-                        warmup_boundary = dict(last_icount)
-                if faults_active:
-                    on_translation()
-                vaddr = ref[1]
-                page = large_get(vaddr >> _LARGE_SHIFT)
+                core, ctx, large_pages, small_pages, touch_slow, _cols = (
+                    self._stream_info(sources[s]))
+                info = infos[s] = (core, ctx, large_pages.get,
+                                   small_pages.get, touch_slow)
+            core, ctx, large_get, small_get, touch_slow = info
+            if warming:
+                if warmup_remaining:
+                    key = -1 if -1 in warmup_remaining else core
+                    if key in warmup_remaining:
+                        warmup_remaining[key] -= 1
+                        if warmup_remaining[key] <= 0:
+                            del warmup_remaining[key]
+                else:
+                    warming = False
+                    references = 0
+                    translation_cycles = 0
+                    data_cycles = 0
+                    self.stats.reset()
+                    obs.reset()
+                    verifier.reset()
+                    if tracer.enabled:
+                        tracer.marker("stats_reset")
+                    warmup_boundary = dict(last_icount)
+            if faults_active:
+                on_translation()
+            vaddr = vaddrs[j]
+            page = large_get(vaddr >> _LARGE_SHIFT)
+            if page is None:
+                page = small_get(vaddr >> _SMALL_SHIFT)
                 if page is None:
-                    page = small_get(vaddr >> _SMALL_SHIFT)
-                    if page is None:
-                        page = touch_slow(vaddr)
-                result = translate_packed(core, ctx, vaddr, page)
-                translation_cycles += result[0]
-                hpa = page[2] | (vaddr & (_LARGE_MASK if page[0]
-                                          else _SMALL_MASK))
-                data_cycles += data_access(core, hpa, is_write=ref[2])
-                if record_translation is not None:
-                    record_translation(result[0])
-                    if result[1]:
-                        record_penalty(result[2])
-                if record_window is not None:
-                    record_window(result[0], result[1], result[2])
-                if verifier_active:
-                    on_verify(result)
-                references += 1
-                if warming:
-                    # The warmup-reset boundary snapshots last_icount, so
-                    # it must be exact per reference until warm-up ends;
-                    # afterwards the chunk-end flush below suffices.
-                    last_icount[core] = ref[0]
-                if references >= stop_at:
-                    stopped = True
-                    break
-            if ref is not None:
-                last_icount[core] = ref[0]
-            if stopped:
+                    page = touch_slow(vaddr)
+            result = translate_packed(core, ctx, vaddr, page)
+            translation_cycles += result[0]
+            hpa = page[2] | (vaddr & (_LARGE_MASK if page[0] else _SMALL_MASK))
+            data_cycles += data_access(core, hpa, _WRITE_BOOL[writes[j]])
+            if record_translation is not None:
+                record_translation(result[0])
+                if result[1]:
+                    record_penalty(result[2])
+                if len(translation_pending) >= FOLD_AT:
+                    obs.fold()
+            if record_window is not None:
+                record_window(result[0], result[1], result[2])
+            if verifier_active:
+                on_verify(result)
+            references += 1
+            if warming:
+                # The warmup-reset boundary snapshots last_icount, so it
+                # must be exact per reference until warm-up ends.
+                last_icount[core] = icounts[j]
+            if references >= stop_at:
+                replayed = position + 1
                 break
+        else:
+            replayed = len(order)
+            # Events at or past the end of the trace fire after the last
+            # reference (e.g. the final generation's teardowns).
+            while queue:
+                queue.pop().apply(self)
         if warming:
             raise ValueError(
                 f"warmup ({warmup_references}) consumed the whole trace")
+        # Each core's clock stops at its last replayed reference.
+        cores = len({stream.core for stream in sources})
+        last_icount = {}
+        for position in range(replayed - 1, -1, -1):
+            j = order[position]
+            core = sources[owner[j]].core
+            if core not in last_icount:
+                last_icount[core] = icounts[j]
+                if len(last_icount) == cores:
+                    break
         return self._finish_run(references, translation_cycles, data_cycles,
                                 last_icount, warmup_boundary)
-
-    def _chunks_with_events(self, chunks, pending: List, infos: Dict):
-        """Split interleaved chunks at event positions and fire them.
-
-        Yields the same ``(stream, lo, hi)`` chunks as
-        :func:`~repro.workloads.trace.interleave_batched`, cut so every
-        scheduled event fires exactly *between* two references of the
-        global merge.  After an event fires the hoisted per-stream info
-        cache is cleared: a destroyed VM's page dicts and packed-context
-        are dead, and the next chunk must re-resolve them (recreating
-        the VM on demand for migration-style scenarios).
-        """
-        queue = list(pending)
-        queue.reverse()  # pop() from the end yields earliest-first
-        position = 0
-        for stream, lo, hi in chunks:
-            while queue and queue[-1].position < position + (hi - lo):
-                cut = lo + (queue[-1].position - position)
-                if cut > lo:
-                    yield stream, lo, cut
-                position += cut - lo
-                lo = cut
-                while queue and queue[-1].position == position:
-                    queue.pop().apply(self)
-                infos.clear()
-            if hi > lo:
-                yield stream, lo, hi
-                position += hi - lo
-        # Events scheduled at or past the end of the trace fire after
-        # the last reference (e.g. the final generation's teardowns).
-        while queue:
-            queue.pop().apply(self)
 
     def _finish_run(self, references: int, translation_cycles: int,
                     data_cycles: int, last_icount: Dict[int, int],

@@ -21,9 +21,8 @@ plain workloads plus a schedule of :class:`LifecycleEvent`\\ s that
   controlled rate.
 
 Event positions are indices in the **global interleaved merge** (the
-exact replay order of :func:`~repro.workloads.trace.interleave_batched`,
-warmup included), computed here by walking that merge, so scenarios are
-deterministic and engine-independent.
+exact replay order of :func:`~repro.workloads.trace.merge_order`,
+warmup included), so scenarios are deterministic and engine-independent.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .suite import get_profile
-from .trace import CoreStream, MemoryReference, interleave_batched
+from .trace import CoreStream, MemoryReference, merge_order
 
 
 @dataclass(frozen=True)
@@ -87,18 +86,18 @@ def _merge_boundaries(streams: Sequence[CoreStream]
                       ) -> Tuple[Dict[int, int], Dict[int, int]]:
     """Global positions after each stream's first and last reference.
 
-    Keyed by ``id(stream)``; computed by walking the exact chunk order
-    :func:`interleave_batched` yields, which is the replay order.
+    Keyed by ``id(stream)``; read off :func:`merge_order`, which is the
+    replay order.
     """
+    merged = merge_order(streams)
+    where = [0] * len(merged.order)
+    for position, j in enumerate(merged.order):
+        where[j] = position
     first_after: Dict[int, int] = {}
     last_after: Dict[int, int] = {}
-    position = 0
-    for stream, lo, hi in interleave_batched(streams):
-        if lo == 0 and id(stream) not in first_after:
-            first_after[id(stream)] = position + 1
-        position += hi - lo
-        if hi == len(stream):
-            last_after[id(stream)] = position
+    for stream, start in zip(merged.streams, merged.starts):
+        first_after[id(stream)] = where[start] + 1
+        last_after[id(stream)] = where[start + len(stream) - 1] + 1
     return first_after, last_after
 
 
@@ -106,22 +105,14 @@ def _refs_at(streams: Sequence[CoreStream], positions: Sequence[int]
              ) -> List[Tuple[CoreStream, MemoryReference]]:
     """The (stream, reference) replayed at each global index.
 
-    ``positions`` must be sorted ascending; out-of-range indices are
-    skipped.
+    Out-of-range indices are skipped.
     """
-    wanted = list(positions)
+    merged = merge_order(streams)
     out: List[Tuple[CoreStream, MemoryReference]] = []
-    cursor = 0
-    position = 0
-    for stream, lo, hi in interleave_batched(streams):
-        size = hi - lo
-        while cursor < len(wanted) and wanted[cursor] < position + size:
-            index = lo + (wanted[cursor] - position)
+    for position in positions:
+        if 0 <= position < len(merged.order):
+            stream, index = merged.at(position)
             out.append((stream, stream.references[index]))
-            cursor += 1
-        position += size
-        if cursor == len(wanted):
-            break
     return out
 
 

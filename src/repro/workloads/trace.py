@@ -16,8 +16,11 @@ from __future__ import annotations
 
 import gzip
 import io
+from array import array
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, List, NamedTuple, Sequence
+from itertools import islice, repeat
+from operator import gt
+from typing import Iterable, Iterator, List, NamedTuple, Sequence, Tuple
 
 from ..common.errors import TraceFormatError
 
@@ -240,7 +243,9 @@ def validate_stream(stream: CoreStream) -> None:
 def interleave(streams: Iterable[CoreStream]) -> Iterator[tuple]:
     """Merge streams by instruction count: yields (stream, reference).
 
-    Ties break by core id so runs are deterministic.
+    Ties break by core id, then by stream order, so runs are
+    deterministic.  This heap merge is the specification of the replay
+    order; :func:`merge_order` computes the same order in one sort.
     """
     import heapq
 
@@ -261,58 +266,70 @@ def interleave(streams: Iterable[CoreStream]) -> Iterator[tuple]:
             heapq.heappush(heap, (nxt.icount, stream.core, index, nxt))
 
 
-def interleave_batched(streams: Iterable[CoreStream]) -> Iterator[tuple]:
-    """Merge streams like :func:`interleave`, but yield runs as chunks.
+#: ``_BIT_BYTES[b]`` is byte ``b`` of a write bitmap unpacked LSB-first
+#: into eight 0/1 bytes, one per record.
+_BIT_BYTES = tuple(bytes((b >> k) & 1 for k in range(8)) for b in range(256))
 
-    Yields ``(stream, lo, hi)`` where ``stream.references[lo:hi]`` is a
-    maximal run of consecutive references that :func:`interleave` would
-    deliver back-to-back from the same stream.  Flattening the chunks
-    reproduces the exact :func:`interleave` order — ties still break by
-    core id, then by stream arrival order.  The simulator's hot loop
-    consumes chunks so per-stream constants (core, packed context, page
-    maps) are hoisted out of the per-reference path.
+
+class MergedStreams(NamedTuple):
+    """Every reference of a set of streams as flat columns, in replay order.
+
+    The non-empty streams, sorted by core (ties keep their arrival
+    order), are concatenated into the ``icounts``/``vaddrs``/``writes``
+    columns; ``starts[s]`` is the column index of stream ``s``'s first
+    reference and ``owner[j]`` the stream of column index ``j``.
+    ``order`` lists the column indices in replay order.
     """
-    import heapq
 
-    sources = []
-    positions = []
-    heap = []
-    for stream in streams:
-        refs = stream.references
-        if len(refs):
-            # Packed streams expose their icount column; keying chunk
-            # boundaries off it skips MemoryReference materialization.
-            icounts = getattr(stream, "icounts", None)
-            if icounts is None:
-                first = refs[0].icount
-            else:
-                first = icounts[0]
-            heap.append((first, stream.core, len(sources)))
-            sources.append((stream, refs, icounts, len(refs)))
-            positions.append(0)
-    heapq.heapify(heap)
-    while heap:
-        _icount, core, index = heapq.heappop(heap)
-        stream, refs, icounts, length = sources[index]
-        lo = positions[index]
-        hi = lo + 1
-        if heap:
-            # Nothing is pushed until this chunk closes, so the head is
-            # fixed; extend while our next reference still sorts first.
-            # Strict '<' is exact: full tuples never compare equal
-            # (stream indices are unique).
-            head = heap[0]
-            if icounts is None:
-                while hi < length and (refs[hi].icount, core, index) < head:
-                    hi += 1
-            else:
-                while hi < length and (icounts[hi], core, index) < head:
-                    hi += 1
+    streams: List[CoreStream]
+    starts: List[int]
+    owner: array
+    icounts: array
+    vaddrs: array
+    #: one byte per reference: 1 for a store, 0 for a load
+    writes: bytes
+    order: array
+
+    def at(self, position: int) -> Tuple[CoreStream, int]:
+        """The stream and its record index replayed at ``position``."""
+        j = self.order[position]
+        s = self.owner[j]
+        return self.streams[s], j - self.starts[s]
+
+
+def merge_order(streams: Iterable[CoreStream]) -> MergedStreams:
+    """The replay order of :func:`interleave`, computed in one sort.
+
+    Within a stream icounts never decrease, so one stable sort of the
+    concatenated icount column by value reproduces the heap merge's
+    ``(icount, core, arrival, index)`` order exactly.  A stream whose
+    icount goes backwards (the sort and the merge would disagree) fails
+    with :func:`validate_stream`'s :class:`TraceFormatError`; packed
+    streams flagged ``validated`` skip that check.
+    """
+    sources = sorted((s for s in streams if len(s)), key=lambda s: s.core)
+    starts: List[int] = []
+    owner = array("I")
+    icounts = array("Q")
+    vaddrs = array("Q")
+    writes = bytearray()
+    for index, stream in enumerate(sources):
+        starts.append(len(icounts))
+        count = len(stream)
+        columns = stream.columns() if hasattr(stream, "columns") else None
+        if columns is not None:
+            ics, vas, bits = columns
+            writes += b"".join(map(_BIT_BYTES.__getitem__, bits))[:count]
         else:
-            hi = length
-        positions[index] = hi
-        yield stream, lo, hi
-        if hi < length:
-            nxt = refs[hi].icount if icounts is None else icounts[hi]
-            heapq.heappush(heap, (nxt, core, index))
-
+            # One C-level transpose of the record tuples.
+            ics, vas, wrs = zip(*stream.references)
+            writes += bytes(map(bool, wrs))
+        if (not getattr(stream, "validated", False)
+                and any(map(gt, ics, islice(ics, 1, None)))):
+            validate_stream(stream)
+        icounts.extend(ics)
+        vaddrs.extend(vas)
+        owner.extend(repeat(index, count))
+    order = array("I", sorted(range(len(icounts)), key=icounts.__getitem__))
+    return MergedStreams(sources, starts, owner, icounts, vaddrs,
+                         bytes(writes), order)

@@ -21,8 +21,7 @@ from repro.core.system import Machine
 from repro.experiments.runner import ExperimentParams
 from repro.workloads.packed import pack_stream
 from repro.workloads.suite import get_profile
-from repro.workloads.trace import (CoreStream, MemoryReference,
-                                   interleave_batched)
+from repro.workloads.trace import CoreStream, MemoryReference, interleave
 
 needs_numpy = pytest.mark.skipif(
     not HAS_NUMPY, reason="numpy unavailable (pomtlb[fast] not installed)")
@@ -245,7 +244,7 @@ def test_lexsort_order_matches_heap_merge():
     """np.lexsort((source, core, icount)) == the scalar k-way merge.
 
     The batch engine's global replay order is a stable lexsort; the
-    scalar loop's is interleave_batched's heap merge.  Build streams
+    replay order's specification is interleave's heap merge.  Build streams
     with heavy icount ties across cores and within a core (two streams
     sharing core 1) and require the flattened orders to agree exactly.
     """
@@ -262,10 +261,8 @@ def test_lexsort_order_matches_heap_merge():
                      refs=[(5, 0x8000, False), (5, 0x9000, False),
                            (9, 0xA000, False)]),
     ]
-    merged = []
-    for stream, lo, hi in interleave_batched(streams):
-        for ref in stream.references[lo:hi]:
-            merged.append((ref.icount, stream.core, ref.vaddr))
+    merged = [(ref.icount, stream.core, ref.vaddr)
+              for stream, ref in interleave(streams)]
 
     ic = np.concatenate([np.array([r.icount for r in s.references],
                                   dtype=np.uint64) for s in streams])

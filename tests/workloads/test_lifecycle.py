@@ -7,14 +7,12 @@ from repro.core.system import Machine
 from repro.workloads.lifecycle import (LifecycleEvent, build_churn,
                                        build_migration,
                                        build_shootdown_storm)
-from repro.workloads.trace import interleave_batched, validate_stream
+from repro.workloads.trace import merge_order, validate_stream
 
 
 def global_order(streams):
-    out = []
-    for stream, lo, hi in interleave_batched(streams):
-        out.extend((stream, i) for i in range(lo, hi))
-    return out
+    merged = merge_order(streams)
+    return [merged.at(position) for position in range(len(merged.order))]
 
 
 class TestLifecycleEvent:

@@ -298,12 +298,13 @@ class TestInterleavePacked:
     """Packed streams interleave identically to list-backed ones."""
 
     def _flatten(self, streams):
-        from repro.workloads.trace import interleave_batched
+        from repro.workloads.trace import merge_order
 
+        merged = merge_order(streams)
         out = []
-        for stream, lo, hi in interleave_batched(streams):
-            for i in range(lo, hi):
-                out.append((stream.core, stream.references[i]))
+        for position in range(len(merged.order)):
+            stream, index = merged.at(position)
+            out.append((stream.core, stream.references[index]))
         return out
 
     def test_chunks_match_corestream(self):
