@@ -721,10 +721,20 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.status_out or args.telemetry_dir:
         from .obs import CampaignTelemetry
         export_dir = args.telemetry_dir or os.path.dirname(args.output) or "."
+        # Fail before simulating anything, not when the finished
+        # campaign's exporters run.
+        try:
+            os.makedirs(export_dir, exist_ok=True)
+        except OSError as exc:
+            obs.close()
+            print(f"cannot create --telemetry-dir {export_dir}: {exc}",
+                  file=sys.stderr)
+            return 2
         try:
             telemetry = CampaignTelemetry(status_path=args.status_out,
                                           export_dir=export_dir)
         except OSError as exc:
+            obs.close()
             print(f"cannot open --status-out file: {exc}", file=sys.stderr)
             return 2
     degraded = False

@@ -156,9 +156,9 @@ def run_all(params: Optional[ExperimentParams] = None,
     interruption hit.  Per-run progress goes to ``progress`` (default
     stderr); the report stream on ``out`` stays byte-deterministic.
 
-    ``telemetry`` (default :data:`repro.obs.NO_TELEMETRY`) aggregates
-    campaign-wide metrics, streams NDJSON status events, and writes the
-    Prometheus/dashboard artifacts on completion — see
+    ``telemetry`` (default :data:`repro.obs.NO_TELEMETRY`) emits
+    NDJSON status events, folds them into a snapshot, and writes the
+    Prometheus/dashboard artifacts from it on completion — see
     :mod:`repro.obs.telemetry`.  Telemetry writes only to its own files
     and the progress stream; the report on ``out`` stays byte-identical
     with telemetry on or off.

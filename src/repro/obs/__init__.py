@@ -23,7 +23,7 @@ from typing import Dict, Optional
 from .histogram import LogHistogram
 from .sinks import ChromeTraceSink, JsonlSink, ListSink
 from .telemetry import (NO_TELEMETRY, CampaignTelemetry, LptAccuracy,
-                        MetricsRegistry, NullTelemetry, StatusSnapshot)
+                        NullTelemetry, StatusSnapshot)
 from .tracer import NULL_TRACER, EventTracer, NullTracer
 from .windows import WindowedMetrics
 
@@ -96,7 +96,6 @@ __all__ = [
     "ListSink",
     "LogHistogram",
     "LptAccuracy",
-    "MetricsRegistry",
     "NO_TELEMETRY",
     "NULL_TRACER",
     "NullTelemetry",

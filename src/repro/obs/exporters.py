@@ -1,6 +1,9 @@
 """Campaign telemetry exporters: Prometheus text and an HTML dashboard.
 
-Two artifacts, both written atomically next to the campaign output
+Both are pure functions of a :class:`~repro.obs.telemetry.StatusSnapshot`
+— the campaign hub's own, or one replayed from a ``--status-out``
+stream, which yields the same bytes.  Two artifacts, both written
+atomically next to the campaign output
 (:func:`repro.common.fileio.atomic_write_text`, the same temp-file +
 rename idiom as every other persisted file):
 
@@ -24,6 +27,7 @@ from __future__ import annotations
 
 import json
 import os
+from collections import Counter, defaultdict
 from typing import Dict, List
 
 from ..common.fileio import atomic_write_text
@@ -31,6 +35,96 @@ from ..common.fileio import atomic_write_text
 #: File names, fixed so CI artifact globs and docs stay stable.
 PROMETHEUS_FILENAME = "campaign_metrics.prom"
 DASHBOARD_FILENAME = "campaign_dashboard.html"
+
+
+# -- metric families -----------------------------------------------------------
+
+def _scalar(value) -> list:
+    return [] if value is None else [({}, value)]
+
+
+def _by(label: str, values: Dict[str, object]) -> list:
+    return [({label: name}, value) for name, value in values.items()]
+
+
+def metric_families(snapshot) -> List[tuple]:
+    """``(name, kind, help, series)`` per metric family, sorted by name.
+
+    ``series`` is ``[(labels, value), ...]`` sorted by labels, with
+    ``labels`` a sorted tuple of ``(name, value)`` pairs; a summary's
+    value is the list of its observations (the matching ``run_end``
+    fields, in arrival order).  A counter appears once it is non-zero,
+    a gauge once its source event has been seen.
+    """
+    simulated = snapshot.rows("ok", "failed")
+    states = Counter(event["state"] for event in snapshot.ends.values())
+    checkpoints = Counter(event.get("checkpoint")
+                          for event in snapshot.ends.values())
+    wall, cpu = defaultdict(list), defaultdict(list)
+    for event in simulated:
+        wall[event["scheme"]].append(event["wall_s"])
+        if event["cpu_s"] is not None:
+            cpu[event["scheme"]].append(event["cpu_s"])
+    start, end = snapshot.start, snapshot.end
+    lpt = snapshot.lpt.summary()
+    calibrated = end is not None and lpt["mape"] is not None
+    busy = [max(0.0, event["wall_s"]) for event in simulated]
+    families = [
+        ("pomtlb_campaign_attempts_total", "counter",
+         "Run attempts dispatched (retries included).",
+         _by("mode", snapshot.attempts)),
+        ("pomtlb_campaign_checkpoint_skips_total", "counter",
+         "Runs satisfied from the checkpoint store (no simulation).",
+         _scalar(states["restored"] or None)),
+        ("pomtlb_campaign_checkpoint_write_failures_total", "counter",
+         "Checkpoint writes that failed (campaign continued without "
+         "durability for that run).",
+         _scalar(checkpoints[False] or None)),
+        ("pomtlb_campaign_checkpoint_writes_total", "counter",
+         "Finished runs persisted to the checkpoint store.",
+         _scalar(checkpoints[True] or None)),
+        ("pomtlb_campaign_elapsed_seconds", "gauge",
+         "Campaign wall-clock (monotonic).",
+         _scalar(end["elapsed_s"] if end else None)),
+        ("pomtlb_campaign_lpt_bias", "gauge",
+         "LPT scheduler mean signed relative error.",
+         _scalar(round(lpt["bias"], 6) if calibrated else None)),
+        ("pomtlb_campaign_lpt_mape", "gauge",
+         "LPT scheduler mean absolute percentage error.",
+         _scalar(round(lpt["mape"], 6) if calibrated else None)),
+        ("pomtlb_campaign_lpt_runs", "gauge",
+         "Runs with a predicted-vs-actual calibration record.",
+         _scalar(lpt["runs"] if end else None)),
+        ("pomtlb_campaign_retries_total", "counter",
+         "Transient failures scheduled for another attempt.",
+         _scalar(snapshot.retries or None)),
+        ("pomtlb_campaign_run_cpu_seconds", "summary",
+         "Per-run worker CPU time.", _by("scheme", cpu)),
+        ("pomtlb_campaign_run_wall_seconds", "summary",
+         "Per-run wall-clock duration.", _by("scheme", wall)),
+        ("pomtlb_campaign_runs_planned", "gauge",
+         "Runs the campaign enumerated up front.",
+         _scalar(snapshot.total_runs if start else None)),
+        ("pomtlb_campaign_runs_queued_total", "counter",
+         "Distinct runs accepted by the executor.",
+         _scalar(len(snapshot.dispatched) or None)),
+        ("pomtlb_campaign_runs_total", "counter", "Terminal run states.",
+         _by("state", states)),
+        ("pomtlb_campaign_worker_busy_seconds", "summary",
+         "Attempt durations summed across the pool.",
+         _scalar(busy or None)),
+        ("pomtlb_campaign_workers", "gauge",
+         "Process-pool width of this campaign.",
+         _scalar(snapshot.workers if start else None)),
+        ("pomtlb_campaign_workloads_compiled_total", "counter",
+         "Distinct workloads compiled this campaign.",
+         _scalar(snapshot.compiled if snapshot.workloads else None)),
+    ]
+    return [(name, kind, help_text,
+             sorted(((tuple(sorted(labels.items())), value)
+                     for labels, value in series), key=lambda s: s[0]))
+            for name, kind, help_text, series
+            in sorted(families, key=lambda family: family[0]) if series]
 
 
 # -- Prometheus text exposition ------------------------------------------------
@@ -61,59 +155,77 @@ def _label_block(labels) -> str:
     return "{" + pairs + "}"
 
 
-def prometheus_text(registry) -> str:
-    """The registry in Prometheus text exposition format (version 0.0.4)."""
+def prometheus_text(snapshot) -> str:
+    """The snapshot in Prometheus text exposition format (0.0.4)."""
     lines: List[str] = []
-    for name, kind, help_text, series in registry.collect():
+    for name, kind, help_text, series in metric_families(snapshot):
         if help_text:
             lines.append(f"# HELP {name} {_escape_help(help_text)}")
         lines.append(f"# TYPE {name} {kind}")
-        for labels, metric in series:
+        for labels, value in series:
             block = _label_block(labels)
             if kind == "summary":
-                lines.append(f"{name}_count{block} {metric.count}")
+                lines.append(f"{name}_count{block} {len(value)}")
                 lines.append(f"{name}_sum{block} "
-                             f"{_format_value(metric.total)}")
+                             f"{_format_value(sum(value))}")
             else:
-                lines.append(f"{name}{block} {_format_value(metric.value)}")
+                lines.append(f"{name}{block} {_format_value(value)}")
     return "\n".join(lines) + "\n"
 
 
-def write_prometheus(registry, directory: str) -> str:
+def write_prometheus(snapshot, directory: str) -> str:
     """Write ``campaign_metrics.prom`` into ``directory``; returns path."""
     os.makedirs(directory, exist_ok=True)
     path = os.path.join(directory, PROMETHEUS_FILENAME)
-    atomic_write_text(path, prometheus_text(registry))
+    atomic_write_text(path, prometheus_text(snapshot))
     return path
 
 
 # -- dashboard document --------------------------------------------------------
 
-def dashboard_document(telemetry) -> Dict[str, object]:
+def _family_dict(families) -> Dict[str, object]:
+    """The metric families as JSON (the dashboard's raw panel)."""
+    document: Dict[str, object] = {}
+    for name, kind, help_text, series in families:
+        entries = []
+        for labels, value in series:
+            entry: Dict[str, object] = {"labels": dict(labels)}
+            if kind == "summary":
+                entry.update(count=len(value), sum=sum(value),
+                             min=min(value), max=max(value))
+            else:
+                entry["value"] = value
+            entries.append(entry)
+        document[name] = {"type": kind, "help": help_text,
+                          "series": entries}
+    return document
+
+
+def dashboard_document(snapshot) -> Dict[str, object]:
     """The inline-JSON document the dashboard renders (and tests read).
 
     Everything the HTML shows comes from this one structure, so the
     reconciliation contract ("dashboard counters equal the campaign
     report's") is checkable by parsing the JSON back out of the file.
     """
-    counts = dict(telemetry._counts)
-    runs = sorted(telemetry.runs.values(),
+    runs = sorted(snapshot.rows(),
                   key=lambda r: (r["benchmark"], r["scheme"], r["key"]))
     return {
-        "version": 2,
+        "version": 3,
         "summary": {
-            "total_runs": telemetry.total_runs,
-            "workers": telemetry.workers,
-            "completed": counts["ok"],
-            "failed": counts["failed"],
-            "restored": counts["restored"],
-            "retries": telemetry.retries,
-            "busy_seconds": round(telemetry.busy_seconds, 6),
+            "total_runs": snapshot.total_runs,
+            "workers": snapshot.workers,
+            "completed": snapshot.completed,
+            "failed": snapshot.failed,
+            "restored": snapshot.restored,
+            "retries": snapshot.retries,
+            "busy_seconds": round(snapshot.busy_seconds, 6),
         },
-        "lpt": telemetry.lpt.summary(),
-        "runs": [dict(record) for record in runs],
-        "heartbeats": list(telemetry.heartbeats),
-        "metrics": telemetry.registry.as_dict(),
+        "lpt": snapshot.lpt.summary(),
+        "runs": [{name: value for name, value in run.items()
+                  if name not in ("v", "event", "ts")} for run in runs],
+        "heartbeats": [dict(beat) for beat in snapshot.heartbeats],
+        "metrics": _family_dict(metric_families(snapshot)),
     }
 
 
@@ -303,11 +415,11 @@ def dashboard_html(document: Dict[str, object]) -> str:
     return _DASHBOARD_TEMPLATE.replace("__DATA__", payload)
 
 
-def write_dashboard(telemetry, directory: str) -> str:
+def write_dashboard(snapshot, directory: str) -> str:
     """Write ``campaign_dashboard.html`` into ``directory``; returns path."""
     os.makedirs(directory, exist_ok=True)
     path = os.path.join(directory, DASHBOARD_FILENAME)
-    atomic_write_text(path, dashboard_html(dashboard_document(telemetry)))
+    atomic_write_text(path, dashboard_html(dashboard_document(snapshot)))
     return path
 
 
@@ -316,6 +428,7 @@ __all__ = [
     "PROMETHEUS_FILENAME",
     "dashboard_document",
     "dashboard_html",
+    "metric_families",
     "prometheus_text",
     "write_dashboard",
     "write_prometheus",

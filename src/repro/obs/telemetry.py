@@ -1,37 +1,34 @@
-"""Campaign-wide telemetry: metrics registry, status stream, fleet view.
+"""Campaign-wide telemetry: status stream, snapshot, fleet view.
 
 PR 1 gave a single simulation deep observability; this module gives the
 *campaign* — many runs across many worker processes — the same
-treatment, behind the same null-object discipline:
+treatment, behind the same null-object discipline.  The status-stream
+events are the only record of a campaign:
 
-* :class:`MetricsRegistry` — counters / gauges / summaries with
-  Prometheus-style labels.  It is **multiprocessing-safe by
-  construction**: only the campaign parent ever mutates it.  Workers
-  measure their own attempt (wall seconds, CPU seconds) and ship the
-  measurement back over the existing result pipe; the parent
-  aggregates.  No locks, no shared memory, no write races.
 * :class:`CampaignTelemetry` — the hub the campaign and the resilient
-  executor call into: run-lifecycle spans (queued → dispatched →
-  running → retried / failed / completed), workload compilation,
-  checkpoint skip/write counts, per-worker
-  busy fraction, and the :class:`LptAccuracy` tracker comparing
-  :mod:`repro.experiments.schedule` predicted cost against actual
-  duration per run — the calibration signal adaptive sweeps need.
-* a **live NDJSON status stream** (``--status-out``): one JSON object
-  per line with a stable, versioned schema (:data:`STATUS_EVENT_FIELDS`,
-  documented in EXPERIMENTS.md), flushed per event so ``pomtlb top`` and
-  external tooling can tail it while the campaign runs.
-* :class:`StatusSnapshot` / :func:`render_top` — the state machine and
-  renderer behind ``pomtlb top``, the in-terminal fleet view.
+  executor call into.  Each hook builds one event (run-lifecycle:
+  dispatched → retried / failed / completed / restored, workload
+  compilation, heartbeats), writes it to the **live NDJSON status
+  stream** (``--status-out``; one JSON object per line with a stable,
+  versioned schema, :data:`STATUS_EVENT_FIELDS`, documented in
+  EXPERIMENTS.md, flushed per event so ``pomtlb top`` and external
+  tooling can tail it) and applies it to its in-memory snapshot.  It is
+  **multiprocessing-safe by construction**: only the campaign parent
+  emits; workers measure their own attempt (wall seconds, CPU seconds)
+  and ship the measurement back over the existing result pipe.
+* :class:`StatusSnapshot` — the only fold of events into state.  The
+  hub keeps one; ``pomtlb top`` replays a stream file into another, and
+  :func:`render_top`, the Prometheus text and the HTML dashboard
+  (:mod:`repro.obs.exporters`) are functions of a snapshot, so a replayed
+  stream reproduces every artifact exactly.
+* :class:`LptAccuracy` — compares :mod:`repro.experiments.schedule`
+  predicted cost against actual duration per run, the calibration
+  signal adaptive sweeps need.
 
 :data:`NO_TELEMETRY` is the default everywhere.  Its hook methods are
 no-ops and its ``enabled`` attribute is a ``False`` class attribute, so
 a campaign that never asked for telemetry pays one attribute check per
 *run* (not per translation) — far inside the < 5% overhead guard.
-
-The exporters (Prometheus text exposition and the self-contained HTML
-dashboard) live in :mod:`repro.obs.exporters` and read the structures
-collected here.
 """
 
 from __future__ import annotations
@@ -39,7 +36,7 @@ from __future__ import annotations
 import json
 import time
 from collections import deque
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Set, Tuple
 
 # -- status-stream schema ------------------------------------------------------
 
@@ -83,6 +80,11 @@ STATUS_EVENT_FIELDS: Dict[str, Tuple[str, ...]] = {
 #: Terminal states a ``run_end`` event may carry.
 RUN_END_STATES = ("ok", "failed", "restored")
 
+# Writers also put ``checkpoint`` on every ``run_end``: ``true`` (the
+# run was written to the checkpoint store), ``false`` (the write failed)
+# or ``null`` (no store, a failed run, or a restored one).  Readers
+# treat a missing field as ``null``, so older streams still validate.
+
 
 def validate_status_event(event: Mapping) -> None:
     """Raise ``ValueError`` unless ``event`` matches the documented schema."""
@@ -104,134 +106,10 @@ def validate_status_event(event: Mapping) -> None:
     if etype == RUN_END and event["state"] not in RUN_END_STATES:
         raise ValueError(f"run_end state {event['state']!r} not in "
                          f"{RUN_END_STATES}")
-
-
-# -- metrics registry ----------------------------------------------------------
-
-class Counter:
-    """Monotonically increasing count (Prometheus ``counter``)."""
-
-    __slots__ = ("value",)
-
-    def __init__(self) -> None:
-        self.value = 0
-
-    def inc(self, amount: int = 1) -> None:
-        self.value += amount
-
-
-class Gauge:
-    """A value that goes up and down (Prometheus ``gauge``)."""
-
-    __slots__ = ("value",)
-
-    def __init__(self) -> None:
-        self.value = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = value
-
-
-class Summary:
-    """Streaming count/sum/min/max of observations (durations, sizes)."""
-
-    __slots__ = ("count", "total", "minimum", "maximum")
-
-    def __init__(self) -> None:
-        self.count = 0
-        self.total = 0.0
-        self.minimum = float("inf")
-        self.maximum = float("-inf")
-
-    def observe(self, value: float) -> None:
-        self.count += 1
-        self.total += value
-        if value < self.minimum:
-            self.minimum = value
-        if value > self.maximum:
-            self.maximum = value
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
-
-class _Family:
-    """All label-variants of one named metric, plus its metadata."""
-
-    __slots__ = ("kind", "help", "series")
-
-    def __init__(self, kind: str, help_text: str) -> None:
-        self.kind = kind
-        self.help = help_text
-        self.series: Dict[Tuple[Tuple[str, str], ...], object] = {}
-
-
-_METRIC_TYPES = {"counter": Counter, "gauge": Gauge, "summary": Summary}
-
-
-class MetricsRegistry:
-    """Named counters / gauges / summaries with optional labels.
-
-    Single-writer by contract: the campaign parent owns the registry and
-    is the only mutator (worker measurements arrive over the result
-    pipe), which is what makes it multiprocessing-safe without locks.
-    """
-
-    def __init__(self) -> None:
-        self._families: Dict[str, _Family] = {}
-
-    def _metric(self, kind: str, name: str, help_text: str,
-                labels: Dict[str, str]):
-        family = self._families.get(name)
-        if family is None:
-            family = _Family(kind, help_text)
-            self._families[name] = family
-        elif family.kind != kind:
-            raise ValueError(f"metric {name!r} already registered as "
-                             f"{family.kind}, not {kind}")
-        key = tuple(sorted((k, str(v)) for k, v in labels.items()))
-        metric = family.series.get(key)
-        if metric is None:
-            metric = _METRIC_TYPES[kind]()
-            family.series[key] = metric
-        return metric
-
-    def counter(self, name: str, help_text: str = "", **labels) -> Counter:
-        return self._metric("counter", name, help_text, labels)
-
-    def gauge(self, name: str, help_text: str = "", **labels) -> Gauge:
-        return self._metric("gauge", name, help_text, labels)
-
-    def summary(self, name: str, help_text: str = "", **labels) -> Summary:
-        return self._metric("summary", name, help_text, labels)
-
-    def collect(self):
-        """Yield ``(name, kind, help, [(labels, metric), ...])`` sorted."""
-        for name in sorted(self._families):
-            family = self._families[name]
-            yield (name, family.kind, family.help,
-                   sorted(family.series.items()))
-
-    def as_dict(self) -> Dict[str, object]:
-        """JSON-ready snapshot (what the dashboard inlines)."""
-        snapshot: Dict[str, object] = {}
-        for name, kind, help_text, series in self.collect():
-            entries = []
-            for labels, metric in series:
-                entry: Dict[str, object] = {"labels": dict(labels)}
-                if kind == "summary":
-                    entry.update(count=metric.count, sum=metric.total,
-                                 min=(metric.minimum if metric.count
-                                      else None),
-                                 max=(metric.maximum if metric.count
-                                      else None))
-                else:
-                    entry["value"] = metric.value
-                entries.append(entry)
-            snapshot[name] = {"type": kind, "help": help_text,
-                              "series": entries}
-        return snapshot
+    if etype == RUN_END and event.get("checkpoint") not in (True, False,
+                                                             None):
+        raise ValueError(f"run_end checkpoint {event['checkpoint']!r} "
+                         f"is not true, false or null")
 
 
 # -- LPT calibration -----------------------------------------------------------
@@ -254,9 +132,6 @@ class LptAccuracy:
 
     def predict(self, key: str, seconds: float) -> None:
         self._predicted[key] = seconds
-
-    def predicted(self, key: str) -> Optional[float]:
-        return self._predicted.get(key)
 
     def observe(self, key: str, benchmark: str, scheme: str,
                 actual_s: float) -> None:
@@ -300,9 +175,6 @@ class NullTelemetry:
     def predict(self, key: str, seconds: float) -> None:
         pass
 
-    def run_queued(self, key: str, request) -> None:
-        pass
-
     def run_restored(self, key: str, request) -> None:
         pass
 
@@ -316,10 +188,8 @@ class NullTelemetry:
 
     def run_finished(self, key: str, request, ok: bool, attempts: int,
                      wall_s: float, cpu_s: Optional[float] = None,
-                     error: Optional[str] = None) -> None:
-        pass
-
-    def checkpoint_write(self, ok: bool) -> None:
+                     error: Optional[str] = None,
+                     checkpoint: Optional[bool] = None) -> None:
         pass
 
     def sample(self, queued: int, running: int) -> None:
@@ -340,7 +210,7 @@ NO_TELEMETRY = NullTelemetry()
 
 
 class CampaignTelemetry(NullTelemetry):
-    """Aggregates campaign telemetry in the parent and streams status.
+    """Emits the campaign's status events and folds them into a snapshot.
 
     ``status_path`` — NDJSON status stream, one flushed line per event
     (empty = no stream).  ``export_dir`` — where :meth:`export` writes
@@ -349,6 +219,9 @@ class CampaignTelemetry(NullTelemetry):
     events; the executor calls :meth:`sample` from its poll loop and the
     hub rate-limits internally.  ``clock`` / ``wall`` are injectable for
     tests (monotonic and epoch clocks).
+
+    Every fact the hub reports lives in :attr:`snapshot`, which applies
+    exactly the events the stream carries.
     """
 
     enabled = True
@@ -357,169 +230,73 @@ class CampaignTelemetry(NullTelemetry):
                  heartbeat_s: float = 1.0,
                  clock: Callable[[], float] = time.monotonic,
                  wall: Callable[[], float] = time.time) -> None:
-        self.status_path = status_path
         self.export_dir = export_dir
         self.heartbeat_s = heartbeat_s
         self.clock = clock
         self.wall = wall
-        self.registry = MetricsRegistry()
-        self.lpt = LptAccuracy()
-        #: key -> per-run record (state machine + dashboard rows)
-        self.runs: Dict[str, Dict[str, object]] = {}
-        self.heartbeats: List[Dict[str, float]] = []
-        self.workers = 1
-        self.total_runs = 0
+        self.snapshot = StatusSnapshot()
         self.started = self.clock()
-        self.busy_seconds = 0.0
-        self.retries = 0
-        self._counts = {"ok": 0, "failed": 0, "restored": 0}
+        self._predicted: Dict[str, float] = {}
         self._last_heartbeat = None  # None until campaign_start
         self._stream = open(status_path, "w") if status_path else None
 
-    # -- status stream -------------------------------------------------------
-
     def _emit(self, etype: str, **fields) -> None:
-        if self._stream is None:
-            return
         event = {"v": STATUS_VERSION, "event": etype,
                  "t": round(self.clock() - self.started, 6),
                  "ts": round(self.wall(), 3), **fields}
-        # One write() per line, flushed: tailers never see a sheared
-        # line, and `pomtlb top` sees events as they happen.
-        self._stream.write(
-            json.dumps(event, sort_keys=True, separators=(",", ":")) + "\n")
-        self._stream.flush()
+        if self._stream is not None:
+            # One write() per line, flushed: tailers never see a sheared
+            # line, and `pomtlb top` sees events as they happen.
+            self._stream.write(json.dumps(event, sort_keys=True,
+                                          separators=(",", ":")) + "\n")
+            self._stream.flush()
+        self.snapshot.apply(event)
 
     # -- campaign lifecycle --------------------------------------------------
 
     def campaign_start(self, total_runs: int, workers: int) -> None:
-        self.total_runs = total_runs
-        self.workers = max(1, workers)
         self.started = self.clock()
         self._last_heartbeat = self.started
-        self.registry.gauge(
-            "pomtlb_campaign_workers",
-            "Process-pool width of this campaign.").set(self.workers)
-        self.registry.gauge(
-            "pomtlb_campaign_runs_planned",
-            "Runs the campaign enumerated up front.").set(total_runs)
         self._emit(CAMPAIGN_START, total_runs=total_runs,
-                   workers=self.workers)
+                   workers=max(1, workers))
 
     def workloads_compiled(self, compiled: int) -> None:
-        self.registry.counter(
-            "pomtlb_campaign_workloads_compiled_total",
-            "Distinct workloads compiled this campaign.").inc(compiled)
         self._emit(WORKLOADS, compiled=compiled)
 
     def predict(self, key: str, seconds: float) -> None:
-        self.lpt.predict(key, seconds)
+        self._predicted[key] = seconds
 
     # -- run lifecycle (executor hooks) --------------------------------------
 
-    def _run(self, key: str, request) -> Dict[str, object]:
-        record = self.runs.get(key)
-        if record is None:
-            record = {"key": key, "benchmark": request.benchmark,
-                      "scheme": request.scheme, "state": "queued",
-                      "attempts": 0, "queued_t": self.clock() - self.started,
-                      "wall_s": None, "cpu_s": None,
-                      "predicted_s": self.lpt.predicted(key),
-                      "error": None}
-            self.runs[key] = record
-        return record
-
-    def run_queued(self, key: str, request) -> None:
-        self._run(key, request)
-        self.registry.counter(
-            "pomtlb_campaign_runs_queued_total",
-            "Distinct runs accepted by the executor.").inc()
-
     def run_restored(self, key: str, request) -> None:
-        record = self._run(key, request)
-        record["state"] = "restored"
-        record["wall_s"] = 0.0
-        self._counts["restored"] += 1
-        self.registry.counter(
-            "pomtlb_campaign_runs_total",
-            "Terminal run states.", state="restored").inc()
-        self.registry.counter(
-            "pomtlb_campaign_checkpoint_skips_total",
-            "Runs satisfied from the checkpoint store "
-            "(no simulation).").inc()
         self._emit(RUN_END, key=key, benchmark=request.benchmark,
                    scheme=request.scheme, state="restored", attempts=0,
                    wall_s=0.0, cpu_s=None,
-                   predicted_s=self.lpt.predicted(key), error=None)
+                   predicted_s=self._predicted.get(key), error=None,
+                   checkpoint=None)
 
     def run_dispatched(self, key: str, request, attempt: int,
                        mode: str) -> None:
-        record = self._run(key, request)
-        record["state"] = "running"
-        record["attempts"] = attempt
-        record["dispatched_t"] = self.clock() - self.started
-        self.registry.counter(
-            "pomtlb_campaign_attempts_total",
-            "Run attempts dispatched (retries included).",
-            mode=mode).inc()
         self._emit(RUN_START, key=key, benchmark=request.benchmark,
                    scheme=request.scheme, attempt=attempt, mode=mode,
-                   predicted_s=self.lpt.predicted(key))
+                   predicted_s=self._predicted.get(key))
 
     def run_retry(self, key: str, request, attempt: int, error: str,
                   delay_s: float) -> None:
-        record = self._run(key, request)
-        record["state"] = "retrying"
-        self.retries += 1
-        self.registry.counter(
-            "pomtlb_campaign_retries_total",
-            "Transient failures scheduled for another attempt.").inc()
         self._emit(RUN_RETRY, key=key, benchmark=request.benchmark,
                    scheme=request.scheme, attempt=attempt, error=error,
                    delay_s=round(delay_s, 6))
 
     def run_finished(self, key: str, request, ok: bool, attempts: int,
                      wall_s: float, cpu_s: Optional[float] = None,
-                     error: Optional[str] = None) -> None:
-        record = self._run(key, request)
-        state = "ok" if ok else "failed"
-        record.update(state=state, attempts=attempts, wall_s=wall_s,
-                      cpu_s=cpu_s, error=error)
-        self._counts[state] += 1
-        self.busy_seconds += max(0.0, wall_s)
-        self.registry.counter("pomtlb_campaign_runs_total",
-                              "Terminal run states.", state=state).inc()
-        self.registry.summary(
-            "pomtlb_campaign_run_wall_seconds",
-            "Per-run wall-clock duration.",
-            scheme=request.scheme).observe(wall_s)
-        if cpu_s is not None:
-            self.registry.summary(
-                "pomtlb_campaign_run_cpu_seconds",
-                "Per-run worker CPU time.",
-                scheme=request.scheme).observe(cpu_s)
-        self.registry.summary(
-            "pomtlb_campaign_worker_busy_seconds",
-            "Attempt durations summed across the pool.").observe(
-                max(0.0, wall_s))
-        if ok:
-            self.lpt.observe(key, request.benchmark, request.scheme, wall_s)
+                     error: Optional[str] = None,
+                     checkpoint: Optional[bool] = None) -> None:
         self._emit(RUN_END, key=key, benchmark=request.benchmark,
-                   scheme=request.scheme, state=state, attempts=attempts,
-                   wall_s=round(wall_s, 6),
+                   scheme=request.scheme, state="ok" if ok else "failed",
+                   attempts=attempts, wall_s=round(wall_s, 6),
                    cpu_s=None if cpu_s is None else round(cpu_s, 6),
-                   predicted_s=self.lpt.predicted(key), error=error)
-
-    def checkpoint_write(self, ok: bool) -> None:
-        if ok:
-            self.registry.counter(
-                "pomtlb_campaign_checkpoint_writes_total",
-                "Finished runs persisted to the checkpoint store.").inc()
-        else:
-            self.registry.counter(
-                "pomtlb_campaign_checkpoint_write_failures_total",
-                "Checkpoint writes that failed (campaign continued "
-                "without durability for that run).").inc()
+                   predicted_s=self._predicted.get(key), error=error,
+                   checkpoint=checkpoint)
 
     # -- heartbeats ----------------------------------------------------------
 
@@ -537,51 +314,31 @@ class CampaignTelemetry(NullTelemetry):
 
     def heartbeat(self, queued: int, running: int) -> None:
         """Emit one heartbeat unconditionally (``sample`` rate-limits)."""
+        snap = self.snapshot
         elapsed = max(self.clock() - self.started, 1e-9)
-        busy = min(1.0, self.busy_seconds / (self.workers * elapsed))
-        beat = {"elapsed_s": round(elapsed, 6), "queued": queued,
-                "running": running, "completed": self._counts["ok"],
-                "failed": self._counts["failed"],
-                "restored": self._counts["restored"],
-                "retries": self.retries, "busy_frac": round(busy, 4)}
-        self.heartbeats.append(beat)
-        self._emit(HEARTBEAT, **beat)
+        busy = min(1.0, snap.busy_seconds / (snap.workers * elapsed))
+        self._emit(HEARTBEAT, elapsed_s=round(elapsed, 6), queued=queued,
+                   running=running, completed=snap.completed,
+                   failed=snap.failed, restored=snap.restored,
+                   retries=snap.retries, busy_frac=round(busy, 4))
 
     # -- wrap-up -------------------------------------------------------------
 
     def campaign_end(self, simulated: int = 0) -> None:
-        elapsed = self.clock() - self.started
-        self.registry.gauge(
-            "pomtlb_campaign_elapsed_seconds",
-            "Campaign wall-clock (monotonic).").set(round(elapsed, 6))
-        summary = self.lpt.summary()
-        self.registry.gauge(
-            "pomtlb_campaign_lpt_runs",
-            "Runs with a predicted-vs-actual calibration record.").set(
-                summary["runs"])
-        if summary["mape"] is not None:
-            self.registry.gauge(
-                "pomtlb_campaign_lpt_mape",
-                "LPT scheduler mean absolute percentage error.").set(
-                    round(summary["mape"], 6))
-            self.registry.gauge(
-                "pomtlb_campaign_lpt_bias",
-                "LPT scheduler mean signed relative error.").set(
-                    round(summary["bias"], 6))
-        self._emit(CAMPAIGN_END, elapsed_s=round(elapsed, 6),
-                   completed=self._counts["ok"],
-                   failed=self._counts["failed"],
-                   restored=self._counts["restored"],
-                   retries=self.retries, simulated=simulated)
+        snap = self.snapshot
+        self._emit(CAMPAIGN_END,
+                   elapsed_s=round(self.clock() - self.started, 6),
+                   completed=snap.completed, failed=snap.failed,
+                   restored=snap.restored, retries=snap.retries,
+                   simulated=simulated)
 
     def export(self) -> List[str]:
         """Write the Prometheus and dashboard artifacts; returns paths."""
         if not self.export_dir:
             return []
         from .exporters import write_dashboard, write_prometheus
-        paths = [write_prometheus(self.registry, self.export_dir),
-                 write_dashboard(self, self.export_dir)]
-        return paths
+        return [write_prometheus(self.snapshot, self.export_dir),
+                write_dashboard(self.snapshot, self.export_dir)]
 
     def close(self) -> None:
         if self._stream is not None:
@@ -589,33 +346,36 @@ class CampaignTelemetry(NullTelemetry):
             self._stream = None
 
 
-# -- `pomtlb top`: snapshot + renderer -----------------------------------------
+# -- the snapshot: every artifact's one input ----------------------------------
 
 class StatusSnapshot:
-    """Replays a status stream into the current fleet state.
+    """Folds status events into the campaign's current state.
 
-    Tolerant by design: unknown events and damaged lines are skipped —
-    a live tail must survive a half-written final line or a newer
-    stream version's extra events.
+    The campaign's own hub applies each event as it emits it; ``pomtlb
+    top`` applies each line it tails.  Terminal rows are the ``run_end``
+    events themselves, so counts, busy seconds and failures are read off
+    them rather than kept twice.  Tolerant by design: unknown events and
+    damaged lines are skipped — a live tail must survive a half-written
+    final line or a newer stream version's extra events.
     """
 
     def __init__(self, recent: int = 8) -> None:
-        self.total_runs = 0
-        self.workers = 1
-        self.completed = 0
-        self.failed = 0
-        self.restored = 0
-        self.retries = 0
-        self.compiled = 0
+        #: the campaign_start / workloads / campaign_end events, once seen
+        self.start: Optional[Mapping] = None
+        self.workloads: Optional[Mapping] = None
+        self.end: Optional[Mapping] = None
         self.elapsed_s = 0.0
-        self.busy_frac = 0.0
-        self.queued = 0
-        self.running: Dict[str, Dict[str, object]] = {}
+        #: dispatched attempts per mode, and the distinct runs dispatched
+        self.attempts: Dict[str, int] = {}
+        self.dispatched: Set[str] = set()
+        self.retries = 0
+        #: key -> run_start event of each attempt in flight
+        self.running: Dict[str, Mapping] = {}
+        #: key -> run_end event, in arrival order
+        self.ends: Dict[str, Mapping] = {}
+        self.heartbeats: List[Mapping] = []
         self.recent = deque(maxlen=recent)
-        self.errors: List[str] = []
-        self.finished = False
         self.lpt = LptAccuracy()
-        self.heartbeats: List[Dict[str, float]] = []
 
     def apply_line(self, line: str) -> None:
         line = line.strip()
@@ -632,51 +392,82 @@ class StatusSnapshot:
         etype = event["event"]
         self.elapsed_s = max(self.elapsed_s, float(event.get("t", 0.0)))
         if etype == CAMPAIGN_START:
-            self.total_runs = event["total_runs"]
-            self.workers = event["workers"]
+            self.start = event
         elif etype == WORKLOADS:
-            self.compiled = event["compiled"]
+            self.workloads = event
         elif etype == RUN_START:
-            self.running[event["key"]] = dict(event)
-            if event["predicted_s"] is not None:
-                self.lpt.predict(event["key"], event["predicted_s"])
+            key = event["key"]
+            self.running[key] = event
+            self.dispatched.add(key)
+            self.attempts[event["mode"]] = \
+                self.attempts.get(event["mode"], 0) + 1
         elif etype == RUN_RETRY:
             self.retries += 1
             self.running.pop(event["key"], None)
             self.recent.appendleft(("retry", event))
         elif etype == RUN_END:
             self.running.pop(event["key"], None)
-            state = event["state"]
-            if state == "ok":
-                self.completed += 1
-                if (event["predicted_s"] is not None
-                        and event["wall_s"] is not None):
-                    self.lpt.predict(event["key"], event["predicted_s"])
-                    self.lpt.observe(event["key"], event["benchmark"],
-                                     event["scheme"], event["wall_s"])
-            elif state == "failed":
-                self.failed += 1
-                if event.get("error"):
-                    self.errors.append(
-                        f"({event['benchmark']}, {event['scheme']}): "
-                        f"{event['error']}")
-            else:
-                self.restored += 1
-            self.recent.appendleft((state, event))
+            self.ends[event["key"]] = event
+            if event["state"] == "ok" and event["predicted_s"] is not None:
+                self.lpt.predict(event["key"], event["predicted_s"])
+                self.lpt.observe(event["key"], event["benchmark"],
+                                 event["scheme"], event["wall_s"])
+            self.recent.appendleft((event["state"], event))
         elif etype == HEARTBEAT:
-            self.queued = event["queued"]
-            self.busy_frac = event["busy_frac"]
-            self.heartbeats.append(dict(event))
+            self.heartbeats.append(event)
         elif etype == CAMPAIGN_END:
-            self.finished = True
-            self.completed = event["completed"]
-            self.failed = event["failed"]
-            self.restored = event["restored"]
-            self.retries = event["retries"]
+            self.end = event
+
+    # -- derived views -------------------------------------------------------
+
+    @property
+    def total_runs(self) -> int:
+        return self.start["total_runs"] if self.start else 0
+
+    @property
+    def workers(self) -> int:
+        return self.start["workers"] if self.start else 1
+
+    @property
+    def compiled(self) -> int:
+        return self.workloads["compiled"] if self.workloads else 0
+
+    @property
+    def finished(self) -> bool:
+        return self.end is not None
+
+    def rows(self, *states: str) -> List[Mapping]:
+        """The ``run_end`` events in ``states`` (all when none given)."""
+        return [event for event in self.ends.values()
+                if not states or event["state"] in states]
+
+    @property
+    def completed(self) -> int:
+        return len(self.rows("ok"))
+
+    @property
+    def failed(self) -> int:
+        return len(self.rows("failed"))
+
+    @property
+    def restored(self) -> int:
+        return len(self.rows("restored"))
 
     @property
     def done(self) -> int:
-        return self.completed + self.failed + self.restored
+        return len(self.ends)
+
+    @property
+    def busy_seconds(self) -> float:
+        """Attempt seconds summed over the runs this campaign simulated."""
+        return sum(max(0.0, event["wall_s"])
+                   for event in self.rows("ok", "failed"))
+
+    @property
+    def errors(self) -> List[str]:
+        return [f"({event['benchmark']}, {event['scheme']}): "
+                f"{event['error']}"
+                for event in self.rows("failed") if event.get("error")]
 
 
 def _bar(fraction: float, width: int = 28) -> str:
@@ -689,12 +480,14 @@ def render_top(snapshot: StatusSnapshot) -> str:
     done, total = snapshot.done, max(snapshot.total_runs, 1)
     fraction = done / total
     state = "finished" if snapshot.finished else "running"
+    beat = snapshot.heartbeats[-1] if snapshot.heartbeats else {}
     lines = [
         f"POM-TLB campaign [{state}] — {done}/{snapshot.total_runs} runs "
         f"({snapshot.completed} ok, {snapshot.failed} failed, "
         f"{snapshot.restored} restored) · elapsed {snapshot.elapsed_s:.0f}s",
-        f"workers {snapshot.workers} · busy {100 * snapshot.busy_frac:.0f}% "
-        f"· queued {snapshot.queued} · running {len(snapshot.running)} "
+        f"workers {snapshot.workers} · busy "
+        f"{100 * beat.get('busy_frac', 0.0):.0f}% "
+        f"· queued {beat.get('queued', 0)} · running {len(snapshot.running)} "
         f"· retries {snapshot.retries}",
         f"workloads: {snapshot.compiled} compiled",
     ]

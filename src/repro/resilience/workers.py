@@ -113,9 +113,9 @@ class RunOutcome:
 def _measurement(wall_s: float, cpu_s: Optional[float]) -> dict:
     """The attempt measurement that rides the result pipe.
 
-    Workers never touch the parent's metrics registry: they measure
-    their own attempt and ship the numbers home with the result, which
-    is what makes campaign telemetry multiprocessing-safe without locks.
+    Workers never emit telemetry: they measure their own attempt and
+    ship the numbers home with the result, which is what makes campaign
+    telemetry multiprocessing-safe without locks.
     """
     return {"wall_s": wall_s, "cpu_s": cpu_s}
 
@@ -211,9 +211,9 @@ def execute_runs(requests: List[RunRequest],
     progress output deterministic.
 
     ``telemetry`` (default :data:`repro.obs.NO_TELEMETRY`, the null
-    object) receives run-lifecycle hooks — queued, dispatched, retried,
-    finished (with worker wall/CPU measurements riding the result
-    pipe), checkpoint writes/skips, and heartbeat samples.
+    object) receives run-lifecycle hooks — dispatched, retried,
+    finished (with worker wall/CPU measurements riding the result pipe
+    and the checkpoint write's result), restored, and heartbeat samples.
     """
     retry = retry or RetryPolicy()
     outcomes: Dict[str, RunOutcome] = {}
@@ -235,8 +235,6 @@ def execute_runs(requests: List[RunRequest],
                 on_outcome(outcomes[key])
         else:
             outcomes[key] = RunOutcome(request=request, key=key)
-            if telemetry.enabled:
-                telemetry.run_queued(key, request)
             todo.append(_Attempt(request, key, 1))
 
     context = _Context(retry=retry, faults=faults, checkpoint=checkpoint,
@@ -281,17 +279,16 @@ class _Context:
         outcome = self.outcomes[attempt.key]
         outcome.run = run
         outcome.attempts = attempt.number
+        written = None  # no store
         if self.checkpoint is not None:
             try:
                 self.checkpoint.put(attempt.key, run)
-                if self.telemetry.enabled:
-                    self.telemetry.checkpoint_write(ok=True)
+                written = True
             except OSError as error:
+                written = False
                 print(f"warning: checkpoint write failed ({error}); "
                       f"continuing without durability for this run",
                       file=sys.stderr)
-                if self.telemetry.enabled:
-                    self.telemetry.checkpoint_write(ok=False)
                 if self.tracer.enabled:
                     self.tracer.marker("checkpoint_write_failed",
                                        error=str(error))
@@ -301,7 +298,7 @@ class _Context:
                 attempt.key, attempt.request, ok=True,
                 attempts=attempt.number,
                 wall_s=meas.get("wall_s", 0.0),
-                cpu_s=meas.get("cpu_s"))
+                cpu_s=meas.get("cpu_s"), checkpoint=written)
         _trace_complete(self.tracer, outcome)
         if self.on_outcome:
             self.on_outcome(outcome)

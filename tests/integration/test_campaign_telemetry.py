@@ -4,8 +4,9 @@ The ISSUE-level contract: a campaign run with ``--status-out`` produces
 a schema-valid NDJSON status stream, a Prometheus text file, and a
 self-contained HTML dashboard whose counters reconcile exactly with the
 checkpoint store and the campaign report; telemetry left disabled
-changes no report byte; and the (event, key) sequence of a serial
-campaign's stream is deterministic run to run.
+changes no report byte; the (event, key) sequence of a serial
+campaign's stream is deterministic run to run; and both exporters are
+functions of the stream alone, so replaying the file reproduces them.
 """
 
 import io
@@ -18,8 +19,13 @@ from repro import cli
 from repro.experiments import campaign
 from repro.experiments.runner import ExperimentParams
 from repro.faults import FaultPlan
-from repro.obs import NO_TELEMETRY, CampaignTelemetry
-from repro.obs.exporters import DASHBOARD_FILENAME, PROMETHEUS_FILENAME
+from repro.obs import NO_TELEMETRY, CampaignTelemetry, StatusSnapshot
+from repro.obs.exporters import (
+    DASHBOARD_FILENAME,
+    PROMETHEUS_FILENAME,
+    dashboard_document,
+    prometheus_text,
+)
 from repro.obs.telemetry import validate_status_event
 from repro.resilience import CheckpointStore
 
@@ -114,8 +120,9 @@ class TestSerialCampaignStream:
                 if e["event"] == "run_end"]
         assert ends and all(e["predicted_s"] > 0 for e in ends)
         # Every completed run produced an LPT calibration record.
-        assert telemetry.lpt.summary()["runs"] == result.simulated
-        assert all(r["actual_s"] >= 0 for r in telemetry.lpt.records)
+        lpt = telemetry.snapshot.lpt
+        assert lpt.summary()["runs"] == result.simulated
+        assert all(r["actual_s"] >= 0 for r in lpt.records)
 
 
 class TestReportUnperturbed:
@@ -246,6 +253,50 @@ class TestPooledCampaign:
         assert (tmp_path / DASHBOARD_FILENAME).exists()
 
 
+class TestReplayIsTheOneSource:
+    """Replaying status.ndjson reproduces both exported artifacts."""
+
+    POOLED = ExperimentParams(num_cores=1, refs_per_core=300, scale=0.02,
+                              seed=5, workers=2, max_retries=0,
+                              retry_backoff_s=0.0)
+
+    def campaign(self, tmp_path, **kwargs):
+        telemetry = CampaignTelemetry(
+            status_path=str(tmp_path / "status.ndjson"),
+            export_dir=str(tmp_path))
+        result, _ = run_campaign(telemetry=telemetry, params=self.POOLED,
+                                 checkpoint_path=str(tmp_path / "ck.jsonl"),
+                                 **kwargs)
+        replayed = StatusSnapshot()
+        with open(tmp_path / "status.ndjson") as stream:
+            for line in stream:
+                replayed.apply_line(line)
+        return result, replayed
+
+    def test_replayed_stream_reproduces_the_artifacts(self, tmp_path):
+        result, replayed = self.campaign(tmp_path)
+        assert not result.failures
+        prom = (tmp_path / PROMETHEUS_FILENAME).read_text()
+        assert prometheus_text(replayed) == prom
+        assert dashboard_document(replayed) == \
+            parse_dashboard(tmp_path / DASHBOARD_FILENAME)
+        ends = replayed.rows("ok")
+        assert len(ends) == result.simulated
+        assert all(e["checkpoint"] is True for e in ends)
+        assert f"pomtlb_campaign_checkpoint_writes_total " \
+            f"{result.simulated}\n" in prom
+
+    def test_failed_checkpoint_write_is_on_the_stream(self, tmp_path):
+        result, replayed = self.campaign(
+            tmp_path, faults=FaultPlan.parse("ckpt-io#1"))
+        assert not result.failures  # the run is kept either way
+        prom = (tmp_path / PROMETHEUS_FILENAME).read_text()
+        assert prometheus_text(replayed) == prom
+        assert "pomtlb_campaign_checkpoint_write_failures_total 1\n" in prom
+        (lost,) = [e for e in replayed.rows() if e["checkpoint"] is False]
+        assert lost["state"] == "ok"
+
+
 class TestCli:
     ARGS = ["campaign", "--benchmarks", "gups", "--cores", "1",
             "--refs", "300", "--scale", "0.02", "--seed", "5",
@@ -263,6 +314,20 @@ class TestCli:
         assert events[-1]["event"] == "campaign_end"
         assert (tmp_path / PROMETHEUS_FILENAME).exists()
         assert (tmp_path / DASHBOARD_FILENAME).exists()
+
+    def test_unusable_telemetry_dir_fails_before_simulating(
+            self, tmp_path, capsys):
+        blocker = tmp_path / "not-a-dir"
+        blocker.write_text("")
+        report = tmp_path / "report.txt"
+        code = cli.main(self.ARGS + ["--telemetry-dir", str(blocker),
+                                     "--output", str(report)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "cannot create --telemetry-dir" in captured.err
+        assert "Traceback" not in captured.err
+        assert not report.exists()
+        assert captured.out == ""  # no run was simulated or reported
 
     def test_telemetry_flags_rejected_outside_campaign(self, capsys):
         assert cli.main(["fig8", "--status-out", "x.ndjson"]) == 2

@@ -1,4 +1,4 @@
-"""Campaign telemetry: registry, status-stream schema, heartbeats, LPT."""
+"""Campaign telemetry: status-stream schema, snapshot, heartbeats, LPT."""
 
 import json
 
@@ -8,7 +8,6 @@ from repro.obs import (
     NO_TELEMETRY,
     CampaignTelemetry,
     LptAccuracy,
-    MetricsRegistry,
     NullTelemetry,
     StatusSnapshot,
 )
@@ -56,51 +55,15 @@ def stream_events(tmp_path):
     return [json.loads(line) for line in path.read_text().splitlines()]
 
 
-class TestMetricsRegistry:
-    def test_counter_gauge_summary(self):
-        registry = MetricsRegistry()
-        registry.counter("c", "help").inc()
-        registry.counter("c").inc(2)
-        registry.gauge("g").set(1.5)
-        summary = registry.summary("s")
-        summary.observe(1.0)
-        summary.observe(3.0)
-        assert registry.counter("c").value == 3
-        assert registry.gauge("g").value == 1.5
-        assert summary.count == 2 and summary.mean == 2.0
-        assert summary.minimum == 1.0 and summary.maximum == 3.0
-
-    def test_labels_create_distinct_series(self):
-        registry = MetricsRegistry()
-        registry.counter("runs", state="ok").inc()
-        registry.counter("runs", state="failed").inc(2)
-        assert registry.counter("runs", state="ok").value == 1
-        assert registry.counter("runs", state="failed").value == 2
-
-    def test_kind_conflict_raises(self):
-        registry = MetricsRegistry()
-        registry.counter("x")
-        with pytest.raises(ValueError):
-            registry.gauge("x")
-
-    def test_as_dict_round_trips_through_json(self):
-        registry = MetricsRegistry()
-        registry.counter("runs", "Terminal states.", state="ok").inc(4)
-        registry.summary("wall").observe(0.5)
-        snapshot = json.loads(json.dumps(registry.as_dict()))
-        assert snapshot["runs"]["series"][0]["value"] == 4
-        assert snapshot["wall"]["series"][0]["count"] == 1
-
-
 class TestNullTelemetry:
     def test_disabled_and_inert(self, tmp_path):
         assert NO_TELEMETRY.enabled is False
         assert isinstance(NO_TELEMETRY, NullTelemetry)
         # Every hook is callable and returns None; nothing is written.
         NO_TELEMETRY.campaign_start(5, 2)
-        NO_TELEMETRY.run_queued("k", _Request())
+        NO_TELEMETRY.run_dispatched("k", _Request(), 1, mode="serial")
         NO_TELEMETRY.run_finished("k", _Request(), ok=True, attempts=1,
-                                  wall_s=0.1)
+                                  wall_s=0.1, checkpoint=True)
         NO_TELEMETRY.sample(queued=1, running=1)
         NO_TELEMETRY.campaign_end()
         assert NO_TELEMETRY.export() == []
@@ -123,7 +86,6 @@ class TestStatusSchema:
         hub.campaign_start(2, 2)
         hub.workloads_compiled(2)
         hub.predict("k1", 0.5)
-        hub.run_queued("k1", request)
         hub.run_dispatched("k1", request, attempt=1, mode="pool")
         clock.advance(0.4)
         hub.run_retry("k1", request, attempt=1, error="RunTimeout: slow",
@@ -131,7 +93,7 @@ class TestStatusSchema:
         hub.run_dispatched("k1", request, attempt=2, mode="pool")
         clock.advance(0.6)
         hub.run_finished("k1", request, ok=True, attempts=2, wall_s=0.6,
-                         cpu_s=0.5)
+                         cpu_s=0.5, checkpoint=True)
         hub.run_restored("k2", _Request("mcf", "tsb"))
         hub.heartbeat(queued=0, running=0)
         hub.run_finished("k3", _Request("mcf"), ok=False, attempts=3,
@@ -149,6 +111,9 @@ class TestStatusSchema:
         # The monotonic offsets never go backwards.
         offsets = [e["t"] for e in events]
         assert offsets == sorted(offsets)
+        # Every run_end says what became of its checkpoint write.
+        assert [e["checkpoint"] for e in events
+                if e["event"] == "run_end"] == [True, None, None]
 
     def test_validate_rejects_bad_version(self):
         with pytest.raises(ValueError, match="version"):
@@ -177,6 +142,17 @@ class TestStatusSchema:
         for state in RUN_END_STATES:
             validate_status_event({**event, "state": state})
 
+    def test_run_end_checkpoint_is_optional_but_checked(self):
+        event = {"v": STATUS_VERSION, "event": "run_end", "t": 0, "ts": 0,
+                 "key": "k", "benchmark": "gups", "scheme": "pom",
+                 "state": "ok", "attempts": 1, "wall_s": 0.1,
+                 "cpu_s": None, "predicted_s": None, "error": None}
+        validate_status_event(event)  # a stream from before the field
+        for written in (True, False, None):
+            validate_status_event({**event, "checkpoint": written})
+        with pytest.raises(ValueError, match="checkpoint"):
+            validate_status_event({**event, "checkpoint": "yes"})
+
     def test_every_documented_event_has_required_fields(self):
         # The schema table itself is part of the contract EXPERIMENTS.md
         # documents; a rename here must be a deliberate version bump.
@@ -196,14 +172,14 @@ class TestHeartbeat:
         for _ in range(10):  # 10 polls in 0.5s: under the cadence
             clock.advance(0.05)
             hub.sample(queued=4, running=2)
-        assert len(hub.heartbeats) == 0
+        assert len(hub.snapshot.heartbeats) == 0
         clock.advance(0.6)  # crosses the 1s boundary
         hub.sample(queued=3, running=2)
-        assert len(hub.heartbeats) == 1
+        assert len(hub.snapshot.heartbeats) == 1
         for _ in range(6):  # 3 more seconds: exactly 3 more beats
             clock.advance(0.5)
             hub.sample(queued=2, running=2)
-        assert len(hub.heartbeats) == 4
+        assert len(hub.snapshot.heartbeats) == 4
         hub.close()
 
     def test_busy_fraction_bounded_and_computed(self, tmp_path):
@@ -214,10 +190,11 @@ class TestHeartbeat:
         hub.run_finished("k1", request, ok=True, attempts=1, wall_s=5.0)
         hub.heartbeat(queued=0, running=1)
         # 5 busy seconds across 2 workers * 10 elapsed = 25%.
-        assert hub.heartbeats[-1]["busy_frac"] == pytest.approx(0.25)
+        assert hub.snapshot.heartbeats[-1]["busy_frac"] == \
+            pytest.approx(0.25)
         hub.run_finished("k2", request, ok=True, attempts=1, wall_s=1000.0)
         hub.heartbeat(queued=0, running=0)
-        assert hub.heartbeats[-1]["busy_frac"] == 1.0  # clamped
+        assert hub.snapshot.heartbeats[-1]["busy_frac"] == 1.0  # clamped
         hub.close()
 
 
@@ -250,8 +227,8 @@ class TestLptAccuracy:
         hub.run_finished("k1", request, ok=True, attempts=1, wall_s=1.0)
         hub.run_finished("k2", request, ok=False, attempts=1, wall_s=1.0,
                          error="WorkerCrash: boom")
-        assert hub.lpt.summary()["runs"] == 1
-        assert hub.lpt.records[0]["error"] == pytest.approx(1.0)
+        assert hub.snapshot.lpt.summary()["runs"] == 1
+        assert hub.snapshot.lpt.records[0]["error"] == pytest.approx(1.0)
         hub.close()
 
 

@@ -323,14 +323,14 @@ class TestTelemetryHooks:
                      simulate=lambda req, fault: _StubRun(),
                      telemetry=telemetry)
         names = [name for name, _, _ in telemetry.calls]
-        assert names[0] == "run_queued"
-        assert "run_dispatched" in names
+        assert names[0] == "run_dispatched"
         assert "run_finished" in names
         (args, kwargs) = telemetry.of("run_finished")[0]
         assert kwargs["ok"] is True
         assert kwargs["attempts"] == 1
         assert kwargs["wall_s"] >= 0
         assert kwargs["cpu_s"] is not None  # parent-measured in serial
+        assert kwargs["checkpoint"] is None  # no store
 
     def test_retry_and_failure_hooks(self):
         telemetry = _RecordingTelemetry()
@@ -365,7 +365,21 @@ class TestTelemetryHooks:
                      telemetry=telemetry,
                      simulate=lambda req, fault: simulate_run(
                          req.benchmark, req.scheme, req.params))
-        assert telemetry.of("checkpoint_write") == [((), {"ok": True})]
+        (_, kwargs) = telemetry.of("run_finished")[0]
+        assert kwargs["checkpoint"] is True
+        assert not [name for name, _, _ in telemetry.calls
+                    if name.startswith("checkpoint")]
+
+    def test_failed_checkpoint_write_reaches_run_finished(self, tmp_path):
+        store = CheckpointStore(str(tmp_path / "ck.jsonl"),
+                                faults=FaultPlan.parse("ckpt-io#1"))
+        telemetry = _RecordingTelemetry()
+        execute_runs([request()], retry=FAST_RETRY, checkpoint=store,
+                     telemetry=telemetry,
+                     simulate=lambda req, fault: simulate_run(
+                         req.benchmark, req.scheme, req.params))
+        (_, kwargs) = telemetry.of("run_finished")[0]
+        assert kwargs["ok"] is True and kwargs["checkpoint"] is False
 
     def test_pooled_measurements_ride_the_result_pipe(self):
         telemetry = _RecordingTelemetry()
