@@ -10,7 +10,7 @@ process:
   cascades), the semantics of record and the fallback when numpy is
   absent, and
 * **batch** — the vectorized columnar engine (:mod:`repro.core.batch`,
-  the ``pomtlb[fast]`` path), which consumes packed streams.
+  the ``pomtlb[fast]`` path), which reads the same stream columns.
 
 Each scheme is timed **cold** (first run of a fresh machine: demand
 paging, stream debuts, compulsory misses — what a campaign run pays)
@@ -52,7 +52,6 @@ from time import perf_counter
 from repro.core.batch import HAS_NUMPY
 from repro.core.refcheck import ReferenceMachine
 from repro.core.system import Machine
-from repro.workloads.packed import pack_stream
 from repro.workloads.suite import get_profile
 
 SCHEMES = ("baseline", "pom", "pom_skewed", "shared_l2", "tsb")
@@ -115,7 +114,6 @@ def test_bench_engine_throughput(params, bench_json):
                              refs_per_core=params.refs_per_core,
                              seed=params.seed, scale=params.scale)
     warmup = workload.warmup_by_core or workload.warmup_references
-    packed = [pack_stream(s) for s in workload.streams]
     config = params.system_config()
 
     per_scheme = {}
@@ -146,7 +144,7 @@ def test_bench_engine_throughput(params, bench_json):
                   _EngineTimer(scalar, workload.streams, warmup)]
         batch_timer = None
         if HAS_NUMPY:
-            batch_timer = _EngineTimer(batch, packed, warmup)
+            batch_timer = _EngineTimer(batch, workload.streams, warmup)
             timers.append(batch_timer)
         for _ in range(_ROUNDS):
             for timer in timers:

@@ -279,17 +279,16 @@ def _trace_parser() -> argparse.ArgumentParser:
 
 def _trace_main(argv: List[str]) -> int:
     from .common.errors import PackedTraceError, TraceFormatError
-    from .workloads.packed import load_packed, save_packed, unpack_stream
-    from .workloads.trace import load_stream_packed, save_stream
+    from .workloads.packed import load_packed, save_packed
+    from .workloads.trace import load_stream, save_stream, validate_stream
 
     args = _trace_parser().parse_args(argv)
     try:
         if args.action == "pack":
-            stream = load_stream_packed(args.input)
-            # _iter_records already enforced per-record invariants;
+            stream = load_stream(args.input)
+            # The loader already enforced per-record invariants;
             # validate_stream adds cross-record monotonicity so the
             # validated flag in the output is trustworthy.
-            from .workloads.trace import validate_stream
             validate_stream(stream)
             save_packed(args.output, [stream], validated=True)
             print(f"packed {len(stream)} record(s) "
@@ -297,16 +296,13 @@ def _trace_main(argv: List[str]) -> int:
                   f"asid={stream.asid}) -> {args.output}")
         else:
             container = load_packed(args.input)
-            try:
-                if len(container.streams) != 1:
-                    print(f"{args.input}: holds {len(container.streams)} "
-                          "streams (a compiled workload, not a single "
-                          "core trace); the text format is one stream "
-                          "per file", file=sys.stderr)
-                    return EXIT_USAGE
-                stream = unpack_stream(container.streams[0])
-            finally:
-                container.backing.close()
+            if len(container.streams) != 1:
+                print(f"{args.input}: holds {len(container.streams)} "
+                      "streams (a compiled workload, not a single "
+                      "core trace); the text format is one stream "
+                      "per file", file=sys.stderr)
+                return EXIT_USAGE
+            stream = container.streams[0]
             save_stream(stream, args.output)
             print(f"unpacked {len(stream)} record(s) "
                   f"(core={stream.core} vm={stream.vm_id} "

@@ -1,6 +1,6 @@
 """Vectorized columnar batch-replay engine (the ``pomtlb[fast]`` path).
 
-:func:`try_replay` replays packed workload streams through the same
+:func:`try_replay` replays workload streams' columns through the same
 machine state ``Machine.run``'s scalar loop drives, but restructured
 around numpy:
 
@@ -35,9 +35,9 @@ this for all five schemes.
 The engine declines (returns None, recording the reason on the machine)
 whenever any feature needs the scalar per-reference hook order:
 tracing, windowed metrics, fault injection, the consistency verifier,
-write-back modeling, TLB-priority victim selection, tuple (non-packed)
-streams, or numpy being unavailable.  ``Machine.run`` then falls back
-to the scalar loop, which remains the semantics of record.
+write-back modeling, TLB-priority victim selection, or numpy being
+unavailable.  ``Machine.run`` then falls back to the scalar loop, which
+remains the semantics of record.
 """
 
 from __future__ import annotations
@@ -97,7 +97,7 @@ class _StreamState:
     __slots__ = (
         "core", "ctx", "ctx_hash", "touch", "lget", "sget",
         "large_pages", "small_pages", "translate", "resolve",
-        "icounts", "vaddrs", "writebits", "np_va",
+        "vaddrs", "writes", "np_va",
         "cursor", "prev_key", "prev_line",
         "lkeys", "lframes", "llen", "skeys", "sframes", "slen",
         "l1s_sets", "l1l_sets", "l1s_mask", "l1l_mask",
@@ -120,7 +120,7 @@ class _StreamState:
         # it here, at the stream's first replayed reference, keeps the
         # host-memory frame allocation order identical to the scalar
         # engine's.
-        core, ctx, large_pages, small_pages, touch_slow, cols = (
+        core, ctx, large_pages, small_pages, touch_slow = (
             machine._stream_info(stream))
         self.core = core
         self.ctx = ctx
@@ -135,11 +135,9 @@ class _StreamState:
         self.sget = small_pages.get
         self.translate = machine.scheme.translate_packed
         self.resolve = machine.scheme.resolve_packed
-        icounts, vaddrs, writebits = cols
-        self.icounts = icounts
-        self.vaddrs = vaddrs
-        self.writebits = writebits
-        self.np_va = _np.frombuffer(vaddrs, dtype=_np.uint64)
+        self.vaddrs = stream.vaddrs
+        self.writes = stream.writes
+        self.np_va = _np.frombuffer(stream.vaddrs, dtype=_np.uint64)
         self.cursor = 0
         self.prev_key = -1
         self.prev_line = -1
@@ -274,18 +272,10 @@ def try_replay(machine, streams, max_references, warmup_references):
     live = [s for s in streams if len(s)]
     if not live:
         return _decline(machine, "no non-empty streams")
-    cols = []
-    for stream in live:
-        columns = getattr(stream, "columns", None)
-        col = columns() if columns is not None else None
-        if col is None:
-            return _decline(machine, "tuple streams (pack with pomtlb[fast])")
-        cols.append(col)
 
     # -- global merge order -------------------------------------------------
     counts = [len(s) for s in live]
-    ic_parts = [_np.frombuffer(c[0], dtype=_np.uint64, count=n)
-                for c, n in zip(cols, counts)]
+    ic_parts = [_np.frombuffer(s.icounts, dtype=_np.uint64) for s in live]
     for part in ic_parts:
         if part.size > 1 and bool(_np.any(part[1:] < part[:-1])):
             return _decline(machine, "non-monotonic icount column")
@@ -695,7 +685,7 @@ def try_replay(machine, streams, max_references, warmup_references):
                                        else _SMALL_MASK))
                 data_cycles += data_access(
                     st.core, hpa,
-                    is_write=bool((st.writebits[li >> 3] >> (li & 7)) & 1))
+                    is_write=bool(st.writes[li]))
                 if rec_t is not None:
                     rec_t(res[0])
                     if res[1]:

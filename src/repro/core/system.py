@@ -34,7 +34,7 @@ from ..verify.verifier import NO_VERIFIER, Verifier
 from ..vmm.memory_manager import PhysicalMemory
 from ..vmm.thp import ThpPolicy
 from ..vmm.vm import FreedFrames, Host, NativeProcess, ResolvedPage
-from ..workloads.trace import CoreStream, merge_order
+from ..workloads.trace import CoreStream, identity_error, merge_order
 from .batch import resolve_batch_flag
 from .batch import try_replay as _batch_try_replay
 from .mmu import TranslationScheme, make_scheme
@@ -265,12 +265,8 @@ class Machine:
         # ``touch`` so profiling/instrumentation wrappers still see it;
         # resolved pages are served straight from the process dicts.
         touch_slow = partial(self.touch, vm_id, asid)
-        # Packed streams expose columns for the batch engine's
-        # tuple-free replay.
-        columns = getattr(stream, "columns", None)
         return (stream.core, pack_context(vm_id, asid),
-                proc.large_pages, proc.small_pages, touch_slow,
-                columns() if columns is not None else None)
+                proc.large_pages, proc.small_pages, touch_slow)
 
     # -- execution -----------------------------------------------------------
 
@@ -306,9 +302,10 @@ class Machine:
         """
         streams = list(streams)
         for stream in streams:
-            if stream.core >= self.config.num_cores:
-                raise ValueError(
-                    f"stream core {stream.core} >= {self.config.num_cores} cores")
+            problem = identity_error(stream.core, stream.vm_id, stream.asid,
+                                     self.config.num_cores)
+            if problem:
+                raise ValueError(problem)
         pending = sorted(events, key=lambda e: e.position) if events else []
         if self.batch_enabled:
             if pending:
@@ -383,7 +380,7 @@ class Machine:
             s = owner[j]
             info = infos[s]
             if info is None:
-                core, ctx, large_pages, small_pages, touch_slow, _cols = (
+                core, ctx, large_pages, small_pages, touch_slow = (
                     self._stream_info(sources[s]))
                 info = infos[s] = (core, ctx, large_pages.get,
                                    small_pages.get, touch_slow)

@@ -24,12 +24,10 @@ from __future__ import annotations
 from typing import Iterable, List, Optional
 
 from ..common.config import PomTlbConfig, SystemConfig
-from ..core.batch import HAS_NUMPY
 from ..core.perfmodel import estimate
 from ..core.system import Machine
 from ..workloads.lifecycle import (LifecycleWorkload, build_churn,
                                    build_migration, build_shootdown_storm)
-from ..workloads.packed import pack_stream
 from ..workloads.suite import get_profile
 from .report import Report
 from .runner import ExperimentParams
@@ -70,11 +68,6 @@ def _run_scenario(workload: LifecycleWorkload, scheme: str,
     config = SystemConfig(
         num_cores=workload.num_cores,
         pom_tlb=PomTlbConfig(size_bytes=params.pom_size_bytes))
-    streams = workload.streams
-    if params.batch and HAS_NUMPY and not workload.events:
-        streams = [stream if getattr(stream, "columns", None) is not None
-                   else pack_stream(stream, validated=True)
-                   for stream in streams]
     events = workload.events
     if samples is not None:
         events = [_Recorded(e, samples) if e.kind == "destroy_vm" else e
@@ -85,7 +78,7 @@ def _run_scenario(workload: LifecycleWorkload, scheme: str,
                       verify=params.verify or None,
                       batch=params.batch)
     result = machine.run(
-        streams,
+        workload.streams,
         warmup_references=workload.warmup_by_core
         or workload.warmup_references,
         events=events)

@@ -12,10 +12,8 @@ from __future__ import annotations
 
 from time import perf_counter
 
-from ..core.batch import HAS_NUMPY
 from ..core.system import Machine
 from ..obs.profiler import SelfTimeProfiler
-from ..workloads.packed import pack_stream
 from ..workloads.suite import get_profile
 from .report import Report
 from .runner import ExperimentParams
@@ -28,12 +26,6 @@ def profile_benchmark(params: ExperimentParams, benchmark: str,
     workload = profile.build(num_cores=params.num_cores,
                              refs_per_core=params.refs_per_core,
                              seed=params.seed, scale=params.scale)
-    streams = workload.streams
-    if params.batch and HAS_NUMPY:
-        # Same columnarisation the runner performs, so the profile shows
-        # the engine a campaign would actually use.
-        streams = [s if getattr(s, "columns", None) is not None
-                   else pack_stream(s) for s in streams]
     machine = Machine(params.system_config(), scheme=scheme,
                       thp_large_fraction=profile.thp_large_fraction,
                       seed=params.seed, tlb_priority=params.tlb_priority,
@@ -41,7 +33,7 @@ def profile_benchmark(params: ExperimentParams, benchmark: str,
     profiler = SelfTimeProfiler()
     profiler.install(machine)
     started = perf_counter()
-    machine.run(streams,
+    machine.run(workload.streams,
                 warmup_references=workload.warmup_by_core
                 or workload.warmup_references)
     wall = perf_counter() - started

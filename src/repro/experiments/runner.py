@@ -16,12 +16,11 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple
 from ..common import addr
 from ..common.config import PomTlbConfig, PredictorConfig, SystemConfig
 from ..common.errors import ConfigError, RunFailed
-from ..core.batch import HAS_NUMPY, resolve_batch_flag
+from ..core.batch import resolve_batch_flag
 from ..core.perfmodel import PerformanceEstimate, estimate
 from ..core.system import Machine, SimulationResult
 from ..faults import RaiseAtTranslation, corrupt_streams
 from ..obs import Observability
-from ..workloads.packed import pack_stream
 from ..workloads.suite import BENCHMARKS, get_profile
 from ..workloads.trace import validate_stream
 
@@ -154,9 +153,9 @@ def simulate_run(benchmark: str, scheme: str, params: ExperimentParams,
     the packed bytes on its run request, see
     :func:`repro.resilience.workers.simulate_request`) instead of
     regenerating one; results are bit-identical either way.  Streams
-    whose ``validated`` flag is set (checked before packing) skip
-    re-validation — any mutation, including the ``corrupt-trace``
-    fault, clears the flag, so damage is still caught.
+    whose ``validated`` flag is set skip re-validation — any mutation,
+    including the ``corrupt-trace`` fault, clears the flag, so damage
+    is still caught.
     """
     profile = get_profile(benchmark)
     if workload is None:
@@ -166,19 +165,10 @@ def simulate_run(benchmark: str, scheme: str, params: ExperimentParams,
     if fault is not None and fault[0] == "corrupt-trace":
         corrupt_streams(workload.streams)
     for stream in workload.streams:
-        if not getattr(stream, "validated", False):
+        if not stream.validated:
             validate_stream(stream)
     machine_faults = (RaiseAtTranslation(fault[1])
                       if fault is not None and fault[0] == "raise" else None)
-    streams = workload.streams
-    if params.batch and HAS_NUMPY:
-        # The batch engine consumes columnar streams; compiled
-        # workloads already are packed, fresh builds are columnarised
-        # here (validated just above, so the flag is trustworthy).
-        # Packed and tuple streams replay bit-identically either way.
-        streams = [stream if getattr(stream, "columns", None) is not None
-                   else pack_stream(stream, validated=True)
-                   for stream in streams]
     machine = Machine(params.system_config(), scheme=scheme,
                       thp_large_fraction=profile.thp_large_fraction,
                       seed=params.seed,
@@ -187,7 +177,7 @@ def simulate_run(benchmark: str, scheme: str, params: ExperimentParams,
                       verify=params.verify or None,
                       batch=params.batch)
     result = machine.run(
-        streams,
+        workload.streams,
         warmup_references=workload.warmup_by_core
         or workload.warmup_references)
     anchor = profile.anchor(virtualized=params.virtualized)

@@ -209,17 +209,16 @@ class RaiseAtTranslation:
 
 
 def corrupt_streams(streams) -> None:
-    """Corrupt one record of the first non-empty stream, in place.
+    """Corrupt one record of the first stream with >= 2 records, in place.
 
-    The middle reference's address is replaced with ``-1`` — exactly the
-    kind of damage a truncated or bit-flipped trace file produces, and
-    what strict validation must reject.
+    Record ``(n-1)//2`` gets the last icount plus one, so the record
+    after it goes backwards — the kind of damage a torn or bit-flipped
+    trace file produces, and what strict validation must reject.  The
+    stream's ``validated`` flag is cleared.
     """
     for stream in streams:
-        refs = list(stream.references)
-        if not refs:
-            continue
-        middle = len(refs) // 2
-        refs[middle] = refs[middle]._replace(vaddr=-1)
-        stream.references = refs
-        return
+        icounts = stream.icounts
+        if len(icounts) >= 2:
+            icounts[(len(icounts) - 1) // 2] = icounts[-1] + 1
+            stream.validated = False
+            return

@@ -95,7 +95,7 @@ def _counters(result: SimulationResult) -> Dict[str, int]:
 
 
 def _total_references(streams: Sequence[CoreStream]) -> int:
-    return sum(len(stream.references) for stream in streams)
+    return sum(len(stream) for stream in streams)
 
 
 def _drop_window(streams: Sequence[CoreStream], start: int,
@@ -104,14 +104,15 @@ def _drop_window(streams: Sequence[CoreStream], start: int,
     out: List[CoreStream] = []
     offset = 0
     for stream in streams:
-        refs = list(stream.references)
         lo = max(0, start - offset)
         hi = max(0, start + length - offset)
-        kept = refs[:lo] + refs[hi:]
-        offset += len(refs)
-        if kept:
-            out.append(CoreStream(core=stream.core, vm_id=stream.vm_id,
-                                  asid=stream.asid, references=kept))
+        offset += len(stream)
+        kept = CoreStream(stream.core, stream.vm_id, stream.asid)
+        kept.icounts = stream.icounts[:lo] + stream.icounts[hi:]
+        kept.vaddrs = stream.vaddrs[:lo] + stream.vaddrs[hi:]
+        kept.writes = stream.writes[:lo] + stream.writes[hi:]
+        if len(kept):
+            out.append(kept)
     return out
 
 

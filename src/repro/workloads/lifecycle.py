@@ -27,6 +27,7 @@ warmup included), so scenarios are deterministic and engine-independent.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -120,8 +121,8 @@ def _shifted(stream: CoreStream, offset: int) -> CoreStream:
     """The same stream with every icount shifted by ``offset``."""
     if not offset:
         return stream
-    stream.references = [MemoryReference(ic + offset, va, w)
-                         for ic, va, w in stream.references]
+    stream.icounts = array("Q", [ic + offset for ic in stream.icounts])
+    stream.validated = False
     return stream
 
 
@@ -162,7 +163,7 @@ def build_churn(benchmarks: Sequence[str], generations: int = 5,
             stream.vm_id = vm_id
             _shifted(stream, offsets[slot])
             # Next generation on this core starts strictly after us.
-            offsets[slot] = stream.references[-1][0] + profile.inst_per_ref
+            offsets[slot] = stream.instructions + profile.inst_per_ref
             streams.append(stream)
             thp[vm_id] = profile.thp_large_fraction
             stream_vm[id(stream)] = vm_id

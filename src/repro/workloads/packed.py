@@ -1,26 +1,21 @@
-"""Packed binary trace format: columnar streams for campaign-scale replay.
+"""Packed binary trace format: a workload's streams in one container.
 
 The text ``#pomtlb-trace`` format (:mod:`repro.workloads.trace`) is
-greppable but expensive to hold: a :class:`MemoryReference` namedtuple
-costs ~120 bytes of heap per record and must be re-parsed on every load.
-This module stores the same records as three per-stream *columns* —
-``icount`` and ``vaddr`` as little-endian 64-bit arrays plus a write
-bitmap at one bit per record (17 bytes/record total) — inside a single
-fixed-header container that can be
+greppable but must be re-parsed on every load.  This module stores the
+same records as three per-stream columns — ``icount`` and ``vaddr`` as
+little-endian 64-bit arrays plus a write bitmap at one bit per record
+(17 bytes/record total) — inside a single fixed-header container that
+is attached as bytes to a campaign run request (the parent compiles
+each distinct workload once) or written atomically to a ``.pwl`` file
+(``pomtlb trace pack``, audit repro artifacts).
 
-* attached as bytes to a campaign run request (the parent compiles each
-  distinct workload once) or written atomically to a ``.pwl`` file
-  (``pomtlb trace pack``, audit repro artifacts),
-* decoded **zero-copy** from bytes or a memory-mapped file (decoding
-  builds ``memoryview`` casts over the source buffer; no per-record
-  object is materialised), and
-* replayed directly by the simulator's hot loop
-  (:meth:`repro.core.system.Machine.run` reads the columns without
-  constructing ``MemoryReference`` tuples).
-
-Round-tripping is exact: packing then unpacking reproduces the original
-records bit for bit, which is what lets the campaign prove byte-identical
-reports whether a run replays a generated or a packed workload
+Decoding copies each column into a fresh
+:class:`~repro.workloads.trace.CoreStream` (``array('Q')`` columns,
+byteswapped on big-endian hosts; the bitmap unpacked to one byte per
+record), so every decode owns its streams.  Round-tripping is exact:
+encoding then decoding reproduces the original records bit for bit,
+which is what lets the campaign prove byte-identical reports whether a
+run replays a generated or a packed workload
 (tests/integration/test_workload_equivalence.py).
 
 Container layout (all integers little-endian)::
@@ -38,22 +33,21 @@ Container layout (all integers little-endian)::
 verify the CRC-32 (computed over the whole container with the CRC field
 zeroed, so header damage is caught too) and propagate the flag so
 replays skip re-validation.  A ``.gz`` suffix gzips the whole
-container (decoded from a decompressed copy — gzip forfeits zero-copy).
+container.
 """
 
 from __future__ import annotations
 
 import gzip
-import mmap
 import struct
 import sys
 import zlib
 from array import array
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from ..common.errors import PackedTraceError
 from ..common.fileio import atomic_write_bytes
-from .trace import MemoryReference
+from .trace import CoreStream, identity_error
 
 #: Bumped when the container layout changes; loaders reject other
 #: versions.
@@ -87,284 +81,72 @@ BYTES_PER_RECORD = 17
 
 _LITTLE_ENDIAN = sys.byteorder == "little"
 
-_BOOLS = (False, True)
+# The write bitmap is converted through a binary-digit string: record i
+# is bit i of one little-endian integer.
+_TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+_FROM_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
-def _u64_column(view: memoryview) -> Sequence[int]:
-    """A random-access u64 sequence over ``view`` (little-endian bytes).
-
-    Zero-copy on little-endian hosts (a ``memoryview`` cast); big-endian
-    hosts fall back to a byte-swapped ``array('Q')`` copy so the on-disk
-    format stays portable.
-    """
-    if _LITTLE_ENDIAN:
-        return view.cast("Q")
-    column = array("Q")
-    column.frombytes(view)
-    column.byteswap()
-    return column
+def _bitmap(writes) -> bytes:
+    """One bit per record (LSB-first) from one 0/1 byte per record."""
+    if not writes:
+        return b""
+    return int(writes[::-1].translate(_TO_DIGITS), 2).to_bytes(
+        (len(writes) + 7) >> 3, "little")
 
 
-class _RefView(Sequence):
-    """Lazy ``Sequence[MemoryReference]`` over a stream's packed columns.
-
-    Only the cold paths (interleave heap boundaries, hand-written tests,
-    ``corrupt_streams``) materialise tuples through this view; the
-    simulator's hot loop reads the columns directly.
-    """
-
-    __slots__ = ("_icounts", "_vaddrs", "_writebits", "_count")
-
-    def __init__(self, icounts, vaddrs, writebits, count: int) -> None:
-        self._icounts = icounts
-        self._vaddrs = vaddrs
-        self._writebits = writebits
-        self._count = count
-
-    def __len__(self) -> int:
-        return self._count
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(self._count))]
-        if index < 0:
-            index += self._count
-        if not 0 <= index < self._count:
-            raise IndexError(index)
-        return MemoryReference(
-            self._icounts[index], self._vaddrs[index],
-            _BOOLS[(self._writebits[index >> 3] >> (index & 7)) & 1])
-
-    def __iter__(self) -> Iterator[MemoryReference]:
-        icounts, vaddrs, writebits = self._icounts, self._vaddrs, self._writebits
-        for i in range(self._count):
-            yield MemoryReference(icounts[i], vaddrs[i],
-                                  _BOOLS[(writebits[i >> 3] >> (i & 7)) & 1])
+def _unbitmap(bitmap, count: int) -> bytearray:
+    """The inverse of :func:`_bitmap` for a ``count``-record stream."""
+    digits = format(int.from_bytes(bitmap, "little"), f"0{len(bitmap) * 8}b")
+    return bytearray(digits[::-1][:count].encode("ascii")
+                     .translate(_FROM_DIGITS))
 
 
-class PackedStream:
-    """A core's reference stream backed by columnar arrays.
-
-    Duck-compatible with :class:`~repro.workloads.trace.CoreStream`
-    everywhere the simulator and tooling touch streams: ``core`` /
-    ``vm_id`` / ``asid``, iteration, ``len``, ``instructions`` and the
-    ``references`` sequence.  Assigning ``references`` (what the
-    ``corrupt-trace`` fault does) *de-packs* the stream: the columns are
-    dropped, the replacement records become the backing store, and
-    ``validated`` resets so strict validation sees the damage.
-    """
-
-    __slots__ = ("core", "vm_id", "asid", "validated",
-                 "_icounts", "_vaddrs", "_writebits", "_count", "_refs")
-
-    def __init__(self, core: int, vm_id: int, asid: int,
-                 icounts, vaddrs, writebits, count: int,
-                 validated: bool = False) -> None:
-        self.core = core
-        self.vm_id = vm_id
-        self.asid = asid
-        self.validated = validated
-        self._icounts = icounts
-        self._vaddrs = vaddrs
-        self._writebits = writebits
-        self._count = count
-        self._refs: Optional[List[MemoryReference]] = None
-
-    # -- CoreStream protocol --------------------------------------------------
-
-    @property
-    def references(self) -> Sequence[MemoryReference]:
-        if self._refs is not None:
-            return self._refs
-        return _RefView(self._icounts, self._vaddrs, self._writebits,
-                        self._count)
-
-    @references.setter
-    def references(self, refs) -> None:
-        # De-pack: whoever replaces the records (fault injection, hand
-        # editing in tests) gets plain-list semantics and, crucially,
-        # loses the validated waiver.
-        self._refs = list(refs)
-        self._count = len(self._refs)
-        self._icounts = self._vaddrs = self._writebits = None
-        self.validated = False
-
-    def __iter__(self) -> Iterator[MemoryReference]:
-        return iter(self.references)
-
-    def __len__(self) -> int:
-        return len(self._refs) if self._refs is not None else self._count
-
-    @property
-    def instructions(self) -> int:
-        """Instructions the stream represents (icount of the last ref)."""
-        if self._refs is not None:
-            return self._refs[-1].icount if self._refs else 0
-        return self._icounts[self._count - 1] if self._count else 0
-
-    # -- hot-loop access ------------------------------------------------------
-
-    @property
-    def icounts(self) -> Optional[Sequence[int]]:
-        """The icount column, or None once the stream was de-packed."""
-        return self._icounts if self._refs is None else None
-
-    def columns(self) -> Optional[Tuple]:
-        """(icounts, vaddrs, writebits) for columnar replay, or None."""
-        if self._refs is not None:
-            return None
-        return self._icounts, self._vaddrs, self._writebits
-
-    def view(self) -> "PackedStream":
-        """A fresh stream sharing these columns.
-
-        Hands each simulation its own mutation scope: a run that
-        de-packs its view (corrupt-trace fault) cannot damage the shared
-        backing, so one compiled workload can feed many runs.
-        """
-        if self._refs is not None:
-            clone = PackedStream(self.core, self.vm_id, self.asid,
-                                 None, None, None, 0, validated=False)
-            clone._refs = list(self._refs)
-            clone._count = len(clone._refs)
-            return clone
-        return PackedStream(self.core, self.vm_id, self.asid,
-                            self._icounts, self._vaddrs, self._writebits,
-                            self._count, validated=self.validated)
-
-    def release(self) -> None:
-        """Drop the column references (see :class:`PackedBuffer`)."""
-        self._icounts = self._vaddrs = self._writebits = None
-        if self._refs is None:
-            self._refs = []
-            self._count = 0
-        self.validated = False
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"PackedStream(core={self.core}, vm={self.vm_id}, "
-                f"asid={self.asid}, refs={len(self)}, "
-                f"validated={self.validated})")
-
-
-def pack_stream(stream, validated: bool = False) -> PackedStream:
-    """Columnarise one stream (CoreStream or de-packed PackedStream)."""
-    refs = stream.references
-    count = len(refs)
-    icounts = array("Q", (ref[0] for ref in refs))
-    vaddrs = array("Q", (ref[1] for ref in refs))
-    writebits = bytearray((count + 7) >> 3)
-    for i, ref in enumerate(refs):
-        if ref[2]:
-            writebits[i >> 3] |= 1 << (i & 7)
-    return PackedStream(stream.core, stream.vm_id, stream.asid,
-                        icounts, vaddrs, bytes(writebits), count,
-                        validated=validated)
-
-
-def unpack_stream(stream: PackedStream):
-    """The list-backed :class:`CoreStream` equivalent of ``stream``."""
-    from .trace import CoreStream
-
-    return CoreStream(core=stream.core, vm_id=stream.vm_id,
-                      asid=stream.asid, references=list(stream.references))
-
-
-class PackedBuffer:
-    """Owns the buffer behind a decoded workload and its exported views.
-
-    Decoding is zero-copy, which means the bytes or mmap must outlive
-    every column view cut from it.  The buffer object rides on the
-    decoded workload (``workload.backing``); :meth:`close` releases the
-    views *first* (streams drop their columns) and only then closes the
-    underlying map — closing an mmap with exported views raises
-    ``BufferError`` otherwise.
-    """
-
-    def __init__(self, owner=None, views: Optional[List[memoryview]] = None,
-                 streams: Optional[List[PackedStream]] = None) -> None:
-        self._owner = owner
-        self._views = views or []
-        self._streams = streams or []
-        self.closed = False
-
-    def adopt(self, streams: List[PackedStream]) -> None:
-        self._streams = list(streams)
-
-    def close(self) -> None:
-        """Release column views and close the backing map (idempotent)."""
-        if self.closed:
-            return
-        self.closed = True
-        for stream in self._streams:
-            stream.release()
-        self._streams = []
-        for view in reversed(self._views):
-            try:
-                view.release()
-            except BufferError:  # pragma: no cover - still-exported view
-                pass
-        self._views = []
-        owner = self._owner
-        self._owner = None
-        if owner is not None:
-            owner.close()
+def pack_stream(stream: CoreStream, validated: bool = False) -> CoreStream:
+    """A copy of ``stream`` (fresh columns) carrying ``validated``."""
+    copy = CoreStream(stream.core, stream.vm_id, stream.asid)
+    copy.icounts = stream.icounts[:]
+    copy.vaddrs = stream.vaddrs[:]
+    copy.writes = stream.writes[:]
+    copy.validated = validated
+    return copy
 
 
 # -- encoding ------------------------------------------------------------------
 
-def _column_bytes(column) -> bytes:
-    if isinstance(column, array):
-        if not _LITTLE_ENDIAN:  # pragma: no cover - big-endian host
-            column = array("Q", column)
-            column.byteswap()
-        return column.tobytes()
-    if isinstance(column, memoryview):
-        return column.tobytes() if _LITTLE_ENDIAN else _swapped(column)
-    return bytes(column)
+def _column_bytes(column: array) -> bytes:
+    if not _LITTLE_ENDIAN:  # pragma: no cover - big-endian host
+        column = column[:]
+        column.byteswap()
+    return column.tobytes()
 
 
-def _swapped(view: memoryview) -> bytes:  # pragma: no cover - big-endian
-    swap = array("Q")
-    swap.frombytes(view)
-    swap.byteswap()
-    return swap.tobytes()
-
-
-def encode_streams(streams: Sequence, benchmark: str = "",
+def encode_streams(streams: Sequence[CoreStream], benchmark: str = "",
                    seed: int = 0, scale: float = 0.0,
                    warmup_by_core: Optional[Dict[int, int]] = None,
                    validated: bool = False) -> bytes:
     """Serialise streams into one packed container (as ``bytes``).
 
-    ``streams`` may mix :class:`PackedStream` and ``CoreStream``; list-
-    backed streams are columnarised on the way out.  ``validated`` sets
-    the header flag — callers assert it only after running
-    :func:`~repro.workloads.trace.validate_stream` on every stream.
+    ``validated`` sets the header flag — callers assert it only after
+    running :func:`~repro.workloads.trace.validate_stream` on every
+    stream.
     """
     warmups = warmup_by_core or {}
     name = benchmark.encode("utf-8")
     table = bytearray()
     payload = bytearray()
     total = 0
-    packed_streams: List[PackedStream] = []
     for stream in streams:
-        packed = (stream if isinstance(stream, PackedStream)
-                  and stream.columns() is not None else pack_stream(stream))
-        packed_streams.append(packed)
-    for packed in packed_streams:
-        count = len(packed)
+        count = len(stream)
         total += count
-        table += _STREAM.pack(packed.core, packed.vm_id, packed.asid,
-                              count, warmups.get(packed.core, 0))
-    for packed in packed_streams:
-        icounts, vaddrs, writebits = packed.columns()
-        payload += _column_bytes(icounts)
-        payload += _column_bytes(vaddrs)
-        payload += bytes(writebits)
+        table += _STREAM.pack(stream.core, stream.vm_id, stream.asid,
+                              count, warmups.get(stream.core, 0))
+        payload += _column_bytes(stream.icounts)
+        payload += _column_bytes(stream.vaddrs)
+        payload += _bitmap(stream.writes)
     body = name + bytes(table) + bytes(payload)
     flags = FLAG_VALIDATED if validated else 0
-    header = _HEADER.pack(MAGIC, FORMAT_VERSION, flags,
-                          len(packed_streams), 0,
+    header = _HEADER.pack(MAGIC, FORMAT_VERSION, flags, len(streams), 0,
                           seed, scale, total, sum(warmups.values()),
                           len(name))
     crc = _container_crc(header, body)
@@ -385,12 +167,11 @@ def encode_workload(workload, validated: bool = False) -> bytes:
 # -- decoding ------------------------------------------------------------------
 
 class DecodedContainer:
-    """A parsed container: stream columns plus the header metadata."""
+    """A parsed container: its streams plus the header metadata."""
 
     def __init__(self, benchmark: str, seed: int, scale: float,
-                 validated: bool, streams: List[PackedStream],
-                 warmup_by_core: Dict[int, int], warmup_total: int,
-                 backing: PackedBuffer) -> None:
+                 validated: bool, streams: List[CoreStream],
+                 warmup_by_core: Dict[int, int], warmup_total: int) -> None:
         self.benchmark = benchmark
         self.seed = seed
         self.scale = scale
@@ -398,45 +179,41 @@ class DecodedContainer:
         self.streams = streams
         self.warmup_by_core = warmup_by_core
         self.warmup_total = warmup_total
-        self.backing = backing
 
     def workload(self, profile=None):
-        """Rehydrate the suite :class:`Workload` this container stores.
+        """The suite :class:`Workload` this container stores.
 
         ``profile`` defaults to the suite profile named in the header.
-        Streams are fresh :meth:`PackedStream.view`\\ s sharing the
-        container's columns, so one container feeds many runs: a run
-        that mutates its streams (the ``corrupt-trace`` fault de-packs
-        them) cannot taint a sibling run or the shared backing.  The
-        workload keeps a reference to the container's
-        :class:`PackedBuffer` (``workload.backing``) so zero-copy
-        columns stay alive as long as the workload does.
+        The workload replays this container's own streams; a run that
+        may mutate them (the ``corrupt-trace`` fault) decodes its own
+        container.
         """
         from .suite import Workload, get_profile
 
         if profile is None:
             profile = get_profile(self.benchmark)
-        workload = Workload(profile=profile,
-                            streams=[s.view() for s in self.streams],
-                            warmup_references=self.warmup_total,
-                            seed=self.seed, scale=self.scale,
-                            warmup_by_core=dict(self.warmup_by_core))
-        workload.backing = self.backing
-        return workload
+        return Workload(profile=profile, streams=list(self.streams),
+                        warmup_references=self.warmup_total,
+                        seed=self.seed, scale=self.scale,
+                        warmup_by_core=dict(self.warmup_by_core))
 
 
-def decode_container(buffer, path: str = "", owner=None,
-                     verify_crc: bool = True) -> DecodedContainer:
-    """Parse a packed container from any bytes-like buffer, zero-copy.
+def _u64_column(view: memoryview) -> array:
+    column = array("Q")
+    column.frombytes(view)
+    if not _LITTLE_ENDIAN:  # pragma: no cover - big-endian host
+        column.byteswap()
+    return column
 
-    ``owner`` (an mmap or other object with ``close()``)
-    is adopted by the returned container's :class:`PackedBuffer` so its
-    lifetime is tied to the decoded streams.  Raises
-    :class:`~repro.common.errors.PackedTraceError` on any damage —
-    truncation, bad magic, version skew, or CRC mismatch.
+
+def decode_container(buffer, path: str = "") -> DecodedContainer:
+    """Parse a packed container from any bytes-like buffer.
+
+    Raises :class:`~repro.common.errors.PackedTraceError` on any damage
+    — truncation, bad magic, version skew, CRC mismatch, or a stream
+    identity no machine can run.
     """
     view = memoryview(buffer)
-    views = [view]
     try:
         if len(view) < _HEADER.size:
             raise PackedTraceError("truncated packed trace (no header)",
@@ -450,10 +227,8 @@ def decode_container(buffer, path: str = "", owner=None,
             raise PackedTraceError(
                 f"unsupported packed-trace version {version} "
                 f"(expected {FORMAT_VERSION})", path=path)
-        body = view[_HEADER.size:]
-        views.append(body)
-        if verify_crc and _container_crc(bytes(view[:_HEADER.size]),
-                                         body) != crc:
+        if _container_crc(bytes(view[:_HEADER.size]),
+                          view[_HEADER.size:]) != crc:
             raise PackedTraceError(
                 "checksum mismatch (corrupted packed trace)", path=path)
         offset = _HEADER.size
@@ -466,37 +241,33 @@ def decode_container(buffer, path: str = "", owner=None,
         table_end = offset + nstreams * _STREAM.size
         if table_end > len(view):
             raise PackedTraceError("truncated stream table", path=path)
-        entries = []
-        expected = 0
-        for i in range(nstreams):
-            entry = _STREAM.unpack(
-                view[offset + i * _STREAM.size:
-                     offset + (i + 1) * _STREAM.size])
-            entries.append(entry)
-            expected += entry[3]
+        entries = list(_STREAM.iter_unpack(view[offset:table_end]))
+        expected = sum(entry[3] for entry in entries)
         if expected != total:
             raise PackedTraceError(
                 f"stream table sums to {expected} records, header "
                 f"says {total}", path=path)
         validated = bool(flags & FLAG_VALIDATED)
         offset = table_end
-        streams: List[PackedStream] = []
+        streams: List[CoreStream] = []
         warmup_by_core: Dict[int, int] = {}
-        for core, vm_id, asid, count, warmup in entries:
+        for index, (core, vm_id, asid, count, warmup) in enumerate(entries):
+            problem = identity_error(core, vm_id, asid)
+            if problem:
+                raise PackedTraceError(f"stream {index}: {problem}",
+                                       path=path)
             ic_end = offset + count * 8
             va_end = ic_end + count * 8
             wb_end = va_end + ((count + 7) >> 3)
             if wb_end > len(view):
                 raise PackedTraceError("truncated column payload",
                                        path=path)
-            ic_view = view[offset:ic_end]
-            va_view = view[ic_end:va_end]
-            wb_view = view[va_end:wb_end]
-            views += [ic_view, va_view, wb_view]
-            streams.append(PackedStream(
-                core, vm_id, asid,
-                _u64_column(ic_view), _u64_column(va_view), wb_view,
-                count, validated=validated))
+            stream = CoreStream(core, vm_id, asid)
+            stream.icounts = _u64_column(view[offset:ic_end])
+            stream.vaddrs = _u64_column(view[ic_end:va_end])
+            stream.writes = _unbitmap(view[va_end:wb_end], count)
+            stream.validated = validated
+            streams.append(stream)
             if warmup:
                 warmup_by_core[core] = warmup
             offset = wb_end
@@ -504,28 +275,18 @@ def decode_container(buffer, path: str = "", owner=None,
             raise PackedTraceError(
                 f"{len(view) - offset} trailing byte(s) after payload",
                 path=path)
-    except (PackedTraceError, struct.error) as exc:
-        for pending in reversed(views):
-            try:
-                pending.release()
-            except BufferError:  # pragma: no cover
-                pass
-        if owner is not None:
-            owner.close()
-        if isinstance(exc, struct.error):
-            raise PackedTraceError(f"malformed packed trace ({exc})",
-                                   path=path) from None
-        raise
-    backing = PackedBuffer(owner=owner, views=views, streams=streams)
+    except struct.error as exc:
+        raise PackedTraceError(f"malformed packed trace ({exc})",
+                               path=path) from None
     return DecodedContainer(benchmark=benchmark, seed=seed, scale=scale,
                             validated=validated, streams=streams,
                             warmup_by_core=warmup_by_core,
-                            warmup_total=warmup_total, backing=backing)
+                            warmup_total=warmup_total)
 
 
 # -- files ---------------------------------------------------------------------
 
-def save_packed(path: str, streams: Sequence, benchmark: str = "",
+def save_packed(path: str, streams: Sequence[CoreStream], benchmark: str = "",
                 seed: int = 0, scale: float = 0.0,
                 warmup_by_core: Optional[Dict[int, int]] = None,
                 validated: bool = False) -> None:
@@ -547,11 +308,9 @@ def save_packed_workload(path: str, workload, validated: bool = False) -> None:
                 warmup_by_core=workload.warmup_by_core, validated=validated)
 
 
-def load_packed(path: str, use_mmap: bool = True) -> DecodedContainer:
-    """Load a packed container from disk.
+def load_packed(path: str) -> DecodedContainer:
+    """Load a packed container from disk (gzip when ``path`` is .gz).
 
-    Plain files are memory-mapped so the columns alias the page cache
-    (zero-copy); gzip files decompress into one bytes object first.
     Raises :class:`~repro.common.errors.PackedTraceError` on damage and
     ``OSError`` on I/O failure.
     """
@@ -562,14 +321,7 @@ def load_packed(path: str, use_mmap: bool = True) -> DecodedContainer:
         except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
             raise PackedTraceError(f"torn gzip container ({exc})",
                                    path=path) from None
-        return decode_container(blob, path=path)
-    with open(path, "rb") as handle:
-        if use_mmap:
-            try:
-                mapped = mmap.mmap(handle.fileno(), 0,
-                                   access=mmap.ACCESS_READ)
-            except ValueError:  # empty file cannot be mapped
-                raise PackedTraceError("truncated packed trace (empty file)",
-                                       path=path) from None
-            return decode_container(mapped, path=path, owner=mapped)
-        return decode_container(handle.read(), path=path)
+    else:
+        with open(path, "rb") as handle:
+            blob = handle.read()
+    return decode_container(blob, path=path)

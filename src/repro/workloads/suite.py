@@ -27,7 +27,7 @@ from ..common import addr
 from ..common.rng import make_rng
 from ..core.perfmodel import BaselineAnchor
 from . import graphgen, synthetic
-from .trace import CoreStream, MemoryReference
+from .trace import CoreStream
 
 #: All patterns the suite can reference.
 PATTERNS = dict(synthetic.PATTERNS)
@@ -115,24 +115,27 @@ class BenchmarkProfile:
             prologue = not (self.multithreaded and core > 0)
             icount_start = (0 if prologue
                             else self.footprint_pages(scale) * self.inst_per_ref)
-            refs, warmup = self._stream_refs(rng, refs_per_core, scale,
-                                             stagger=core, bases=bases,
-                                             prologue=prologue,
-                                             icount_start=icount_start)
+            stream = CoreStream(core=core, vm_id=vm_id, asid=asid)
+            warmup = self._fill_stream(stream, rng, refs_per_core, scale,
+                                       stagger=core, bases=bases,
+                                       prologue=prologue,
+                                       icount_start=icount_start)
             warmup_total += warmup
             if warmup:
                 warmup_by_core[core] = warmup
-            streams.append(CoreStream(core=core, vm_id=vm_id, asid=asid,
-                                      references=refs))
+            streams.append(stream)
         return Workload(profile=self, streams=streams,
                         warmup_references=warmup_total, seed=seed,
                         scale=scale, warmup_by_core=warmup_by_core)
 
-    def _stream_refs(self, rng: random.Random, refs: int, scale: float,
-                     stagger: int, bases: List[int], prologue: bool = True,
-                     icount_start: int = 0) -> Tuple[List[MemoryReference], int]:
+    def _fill_stream(self, stream: CoreStream, rng: random.Random,
+                     refs: int, scale: float, stagger: int, bases: List[int],
+                     prologue: bool = True, icount_start: int = 0) -> int:
+        """Append the stream's records; returns its prologue's length."""
         regions = [(r, max(16, int(r.pages * scale))) for r in self.regions]
-        out: List[MemoryReference] = []
+        add_icount = stream.icounts.append
+        add_vaddr = stream.vaddrs.append
+        add_write = stream.writes.append
         icount = icount_start
         ipr = self.inst_per_ref
         wfrac = self.write_fraction
@@ -143,8 +146,10 @@ class BenchmarkProfile:
                 base = bases[index]
                 for page in range(pages):
                     icount += ipr
-                    out.append(MemoryReference(icount, base + page * 4096, False))
-        warmup = len(out)
+                    add_icount(icount)
+                    add_vaddr(base + page * 4096)
+                    add_write(False)
+        warmup = len(stream)
 
         # Measured phase: weighted interleave of the region generators.
         generators = []
@@ -175,13 +180,13 @@ class BenchmarkProfile:
                 icount += ipr
                 offset = (line * 64 if sequentialish
                           else rng.randrange(64) * 64)
-                out.append(MemoryReference(
-                    icount, page_base + (offset & 4095),
-                    rng.random() < wfrac))
+                add_icount(icount)
+                add_vaddr(page_base + (offset & 4095))
+                add_write(rng.random() < wfrac)
                 emitted += 1
                 if emitted >= refs:
                     break
-        return out, warmup
+        return warmup
 
 
 

@@ -10,6 +10,14 @@ Records are deliberately minimal — ``(icount, vaddr, write)`` — page
 sizes and physical placement are decided by the simulated OS (THP policy
 + demand paging), exactly as in the paper's methodology where pagemap
 metadata comes from the OS, not the application.
+
+:class:`CoreStream` is the one stream type.  It holds its records as
+columns — ``icounts`` and ``vaddrs`` as ``array('Q')``, ``writes`` as
+one 0/1 byte per record — so generation, the text loader and the
+packed codec (:mod:`repro.workloads.packed`) write columns directly and
+both replay engines read them without building per-record objects.
+``references`` is a read-only :class:`MemoryReference` view for the
+cold paths (:func:`interleave`, the reference engine, trace analysis).
 """
 
 from __future__ import annotations
@@ -17,12 +25,21 @@ from __future__ import annotations
 import gzip
 import io
 from array import array
-from dataclasses import dataclass, field
 from itertools import islice, repeat
 from operator import gt
-from typing import Iterable, Iterator, List, NamedTuple, Sequence, Tuple
+from typing import (Iterable, Iterator, List, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 from ..common.errors import TraceFormatError
+from ..tlb.entry import KEY_ASID_MASK, KEY_VM_MASK
+
+#: Virtual addresses are at most this many bits; anything wider in a
+#: trace is corruption (a flipped sign bit, a torn write), not a bigger
+#: machine.
+MAX_ADDRESS_BITS = 64
+_MAX_VADDR = (1 << MAX_ADDRESS_BITS) - 1
+
+_BOOLS = (False, True)
 
 
 class MemoryReference(NamedTuple):
@@ -33,25 +50,136 @@ class MemoryReference(NamedTuple):
     write: bool  # store (True) or load (False)
 
 
-@dataclass
-class CoreStream:
-    """The reference stream one core executes, plus its software context."""
+def identity_error(core: int, vm_id: int, asid: int,
+                   num_cores: Optional[int] = None) -> str:
+    """Why ``(core, vm_id, asid)`` cannot name a stream ('' if it can).
 
-    core: int
-    vm_id: int
-    asid: int
-    references: Sequence[MemoryReference] = field(default_factory=list)
+    VM ids and ASIDs must fit the 16-bit fields of a packed TLB key;
+    ``num_cores`` (when known) bounds the core.
+    """
+    if core < 0:
+        return f"stream core {core} is negative"
+    if num_cores is not None and core >= num_cores:
+        return f"stream core {core} >= {num_cores} cores"
+    if not 0 <= vm_id <= KEY_VM_MASK:
+        return f"stream vm {vm_id} outside 0..{KEY_VM_MASK}"
+    if not 0 <= asid <= KEY_ASID_MASK:
+        return f"stream asid {asid} outside 0..{KEY_ASID_MASK}"
+    return ""
+
+
+class CoreStream:
+    """The reference stream one core executes, plus its software context.
+
+    ``CoreStream(core, vm_id, asid, references=records)`` converts the
+    records to columns once; a negative icount or an address outside 64
+    bits raises :class:`TraceFormatError` naming the record.
+    ``validated`` records that :func:`validate_stream` passed since the
+    columns were last edited: whoever edits them clears it.
+    """
+
+    __slots__ = ("core", "vm_id", "asid", "icounts", "vaddrs", "writes",
+                 "validated")
+
+    def __init__(self, core: int, vm_id: int, asid: int,
+                 references: Iterable[Sequence] = ()) -> None:
+        self.core = core
+        self.vm_id = vm_id
+        self.asid = asid
+        self.validated = False
+        self.icounts = array("Q")
+        self.vaddrs = array("Q")
+        #: one byte per reference: 1 for a store, 0 for a load
+        self.writes = bytearray()
+        refs = list(references)
+        if refs:
+            icounts, vaddrs, writes = zip(*refs)
+            try:
+                self.icounts = array("Q", icounts)
+                self.vaddrs = array("Q", vaddrs)
+            except OverflowError:
+                _reject_record(refs)
+                raise
+            self.writes = bytearray(map(bool, writes))
+
+    @property
+    def references(self) -> "_RefView":
+        """The records as a read-only ``Sequence[MemoryReference]``."""
+        return _RefView(self)
 
     def __iter__(self) -> Iterator[MemoryReference]:
         return iter(self.references)
 
     def __len__(self) -> int:
-        return len(self.references)
+        return len(self.icounts)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, CoreStream):
+            return NotImplemented
+        return ((self.core, self.vm_id, self.asid, self.icounts,
+                 self.vaddrs, self.writes)
+                == (other.core, other.vm_id, other.asid, other.icounts,
+                    other.vaddrs, other.writes))
+
+    __hash__ = None  # mutable
 
     @property
     def instructions(self) -> int:
         """Instructions the stream represents (icount of the last ref)."""
-        return self.references[-1].icount if self.references else 0
+        return self.icounts[-1] if self.icounts else 0
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return (f"CoreStream(core={self.core}, vm={self.vm_id}, "
+                f"asid={self.asid}, refs={len(self)}, "
+                f"validated={self.validated})")
+
+
+def _reject_record(refs: Sequence[Sequence]) -> None:
+    """Raise the :class:`TraceFormatError` for the first unstorable record."""
+    for position, ref in enumerate(refs):
+        icount, vaddr = ref[0], ref[1]
+        if icount < 0:
+            problem = "negative instruction count"
+        elif icount > _MAX_VADDR:
+            problem = "instruction count out of range (not 64-bit)"
+        elif not 0 <= vaddr <= _MAX_VADDR:
+            problem = (f"address out of range (not a {MAX_ADDRESS_BITS}-bit "
+                       "virtual address)")
+        else:
+            continue
+        raise TraceFormatError(f"record {position}: {problem}",
+                               lineno=position + 1, text=repr(ref))
+
+
+class _RefView(Sequence):
+    """Read-only ``Sequence[MemoryReference]`` over a stream's columns."""
+
+    __slots__ = ("_stream",)
+
+    def __init__(self, stream: CoreStream) -> None:
+        self._stream = stream
+
+    def __len__(self) -> int:
+        return len(self._stream.icounts)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        stream = self._stream
+        return MemoryReference(stream.icounts[index], stream.vaddrs[index],
+                               _BOOLS[stream.writes[index]])
+
+    def __iter__(self) -> Iterator[MemoryReference]:
+        stream = self._stream
+        return map(MemoryReference, stream.icounts, stream.vaddrs,
+                   map(_BOOLS.__getitem__, stream.writes))
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (_RefView, list, tuple)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    __hash__ = None
 
 
 # -- serialization -------------------------------------------------------------
@@ -61,12 +189,6 @@ class CoreStream:
 # path ends in .gz.  The format is intentionally greppable.
 
 _HEADER_PREFIX = "#pomtlb-trace"
-
-#: Virtual addresses are at most this many bits; anything wider in a
-#: trace is corruption (a flipped sign bit, a torn write), not a bigger
-#: machine.
-MAX_ADDRESS_BITS = 64
-_MAX_VADDR = (1 << MAX_ADDRESS_BITS) - 1
 
 
 def _open(path: str, mode: str):
@@ -80,8 +202,9 @@ def save_stream(stream: CoreStream, path: str) -> None:
     with _open(path, "w") as out:
         out.write(f"{_HEADER_PREFIX} core={stream.core} "
                   f"vm={stream.vm_id} asid={stream.asid}\n")
-        for ref in stream.references:
-            out.write(f"{ref.icount} {ref.vaddr:x} {'W' if ref.write else 'R'}\n")
+        for icount, vaddr, write in zip(stream.icounts, stream.vaddrs,
+                                        stream.writes):
+            out.write(f"{icount} {vaddr:x} {'W' if write else 'R'}\n")
 
 
 def _parse_header(inp, path: str) -> tuple:
@@ -100,24 +223,27 @@ def _parse_header(inp, path: str) -> tuple:
                                path=path, lineno=1, text=header)
     fields = dict(part.split("=", 1) for part in header.split()[1:])
     try:
-        return int(fields["core"]), int(fields["vm"]), int(fields["asid"])
+        identity = int(fields["core"]), int(fields["vm"]), int(fields["asid"])
     except KeyError as missing:
         raise TraceFormatError(f"header missing field {missing}",
                                path=path, lineno=1, text=header) from None
     except ValueError:
         raise TraceFormatError("non-integer header field",
                                path=path, lineno=1, text=header) from None
+    problem = identity_error(*identity)
+    if problem:
+        raise TraceFormatError(problem, path=path, lineno=1, text=header)
+    return identity
 
 
 def _iter_records(inp, path: str) -> Iterator[tuple]:
     """Yield validated ``(icount, vaddr, write)`` tuples, one per line.
 
-    A generator so both loaders decode strictly line-by-line — gzip
-    included — and the packed loader never holds the whole trace as
-    Python objects.  Every diagnostic carries the file, the line number
-    and the offending text, so a corrupt trace points at its own damage
-    instead of surfacing as a simulator crash thousands of references
-    later.
+    A generator so the loader decodes strictly line-by-line — gzip
+    included — and never holds the whole trace as Python objects.
+    Every diagnostic carries the file, the line number and the
+    offending text, so a corrupt trace points at its own damage instead
+    of surfacing as a simulator crash thousands of references later.
     """
     lineno = 1
     try:
@@ -161,63 +287,36 @@ def load_stream(path: str) -> CoreStream:
     """Read one core's stream back from ``path``.
 
     Strictly validated (see :func:`_iter_records`) and streamed
-    line-by-line even through gzip — the decompressed text is never
-    buffered whole.
+    line-by-line even through gzip straight into the stream's columns
+    (~17 bytes/record) — neither the decompressed text nor per-record
+    objects are ever held whole.
     """
     with _open(path, "r") as inp:
-        core, vm_id, asid = _parse_header(inp, path)
-        refs = [MemoryReference(icount=i, vaddr=v, write=w)
-                for i, v, w in _iter_records(inp, path)]
-        return CoreStream(core=core, vm_id=vm_id, asid=asid,
-                          references=refs)
-
-
-def load_stream_packed(path: str):
-    """Read a text trace straight into a packed columnar stream.
-
-    Same grammar and diagnostics as :func:`load_stream`, but records
-    stream directly into ``array('Q')`` columns (~17 bytes/record)
-    instead of a ``MemoryReference`` list (~120 bytes/record), so
-    converting a large trace never holds it as Python objects — this is
-    what ``pomtlb trace pack`` runs.
-    """
-    from array import array
-
-    from .packed import PackedStream
-
-    with _open(path, "r") as inp:
-        core, vm_id, asid = _parse_header(inp, path)
-        icounts = array("Q")
-        vaddrs = array("Q")
-        writebits = bytearray()
-        count = 0
+        stream = CoreStream(*_parse_header(inp, path))
+        add_icount = stream.icounts.append
+        add_vaddr = stream.vaddrs.append
+        add_write = stream.writes.append
         for icount, vaddr, write in _iter_records(inp, path):
-            if not count & 7:
-                writebits.append(0)
-            if write:
-                writebits[-1] |= 1 << (count & 7)
-            icounts.append(icount)
-            vaddrs.append(vaddr)
-            count += 1
-        return PackedStream(core, vm_id, asid, icounts, vaddrs,
-                            bytes(writebits), count)
+            add_icount(icount)
+            add_vaddr(vaddr)
+            add_write(write)
+        return stream
 
 
 def validate_stream(stream: CoreStream) -> None:
-    """Check trace invariants; raises :class:`TraceFormatError`.
+    """Check that instruction counts never go backwards.
 
-    Instruction counts must be non-decreasing (references issue in
-    program order) and addresses must fit a 64-bit virtual address.
-    Runs before every simulation (except on packed streams whose
-    ``validated`` flag records this check already passed), so a
-    corrupt stream — hand-edited, torn, or injected by the fault
-    harness — fails with a diagnostic instead of poisoning results.
+    References issue in program order, so icounts must be
+    non-decreasing; a u64 column cannot hold any other damage.  Raises
+    :class:`TraceFormatError` naming the first offending record, and
+    sets ``stream.validated`` when the check passes.  Runs before every
+    simulation of a stream not already flagged, so a corrupt stream —
+    hand-edited, torn, or injected by the fault harness — fails with a
+    diagnostic instead of poisoning results.
     """
-    icounts = getattr(stream, "icounts", None)
-    if icounts is not None:
-        # Columnar fast path: u64 columns cannot hold an out-of-range
-        # address, so only icount monotonicity needs checking.
-        last = -1
+    icounts = stream.icounts
+    if any(map(gt, icounts, islice(icounts, 1, None))):
+        last = icounts[0]
         for position, icount in enumerate(icounts):
             if icount < last:
                 raise TraceFormatError(
@@ -225,19 +324,7 @@ def validate_stream(stream: CoreStream) -> None:
                     f"(previous {last})", lineno=position + 1,
                     text=repr(stream.references[position]))
             last = icount
-        return
-    last = -1
-    for position, ref in enumerate(stream.references):
-        if ref.icount < last:
-            raise TraceFormatError(
-                f"record {position}: icount {ref.icount} goes backwards "
-                f"(previous {last})", lineno=position + 1, text=repr(ref))
-        if ref.vaddr < 0 or ref.vaddr > _MAX_VADDR:
-            raise TraceFormatError(
-                f"record {position}: address out of range (not a "
-                f"{MAX_ADDRESS_BITS}-bit virtual address)",
-                lineno=position + 1, text=repr(ref))
-        last = ref.icount
+    stream.validated = True
 
 
 def interleave(streams: Iterable[CoreStream]) -> Iterator[tuple]:
@@ -266,11 +353,6 @@ def interleave(streams: Iterable[CoreStream]) -> Iterator[tuple]:
             heapq.heappush(heap, (nxt.icount, stream.core, index, nxt))
 
 
-#: ``_BIT_BYTES[b]`` is byte ``b`` of a write bitmap unpacked LSB-first
-#: into eight 0/1 bytes, one per record.
-_BIT_BYTES = tuple(bytes((b >> k) & 1 for k in range(8)) for b in range(256))
-
-
 class MergedStreams(NamedTuple):
     """Every reference of a set of streams as flat columns, in replay order.
 
@@ -287,7 +369,7 @@ class MergedStreams(NamedTuple):
     icounts: array
     vaddrs: array
     #: one byte per reference: 1 for a store, 0 for a load
-    writes: bytes
+    writes: bytearray
     order: array
 
     def at(self, position: int) -> Tuple[CoreStream, int]:
@@ -304,8 +386,8 @@ def merge_order(streams: Iterable[CoreStream]) -> MergedStreams:
     concatenated icount column by value reproduces the heap merge's
     ``(icount, core, arrival, index)`` order exactly.  A stream whose
     icount goes backwards (the sort and the merge would disagree) fails
-    with :func:`validate_stream`'s :class:`TraceFormatError`; packed
-    streams flagged ``validated`` skip that check.
+    with :func:`validate_stream`'s :class:`TraceFormatError`; streams
+    flagged ``validated`` skip that check.
     """
     sources = sorted((s for s in streams if len(s)), key=lambda s: s.core)
     starts: List[int] = []
@@ -314,22 +396,13 @@ def merge_order(streams: Iterable[CoreStream]) -> MergedStreams:
     vaddrs = array("Q")
     writes = bytearray()
     for index, stream in enumerate(sources):
-        starts.append(len(icounts))
-        count = len(stream)
-        columns = stream.columns() if hasattr(stream, "columns") else None
-        if columns is not None:
-            ics, vas, bits = columns
-            writes += b"".join(map(_BIT_BYTES.__getitem__, bits))[:count]
-        else:
-            # One C-level transpose of the record tuples.
-            ics, vas, wrs = zip(*stream.references)
-            writes += bytes(map(bool, wrs))
-        if (not getattr(stream, "validated", False)
-                and any(map(gt, ics, islice(ics, 1, None)))):
+        if not stream.validated:
             validate_stream(stream)
-        icounts.extend(ics)
-        vaddrs.extend(vas)
-        owner.extend(repeat(index, count))
+        starts.append(len(icounts))
+        icounts += stream.icounts
+        vaddrs += stream.vaddrs
+        writes += stream.writes
+        owner.extend(repeat(index, len(stream)))
     order = array("I", sorted(range(len(icounts)), key=icounts.__getitem__))
-    return MergedStreams(sources, starts, owner, icounts, vaddrs,
-                         bytes(writes), order)
+    return MergedStreams(sources, starts, owner, icounts, vaddrs, writes,
+                         order)

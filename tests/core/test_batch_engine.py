@@ -4,8 +4,8 @@ The integration suite (tests/integration/test_engine_equivalence.py)
 holds the batch engine bit-identical to the frozen reference at
 workload scale.  This module aims at the seams instead: slice
 boundaries, warmup resets landing mid-slice, invalidations between
-runs, degenerate streams, the fallback ladder (numpy absent, tuple
-streams, explicit disable), and the lexsort-vs-heap-merge order
+runs, degenerate streams, the fallback ladder (numpy absent, explicit
+disable), and the lexsort-vs-heap-merge order
 equivalence the whole design rests on.
 
 Everything here compares against the scalar ``Machine`` loop, which is
@@ -189,15 +189,17 @@ def test_empty_stream_beside_live_stream():
 # -- fallback ladder -------------------------------------------------------
 
 
-def test_tuple_streams_fall_back():
-    """Un-packed (tuple) streams take the scalar loop, same results."""
+def test_record_built_streams_replay_batched():
+    """Streams built from MemoryReference records need no packing step:
+    the batch engine replays them, equal to the scalar loop."""
     profile, workload = _workload()
+    streams = [CoreStream(s.core, s.vm_id, s.asid, list(s.references))
+               for s in workload.streams]
     machine = _machine(profile)
-    result = machine.run(workload.streams)
-    assert machine.last_replay_mode == "scalar"
+    result = machine.run(streams)
     if HAS_NUMPY:
-        assert "tuple streams" in machine.batch_fallback_reason
-    reference = _machine(profile, batch=False).run(workload.streams)
+        assert machine.last_replay_mode == "batch"
+    reference = _machine(profile, batch=False).run(streams)
     _assert_same(reference, result)
 
 

@@ -36,6 +36,23 @@ class TestRun:
         with pytest.raises(ValueError):
             m.run([looping_stream(1, pages=4, repeats=1)])
 
+    @pytest.mark.parametrize("core, vm, asid, message", [
+        (-1, 0, 1, "stream core -1 is negative"),
+        (0, 70000, 1, "stream vm 70000 outside 0..65535"),
+        (0, 0, 70000, "stream asid 70000 outside 0..65535"),
+        (0, -1, 1, "stream vm -1"),
+        (0, 0, -1, "stream asid -1"),
+    ])
+    def test_rejects_out_of_range_stream_identity(self, core, vm, asid,
+                                                  message):
+        # Negative indexing would replay core -1 on the last core, and
+        # ids wider than a TLB key's 16-bit fields would alias.
+        m = Machine(SystemConfig(num_cores=2), scheme="pom")
+        stream = looping_stream(core, pages=7, repeats=7, vm=vm, asid=asid)
+        with pytest.raises(ValueError, match=message):
+            m.run([stream])
+        assert m.last_replay_mode is None
+
     def test_small_working_set_has_few_misses(self):
         m = Machine(SystemConfig(num_cores=1), scheme="baseline")
         result = m.run([looping_stream(0, pages=8, repeats=100)])

@@ -66,7 +66,6 @@ class TestPackUnpackRoundTrip:
         container = load_packed(packed)
         assert container.validated
         assert container.streams[0].validated
-        container.backing.close()
 
 
 class TestErrors:
@@ -91,6 +90,14 @@ class TestErrors:
         assert cli.main(["trace", "pack", str(bad),
                          str(tmp_path / "out.pwl")]) == 2
         capsys.readouterr()
+
+    def test_out_of_range_header_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_text("#pomtlb-trace core=-3 vm=0 asid=1\n10 4096 R\n")
+        out = tmp_path / "out.pwl"
+        assert cli.main(["trace", "pack", str(bad), str(out)]) == 2
+        assert "stream core -3" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_corrupt_packed_exits_2(self, tmp_path, capsys):
         path = tmp_path / "damaged.pwl"

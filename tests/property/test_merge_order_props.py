@@ -40,7 +40,7 @@ def stream_sets(draw):
 
     Cores are drawn from a small range so two streams often share one;
     icount steps of 0 make equal icounts inside a stream; empty streams
-    and packed streams are mixed in.
+    and pack_stream copies (validated or not) are mixed in.
     """
     streams = []
     for arrival in range(draw(st.integers(0, 5))):

@@ -123,13 +123,24 @@ class TestSimulationHooks:
         refs = [MemoryReference(i * 10, 0x1000 * (i + 1), False)
                 for i in range(5)]
         stream = CoreStream(core=0, vm_id=0, asid=1, references=refs)
+        stream.validated = True
         corrupt_streams([stream])
-        with pytest.raises(TraceFormatError, match="out of range"):
+        assert not stream.validated
+        # Record (5-1)//2 = 2 now carries the last icount + 1.
+        assert stream.references[2].icount == 41
+        with pytest.raises(TraceFormatError,
+                           match="record 3: icount 30 goes backwards"):
             validate_stream(stream)
 
     def test_corrupt_streams_skips_empty(self):
         empty = CoreStream(core=0, vm_id=0, asid=1)
-        target = CoreStream(core=1, vm_id=0, asid=2,
+        single = CoreStream(core=1, vm_id=0, asid=2,
                             references=[MemoryReference(0, 0x1000, False)])
-        corrupt_streams([empty, target])
-        assert target.references[0].vaddr == -1
+        target = CoreStream(core=2, vm_id=0, asid=3,
+                            references=[MemoryReference(0, 0x1000, False),
+                                        MemoryReference(4, 0x2000, True)])
+        corrupt_streams([empty, single, target])
+        assert list(single.icounts) == [0]
+        assert list(target.icounts) == [5, 4]
+        with pytest.raises(TraceFormatError, match="goes backwards"):
+            validate_stream(target)

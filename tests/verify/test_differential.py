@@ -9,8 +9,8 @@ from repro.experiments.runner import ExperimentParams
 from repro.verify import INVARIANT_REGISTRY, InvariantChecker
 from repro.verify.differential import (ALL_SCHEMES, audit_benchmark,
                                        shrink_trace)
-from repro.workloads.packed import load_packed, unpack_stream
-from repro.workloads.trace import CoreStream
+from repro.workloads.packed import load_packed
+from repro.workloads.trace import CoreStream, MemoryReference
 
 PARAMS = ExperimentParams(num_cores=1, refs_per_core=400, scale=0.02, seed=3)
 
@@ -40,20 +40,23 @@ class TestShrinkTrace:
 
     @staticmethod
     def _streams(values, cores=2):
+        """Streams whose records carry ``values`` as their icounts."""
         per_core = len(values) // cores
         return [CoreStream(core=c, vm_id=0, asid=1,
-                           references=values[c * per_core:
-                                             (c + 1) * per_core])
+                           references=[MemoryReference(v, 0x1000 * v, False)
+                                       for v in values[c * per_core:
+                                                       (c + 1) * per_core]])
                 for c in range(cores)]
 
     def test_shrinks_to_single_culprit(self):
         streams = self._streams(list(range(100)))
 
         def still_fails(candidate):
-            return any(ref == 57 for s in candidate for ref in s.references)
+            return any(ref.icount == 57
+                       for s in candidate for ref in s.references)
 
         minimal = shrink_trace(streams, still_fails)
-        kept = [ref for s in minimal for ref in s.references]
+        kept = [ref.icount for s in minimal for ref in s.references]
         assert kept == [57]
 
     def test_budget_caps_evaluations(self):
@@ -62,7 +65,7 @@ class TestShrinkTrace:
 
         def still_fails(candidate):
             calls.append(1)
-            return 7 in [r for s in candidate for r in s.references]
+            return 7 in [r.icount for s in candidate for r in s.references]
 
         shrink_trace(streams, still_fails, budget=5)
         assert len(calls) <= 5
@@ -117,10 +120,7 @@ class TestViolationArtifact:
         assert violation.artifact.endswith("gcc-baseline-violation.pwl")
         assert os.path.exists(violation.artifact)
         container = load_packed(violation.artifact)
-        try:
-            total = sum(len(unpack_stream(s)) for s in container.streams)
-        finally:
-            container.backing.close()
+        total = sum(len(s) for s in container.streams)
         # ddmin converges on the threshold: 10 refs fail, 9 pass.
         assert total == 10
 

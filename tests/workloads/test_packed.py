@@ -10,14 +10,12 @@ from repro.workloads.packed import (
     BYTES_PER_RECORD,
     FORMAT_VERSION,
     MAGIC,
-    PackedStream,
     decode_container,
     encode_streams,
     encode_workload,
     load_packed,
     pack_stream,
     save_packed,
-    unpack_stream,
 )
 from repro.workloads.suite import get_profile
 from repro.workloads.trace import CoreStream, MemoryReference, validate_stream
@@ -29,12 +27,79 @@ def make_stream(core=0, n=5, start=0):
     return CoreStream(core=core, vm_id=1, asid=2, references=refs)
 
 
+# Containers written by the encoder that predates columnar CoreStream;
+# the format must not drift.
+PINNED_EMPTY = bytes.fromhex(
+    "504f4d544c425701010000000100000068e4afc8000000000000000000000000"
+    "0000000000000000000000000000000000000000000000000000000000000100"
+    "000000000000000000000000000000000000")
+PINNED_NINE = bytes.fromhex(
+    "504f4d544c42570101000000010000003aaf1aee000000000000000000000000"
+    "0000000009000000000000000000000000000000000000000000010000000200"
+    "00000900000000000000000000000000000005000000000000000f0000000000"
+    "0000190000000000000023000000000000002d00000000000000370000000000"
+    "000041000000000000004b000000000000005500000000000000000000000000"
+    "0000001000000000000000200000000000000030000000000000004000000000"
+    "0000005000000000000000600000000000000070000000000000008000000000"
+    "00004900")
+PINNED_WORKLOAD = bytes.fromhex(
+    "504f4d544c4257010100010003000000ca71ad0d070000000000000000000000"
+    "0000e03f09000000000000000400000000000000040067757073000000000100"
+    "0000020000000200000000000000010000000000000001000000030000000400"
+    "0000030000000000000000000000000000000200000001000000020000000400"
+    "000000000000030000000000000000000000000000000a000000000000000000"
+    "00000000000000100000000000000100000000000000000a0000000000000014"
+    "0000000000000040000000000000004010000000000000402000000000000001"
+    "64000000000000006e0000000000000078000000000000008200000000000000"
+    "8000000000000000801000000000000080200000000000008030000000000000"
+    "09")
+
+
+def pinned_stream(core, n, start=0, vm_id=1, asid=2):
+    refs = [MemoryReference(start + i * 10, 0x1000 * i + core * 0x40,
+                            i % 3 == 0) for i in range(n)]
+    return CoreStream(core, vm_id, asid, refs)
+
+
+PINNED = {
+    "empty": (PINNED_EMPTY, [CoreStream(0, 0, 1)], {}),
+    # 9 records: the write bitmap ends in a partial byte.
+    "nine": (PINNED_NINE, [pinned_stream(0, 9, start=5)], {}),
+    "workload": (PINNED_WORKLOAD,
+                 [pinned_stream(0, 2), pinned_stream(1, 3, vm_id=3, asid=4),
+                  pinned_stream(2, 4, start=100)],
+                 dict(benchmark="gups", seed=7, scale=0.5,
+                      warmup_by_core={0: 1, 2: 3}, validated=True)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED))
+class TestPinnedFormat:
+    def test_decodes_to_the_same_records(self, case):
+        blob, streams, meta = PINNED[case]
+        container = decode_container(blob)
+        assert container.streams == streams
+        for decoded, orig in zip(container.streams, streams):
+            assert list(decoded.references) == list(orig.references)
+            assert decoded.validated == meta.get("validated", False)
+        assert container.validated == meta.get("validated", False)
+        assert container.warmup_by_core == meta.get("warmup_by_core", {})
+        assert container.benchmark == meta.get("benchmark", "")
+
+    def test_reencodes_to_the_same_bytes(self, case):
+        blob, streams, meta = PINNED[case]
+        container = decode_container(blob)
+        assert encode_streams(container.streams, **meta) == blob
+        assert encode_streams(streams, **meta) == blob
+
+
 class TestPackUnpack:
     def test_roundtrip_exact(self):
         stream = make_stream(n=17)
         packed = pack_stream(stream)
         assert list(packed.references) == list(stream.references)
-        assert unpack_stream(packed).references == list(stream.references)
+        assert packed == stream
+        assert packed.icounts is not stream.icounts
 
     def test_metadata_preserved(self):
         packed = pack_stream(make_stream(core=3))
@@ -68,36 +133,6 @@ class TestPackUnpack:
             packed.references[8]
 
 
-class TestDepack:
-    """Assigning ``references`` de-packs the stream (fault injection)."""
-
-    def test_references_setter_depacks(self):
-        packed = pack_stream(make_stream(n=6), validated=True)
-        refs = list(packed.references)
-        refs[3] = refs[3]._replace(vaddr=0xdead000)
-        packed.references = refs
-        assert packed.columns() is None
-        assert packed.icounts is None
-        assert not packed.validated
-        assert packed.references[3].vaddr == 0xdead000
-        assert len(packed) == 6
-
-    def test_view_isolates_mutation(self):
-        base = pack_stream(make_stream(n=6), validated=True)
-        view = base.view()
-        view.references = []
-        assert len(view) == 0 and not view.validated
-        assert len(base) == 6 and base.validated
-        assert base.columns() is not None
-
-    def test_view_of_depacked_stream_copies(self):
-        base = pack_stream(make_stream(n=4))
-        base.references = list(base.references)[:2]
-        view = base.view()
-        view.references = []
-        assert len(base) == 2
-
-
 class TestContainer:
     def test_streams_roundtrip(self):
         streams = [make_stream(core=c, n=5 + c) for c in range(3)]
@@ -112,14 +147,12 @@ class TestContainer:
         for orig, packed in zip(streams, container.streams):
             assert packed.validated
             assert list(packed.references) == list(orig.references)
-        container.backing.close()
 
     def test_empty_stream_in_container(self):
         blob = encode_streams([CoreStream(0, 0, 1)])
         container = decode_container(blob)
         assert len(container.streams) == 1
         assert len(container.streams[0]) == 0
-        container.backing.close()
 
     def test_container_size_is_columnar(self):
         n = 1000
@@ -138,20 +171,20 @@ class TestContainer:
         assert rebuilt.scale == workload.scale
         for orig, packed in zip(workload.streams, rebuilt.streams):
             assert list(packed.references) == list(orig.references)
-        container.backing.close()
 
-    def test_workload_streams_are_views(self):
+    def test_each_decode_owns_its_streams(self):
+        from repro.faults import corrupt_streams
+
         profile = get_profile("gups")
         workload = profile.build(num_cores=1, refs_per_core=50, seed=1,
                                  scale=0.05)
-        container = decode_container(encode_workload(workload,
-                                                     validated=True))
-        first = container.workload()
-        first.streams[0].references = []  # de-pack one run's copy
-        second = container.workload()
-        assert len(second.streams[0]) == len(workload.streams[0])
+        blob = encode_workload(workload, validated=True)
+        first = decode_container(blob).workload()
+        corrupt_streams(first.streams)  # one run's damage
+        assert not first.streams[0].validated
+        second = decode_container(blob).workload()
+        assert second.streams[0] == workload.streams[0]
         assert second.streams[0].validated
-        container.backing.close()
 
 
 class TestCorruptionDetection:
@@ -201,6 +234,17 @@ class TestCorruptionDetection:
         with pytest.raises(PackedTraceError, match="wl.pwl"):
             decode_container(b"short", path="wl.pwl")
 
+    @pytest.mark.parametrize("core, vm_id, asid, field", [
+        (-1, 0, 1, "core -1"), (0, 70000, 1, "vm 70000"),
+        (0, 0, 70000, "asid 70000"), (0, -1, 1, "vm -1")])
+    def test_out_of_range_identity_rejected(self, core, vm_id, asid, field):
+        # A well-formed container (valid CRC) naming a stream no
+        # machine can run: refused at decode, not mid-simulation.
+        stream = make_stream(n=3)
+        stream.core, stream.vm_id, stream.asid = core, vm_id, asid
+        with pytest.raises(PackedTraceError, match=f"stream 0: .*{field}"):
+            decode_container(encode_streams([stream]))
+
 
 class TestFiles:
     def test_plain_file_roundtrip(self, tmp_path):
@@ -211,7 +255,6 @@ class TestFiles:
         assert container.benchmark == "gcc" and container.validated
         for orig, packed in zip(streams, container.streams):
             assert list(packed.references) == list(orig.references)
-        container.backing.close()
 
     def test_gzip_file_roundtrip(self, tmp_path):
         path = str(tmp_path / "wl.pwl.gz")
@@ -221,7 +264,6 @@ class TestFiles:
         container = load_packed(path)
         assert list(container.streams[0].references) == \
             list(make_stream(n=10).references)
-        container.backing.close()
 
     def test_gzip_deterministic_bytes(self, tmp_path):
         a, b = str(tmp_path / "a.pwl.gz"), str(tmp_path / "b.pwl.gz")
@@ -244,25 +286,6 @@ class TestFiles:
         with pytest.raises(PackedTraceError, match="gzip|checksum"):
             load_packed(path)
 
-    def test_mmap_close_releases_cleanly(self, tmp_path):
-        path = str(tmp_path / "wl.pwl")
-        save_packed(path, [make_stream(n=100)])
-        container = load_packed(path)
-        stream = container.streams[0]
-        assert stream.icounts is not None
-        container.backing.close()
-        container.backing.close()  # idempotent
-        # Streams were defused, not left pointing into a closed map.
-        assert stream.icounts is None
-        assert len(stream) == 0
-
-    def test_no_mmap_path(self, tmp_path):
-        path = str(tmp_path / "wl.pwl")
-        save_packed(path, [make_stream(n=10)])
-        container = load_packed(path, use_mmap=False)
-        assert len(container.streams[0]) == 10
-        container.backing.close()
-
 
 class TestValidatedFlagInteraction:
     def test_validate_stream_columnar_fast_path(self):
@@ -281,5 +304,5 @@ class TestValidatedFlagInteraction:
         packed = pack_stream(make_stream(n=10), validated=True)
         corrupt_streams([packed])
         assert not packed.validated
-        with pytest.raises(Exception, match="out of range|64-bit"):
+        with pytest.raises(Exception, match="record 5: .* goes backwards"):
             validate_stream(packed)

@@ -32,6 +32,33 @@ class TestCoreStream:
     def test_instructions_empty(self):
         assert CoreStream(core=0, vm_id=0, asid=0).instructions == 0
 
+    def test_records_become_columns(self):
+        s = make_stream(n=4)
+        assert list(s.icounts) == [0, 10, 20, 30]
+        assert list(s.vaddrs) == [0, 0x1000, 0x2000, 0x3000]
+        assert bytes(s.writes) == b"\x01\x00\x01\x00"
+        assert not s.validated
+
+    def test_references_view_is_read_only(self):
+        s = make_stream(n=3)
+        with pytest.raises(AttributeError):
+            s.references = []
+        with pytest.raises(TypeError):
+            s.references[0] = MemoryReference(0, 0, False)
+
+    @pytest.mark.parametrize("bad, message", [
+        (MemoryReference(-5, 0x1000, False), "record 1: negative"),
+        (MemoryReference(20, 1 << 64, False), "record 1: address out of "
+                                              "range.*64-bit"),
+        (MemoryReference(20, -1, True), "record 1: address out of range"),
+    ])
+    def test_unstorable_record_names_itself(self, bad, message):
+        refs = [MemoryReference(10, 0x1000, False), bad]
+        with pytest.raises(TraceFormatError, match=message) as excinfo:
+            CoreStream(0, 0, 1, refs)
+        assert excinfo.value.lineno == 2
+        assert excinfo.value.text == repr(bad)
+
 
 class TestSerialization:
     def test_roundtrip(self, tmp_path):
@@ -73,6 +100,17 @@ class TestSerialization:
         path.write_text("#pomtlb-trace core=0 vm=0\n")
         with pytest.raises(TraceFormatError):
             load_stream(str(path))
+
+    @pytest.mark.parametrize("header", [
+        "core=-3 vm=0 asid=1", "core=0 vm=70000 asid=1",
+        "core=0 vm=0 asid=70000", "core=0 vm=0 asid=-1"])
+    def test_out_of_range_identity_rejected(self, tmp_path, header):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"#pomtlb-trace {header}\n10 1000 R\n")
+        with pytest.raises(TraceFormatError,
+                           match="negative|outside") as excinfo:
+            load_stream(str(path))
+        assert excinfo.value.lineno == 1
 
     def test_blank_lines_ignored(self, tmp_path):
         path = tmp_path / "trace.txt"
@@ -198,43 +236,35 @@ class TestInterleave:
 
 
 class TestLoadStreamPacked:
-    """Text -> packed streaming loader (shared grammar with load_stream)."""
+    """``load_stream`` reads text straight into the stream's columns."""
 
     def test_roundtrip_matches_load_stream(self, tmp_path):
-        from repro.workloads.trace import load_stream_packed
-
         s = make_stream(n=25)
         path = str(tmp_path / "trace.txt")
         save_stream(s, path)
-        packed = load_stream_packed(path)
-        assert (packed.core, packed.vm_id, packed.asid) == (0, 1, 2)
-        assert list(packed.references) == load_stream(path).references
+        loaded = load_stream(path)
+        assert (loaded.core, loaded.vm_id, loaded.asid) == (0, 1, 2)
+        assert loaded == s
+        assert not loaded.validated
 
     def test_gzip_roundtrip(self, tmp_path):
-        from repro.workloads.trace import load_stream_packed
-
         s = make_stream(n=25)
         path = str(tmp_path / "trace.txt.gz")
         save_stream(s, path)
-        assert list(load_stream_packed(path).references) == \
-            list(s.references)
+        assert load_stream(path) == s
 
     def test_empty_stream(self, tmp_path):
-        from repro.workloads.trace import load_stream_packed
-
         path = str(tmp_path / "trace.txt")
         save_stream(CoreStream(core=0, vm_id=0, asid=1), path)
-        packed = load_stream_packed(path)
-        assert len(packed) == 0
+        loaded = load_stream(path)
+        assert len(loaded) == 0 and len(loaded.icounts) == 0
 
     def test_same_diagnostics_as_load_stream(self, tmp_path):
-        from repro.workloads.trace import load_stream_packed
-
         path = tmp_path / "bad.txt"
         path.write_text("#pomtlb-trace core=0 vm=0 asid=1\n"
                         "10 1000 R\n10 zz R\n")
         with pytest.raises(TraceFormatError) as excinfo:
-            load_stream_packed(str(path))
+            load_stream(str(path))
         assert excinfo.value.lineno == 3
         assert excinfo.value.text == "10 zz R"
 
@@ -272,16 +302,12 @@ class TestLargeTraceMemory:
         return peak
 
     def test_packed_loader_peak_is_columnar(self, tmp_path):
-        from repro.workloads.trace import load_stream_packed
-
         path = self._trace_file(tmp_path)
-        list_peak = self._peak(load_stream, path)
-        packed_peak = self._peak(load_stream_packed, path)
+        peak = self._peak(load_stream, path)
         # ~17 B/record in columns vs ~120 B/record of namedtuples; allow
         # generous slack for array growth and line buffers while still
         # catching any whole-file or whole-list buffering regression.
-        assert packed_peak < list_peak / 2, (packed_peak, list_peak)
-        assert packed_peak < self.N * 60, packed_peak
+        assert peak < self.N * 60, peak
 
     def test_gzip_text_loader_streams(self, tmp_path):
         # Line-by-line gzip decode: peak stays near the reference-list
@@ -295,7 +321,7 @@ class TestLargeTraceMemory:
 
 
 class TestInterleavePacked:
-    """Packed streams interleave identically to list-backed ones."""
+    """Decoded and copied streams interleave like record-built ones."""
 
     def _flatten(self, streams):
         from repro.workloads.trace import merge_order
@@ -308,19 +334,11 @@ class TestInterleavePacked:
         return out
 
     def test_chunks_match_corestream(self):
-        from repro.workloads.packed import pack_stream
+        from repro.workloads.packed import decode_container, encode_streams
 
         streams = [make_stream(core=c, n=13, start=c * 3) for c in range(3)]
-        packed = [pack_stream(s) for s in streams]
-        assert self._flatten(packed) == self._flatten(streams)
-
-    def test_mixed_packed_and_list_streams(self):
-        from repro.workloads.packed import pack_stream
-
-        streams = [make_stream(core=c, n=11, start=c) for c in range(4)]
-        mixed = [pack_stream(s) if c % 2 else s
-                 for c, s in enumerate(streams)]
-        assert self._flatten(mixed) == self._flatten(streams)
+        decoded = decode_container(encode_streams(streams)).streams
+        assert self._flatten(decoded) == self._flatten(streams)
 
     def test_matches_reference_interleave(self):
         from repro.workloads.packed import pack_stream
