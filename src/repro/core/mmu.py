@@ -9,7 +9,9 @@ TLB.  They differ in what happens after the last private TLB misses:
 * :class:`PomTlbScheme` — the paper's contribution (Figure 7 flow):
   size/bypass prediction, probing the L2D$/L3D$ for the cached POM-TLB
   set, stacked-DRAM access, second-size retry, walk only on a true
-  POM-TLB miss.
+  POM-TLB miss.  :class:`SkewedPomScheme` (footnote 1) runs the same
+  flow over the unified skew-associative structure, whose probe fetches
+  one line per way instead of one set.
 * :class:`SharedL2Scheme` — private L2 TLBs replaced by one shared SRAM
   TLB with aggregate capacity (Bhattacharjee et al. [9]).
 * :class:`TsbScheme` — SPARC-style software-managed TSB: trap + two
@@ -39,6 +41,7 @@ from typing import List, NamedTuple, Optional, Tuple
 from ..cache.hierarchy import CacheHierarchy
 from ..common import addr
 from ..common.config import SharedL2Config, SystemConfig, TsbConfig
+from ..common.errors import ConfigError
 from ..common.stats import StatRegistry
 from ..obs import events
 from ..obs.tracer import NULL_TRACER
@@ -412,14 +415,22 @@ class _PomFlowStats:
 
 
 class PomTlbScheme(TranslationScheme):
-    """The paper's design: the Figure 7 access flow."""
+    """The paper's design: the Figure 7 access flow.
+
+    The flow asks the structure (:attr:`structure`, a
+    :class:`~repro.core.pom_tlb.PomStructure`) for the candidate lines
+    of each probe and fetches them in order: the partitioned POM-TLB
+    names one 64 B set, the skewed organisation one line per way.
+    """
 
     name = "pom"
+    #: The POM-TLB organisation this scheme probes.
+    structure = PomTlb
 
     def __init__(self, config: SystemConfig, stats: StatRegistry,
                  hierarchy: CacheHierarchy, walkers: WalkerPool) -> None:
         super().__init__(config, stats, hierarchy, walkers)
-        self.pom = PomTlb(config, stats)
+        self.pom = self.structure(config, stats)
         self.predictors: List[SizeBypassPredictor] = [
             SizeBypassPredictor(config.predictor, stats.group(f"core{core}.predictor"))
             for core in range(config.num_cores)]
@@ -443,58 +454,75 @@ class PomTlbScheme(TranslationScheme):
         if tr.active:
             tr.emit(events.PREDICTOR, cycles=1,
                     predicted_large=predicted_large, bypass=bool(bypass))
-        page_large = page.large
-        true_addr = pom.set_address(vaddr, vm_id, page_large)
-        line_was_cached = (self._cache_entries
-                           and hierarchy.tlb_line_cached(core, true_addr))
-
         ctx = (asid << 17) | (vm_id << 1)
+        page_large = page.large
+        if page_large:
+            true_key = ((vaddr >> _LARGE_SHIFT) << 33) | ctx | 1
+        else:
+            true_key = ((vaddr >> _SMALL_SHIFT) << 33) | ctx
+        # Computed once: the true size's candidates serve both the
+        # bypass training and that size's probe attempt.
+        true_candidates = pom.candidates(vaddr, true_key, vm_id, page_large)
+        line_was_cached = (self._cache_entries and hierarchy.tlb_line_cached(
+            core, true_candidates[0][0]))
+
         flow = self._flow
+        sources = flow.sources
+        # Stacked-DRAM fetches call the channel (bound per miss, so a
+        # profiler's per-instance wrapper is seen).
+        dram_access = pom.dram.access
+        probe_slot = pom.probe_slot
         uncached = not self._cache_entries or bypass
         found: Optional[TlbEntry] = None
         # Attempt loop unrolled: first probe at the predicted size, then
-        # the other size.  Exactly one attempt matches ``page_large``, so
-        # its set address is ``true_addr`` from above — no re-hash.
+        # the other size.  Exactly one attempt matches ``page_large``.
         attempt = 0
         large = predicted_large
         while True:
-            set_addr = (true_addr if large == page_large
-                        else pom.set_address(vaddr, vm_id, large))
-            # Bring the set to the MMU (stacked-DRAM fetches call the
-            # channel, not the PomTlb forwarder).
-            if uncached:
-                fetch_cycles = pom.dram.access(set_addr)
-                if bypass:
-                    # Bypass skips the lookup latency, not the fill: the
-                    # fetched set is still installed like any memory read.
-                    hierarchy.tlb_line_fill(core, set_addr)
-                source = "dram_bypass" if bypass else "dram_uncached"
+            if large == page_large:
+                key = true_key
+                candidates = true_candidates
             else:
-                fetch_cycles, level = hierarchy.tlb_line_probe(core, set_addr)
-                if level is None:
-                    fetch_cycles += pom.dram.access(set_addr)
-                    hierarchy.tlb_line_fill(core, set_addr)
-                    source = "dram"
+                key = (((vaddr >> _LARGE_SHIFT) << 33) | ctx | 1 if large
+                       else ((vaddr >> _SMALL_SHIFT) << 33) | ctx)
+                candidates = pom.candidates(vaddr, key, vm_id, large)
+            # Bring each candidate line to the MMU until one holds the
+            # key: one set for the partitioned design, up to one line
+            # per way for the skewed one.
+            for line_addr, slot in candidates:
+                if uncached:
+                    fetch_cycles = dram_access(line_addr)
+                    if bypass:
+                        # Bypass skips the lookup latency, not the fill:
+                        # the fetched line is installed like any read.
+                        hierarchy.tlb_line_fill(core, line_addr)
+                    source = "dram_bypass" if bypass else "dram_uncached"
                 else:
-                    source = level
-            slot = flow.sources[source]
-            slot.value += 1
-            slot.touched = True
-            if tr.active:
-                tr.emit(events.POM_FETCH, cycles=fetch_cycles, source=source)
-            cycles += fetch_cycles
-            if large:
-                key = ((vaddr >> _LARGE_SHIFT) << 33) | ctx | 1
-            else:
-                key = ((vaddr >> _SMALL_SHIFT) << 33) | ctx
-            found = pom.probe(vaddr, key, vm_id, large)
+                    fetch_cycles, level = hierarchy.tlb_line_probe(
+                        core, line_addr)
+                    if level is None:
+                        fetch_cycles += dram_access(line_addr)
+                        hierarchy.tlb_line_fill(core, line_addr)
+                        source = "dram"
+                    else:
+                        source = level
+                counter = sources[source]
+                counter.value += 1
+                counter.touched = True
+                if tr.active:
+                    tr.emit(events.POM_FETCH, cycles=fetch_cycles,
+                            source=source)
+                cycles += fetch_cycles
+                found = probe_slot(key, slot)
+                if found is not None:
+                    break
             if tr.active:
                 tr.emit(events.POM_PROBE, attempt=attempt, large=large,
                         hit=found is not None)
             if found is not None:
-                slot = flow.resolved[attempt]
-                slot.value += 1
-                slot.touched = True
+                counter = flow.resolved[attempt]
+                counter.value += 1
+                counter.touched = True
                 break
             if attempt:
                 break
@@ -502,21 +530,17 @@ class PomTlbScheme(TranslationScheme):
             large = not predicted_large
         if found is None:
             cycles += self._walk(core, vm_id, asid, vaddr)
-            slot = flow.resolved_by_walk
-            slot.value += 1
-            slot.touched = True
-            if page_large:
-                key = ((vaddr >> _LARGE_SHIFT) << 33) | ctx | 1
-            else:
-                key = ((vaddr >> _SMALL_SHIFT) << 33) | ctx
-            set_paddr, _evicted = pom.insert(vaddr, key, entry, vm_id,
+            counter = flow.resolved_by_walk
+            counter.value += 1
+            counter.touched = True
+            line_addr, _evicted = pom.insert(vaddr, true_key, entry, vm_id,
                                              page_large)
-            # The set's cached copies are stale now; refresh the
+            # The line's cached copies are stale now; refresh the
             # requester's path, drop everyone else's.
             if self._cache_entries:
-                hierarchy.tlb_line_refill(core, set_paddr)
+                hierarchy.tlb_line_refill(core, line_addr)
             else:
-                hierarchy.invalidate_tlb_line(set_paddr)
+                hierarchy.invalidate_tlb_line(line_addr)
         predictor.record_size(vaddr, page_large)
         if self._cache_entries and found is not None:
             # Train the bypass bit only on POM-resolved misses: a
@@ -524,7 +548,7 @@ class PomTlbScheme(TranslationScheme):
             # caches is worthwhile (the line did not exist yet).
             predictor.record_bypass(vaddr, line_was_cached)
         if self._prefetch and self._cache_entries:
-            self._prefetch_next(core, vm_id, vaddr, page.large)
+            self._prefetch_next(core, vm_id, vaddr, page_large)
         return cycles
 
     def _prefetch_next(self, core: int, vm_id: int, vaddr: int,
@@ -548,10 +572,10 @@ class PomTlbScheme(TranslationScheme):
         cycles = 0
         for large in (False, True):
             k = _key_for(vm_id, asid, vaddr, large)
-            set_paddr = self.pom.invalidate(vaddr, k, vm_id, large)
-            if set_paddr is not None:
-                self.hierarchy.invalidate_tlb_line(set_paddr)
-                cycles += self.pom.dram.access(set_paddr)  # set write-back
+            line_addr = self.pom.invalidate(vaddr, k, vm_id, large)
+            if line_addr is not None:
+                self.hierarchy.invalidate_tlb_line(line_addr)
+                cycles += self.pom.dram.access(line_addr)  # line write-back
         return cycles
 
     def _invalidate_vm_backend(self, vm_id: int) -> int:
@@ -848,138 +872,27 @@ class TsbScheme(TranslationScheme):
         return len(dropped)
 
 
-class SkewedPomScheme(TranslationScheme):
+class SkewedPomScheme(PomTlbScheme):
     """POM-TLB with the unified skew-associative organisation.
 
     Footnote 1 of the paper, implemented: one table for both page sizes,
-    per-way hash functions.  The flow mirrors :class:`PomTlbScheme`, but
-    because each way's candidate slot lives in a different 64 B line,
-    the MMU fetches candidate lines way by way until it finds the entry
-    — the serialization cost the partitioned design avoids.
+    per-way hash functions.  The flow is :class:`PomTlbScheme`'s; each
+    way's candidate slot lives in a different 64 B line, so a probe
+    fetches candidate lines way by way until it finds the entry — the
+    serialization cost the partitioned design avoids.
     """
 
     name = "pom_skewed"
+    structure = SkewedPomTlb
 
     def __init__(self, config: SystemConfig, stats: StatRegistry,
                  hierarchy: CacheHierarchy, walkers: WalkerPool) -> None:
+        if config.tlb_prefetch:
+            raise ConfigError(
+                f"scheme {self.name!r} does not support tlb_prefetch: "
+                "next-page prefetch is defined on the partitioned set "
+                "layout")
         super().__init__(config, stats, hierarchy, walkers)
-        self.pom = SkewedPomTlb(config, stats)
-        self.predictors: List[SizeBypassPredictor] = [
-            SizeBypassPredictor(config.predictor,
-                                stats.group(f"core{core}.predictor"))
-            for core in range(config.num_cores)]
-        self.flow_stats = stats.group("pom_flow")
-        self._flow = _PomFlowStats(self.flow_stats)
-        self._cache_entries = config.cache_tlb_entries
-
-    def _resolve_miss(self, core: int, vm_id: int, asid: int, vaddr: int,
-                      page: ResolvedPage, entry: TlbEntry) -> int:
-        predictor = self.predictors[core]
-        pom = self.pom
-        hierarchy = self.hierarchy
-        tr = self.trace
-        cycles = 1  # predictor lookup
-        predicted_large = predictor.predict_size(vaddr)
-        bypass = (self._cache_entries
-                  and self.config.predictor.bypass_enabled
-                  and predictor.predict_bypass(vaddr))
-        if tr.active:
-            tr.emit(events.PREDICTOR, cycles=1,
-                    predicted_large=predicted_large, bypass=bool(bypass))
-        ctx = (asid << 17) | (vm_id << 1)
-        page_large = page.large
-        if page_large:
-            true_key = ((vaddr >> _LARGE_SHIFT) << 33) | ctx | 1
-        else:
-            true_key = ((vaddr >> _SMALL_SHIFT) << 33) | ctx
-        first_line = pom.candidates(true_key)[0][2]
-        line_was_cached = (self._cache_entries
-                           and hierarchy.tlb_line_cached(core, first_line))
-
-        flow = self._flow
-        sources = flow.sources
-        # Stacked-DRAM fetches call the channel, not the PomTlb forwarder
-        # (bound per miss, so a profiler's per-instance wrapper is seen).
-        dram_access = pom.dram.access
-        cache_entries = self._cache_entries
-        uncached = not cache_entries or bypass
-        found: Optional[TlbEntry] = None
-        # Attempt loop unrolled (cf. PomTlbScheme): first probe at the
-        # predicted size, then the other size.
-        attempt = 0
-        large = predicted_large
-        while True:
-            key = true_key if large == page_large else (
-                ((vaddr >> _LARGE_SHIFT) << 33) | ctx | 1 if large
-                else ((vaddr >> _SMALL_SHIFT) << 33) | ctx)
-            # _fetch_line inlined: up to ``ways`` line fetches per probe
-            # make this the hottest fetch loop of any scheme.
-            for way, slot, line_addr in pom.candidates(key):
-                if uncached:
-                    fetch_cycles = dram_access(line_addr)
-                    if bypass:
-                        hierarchy.tlb_line_fill(core, line_addr)
-                    source = "dram_bypass" if bypass else "dram_uncached"
-                else:
-                    fetch_cycles, level = hierarchy.tlb_line_probe(
-                        core, line_addr)
-                    if level is None:
-                        fetch_cycles += dram_access(line_addr)
-                        hierarchy.tlb_line_fill(core, line_addr)
-                        source = "dram"
-                    else:
-                        source = level
-                counter = sources[source]
-                counter.value += 1
-                counter.touched = True
-                if tr.active:
-                    tr.emit(events.POM_FETCH, cycles=fetch_cycles,
-                            source=source)
-                cycles += fetch_cycles
-                found = pom.probe_slot(key, way, slot)
-                if found is not None:
-                    break
-            if tr.active:
-                tr.emit(events.POM_PROBE, attempt=attempt, large=large,
-                        hit=found is not None)
-            if found is not None:
-                counter = flow.resolved[attempt]
-                counter.value += 1
-                counter.touched = True
-                break
-            if attempt:
-                break
-            attempt = 1
-            large = not predicted_large
-        if found is None:
-            cycles += self._walk(core, vm_id, asid, vaddr)
-            counter = flow.resolved_by_walk
-            counter.value += 1
-            counter.touched = True
-            line_addr, _evicted = pom.insert(true_key, entry)
-            if cache_entries:
-                hierarchy.tlb_line_refill(core, line_addr)
-            else:
-                hierarchy.invalidate_tlb_line(line_addr)
-        predictor.record_size(vaddr, page_large)
-        if cache_entries and found is not None:
-            predictor.record_bypass(vaddr, line_was_cached)
-        return cycles
-
-    def _shootdown_backend(self, vm_id: int, asid: int, vaddr: int) -> int:
-        cycles = 0
-        for large in (False, True):
-            k = _key_for(vm_id, asid, vaddr, large)
-            line_addr = self.pom.invalidate(k)
-            if line_addr is not None:
-                self.hierarchy.invalidate_tlb_line(line_addr)
-                cycles += self.pom.dram.access(line_addr)
-        return cycles
-
-    def _invalidate_vm_backend(self, vm_id: int) -> int:
-        dropped = self.pom.invalidate_vm(vm_id)
-        self.hierarchy.invalidate_lines(dropped, tlb_only=True)
-        return len(dropped)
 
 
 SCHEMES = {

@@ -18,7 +18,12 @@ be measured:
 
 Slots are 16 B entries, four to a 64 B line within each way's region of
 the address range, so the structure is memory-mapped and cacheable like
-the baseline design.
+the baseline design.  It answers the MMU and the verifier through the
+same :class:`~repro.core.pom_tlb.PomStructure` interface as the
+partitioned design: :meth:`SkewedPomTlb.candidates` lists one
+``(line_addr, position)`` pair per way, and the Figure 7 flow of
+:class:`~repro.core.mmu.PomTlbScheme` fetches them in order until one
+hits.
 
 Keys are packed integers (:func:`repro.tlb.entry.pack_key`); the way
 hashes extract the (vpn, vm, asid, large) fields with shifts and masks
@@ -31,10 +36,10 @@ from __future__ import annotations
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..common import addr
-from ..common.config import PomTlbConfig, SystemConfig
-from ..common.stats import StatGroup
-from ..dram import DramChannel
-from ..tlb.entry import KEY_VM_FIELD_MASK, TlbEntry, pack_context, pack_key
+from ..common.config import SystemConfig
+from ..common.stats import StatRegistry
+from ..tlb.entry import KEY_VM_FIELD_MASK, TlbEntry, pack_context
+from .pom_tlb import PomStructure
 
 #: Distinct odd multipliers, one per way (Knuth-style hashing).
 _WAY_MIX = (0x9E3779B1, 0x85EBCA77, 0xC2B2AE3D, 0x27D4EB2F)
@@ -42,40 +47,27 @@ _VM_SPREAD = 0x9E37
 _LINE_SHIFT = addr.CACHE_LINE_SHIFT
 
 
-class SkewedPomTlb:
-    """Drop-in POM-TLB variant with unified storage and skewed ways."""
+class SkewedPomTlb(PomStructure):
+    """POM-TLB organisation with unified storage and skewed ways."""
 
-    #: Batch-replay contract (:mod:`repro.core.batch`): resolving a miss
-    #: through this structure never touches another core's L1 TLB or L1
-    #: data cache (see :class:`repro.core.pom_tlb.PomTlb`).
-    L1_PRIVATE = True
-
-    def __init__(self, config: SystemConfig, stats) -> None:
-        self.config: PomTlbConfig = config.pom_tlb
-        self.stats: StatGroup = stats.group("pom_tlb")
-        self.dram = DramChannel(config.stacked_dram, config.cpu_mhz,
-                                stats.group("stacked_dram"))
-        self._ways = self.config.ways
+    def __init__(self, config: SystemConfig, stats: StatRegistry) -> None:
+        super().__init__(config, stats)
         total_entries = self.config.size_bytes // self.config.entry_bytes
         self._slots_per_way = total_entries // self._ways
         if not addr.is_power_of_two(self._slots_per_way):
             raise ValueError("skewed POM-TLB needs power-of-two slots/way")
         self._mask = self._slots_per_way - 1
-        self._way_bytes = self.config.size_bytes // self._ways
-        # (way, slot) -> (packed key, entry, last-touch stamp)
-        self._slots: Dict[Tuple[int, int], Tuple[int, TlbEntry, int]] = {}
+        # Slots are numbered across the table, way by way: position
+        # ``way * slots_per_way + index`` sits in 64 B line
+        # ``position // 4`` of the mapped range.
+        self._last_way_base = (self._ways - 1) * self._slots_per_way
+        # position -> (packed key, entry, last-touch stamp)
+        self._slots: Dict[int, Tuple[int, TlbEntry, int]] = {}
         self._clock = 0
-        # key -> ((way, slot, line_addr), ...): the per-key geometry is
-        # pure arithmetic, recomputed up to ~10x per miss by the probe
+        # key -> ((line_addr, position), ...): the per-key geometry is
+        # pure arithmetic, recomputed several times per miss by the probe
         # loop, the bypass trainer and insert(); memoize it per key.
-        self._geom: Dict[int, Tuple[Tuple[int, int, int], ...]] = {}
-        # Indexed by the packed key's large bit (``key & 1``).
-        self._hits = (self.stats.counter("hits_small"),
-                      self.stats.counter("hits_large"))
-        self._misses = (self.stats.counter("misses_small"),
-                        self.stats.counter("misses_large"))
-        self._fills = self.stats.counter("fills")
-        self._evictions = self.stats.counter("evictions")
+        self._geom: Dict[int, Tuple[Tuple[int, int], ...]] = {}
 
     # -- addressing -----------------------------------------------------------
 
@@ -89,11 +81,15 @@ class SkewedPomTlb:
             mixed ^= 0x5A5A5A5A  # both sizes coexist in one table
         return mixed & self._mask
 
-    def candidates(self, key: int) -> Tuple[Tuple[int, int, int], ...]:
-        """``(way, slot, line_addr)`` per way, in probe order, memoized.
+    def candidates(self, vaddr: int, key: int, vm_id: Optional[int] = None,
+                   large: Optional[bool] = None
+                   ) -> Tuple[Tuple[int, int], ...]:
+        """``(line_addr, position)`` per way, in probe order, memoized.
 
-        The way hashes share every term except ``vpn * _WAY_MIX[way]``,
-        so the common mix is computed once and XORed per way.
+        The way hashes read only the key (its vpn, vm, asid and size
+        fields), so ``vaddr``/``vm_id``/``large`` are not consulted.
+        They share every term except ``vpn * _WAY_MIX[way]``, so the
+        common mix is computed once and XORed per way.
         """
         geom = self._geom.get(key)
         if geom is None:
@@ -104,101 +100,71 @@ class SkewedPomTlb:
             if key & 1:
                 base_mix ^= 0x5A5A5A5A
             mask = self._mask
-            way_bytes = self._way_bytes
-            line_base = self.config.base_address
+            base = self.config.base_address
+            way_base = 0
             ways = []
             for way in range(self._ways):
-                slot = ((vpn * _WAY_MIX[way]) ^ base_mix) & mask
-                ways.append((way, slot,
-                             line_base + (slot >> 2 << _LINE_SHIFT)))
-                line_base += way_bytes
+                pos = way_base + (((vpn * _WAY_MIX[way]) ^ base_mix) & mask)
+                ways.append((base + (pos >> 2 << _LINE_SHIFT), pos))
+                way_base += self._slots_per_way
             geom = self._geom[key] = tuple(ways)
         return geom
 
-    def _line_address(self, way: int, slot: int) -> int:
-        way_base = self.config.base_address + way * self._way_bytes
-        return way_base + (slot >> 2 << addr.CACHE_LINE_SHIFT)
-
-    def candidate_lines(self, vaddr: int, vm_id: int,
-                        large: bool) -> List[int]:
-        """Line addresses to fetch, one per way, in probe order."""
-        key = pack_key(vm_id, 0, vaddr >> addr.page_shift(large), large)
-        # asid does not change the *line* ordering contract we expose to
-        # callers who only know (vaddr, vm): include it via probe_line.
-        return [line for _way, _slot, line in self.candidates(key)]
-
-    def lines_for_key(self, key: int) -> List[int]:
-        return [line for _way, _slot, line in self.candidates(key)]
-
     # -- functional content -----------------------------------------------------
 
-    def probe_slot(self, key: int, way: int,
-                   slot: int) -> Optional[TlbEntry]:
-        """Check one precomputed ``(way, slot)`` candidate for ``key``."""
+    def probe_slot(self, key: int, pos: int) -> Optional[TlbEntry]:
+        """Check one candidate position; a miss counts on the last way."""
         slots = self._slots
-        resident = slots.get((way, slot))
+        resident = slots.get(pos)
         if resident is not None and resident[0] == key:
             self._clock += 1
-            slots[(way, slot)] = (key, resident[1], self._clock)
+            slots[pos] = (key, resident[1], self._clock)
             counter = self._hits[key & 1]
             counter.value += 1
             counter.touched = True
             return resident[1]
-        if way == self._ways - 1:
+        if pos >= self._last_way_base:
             counter = self._misses[key & 1]
             counter.value += 1
             counter.touched = True
         return None
 
-    def probe_way(self, key: int, way: int) -> Optional[TlbEntry]:
-        """Check a single way's candidate slot for ``key``."""
-        return self.probe_slot(key, way, self.candidates(key)[way][1])
+    def _holds(self, key: int, pos: int) -> bool:
+        resident = self._slots.get(pos)
+        return resident is not None and resident[0] == key
 
-    def contains(self, key: int) -> bool:
-        return any(
-            (resident := self._slots.get((way, slot)))
-            is not None and resident[0] == key
-            for way, slot, _line in self.candidates(key))
+    def _drop(self, key: int, pos: int) -> None:
+        del self._slots[pos]
 
-    def insert(self, key: int,
-               entry: TlbEntry) -> Tuple[int, Optional[int]]:
+    def insert(self, vaddr: int, key: int, entry: TlbEntry,
+               vm_id: Optional[int] = None,
+               large: Optional[bool] = None) -> Tuple[int, Optional[int]]:
         """Install ``key``; returns (line address written, evicted key)."""
         self._clock += 1
         slots = self._slots
-        candidates = self.candidates(key)
+        candidates = self.candidates(vaddr, key)
         # Update in place if present.
-        for way, slot, line in candidates:
-            resident = slots.get((way, slot))
+        for line, pos in candidates:
+            resident = slots.get(pos)
             if resident is not None and resident[0] == key:
-                slots[(way, slot)] = (key, entry, self._clock)
+                slots[pos] = (key, entry, self._clock)
                 self._fills.add()
                 return line, None
         # Prefer an empty candidate slot.
-        for way, slot, line in candidates:
-            if (way, slot) not in slots:
-                slots[(way, slot)] = (key, entry, self._clock)
+        for line, pos in candidates:
+            if pos not in slots:
+                slots[pos] = (key, entry, self._clock)
                 self._fills.add()
                 return line, None
         # Evict the least recently touched candidate.
-        way, slot, line = min(candidates,
-                              key=lambda c: slots[(c[0], c[1])][2])
-        evicted = slots[(way, slot)][0]
-        slots[(way, slot)] = (key, entry, self._clock)
+        line, pos = min(candidates, key=lambda c: slots[c[1]][2])
+        evicted = slots[pos][0]
+        slots[pos] = (key, entry, self._clock)
         self._fills.add()
         self._evictions.add()
         return line, evicted
 
-    # -- shootdown & reporting ------------------------------------------------
-
-    def invalidate(self, key: int) -> Optional[int]:
-        """Drop ``key``; returns the line address it lived in, if any."""
-        for way, slot, line in self.candidates(key):
-            resident = self._slots.get((way, slot))
-            if resident is not None and resident[0] == key:
-                del self._slots[(way, slot)]
-                self.stats.inc("shootdowns")
-                return line
-        return None
+    # -- teardown & reporting -------------------------------------------------
 
     def invalidate_vm(self, vm_id: int) -> List[int]:
         """Drop every translation of one VM (VM teardown).
@@ -214,22 +180,16 @@ class SkewedPomTlb:
             del slots[pos]
         if doomed:
             self.stats.inc("shootdowns", len(doomed))
-        # _line_address inlined
-        base, way_bytes = self.config.base_address, self._way_bytes
-        return [base + way * way_bytes + (slot >> 2 << _LINE_SHIFT)
-                for way, slot in doomed]
+        base = self.config.base_address
+        return [base + (pos >> 2 << _LINE_SHIFT) for pos in doomed]
 
     def resident(self) -> Iterator[Tuple[int, int, int]]:
         """Yield ``(way, slot, packed_key)`` for every resident entry."""
-        for (way, slot), (key, _entry, _stamp) in self._slots.items():
+        for pos, (key, _entry, _stamp) in self._slots.items():
+            way, slot = divmod(pos, self._slots_per_way)
             yield way, slot, key
 
     def occupancy(self) -> Dict[str, int]:
         small = sum(1 for key, _e, _t in self._slots.values()
                     if not key & 1)
         return {"small": small, "large": len(self._slots) - small}
-
-    def hit_rate(self) -> float:
-        hits = self.stats["hits_small"] + self.stats["hits_large"]
-        total = hits + self.stats["misses_small"] + self.stats["misses_large"]
-        return hits / total if total else 0.0

@@ -40,6 +40,7 @@ from typing import Iterable, List, Tuple
 
 from ..common import addr
 from ..common.errors import AddressError, VerificationError
+from ..core.pom_tlb import PomStructure
 from ..tlb.entry import pack_key
 
 #: Line kinds for :class:`StaleLineChecker` tokens.
@@ -98,14 +99,19 @@ def _both_size_keys(vm_id: int, asid: int,
             for large in (False, True)]
 
 
+def _pom(scheme):
+    """The scheme's POM-TLB structure (either organisation), or None."""
+    pom = getattr(scheme, "pom", None)
+    return pom if isinstance(pom, PomStructure) else None
+
+
 def _backend_holds(scheme, vaddr: int, vm_id: int, asid: int,
                    key: int, large: bool) -> bool:
     """Does the scheme's backing structure still hold ``key``?"""
+    pom = _pom(scheme)
+    if pom is not None:
+        return pom.contains(vaddr, key, vm_id, large)
     name = scheme.name
-    if name == "pom":
-        return scheme.pom.contains(vaddr, key, vm_id, large)
-    if name == "pom_skewed":
-        return scheme.pom.contains(key)
     if name == "shared_l2":
         return (scheme.shared.contains(key)
                 or any(shadow.contains(key) for shadow in scheme._shadow))
@@ -117,10 +123,11 @@ def _backend_holds(scheme, vaddr: int, vm_id: int, asid: int,
 
 def _backend_vm_keys(scheme, vm_id: int) -> List[int]:
     """Packed keys (or TSB tags) of ``vm_id`` still in the backend."""
-    name = scheme.name
-    if name in ("pom", "pom_skewed"):
-        return [key for *_pos, key in scheme.pom.resident()
+    pom = _pom(scheme)
+    if pom is not None:
+        return [key for *_pos, key in pom.resident()
                 if (key >> 1) & 0xFFFF == vm_id]
+    name = scheme.name
     if name == "shared_l2":
         found = [k for k in scheme.shared.keys() if k.vm_id == vm_id]
         for shadow in scheme._shadow:
@@ -179,19 +186,12 @@ class StaleLineChecker(InvariantChecker):
     def _key_lines(scheme, vm_id, asid, vaddr) -> List[Tuple[str, int]]:
         """Backing lines currently holding (either size of) ``vaddr``."""
         lines: List[Tuple[str, int]] = []
-        name = scheme.name
+        pom = _pom(scheme)
         for large, key in _both_size_keys(vm_id, asid, vaddr):
-            if name == "pom":
-                if scheme.pom.contains(vaddr, key, vm_id, large):
-                    lines.append((_TLB_LINE,
-                                  scheme.pom.set_address(vaddr, vm_id, large)))
-            elif name == "pom_skewed":
-                pom = scheme.pom
-                for way, slot, line in pom.candidates(key):
-                    resident = pom._slots.get((way, slot))
-                    if resident is not None and resident[0] == key:
-                        lines.append((_TLB_LINE, line))
-            elif name == "tsb":
+            if pom is not None:
+                lines.extend((_TLB_LINE, line) for line
+                             in pom.key_lines(vaddr, key, vm_id, large))
+            elif scheme.name == "tsb":
                 vpn = vaddr >> addr.page_shift(large)
                 if scheme.tsb.contains_guest(vm_id, asid, vpn, large):
                     lines.append((_DATA_LINE,
@@ -202,20 +202,10 @@ class StaleLineChecker(InvariantChecker):
     @staticmethod
     def _vm_lines(scheme, vm_id) -> List[Tuple[str, int]]:
         """Backing lines currently holding any entry of ``vm_id``."""
-        name = scheme.name
-        if name == "pom":
-            pom = scheme.pom
-            return [(_TLB_LINE,
-                     (pom._large_base if large else pom._small_base)
-                     + index * addr.CACHE_LINE_SIZE)
-                    for large, index, key in pom.resident()
-                    if (key >> 1) & 0xFFFF == vm_id]
-        if name == "pom_skewed":
-            pom = scheme.pom
-            return [(_TLB_LINE, pom._line_address(way, slot))
-                    for way, slot, key in pom.resident()
-                    if (key >> 1) & 0xFFFF == vm_id]
-        if name == "tsb":
+        pom = _pom(scheme)
+        if pom is not None:
+            return [(_TLB_LINE, line) for line in pom.vm_lines(vm_id)]
+        if scheme.name == "tsb":
             tsb = scheme.tsb
             resident = tsb.resident()
             lines = [(_DATA_LINE, tsb.guest_entry_address(t[0], t[1], t[2]))
@@ -250,8 +240,9 @@ class StaleLineChecker(InvariantChecker):
     def check_final(self, machine, result):
         scheme = machine.scheme
         cached = machine.hierarchy.tlb_lines()
-        if scheme.name in ("pom", "pom_skewed"):
-            config = scheme.pom.config
+        pom = _pom(scheme)
+        if pom is not None:
+            config = pom.config
             stray = [line for line in cached if not config.contains(line)]
             if stray:
                 self.fail(f"{len(stray)} cached TLB-kind lines outside "

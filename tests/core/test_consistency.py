@@ -171,13 +171,14 @@ class TestInvalidateVmReportsLines:
         pom = machine.scheme.pom
         k1 = pack_key(1, 1, 0x1, False)
         k2 = pack_key(2, 1, 0x2, False)
-        pom.insert(k1, TlbEntry(1))
-        pom.insert(k2, TlbEntry(2))
+        pom.insert(0x1000, k1, TlbEntry(1))
+        pom.insert(0x2000, k2, TlbEntry(2))
         dropped = pom.invalidate_vm(1)
         assert len(dropped) == 1
-        assert dropped[0] in pom.lines_for_key(k1)
-        assert not pom.contains(k1)
-        assert pom.contains(k2)
+        assert dropped[0] in [line for line, _pos
+                              in pom.candidates(0x1000, k1)]
+        assert not pom.contains(0x1000, k1)
+        assert pom.contains(0x2000, k2)
 
     def test_tsb_invalidate_vm_returns_entry_addresses(self):
         machine = make_machine("tsb")
@@ -200,16 +201,6 @@ class TestInvalidateVmCacheCoherence:
             page = machine.touch(vm, asid, va)
             machine.scheme.translate(0, vm, asid, va, page)
 
-    @staticmethod
-    def _occupied_lines(scheme, pom):
-        """Line address of every set/slot currently holding an entry."""
-        if scheme == "pom":
-            return {(pom._large_base if large else pom._small_base)
-                    + index * 64
-                    for large, index, _key in pom.resident()}
-        return {pom._line_address(way, slot)
-                for way, slot, _key in pom.resident()}
-
     @pytest.mark.parametrize("scheme", ["pom", "pom_skewed"])
     def test_no_stale_cached_tlb_line_after_invalidate_vm(self, scheme):
         # Lines cached for sets that never held a dropped entry stay —
@@ -219,7 +210,7 @@ class TestInvalidateVmCacheCoherence:
         self._run_some(machine)
         hierarchy = machine.hierarchy
         pom = machine.scheme.pom
-        occupied = self._occupied_lines(scheme, pom)
+        occupied = set(pom.vm_lines(0))  # the only VM that ran
         cached_before = occupied & set(hierarchy.tlb_lines())
         assert cached_before, "expected cached POM-TLB set lines"
         dropped = machine.invalidate_vm(0)

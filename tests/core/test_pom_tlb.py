@@ -6,6 +6,7 @@ from repro.common import addr
 from repro.common.config import PomTlbConfig, SystemConfig
 from repro.common.stats import StatRegistry
 from repro.core.pom_tlb import PomTlb
+from repro.core.skewed_pom import SkewedPomTlb
 from repro.tlb.entry import TlbEntry, TlbKey
 
 
@@ -93,16 +94,16 @@ class TestAssociativityAndLru:
 class TestDramTiming:
     def test_dram_access_returns_cycles(self):
         pom = make_pom()
-        cycles = pom.dram_access(pom.set_address(0x5000, 0, False))
+        cycles = pom.dram.access(pom.set_address(0x5000, 0, False))
         assert cycles > 0
 
     def test_same_row_accesses_hit_row_buffer(self):
         pom = make_pom()
         a = pom.set_address(0x5000, 0, False)
-        pom.dram_access(a)
-        cold = pom.stats  # row stats live on the stacked_dram group
+        pom.dram.access(a)
+        # row stats live on the stacked_dram group
         first = pom.dram.stats["row_hits"]
-        pom.dram_access(a + 64)  # neighbouring set, same 2KiB row
+        pom.dram.access(a + 64)  # neighbouring set, same 2KiB row
         assert pom.dram.stats["row_hits"] == first + 1
 
 
@@ -142,3 +143,72 @@ class TestCapacityAndReach:
         pom.probe(0x5000, key(5))
         pom.probe(0x6000, key(6))
         assert pom.hit_rate() == pytest.approx(0.5)
+
+
+# -- the interface both organisations answer the MMU and verifier through ---
+
+
+def page_va(k):
+    """Virtual address of the page a packed key names."""
+    return (k >> 33) << addr.page_shift(bool(k & 1))
+
+
+@pytest.fixture(params=[PomTlb, SkewedPomTlb], ids=["partitioned", "skewed"])
+def structure(request):
+    cfg = SystemConfig(pom_tlb=PomTlbConfig(size_bytes=1 * addr.MiB))
+    return request.param(cfg, StatRegistry())
+
+
+class TestStructureInterface:
+    KEYS = [key(5, vm=1, asid=2), key(7, vm=1, asid=2, large=True),
+            key(9, vm=3, asid=2)]
+
+    def test_candidates_are_lines_in_the_mapped_range(self, structure):
+        for k in self.KEYS:
+            candidates = structure.candidates(page_va(k), k)
+            assert 1 <= len(candidates) <= structure.config.ways
+            for line, _slot in candidates:
+                assert line % addr.CACHE_LINE_SIZE == 0
+                assert structure.config.contains(line)
+
+    def test_insert_writes_a_candidate_line(self, structure):
+        for k in self.KEYS:
+            line, evicted = structure.insert(page_va(k), k, TlbEntry(1))
+            assert evicted is None
+            assert line in [c[0] for c in structure.candidates(page_va(k), k)]
+            assert structure.key_lines(page_va(k), k) == [line]
+            assert structure.contains(page_va(k), k)
+
+    def test_probe_counts_one_hit_or_one_miss(self, structure):
+        k, absent = self.KEYS[0], key(6, vm=1, asid=2)
+        structure.insert(page_va(k), k, TlbEntry(4))
+        assert structure.probe(page_va(k), k).ppn == 4
+        assert structure.probe(page_va(absent), absent) is None
+        assert structure.stats["hits_small"] == 1
+        assert structure.stats["misses_small"] == 1
+
+    def test_views_have_no_side_effects(self, structure):
+        k = self.KEYS[0]
+        structure.insert(page_va(k), k, TlbEntry(1))
+        before = structure.stats.as_dict()
+        structure.contains(page_va(k), k)
+        structure.key_lines(page_va(k), k)
+        structure.vm_lines(1)
+        assert structure.stats.as_dict() == before
+
+    def test_invalidate_returns_the_line_it_dropped(self, structure):
+        k = self.KEYS[0]
+        line, _ = structure.insert(page_va(k), k, TlbEntry(1))
+        assert structure.invalidate(page_va(k), k) == line
+        assert structure.key_lines(page_va(k), k) == []
+        assert structure.invalidate(page_va(k), k) is None
+
+    def test_invalidate_vm_drops_the_vm_lines(self, structure):
+        lines = {}
+        for k in self.KEYS:
+            lines[k] = structure.insert(page_va(k), k, TlbEntry(1))[0]
+        expected = sorted(lines[k] for k in self.KEYS[:2])
+        assert sorted(structure.vm_lines(1)) == expected
+        assert sorted(structure.invalidate_vm(1)) == expected
+        assert structure.vm_lines(1) == []
+        assert structure.vm_lines(3) == [lines[self.KEYS[2]]]

@@ -4,6 +4,7 @@ import pytest
 
 from repro.common import addr
 from repro.common.config import PomTlbConfig, SystemConfig
+from repro.common.errors import ConfigError
 from repro.common.stats import StatRegistry
 from repro.core.skewed_pom import SkewedPomTlb
 from repro.core.system import Machine
@@ -20,47 +21,66 @@ def key(vpn, vm=0, asid=0, large=False):
     return TlbKey(vm_id=vm, asid=asid, vpn=vpn, large=large).pack()
 
 
+def va(k):
+    """Virtual address of the page a packed key names."""
+    return (k >> 33) << addr.page_shift(bool(k & 1))
+
+
+def lines(pom, k):
+    return [line for line, _pos in pom.candidates(va(k), k)]
+
+
 class TestStructure:
     def test_insert_then_probe_some_way_hits(self):
         pom = make_skewed()
-        pom.insert(key(5), TlbEntry(ppn=9))
-        found = [pom.probe_way(key(5), w) for w in range(4)]
+        pom.insert(va(key(5)), key(5), TlbEntry(ppn=9))
+        found = [pom.probe_slot(key(5), pos)
+                 for _line, pos in pom.candidates(va(key(5)), key(5))]
         hits = [e for e in found if e is not None]
         assert len(hits) == 1 and hits[0].ppn == 9
 
     def test_unified_storage_holds_both_sizes(self):
         pom = make_skewed()
-        pom.insert(key(5, large=False), TlbEntry(1))
-        pom.insert(key(5, large=True), TlbEntry(2))
-        assert pom.contains(key(5, large=False))
-        assert pom.contains(key(5, large=True))
+        small, large = key(5, large=False), key(5, large=True)
+        pom.insert(va(small), small, TlbEntry(1))
+        pom.insert(va(large), large, TlbEntry(2))
+        assert pom.contains(va(small), small)
+        assert pom.contains(va(large), large)
         occupancy = pom.occupancy()
         assert occupancy == {"small": 1, "large": 1}
 
     def test_reinsert_updates_in_place(self):
         pom = make_skewed()
-        pom.insert(key(5), TlbEntry(1))
-        pom.insert(key(5), TlbEntry(2))
+        pom.insert(va(key(5)), key(5), TlbEntry(1))
+        pom.insert(va(key(5)), key(5), TlbEntry(2))
         assert sum(pom.occupancy().values()) == 1
 
     def test_ways_use_different_hashes(self):
         pom = make_skewed()
-        lines = pom.lines_for_key(key(12345))
-        assert len(lines) == 4
-        assert len(set(lines)) >= 2  # skewing: not all the same index
+        candidates = lines(pom, key(12345))
+        assert len(candidates) == 4
+        assert len(set(candidates)) >= 2  # skewing: not all the same index
 
     def test_lines_live_in_distinct_way_regions(self):
         pom = make_skewed()
-        lines = pom.lines_for_key(key(12345))
         way_bytes = pom.config.size_bytes // 4
-        regions = {(l - pom.config.base_address) // way_bytes for l in lines}
+        regions = {(line - pom.config.base_address) // way_bytes
+                   for line in lines(pom, key(12345))}
         assert regions == {0, 1, 2, 3}
 
     def test_candidate_lines_are_line_aligned(self):
         pom = make_skewed()
-        for line in pom.candidate_lines(0x123456789, 3, False):
+        k = key(0x123456789 >> 12, vm=3, asid=1)
+        for line in lines(pom, k):
             assert line % 64 == 0
             assert pom.config.contains(line)
+
+    def test_asid_changes_the_candidates(self):
+        # The way hashes mix the ASID in: callers must probe with the
+        # full key, not a (vaddr, vm) pair.
+        pom = make_skewed()
+        assert lines(pom, key(77, vm=3, asid=0)) != \
+            lines(pom, key(77, vm=3, asid=1))
 
 
 class TestEviction:
@@ -68,7 +88,8 @@ class TestEviction:
         pom = make_skewed()
         # Insert far fewer entries than capacity: no evictions expected.
         for vpn in range(200):
-            _line, evicted = pom.insert(key(vpn), TlbEntry(vpn))
+            _line, evicted = pom.insert(va(key(vpn)), key(vpn),
+                                        TlbEntry(vpn))
             assert evicted is None
 
     def test_lru_among_candidates(self):
@@ -78,10 +99,10 @@ class TestEviction:
         # key is no longer resident.
         evictions = 0
         for vpn in range(200000):
-            _line, evicted = pom.insert(key(vpn), TlbEntry(1))
+            _line, evicted = pom.insert(va(key(vpn)), key(vpn), TlbEntry(1))
             if evicted is not None:
                 evictions += 1
-                assert not pom.contains(evicted)
+                assert not pom.contains(va(evicted), evicted)
                 break
         # 1MiB = 64Ki entries; 200k inserts must evict eventually.
         assert evictions == 1
@@ -90,19 +111,19 @@ class TestEviction:
 class TestInvalidation:
     def test_invalidate_present(self):
         pom = make_skewed()
-        pom.insert(key(5), TlbEntry(1))
-        line = pom.invalidate(key(5))
-        assert line is not None
-        assert not pom.contains(key(5))
+        pom.insert(va(key(5)), key(5), TlbEntry(1))
+        line = pom.invalidate(va(key(5)), key(5))
+        assert line in lines(pom, key(5))
+        assert not pom.contains(va(key(5)), key(5))
 
     def test_invalidate_absent(self):
         pom = make_skewed()
-        assert pom.invalidate(key(5)) is None
+        assert pom.invalidate(va(key(5)), key(5)) is None
 
     def test_invalidate_vm(self):
         pom = make_skewed()
-        pom.insert(key(1, vm=1), TlbEntry(1))
-        pom.insert(key(2, vm=2), TlbEntry(2))
+        for k in (key(1, vm=1), key(2, vm=2)):
+            pom.insert(va(k), k, TlbEntry(1))
         dropped = pom.invalidate_vm(1)
         assert len(dropped) == 1  # one line address per dropped entry
         assert sum(pom.occupancy().values()) == 1
@@ -129,10 +150,15 @@ class TestSchemeIntegration:
 
     def test_hit_rate_reporting(self):
         pom = make_skewed()
-        pom.insert(key(5), TlbEntry(1))
-        for w in range(4):
-            if pom.probe_way(key(5), w):
-                break
-        for w in range(4):
-            pom.probe_way(key(99), w)
-        assert 0 < pom.hit_rate() < 1
+        pom.insert(va(key(5)), key(5), TlbEntry(1))
+        assert pom.probe(va(key(5)), key(5)) is not None
+        assert pom.probe(va(key(99)), key(99)) is None
+        assert pom.hit_rate() == pytest.approx(0.5)
+
+    def test_prefetch_is_rejected(self):
+        # Next-page prefetch fetches the partitioned layout's next set;
+        # the skewed organisation has no such line to fetch.
+        config = SystemConfig(num_cores=1, tlb_prefetch=True)
+        with pytest.raises(ConfigError, match="pom_skewed.*tlb_prefetch"):
+            Machine(config, scheme="pom_skewed")
+        assert Machine(config, scheme="pom").scheme._prefetch

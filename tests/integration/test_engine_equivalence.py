@@ -15,6 +15,8 @@ This is the contract future optimizations are held to — see the
 "Engine performance" section of EXPERIMENTS.md.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.core.batch import HAS_NUMPY
@@ -37,6 +39,26 @@ SCHEMES = ("baseline", "pom", "pom_skewed", "shared_l2", "tsb")
 #: exercised thousands of times.
 PARAMS = ExperimentParams(num_cores=2, refs_per_core=900, scale=0.1, seed=42)
 
+#: The POM flow's configuration branches (uncached sets, no bypass
+#: prediction, next-page prefetch) on both organisations and two
+#: benchmarks.  These cases replay at scale 0.3 and compare every counter
+#: from the first reference: at PARAMS' scale the warmup covers the whole
+#: footprint and leaves no L2 TLB miss to compare.  Prefetch is
+#: partitioned-only (``pom_skewed`` rejects it).  The default-config
+#: cases of every scheme keep their plain ids.
+POM_VARIANTS = (("default", {}), ("uncached", {"cache_tlb_entries": False}),
+                ("nobypass", {"bypass_enabled": False}),
+                ("prefetch", {"tlb_prefetch": True}))
+CASES = [pytest.param(scheme, "gups", PARAMS, True, id=scheme)
+         for scheme in SCHEMES]
+CASES += [pytest.param(scheme, name,
+                       dataclasses.replace(PARAMS, scale=0.3, **overrides),
+                       False, id=f"{scheme}-{name}-{label}")
+          for scheme in ("pom", "pom_skewed")
+          for name in ("gups", "mcf")
+          for label, overrides in POM_VARIANTS
+          if not (scheme == "pom_skewed" and label == "prefetch")]
+
 RESULT_FIELDS = ("scheme", "references", "instructions", "l2_tlb_misses",
                  "penalty_cycles", "translation_cycles", "data_cycles",
                  "page_walks")
@@ -49,22 +71,26 @@ def _workload(benchmark="gups", params=PARAMS):
                                   seed=params.seed, scale=params.scale)
 
 
-def _run_reference(scheme, profile, workload, params=PARAMS):
+def _warmup(workload, warm=True):
+    return (workload.warmup_by_core or workload.warmup_references
+            if warm else 0)
+
+
+def _run_reference(scheme, profile, workload, params=PARAMS, warm=True):
     machine = ReferenceMachine(params.system_config(), scheme=scheme,
                                thp_large_fraction=profile.thp_large_fraction,
                                seed=params.seed)
     return machine.run(workload.streams,
-                       warmup_references=workload.warmup_by_core
-                       or workload.warmup_references)
+                       warmup_references=_warmup(workload, warm))
 
 
-def _run_optimized(scheme, profile, workload, params=PARAMS, obs=None):
+def _run_optimized(scheme, profile, workload, params=PARAMS, obs=None,
+                   warm=True):
     machine = Machine(params.system_config(), scheme=scheme,
                       thp_large_fraction=profile.thp_large_fraction,
                       seed=params.seed, obs=obs)
     return machine.run(workload.streams,
-                       warmup_references=workload.warmup_by_core
-                       or workload.warmup_references)
+                       warmup_references=_warmup(workload, warm))
 
 
 def _assert_equivalent(reference, optimized):
@@ -88,11 +114,11 @@ def _assert_equivalent(reference, optimized):
     assert new_hists == ref_hists
 
 
-@pytest.mark.parametrize("scheme", SCHEMES)
-def test_counters_bit_identical(scheme):
-    profile, workload = _workload()
-    reference = _run_reference(scheme, profile, workload)
-    optimized = _run_optimized(scheme, profile, workload)
+@pytest.mark.parametrize("scheme, name, params, warm", CASES)
+def test_counters_bit_identical(scheme, name, params, warm):
+    profile, workload = _workload(name, params)
+    reference = _run_reference(scheme, profile, workload, params, warm)
+    optimized = _run_optimized(scheme, profile, workload, params, warm=warm)
     _assert_equivalent(reference, optimized)
 
 
@@ -143,14 +169,14 @@ def _packed(workload):
 
 
 @needs_numpy
-@pytest.mark.parametrize("scheme", SCHEMES)
-def test_batch_engine_bit_identical(scheme):
+@pytest.mark.parametrize("scheme, name, params, warm", CASES)
+def test_batch_engine_bit_identical(scheme, name, params, warm):
     """Batch replay == frozen reference, every counter, every scheme."""
-    profile, workload = _workload()
-    reference = _run_reference(scheme, profile, workload)
-    machine = _batch_machine(scheme, profile)
-    warm = workload.warmup_by_core or workload.warmup_references
-    batched = machine.run(_packed(workload), warmup_references=warm)
+    profile, workload = _workload(name, params)
+    reference = _run_reference(scheme, profile, workload, params, warm)
+    machine = _batch_machine(scheme, profile, params)
+    batched = machine.run(_packed(workload),
+                          warmup_references=_warmup(workload, warm))
     assert machine.last_replay_mode == "batch", machine.batch_fallback_reason
     _assert_equivalent(reference, batched)
 

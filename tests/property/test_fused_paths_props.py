@@ -212,7 +212,8 @@ def _reference_skewed_invalidate_vm(pom, vm_id):
         del pom._slots[pos]
     if doomed:
         pom.stats.inc("shootdowns", len(doomed))
-    return [pom._line_address(way, slot) for way, slot in doomed]
+    # Four 16 B slots to a 64 B line, numbered across the table.
+    return [pom.config.base_address + (pos >> 2) * 64 for pos in doomed]
 
 
 def filled_tlbs(items):
@@ -273,7 +274,7 @@ class TestOnePassTeardown:
         for vm, asid, vpn, large in items:
             key = pack_key(vm, asid, vpn >> (9 if large else 0), large)
             for pom in (fused, reference):
-                pom.insert(key, TlbEntry(vpn))
+                pom.insert(vpn << addr.SMALL_PAGE_SHIFT, key, TlbEntry(vpn))
         assert sorted(fused.invalidate_vm(vm_id)) == \
             sorted(_reference_skewed_invalidate_vm(reference, vm_id))
         assert fused.stats.as_dict() == reference.stats.as_dict()

@@ -137,9 +137,9 @@ class TestSetAddressChecker:
         machine = make_machine("pom_skewed")
         run_some(machine)
         pom = machine.scheme.pom
-        (way, slot), resident = next(iter(pom._slots.items()))
-        del pom._slots[(way, slot)]
-        pom._slots[(way, (slot + 1) & pom._mask)] = resident
+        pos, resident = next(iter(pom._slots.items()))
+        del pom._slots[pos]
+        pom._slots[pos ^ 1] = resident  # the neighbouring slot, same way
         with pytest.raises(VerificationError, match="way hash"):
             SetAddressChecker().check_final(machine, None)
 
