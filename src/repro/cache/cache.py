@@ -33,12 +33,22 @@ DATA = "data"
 TLB = "tlb"
 
 
-class SetAssociativeCache:
-    """One level of a write-allocate, (modelled) write-back cache.
+def priority_victim(tags: Dict[int, str]) -> int:
+    """The ``tlb_priority`` victim of a full set: its oldest data line,
+    or the oldest line when every line is a TLB line."""
+    for tag, kind in tags.items():  # oldest first
+        if kind == DATA:
+            return tag
+    return next(iter(tags))
 
-    The model tracks presence and recency, not contents: the simulator
-    only needs hit/miss outcomes and latency.  Lookups and fills operate
-    on byte addresses; alignment to 64 B lines is internal.
+
+class SetAssociativeCache:
+    """One level of a write-allocate cache.
+
+    The model tracks presence, recency and line kind, not contents: the
+    simulator only needs hit/miss outcomes and latency, so a store costs
+    what a load costs.  Lookups and fills operate on byte addresses;
+    alignment to 64 B lines is internal.
     """
 
     def __init__(self, config: CacheConfig, stats: StatGroup,
@@ -55,11 +65,6 @@ class SetAssociativeCache:
         # (A list comprehension: a generator resumes a frame per set.)
         self._tags: Tuple[Dict[int, str], ...] = tuple(
             [{} for _ in range(self._num_sets)])
-        # Dirty lines, by (set, tag); populated only when callers use the
-        # write-back API (mark_dirty / fill(dirty=True)).
-        self._dirty: set = set()
-        #: dirtiness of the line evicted by the most recent fill()
-        self.last_evicted_dirty: bool = False
         # Per-kind counter slots, resolved once (see common.stats).  Held
         # as direct attributes: the hot path selects with one string
         # compare (identity fast path — callers pass the module
@@ -74,10 +79,6 @@ class SetAssociativeCache:
         self._tlb_evictions = stats.counter(f"{TLB}_evictions")
 
     # -- geometry ---------------------------------------------------------
-
-    def _index_tag(self, address: int) -> Tuple[int, int]:
-        line = address >> self._line_shift
-        return line & self._set_mask, line >> self._set_shift
 
     @property
     def latency(self) -> int:
@@ -108,68 +109,33 @@ class SetAssociativeCache:
         line = address >> self._line_shift
         return (line >> self._set_shift) in self._tags[line & self._set_mask]
 
-    def fill(self, address: int, kind: str = DATA,
-             dirty: bool = False) -> Optional[int]:
+    def fill(self, address: int, kind: str = DATA) -> Optional[int]:
         """Insert the line for ``address``; returns the evicted line address.
 
         Filling a line already present just refreshes recency (and its
         kind, which matters only if an address range is repurposed).
-        After the call, :attr:`last_evicted_dirty` says whether the
-        evicted line (if any) held unwritten-back data.
         """
         line = address >> self._line_shift
         set_idx = line & self._set_mask
         tags = self._tags[set_idx]
         tag = line >> self._set_shift
         evicted: Optional[int] = None
-        self.last_evicted_dirty = False
         if tag in tags:
             del tags[tag]  # the re-insert below refreshes recency
         elif len(tags) >= self._ways:
-            if self.tlb_priority:
-                victim = self._select_victim(set_idx)
-            else:
-                victim = next(iter(tags))  # oldest
+            victim = (priority_victim(tags) if self.tlb_priority
+                      else next(iter(tags)))  # oldest
             victim_kind = tags.pop(victim)
             slot = (self._data_evictions if victim_kind == DATA
                     else self._tlb_evictions)
             slot.value += 1
             slot.touched = True
             evicted = ((victim << self._set_shift) | set_idx) << self._line_shift
-            if self._dirty and (set_idx, victim) in self._dirty:
-                self._dirty.discard((set_idx, victim))
-                self.last_evicted_dirty = True
         tags[tag] = kind
-        if dirty:
-            self._dirty.add((set_idx, tag))
         slot = self._data_fills if kind == DATA else self._tlb_fills
         slot.value += 1
         slot.touched = True
         return evicted
-
-    def mark_dirty(self, address: int) -> bool:
-        """Flag the resident line holding ``address`` as modified."""
-        line = address >> self._line_shift
-        set_idx = line & self._set_mask
-        tag = line >> self._set_shift
-        if tag in self._tags[set_idx]:
-            self._dirty.add((set_idx, tag))
-            return True
-        return False
-
-    def is_dirty(self, address: int) -> bool:
-        """True when the line holding ``address`` is resident and dirty."""
-        set_idx, tag = self._index_tag(address)
-        return (set_idx, tag) in self._dirty
-
-    def _select_victim(self, set_idx: int) -> int:
-        tags = self._tags[set_idx]
-        if not self.tlb_priority:
-            return next(iter(tags))  # oldest
-        for tag, kind in tags.items():  # oldest first
-            if kind == DATA:
-                return tag
-        return next(iter(tags))
 
     def _line_address(self, set_idx: int, tag: int) -> int:
         line = (tag << self._set_shift) | set_idx
@@ -178,13 +144,10 @@ class SetAssociativeCache:
     def invalidate(self, address: int) -> bool:
         """Drop the line holding ``address`` if present."""
         line = address >> self._line_shift
-        set_idx = line & self._set_mask
-        tags = self._tags[set_idx]
+        tags = self._tags[line & self._set_mask]
         tag = line >> self._set_shift
         if tag in tags:
             del tags[tag]
-            if self._dirty:
-                self._dirty.discard((set_idx, tag))
             return True
         return False
 
@@ -192,7 +155,6 @@ class SetAssociativeCache:
         """Empty the whole cache."""
         for tags in self._tags:
             tags.clear()
-        self._dirty.clear()
 
     # -- introspection ------------------------------------------------------
 

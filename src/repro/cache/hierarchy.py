@@ -8,7 +8,8 @@ back up the hierarchy on the miss path.
 
 Two access flavours exist because the POM-TLB flow differs from a load:
 
-* :meth:`data_access` — a normal load/store: L1 -> L2 -> L3 -> DRAM.
+* :meth:`data_access` — a normal load or store (PTE references
+  included): L1 -> L2 -> L3 -> DRAM.
 * :meth:`tlb_line_probe` — the MMU probing for a cached POM-TLB set:
   starts at the **L2D$** (the paper's MMU issues the load there), then
   L3D$; the caller decides what to do on miss (go to stacked DRAM) and
@@ -22,7 +23,7 @@ from typing import List, Optional, Sequence, Tuple
 from ..common.config import SystemConfig
 from ..common.stats import StatRegistry
 from ..dram import DramChannel
-from .cache import DATA, TLB, SetAssociativeCache
+from .cache import DATA, TLB, SetAssociativeCache, priority_victim
 from .dram_cache import DramDataCache
 
 
@@ -49,8 +50,8 @@ class CacheHierarchy:
             self._l4 = DramDataCache(
                 config.l4_data_cache_bytes, config.stacked_dram,
                 config.cpu_mhz, stats.group("l4_cache"))
-        self._writeback = config.writeback_modeling
-        self._wb_stats = stats.group("writebacks")
+        # Always empty; kept because every stats snapshot lists it.
+        stats.group("writebacks")
         # Load-to-use latencies, hoisted off the per-access path.
         self._l1_latency = config.l1d.latency_cycles
         self._l2_latency = config.l2d.latency_cycles
@@ -86,31 +87,23 @@ class CacheHierarchy:
 
     # -- normal data path -----------------------------------------------------
 
-    def data_access(self, core: int, paddr: int, is_write: bool = False) -> int:
-        """Load/store at physical address ``paddr``; returns CPU cycles.
+    def data_access(self, core: int, paddr: int) -> int:
+        """Load or store at physical address ``paddr``; returns CPU cycles.
 
         Latencies are **load-to-use from the core** (Table 1 semantics):
         an L3 hit costs 42 cycles total, not 4+12+42 — the lower levels'
-        lookups overlap the path to the bigger array.  Write misses
-        allocate (write-allocate).  With ``writeback_modeling`` enabled,
-        dirty victims cascade to the next level and eventually occupy
-        DRAM banks, off the critical path; disabled (the default, and the
-        paper's scope), writes cost the same as reads.
+        lookups overlap the path to the bigger array.  Misses allocate
+        in every level; a store costs what a load costs.
         """
         l1, l2 = self._l1[core], self._l2[core]
-        wb = self._writeback
-        # The whole non-writeback path is unrolled over the caches' set
-        # dicts: probes (the hit is the common outcome for page-walk PTE
-        # references, this method's dominant caller) and the miss-path
-        # fills.  Unconditional pop + reinsert produces the same recency
-        # order as lookup()'s conditional move-to-end; the inlined fills
-        # skip fill()'s already-resident branch (the probe just missed)
-        # and its write-back bookkeeping (the dirty set stays empty
-        # without writeback_modeling, so victims only need the rare
-        # discard below).
+        # The whole path is unrolled over the caches' set dicts: probes
+        # (the hit is the common outcome for page-walk PTE references,
+        # this method's dominant caller) and the miss-path fills.
+        # Unconditional pop + reinsert produces the same recency order as
+        # lookup()'s conditional move-to-end; the inlined fills skip
+        # fill()'s already-resident branch (the probe just missed).
         line = paddr >> l1._line_shift
-        set1 = line & l1._set_mask
-        tags1 = l1._tags[set1]
+        tags1 = l1._tags[line & l1._set_mask]
         tag1 = line >> l1._set_shift
         kind = tags1.pop(tag1, None)
         if kind is not None:
@@ -118,15 +111,12 @@ class CacheHierarchy:
             slot = l1._data_hits
             slot.value += 1
             slot.touched = True
-            if wb and is_write:
-                l1.mark_dirty(paddr)
             return self._l1_latency
         slot = l1._data_misses
         slot.value += 1
         slot.touched = True
         line = paddr >> l2._line_shift
-        set2 = line & l2._set_mask
-        tags2 = l2._tags[set2]
+        tags2 = l2._tags[line & l2._set_mask]
         tag2 = line >> l2._set_shift
         kind = tags2.pop(tag2, None)
         if kind is not None:
@@ -134,162 +124,76 @@ class CacheHierarchy:
             slot = l2._data_hits
             slot.value += 1
             slot.touched = True
-            if wb:
-                if is_write:
-                    l2.mark_dirty(paddr)
-                self._fill_l1(core, paddr, dirty=is_write)
+            cycles = self._l2_latency
+        else:
+            slot = l2._data_misses
+            slot.value += 1
+            slot.touched = True
+            l3 = self._l3
+            line = paddr >> l3._line_shift
+            tags3 = l3._tags[line & l3._set_mask]
+            tag3 = line >> l3._set_shift
+            kind = tags3.pop(tag3, None)
+            if kind is not None:
+                tags3[tag3] = kind
+                slot = l3._data_hits
+                slot.value += 1
+                slot.touched = True
+                cycles = self._l3_latency
             else:
-                if len(tags1) >= l1._ways:
-                    victim = next(iter(tags1))
-                    slot = (l1._data_evictions
-                            if tags1.pop(victim) == DATA
-                            else l1._tlb_evictions)
+                slot = l3._data_misses
+                slot.value += 1
+                slot.touched = True
+                cycles = self._l3_latency
+                if self._l4 is not None:
+                    probe = self._l4.access(paddr)
+                    if probe.hit:
+                        cycles += probe.cycles
+                    else:
+                        # Self-balancing dispatch (Sim et al. [44]): the
+                        # off-chip access is issued in parallel with the
+                        # stacked probe, so a miss costs the slower of
+                        # the two, not their sum.
+                        cycles += max(probe.cycles, self._dram.access(paddr))
+                        self._l4.fill(paddr)
+                else:
+                    cycles += self._dram.access(paddr)
+                # L3 fill
+                if len(tags3) >= l3._ways:
+                    victim = (priority_victim(tags3) if l3.tlb_priority
+                              else next(iter(tags3)))
+                    slot = (l3._data_evictions if tags3.pop(victim) == DATA
+                            else l3._tlb_evictions)
                     slot.value += 1
                     slot.touched = True
-                    if l1._dirty:
-                        l1._dirty.discard((set1, victim))
-                tags1[tag1] = DATA
-                slot = l1._data_fills
+                tags3[tag3] = DATA
+                slot = l3._data_fills
                 slot.value += 1
                 slot.touched = True
-            return self._l2_latency
-        slot = l2._data_misses
-        slot.value += 1
-        slot.touched = True
-        l3 = self._l3
-        line = paddr >> l3._line_shift
-        set3 = line & l3._set_mask
-        tags3 = l3._tags[set3]
-        tag3 = line >> l3._set_shift
-        kind = tags3.pop(tag3, None)
-        if kind is not None:
-            tags3[tag3] = kind
-            slot = l3._data_hits
-            slot.value += 1
-            slot.touched = True
-            if wb:
-                if is_write:
-                    l3.mark_dirty(paddr)
-                self._fill_l2(core, paddr, dirty=False)
-                self._fill_l1(core, paddr, dirty=is_write)
-                return self._l3_latency
-            cycles = self._l3_latency
-        else:
-            slot = l3._data_misses
-            slot.value += 1
-            slot.touched = True
-            cycles = self._l3_latency
-            if self._l4 is not None:
-                probe = self._l4.access(paddr)
-                if probe.hit:
-                    cycles += probe.cycles
-                else:
-                    # Self-balancing dispatch (Sim et al. [44]): the
-                    # off-chip access is issued in parallel with the
-                    # stacked probe, so a miss costs the slower of the
-                    # two, not their sum.
-                    cycles += max(probe.cycles, self._dram.access(paddr))
-                    self._l4.fill(paddr)
-            else:
-                cycles += self._dram.access(paddr)
-            if wb:
-                self._fill_l3(paddr, dirty=False)
-                self._fill_l2(core, paddr, dirty=False)
-                self._fill_l1(core, paddr, dirty=is_write)
-                return cycles
-            # L3 fill
-            if len(tags3) >= l3._ways:
-                victim = next(iter(tags3))
-                slot = (l3._data_evictions if tags3.pop(victim) == DATA
-                        else l3._tlb_evictions)
+            # L2 fill
+            if len(tags2) >= l2._ways:
+                victim = (priority_victim(tags2) if l2.tlb_priority
+                          else next(iter(tags2)))
+                slot = (l2._data_evictions if tags2.pop(victim) == DATA
+                        else l2._tlb_evictions)
                 slot.value += 1
                 slot.touched = True
-                if l3._dirty:
-                    l3._dirty.discard((set3, victim))
-            tags3[tag3] = DATA
-            slot = l3._data_fills
+            tags2[tag2] = DATA
+            slot = l2._data_fills
             slot.value += 1
             slot.touched = True
-        # L2 fill
-        if len(tags2) >= l2._ways:
-            victim = next(iter(tags2))
-            slot = (l2._data_evictions if tags2.pop(victim) == DATA
-                    else l2._tlb_evictions)
-            slot.value += 1
-            slot.touched = True
-            if l2._dirty:
-                l2._dirty.discard((set2, victim))
-        tags2[tag2] = DATA
-        slot = l2._data_fills
-        slot.value += 1
-        slot.touched = True
-        # L1 fill
+        # L1 fill (the L1s never hold TLB lines: plain LRU)
         if len(tags1) >= l1._ways:
-            victim = next(iter(tags1))
-            slot = (l1._data_evictions if tags1.pop(victim) == DATA
+            slot = (l1._data_evictions
+                    if tags1.pop(next(iter(tags1))) == DATA
                     else l1._tlb_evictions)
             slot.value += 1
             slot.touched = True
-            if l1._dirty:
-                l1._dirty.discard((set1, victim))
         tags1[tag1] = DATA
         slot = l1._data_fills
         slot.value += 1
         slot.touched = True
         return cycles
-
-    # -- write-back plumbing (active only with writeback_modeling) -----------
-
-    def _fill_l1(self, core: int, paddr: int, dirty: bool) -> None:
-        l1 = self._l1[core]
-        victim = l1.fill(paddr, DATA, dirty=dirty)
-        if self._writeback and victim is not None and l1.last_evicted_dirty:
-            self._wb_stats.inc("l1_to_l2")
-            self._absorb_dirty_victim(self._l2[core], victim,
-                                      next_level="l2", core=core)
-
-    def _fill_l2(self, core: int, paddr: int, dirty: bool) -> None:
-        l2 = self._l2[core]
-        victim = l2.fill(paddr, DATA, dirty=dirty)
-        if self._writeback and victim is not None and l2.last_evicted_dirty:
-            self._wb_stats.inc("l2_to_l3")
-            self._absorb_dirty_victim(self._l3, victim, next_level="l3",
-                                      core=core)
-
-    def _fill_l3(self, paddr: int, dirty: bool) -> None:
-        victim = self._l3.fill(paddr, DATA, dirty=dirty)
-        if self._writeback and victim is not None \
-                and self._l3.last_evicted_dirty:
-            self._write_to_memory(victim)
-
-    def _absorb_dirty_victim(self, cache, victim: int, next_level: str,
-                             core: int) -> None:
-        """Install (or re-dirty) a dirty victim one level down."""
-        if cache.contains(victim):
-            cache.mark_dirty(victim)
-            return
-        if next_level == "l2":
-            self._fill_l2(core, victim, dirty=True)
-        else:
-            self._fill_l3(victim, dirty=True)
-
-    def _write_to_memory(self, victim: int) -> None:
-        """Dirty L3 victim leaves the chip; off the critical path."""
-        self._wb_stats.inc("l3_to_memory")
-        if self._l4 is not None:
-            self._l4.fill(victim)
-        else:
-            self._dram.access(victim)  # occupies the bank, no stall
-
-    def pte_access(self, core: int, paddr: int) -> int:
-        """A page-walker reference to a page-table entry.
-
-        PTE lines live in the normal data caches (the baseline the paper
-        compares against caches page-table entries), so this is the same
-        path as :meth:`data_access`; kept separate for readability at the
-        call sites and so future experiments can split the statistics.
-        """
-        return self.data_access(core, paddr, is_write=False)
 
     # -- POM-TLB entry path ------------------------------------------------
 
@@ -343,38 +247,34 @@ class CacheHierarchy:
         # fetches fill without probing), so the refresh branch stays.
         l3 = self._l3
         line = paddr >> l3._line_shift
-        set3 = line & l3._set_mask
-        tags = l3._tags[set3]
+        tags = l3._tags[line & l3._set_mask]
         tag = line >> l3._set_shift
         if tag in tags:
             del tags[tag]
         elif len(tags) >= l3._ways:
-            victim = next(iter(tags))
+            victim = (priority_victim(tags) if l3.tlb_priority
+                      else next(iter(tags)))
             slot = (l3._data_evictions if tags.pop(victim) == DATA
                     else l3._tlb_evictions)
             slot.value += 1
             slot.touched = True
-            if l3._dirty:
-                l3._dirty.discard((set3, victim))
         tags[tag] = TLB
         slot = l3._tlb_fills
         slot.value += 1
         slot.touched = True
         l2 = self._l2[core]
         line = paddr >> l2._line_shift
-        set2 = line & l2._set_mask
-        tags = l2._tags[set2]
+        tags = l2._tags[line & l2._set_mask]
         tag = line >> l2._set_shift
         if tag in tags:
             del tags[tag]
         elif len(tags) >= l2._ways:
-            victim = next(iter(tags))
+            victim = (priority_victim(tags) if l2.tlb_priority
+                      else next(iter(tags)))
             slot = (l2._data_evictions if tags.pop(victim) == DATA
                     else l2._tlb_evictions)
             slot.value += 1
             slot.touched = True
-            if l2._dirty:
-                l2._dirty.discard((set2, victim))
         tags[tag] = TLB
         slot = l2._tlb_fills
         slot.value += 1
@@ -399,25 +299,19 @@ class CacheHierarchy:
             tags = cache._tags[set2]
             if tag2 in tags:
                 del tags[tag2]
-                if cache._dirty:
-                    cache._dirty.discard((set2, tag2))
         l3 = self._l3
         line = paddr >> l3._line_shift
-        set3 = line & l3._set_mask
-        tags = l3._tags[set3]
+        tags = l3._tags[line & l3._set_mask]
         tag = line >> l3._set_shift
         if tag in tags:
             del tags[tag]
-            if l3._dirty:
-                l3._dirty.discard((set3, tag))
         elif len(tags) >= l3._ways:
-            victim = next(iter(tags))
+            victim = (priority_victim(tags) if l3.tlb_priority
+                      else next(iter(tags)))
             slot = (l3._data_evictions if tags.pop(victim) == DATA
                     else l3._tlb_evictions)
             slot.value += 1
             slot.touched = True
-            if l3._dirty:
-                l3._dirty.discard((set3, victim))
         tags[tag] = TLB
         slot = l3._tlb_fills
         slot.value += 1
@@ -425,16 +319,13 @@ class CacheHierarchy:
         tags = l2._tags[set2]
         if tag2 in tags:
             del tags[tag2]
-            if l2._dirty:
-                l2._dirty.discard((set2, tag2))
         elif len(tags) >= l2._ways:
-            victim = next(iter(tags))
+            victim = (priority_victim(tags) if l2.tlb_priority
+                      else next(iter(tags)))
             slot = (l2._data_evictions if tags.pop(victim) == DATA
                     else l2._tlb_evictions)
             slot.value += 1
             slot.touched = True
-            if l2._dirty:
-                l2._dirty.discard((set2, victim))
         tags[tag2] = TLB
         slot = l2._tlb_fills
         slot.value += 1
@@ -491,16 +382,12 @@ class CacheHierarchy:
             set_mask = cache._set_mask
             set_shift = cache._set_shift
             all_tags = cache._tags
-            dirty = cache._dirty
             for paddr in addrs:
                 line = paddr >> line_shift
-                set_idx = line & set_mask
-                tags = all_tags[set_idx]
+                tags = all_tags[line & set_mask]
                 tag = line >> set_shift
                 if tag in tags:
                     del tags[tag]
-                    if dirty:
-                        dirty.discard((set_idx, tag))
         if not tlb_only and self._l4 is not None:
             for paddr in addrs:
                 self._l4.invalidate(paddr)

@@ -230,8 +230,6 @@ class TsbConfig:
     entry_bytes: int = 16
     #: OS trap entry/exit cost per L2 TLB miss, in CPU cycles
     trap_cycles: int = 20
-    #: dependent TSB lookups per translation (guest + host halves)
-    lookups_per_translation: int = 2
     base_address: int = 1 << 44
 
     def __post_init__(self) -> None:
@@ -248,17 +246,14 @@ class SharedL2Config:
     """Shared last-level SRAM TLB baseline (Bhattacharjee et al. [9]).
 
     Private L2 TLBs are replaced by one shared structure with the
-    aggregate capacity.  ``banked`` (the reference proposal's design)
-    distributes the array into per-core banks, so the array access stays
-    at private-L2 latency and only the ``interconnect_cycles`` hop is
-    extra; with ``banked=False`` the array is monolithic and its latency
-    follows the CACTI-like growth curve instead.
+    aggregate capacity.  As in the reference proposal the array is
+    distributed into per-core banks, so the array access stays at
+    private-L2 latency and only the ``interconnect_cycles`` hop is extra.
     """
 
     entries_per_core: int = 1536
     ways: int = 12
     interconnect_cycles: int = 4
-    banked: bool = True
     array_latency_cycles: int = 9
 
     def tlb_config(self, num_cores: int) -> TlbConfig:
@@ -297,9 +292,6 @@ class SystemConfig:
     #: next-page POM-TLB set prefetching (the Related Work extension:
     #: "POM-TLB augmented with a prefetcher")
     tlb_prefetch: bool = False
-    #: model dirty lines and write-back traffic between cache levels and
-    #: to DRAM (off the critical path; affects DRAM bank state + stats)
-    writeback_modeling: bool = False
 
     def __post_init__(self) -> None:
         _require(self.num_cores >= 1, "need at least one core")

@@ -29,7 +29,7 @@ TLB = "tlb"
 
 
 class SetAssociativeCache:
-    """One level of a write-allocate, (modelled) write-back cache.
+    """One level of a write-allocate cache.
 
     The model tracks presence and recency, not contents: the simulator
     only needs hit/miss outcomes and latency.  Lookups and fills operate
@@ -47,11 +47,6 @@ class SetAssociativeCache:
         # One {tag: kind} dict plus one LRU tracker per set.
         self._tags: Tuple[Dict[int, str], ...] = tuple({} for _ in range(self._num_sets))
         self._lru: Tuple[LruPolicy, ...] = tuple(LruPolicy() for _ in range(self._num_sets))
-        # Dirty lines, by (set, tag); populated only when callers use the
-        # write-back API (mark_dirty / fill(dirty=True)).
-        self._dirty: set = set()
-        #: dirtiness of the line evicted by the most recent fill()
-        self.last_evicted_dirty: bool = False
 
     # -- geometry ---------------------------------------------------------
 
@@ -81,48 +76,26 @@ class SetAssociativeCache:
         set_idx, tag = self._index_tag(address)
         return tag in self._tags[set_idx]
 
-    def fill(self, address: int, kind: str = DATA,
-             dirty: bool = False) -> Optional[int]:
+    def fill(self, address: int, kind: str = DATA) -> Optional[int]:
         """Insert the line for ``address``; returns the evicted line address.
 
         Filling a line already present just refreshes recency (and its
         kind, which matters only if an address range is repurposed).
-        After the call, :attr:`last_evicted_dirty` says whether the
-        evicted line (if any) held unwritten-back data.
         """
         set_idx, tag = self._index_tag(address)
         tags = self._tags[set_idx]
         lru = self._lru[set_idx]
         evicted: Optional[int] = None
-        self.last_evicted_dirty = False
         if tag not in tags and len(tags) >= self.config.ways:
             victim = self._select_victim(set_idx)
             victim_kind = tags.pop(victim)
             lru.remove(victim)
             self.stats.inc(f"{victim_kind}_evictions")
             evicted = self._line_address(set_idx, victim)
-            if (set_idx, victim) in self._dirty:
-                self._dirty.discard((set_idx, victim))
-                self.last_evicted_dirty = True
         tags[tag] = kind
         lru.touch(tag)
-        if dirty:
-            self._dirty.add((set_idx, tag))
         self.stats.inc(f"{kind}_fills")
         return evicted
-
-    def mark_dirty(self, address: int) -> bool:
-        """Flag the resident line holding ``address`` as modified."""
-        set_idx, tag = self._index_tag(address)
-        if tag in self._tags[set_idx]:
-            self._dirty.add((set_idx, tag))
-            return True
-        return False
-
-    def is_dirty(self, address: int) -> bool:
-        """True when the line holding ``address`` is resident and dirty."""
-        set_idx, tag = self._index_tag(address)
-        return (set_idx, tag) in self._dirty
 
     def _select_victim(self, set_idx: int) -> int:
         lru = self._lru[set_idx]
@@ -144,7 +117,6 @@ class SetAssociativeCache:
         if tag in self._tags[set_idx]:
             del self._tags[set_idx][tag]
             self._lru[set_idx].remove(tag)
-            self._dirty.discard((set_idx, tag))
             return True
         return False
 
@@ -154,7 +126,6 @@ class SetAssociativeCache:
             for tag in list(tags):
                 lru.remove(tag)
             tags.clear()
-        self._dirty.clear()
 
     # -- introspection ------------------------------------------------------
 

@@ -49,8 +49,8 @@ class CacheHierarchy:
             self._l4 = DramDataCache(
                 config.l4_data_cache_bytes, config.stacked_dram,
                 config.cpu_mhz, stats.group("l4_cache"))
-        self._writeback = config.writeback_modeling
-        self._wb_stats = stats.group("writebacks")
+        # Always empty; kept because every stats snapshot lists it.
+        stats.group("writebacks")
 
     # -- component access ---------------------------------------------------
 
@@ -75,33 +75,23 @@ class CacheHierarchy:
 
     # -- normal data path -----------------------------------------------------
 
-    def data_access(self, core: int, paddr: int, is_write: bool = False) -> int:
+    def data_access(self, core: int, paddr: int) -> int:
         """Load/store at physical address ``paddr``; returns CPU cycles.
 
         Latencies are **load-to-use from the core** (Table 1 semantics):
         an L3 hit costs 42 cycles total, not 4+12+42 — the lower levels'
         lookups overlap the path to the bigger array.  Write misses
-        allocate (write-allocate).  With ``writeback_modeling`` enabled,
-        dirty victims cascade to the next level and eventually occupy
-        DRAM banks, off the critical path; disabled (the default, and the
-        paper's scope), writes cost the same as reads.
+        allocate (write-allocate); writes cost the same as reads.
         """
         l1, l2 = self._l1[core], self._l2[core]
-        wb = self._writeback
         if l1.lookup(paddr, DATA):
-            if wb and is_write:
-                l1.mark_dirty(paddr)
             return l1.latency
         if l2.lookup(paddr, DATA):
-            if wb and is_write:
-                l2.mark_dirty(paddr)
-            self._fill_l1(core, paddr, dirty=wb and is_write)
+            self._fill_l1(core, paddr)
             return l2.latency
         if self._l3.lookup(paddr, DATA):
-            if wb and is_write:
-                self._l3.mark_dirty(paddr)
-            self._fill_l2(core, paddr, dirty=False)
-            self._fill_l1(core, paddr, dirty=wb and is_write)
+            self._fill_l2(core, paddr)
+            self._fill_l1(core, paddr)
             return self._l3.latency
         cycles = self._l3.latency
         if self._l4 is not None:
@@ -116,53 +106,21 @@ class CacheHierarchy:
                 self._l4.fill(paddr)
         else:
             cycles += self._dram.access(paddr)
-        self._fill_l3(paddr, dirty=False)
-        self._fill_l2(core, paddr, dirty=False)
-        self._fill_l1(core, paddr, dirty=wb and is_write)
+        self._fill_l3(paddr)
+        self._fill_l2(core, paddr)
+        self._fill_l1(core, paddr)
         return cycles
 
-    # -- write-back plumbing (active only with writeback_modeling) -----------
+    # -- fills --------------------------------------------------------------
 
-    def _fill_l1(self, core: int, paddr: int, dirty: bool) -> None:
-        l1 = self._l1[core]
-        victim = l1.fill(paddr, DATA, dirty=dirty)
-        if self._writeback and victim is not None and l1.last_evicted_dirty:
-            self._wb_stats.inc("l1_to_l2")
-            self._absorb_dirty_victim(self._l2[core], victim,
-                                      next_level="l2", core=core)
+    def _fill_l1(self, core: int, paddr: int) -> None:
+        self._l1[core].fill(paddr, DATA)
 
-    def _fill_l2(self, core: int, paddr: int, dirty: bool) -> None:
-        l2 = self._l2[core]
-        victim = l2.fill(paddr, DATA, dirty=dirty)
-        if self._writeback and victim is not None and l2.last_evicted_dirty:
-            self._wb_stats.inc("l2_to_l3")
-            self._absorb_dirty_victim(self._l3, victim, next_level="l3",
-                                      core=core)
+    def _fill_l2(self, core: int, paddr: int) -> None:
+        self._l2[core].fill(paddr, DATA)
 
-    def _fill_l3(self, paddr: int, dirty: bool) -> None:
-        victim = self._l3.fill(paddr, DATA, dirty=dirty)
-        if self._writeback and victim is not None \
-                and self._l3.last_evicted_dirty:
-            self._write_to_memory(victim)
-
-    def _absorb_dirty_victim(self, cache, victim: int, next_level: str,
-                             core: int) -> None:
-        """Install (or re-dirty) a dirty victim one level down."""
-        if cache.contains(victim):
-            cache.mark_dirty(victim)
-            return
-        if next_level == "l2":
-            self._fill_l2(core, victim, dirty=True)
-        else:
-            self._fill_l3(victim, dirty=True)
-
-    def _write_to_memory(self, victim: int) -> None:
-        """Dirty L3 victim leaves the chip; off the critical path."""
-        self._wb_stats.inc("l3_to_memory")
-        if self._l4 is not None:
-            self._l4.fill(victim)
-        else:
-            self._dram.access(victim)  # occupies the bank, no stall
+    def _fill_l3(self, paddr: int) -> None:
+        self._l3.fill(paddr, DATA)
 
     def pte_access(self, core: int, paddr: int) -> int:
         """A page-walker reference to a page-table entry.
@@ -172,7 +130,7 @@ class CacheHierarchy:
         path as :meth:`data_access`; kept separate for readability at the
         call sites and so future experiments can split the statistics.
         """
-        return self.data_access(core, paddr, is_write=False)
+        return self.data_access(core, paddr)
 
     # -- POM-TLB entry path ------------------------------------------------
 

@@ -35,9 +35,9 @@ this for all five schemes.
 The engine declines (returns None, recording the reason on the machine)
 whenever any feature needs the scalar per-reference hook order:
 tracing, windowed metrics, fault injection, the consistency verifier,
-write-back modeling, TLB-priority victim selection, or numpy being
-unavailable.  ``Machine.run`` then falls back to the scalar loop, which
-remains the semantics of record.
+TLB-priority victim selection, or numpy being unavailable.
+``Machine.run`` then falls back to the scalar loop, which remains the
+semantics of record.
 """
 
 from __future__ import annotations
@@ -97,7 +97,7 @@ class _StreamState:
     __slots__ = (
         "core", "ctx", "ctx_hash", "touch", "lget", "sget",
         "large_pages", "small_pages", "translate", "resolve",
-        "vaddrs", "writes", "np_va",
+        "vaddrs", "np_va",
         "cursor", "prev_key", "prev_line",
         "lkeys", "lframes", "llen", "skeys", "sframes", "slen",
         "l1s_sets", "l1l_sets", "l1s_mask", "l1l_mask",
@@ -136,7 +136,6 @@ class _StreamState:
         self.translate = machine.scheme.translate_packed
         self.resolve = machine.scheme.resolve_packed
         self.vaddrs = stream.vaddrs
-        self.writes = stream.writes
         self.np_va = _np.frombuffer(stream.vaddrs, dtype=_np.uint64)
         self.cursor = 0
         self.prev_key = -1
@@ -255,8 +254,6 @@ def try_replay(machine, streams, max_references, warmup_references):
         return _decline(machine, "fault injection active")
     if machine.verifier.active:
         return _decline(machine, "consistency verifier armed")
-    if machine.config.writeback_modeling:
-        return _decline(machine, "writeback modeling enabled")
     hierarchy = machine.hierarchy
     if hierarchy._l3.tlb_priority:
         return _decline(machine, "tlb_priority victim selection enabled")
@@ -683,9 +680,7 @@ def try_replay(machine, streams, max_references, warmup_references):
                 translation_cycles += res[0]
                 hpa = page[2] | (va & (_LARGE_MASK if page[0]
                                        else _SMALL_MASK))
-                data_cycles += data_access(
-                    st.core, hpa,
-                    is_write=bool(st.writes[li]))
+                data_cycles += data_access(st.core, hpa)
                 if rec_t is not None:
                     rec_t(res[0])
                     if res[1]:

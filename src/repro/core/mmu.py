@@ -46,7 +46,6 @@ from ..common.stats import StatRegistry
 from ..obs import events
 from ..obs.tracer import NULL_TRACER
 from ..tlb.entry import TlbEntry, pack_context, pack_key
-from ..tlb.shared_l2 import SharedLastLevelTlb
 from ..tlb.tlb import SramTlb
 from ..vmm.vm import ResolvedPage
 from .pom_tlb import PomTlb
@@ -605,9 +604,12 @@ class SharedL2Scheme(TranslationScheme):
                  hierarchy: CacheHierarchy, walkers: WalkerPool,
                  shared_config: Optional[SharedL2Config] = None) -> None:
         super().__init__(config, stats, hierarchy, walkers)
-        self.shared = SharedLastLevelTlb(shared_config or SharedL2Config(),
-                                         config.num_cores,
-                                         stats.group("shared_l2_tlb"))
+        # Its latency is the per-core bank's array access plus the
+        # interconnect hop (SharedL2Config.tlb_config).
+        self.shared = SramTlb(
+            (shared_config or SharedL2Config()).tlb_config(config.num_cores),
+            stats.group("shared_l2_tlb"))
+        self._shared_latency = self.shared.config.latency_cycles
         self._shadow: List[SramTlb] = [
             SramTlb(config.mmu.l2_unified,
                     stats.group(f"core{c}.shadow_l2_tlb"))
@@ -616,11 +618,7 @@ class SharedL2Scheme(TranslationScheme):
         # its extra cost is penalty the baseline would not pay.
         self._baseline_l2_latency = config.mmu.l2_unified.latency_cycles
         self._extra_hit_cost = max(
-            0, self.shared.latency - self._baseline_l2_latency)
-        # The wrapper's lookup/insert_at are pure forwarders; probe the
-        # underlying SRAM array directly on the per-reference path.
-        self._shared_tlb = self.shared._tlb
-        self._shared_latency = self.shared.latency
+            0, self._shared_latency - self._baseline_l2_latency)
 
     def translate_packed(self, core: int, ctx: int, vaddr: int,
                          page: ResolvedPage) -> TranslationResult:
@@ -678,7 +676,7 @@ class SharedL2Scheme(TranslationScheme):
             slot = shadow._hits
             slot.value += 1
             slot.touched = True
-        shared = self._shared_tlb
+        shared = self.shared
         cycles = tlbs.l1_latency + self._shared_latency
         penalty = self._extra_hit_cost
         entries = shared._sets[vpn & shared._set_mask]
@@ -748,11 +746,11 @@ class SharedL2Scheme(TranslationScheme):
         if shadow_miss:
             shadow.insert_at(shadow.probe_index, key, entry_template)
             self._l2_misses.add()
-        cycles += self.shared.latency
+        cycles += self._shared_latency
         extra_hit_cost = self._extra_hit_cost
         entry = self.shared.lookup(key)
         if tr.active:
-            tr.emit(events.TLB_PROBE, cycles=self.shared.latency,
+            tr.emit(events.TLB_PROBE, cycles=self._shared_latency,
                     level="shared_l2", hit=entry is not None)
         if entry is not None:
             l1.insert_at(l1_idx, key, entry)
@@ -783,7 +781,7 @@ class SharedL2Scheme(TranslationScheme):
             self.shared.invalidate_page(k)
             for shadow in self._shadow:
                 shadow.invalidate_page(k)
-        return self.shared.latency  # one shared-array invalidate op
+        return self._shared_latency  # one shared-array invalidate op
 
     def _invalidate_vm_backend(self, vm_id: int) -> int:
         dropped = self.shared.invalidate_vm(vm_id)
@@ -843,8 +841,8 @@ class TsbScheme(TranslationScheme):
             tsb.fill_guest(vm_id, asid, vpn, large, page.guest_frame)
             hpa_addr = page.host_frame + (gpa_addr - page.guest_frame)
             tsb.fill_host(vm_id, gpa_vpn, hpa_addr & ~_SMALL_MASK)
-            cycles += hierarchy.data_access(core, guest_entry, is_write=True)
-            cycles += hierarchy.data_access(core, host_entry, is_write=True)
+            cycles += hierarchy.data_access(core, guest_entry)
+            cycles += hierarchy.data_access(core, host_entry)
         return cycles
 
     def _shootdown_backend(self, vm_id: int, asid: int, vaddr: int) -> int:
@@ -854,9 +852,8 @@ class TsbScheme(TranslationScheme):
             entry_addr = self.tsb.invalidate_guest(vm_id, asid, vpn, large)
             if entry_addr is not None:
                 self.hierarchy.invalidate_line(entry_addr)
-                cycles += self.hierarchy.data_access(0, entry_addr,
-                                                     is_write=True)
-                # The modelled write-back of the invalid entry allocates
+                cycles += self.hierarchy.data_access(0, entry_addr)
+                # The modelled store of the invalid entry allocates
                 # the line again; drop it so no cache retains the dead
                 # entry's line (the invalidate_vm contract — stale-line
                 # invariant).  The cost above is unchanged: the write

@@ -48,7 +48,6 @@ from ..common.stats import StatGroup, StatRegistry
 from ..faults import NO_TRANSLATION_FAULTS
 from ..obs import Observability
 from ..obs.tracer import NULL_TRACER
-from ..tlb import latency as sram_latency
 from ..tlb.entry import TlbEntry, TlbKey
 from ..vmm.thp import ThpPolicy
 from ..workloads.trace import CoreStream, interleave
@@ -121,11 +120,7 @@ class RefSharedLastLevelTlb:
                  stats: StatGroup) -> None:
         self.config = config
         base = config.tlb_config(num_cores)
-        if config.banked:
-            access = config.array_latency_cycles
-        else:
-            array_bytes = sram_latency.tlb_array_bytes(base.entries)
-            access = sram_latency.latency_cycles(array_bytes)
+        access = config.array_latency_cycles
         self.tlb_config = TlbConfig(
             name=base.name, entries=base.entries, ways=base.ways,
             latency_cycles=access + config.interconnect_cycles)
@@ -517,11 +512,9 @@ class RefTsbScheme(RefTranslationScheme):
             self.tsb.fill_host(vm_id, gpa_vpn,
                                hpa_addr & ~(addr.SMALL_PAGE_SIZE - 1))
             cycles += self.hierarchy.data_access(
-                core, self.tsb.guest_entry_address(vm_id, asid, vpn),
-                is_write=True)
+                core, self.tsb.guest_entry_address(vm_id, asid, vpn))
             cycles += self.hierarchy.data_access(
-                core, self.tsb.host_entry_address(vm_id, gpa_vpn),
-                is_write=True)
+                core, self.tsb.host_entry_address(vm_id, gpa_vpn))
         return cycles
 
 
@@ -718,8 +711,7 @@ class ReferenceMachine:
                 stream.core, stream.vm_id, stream.asid, ref.vaddr, page)
             translation_cycles += result.cycles
             hpa = page.host_frame | addr.page_offset(ref.vaddr, page.large)
-            data_cycles += self.hierarchy.data_access(stream.core, hpa,
-                                                      is_write=ref.write)
+            data_cycles += self.hierarchy.data_access(stream.core, hpa)
             if translation_hist is not None:
                 translation_hist.record(result.cycles)
                 if result.l2_miss:

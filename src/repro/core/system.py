@@ -45,10 +45,6 @@ _LARGE_SHIFT = addr.LARGE_PAGE_SHIFT
 _SMALL_MASK = addr.SMALL_PAGE_SIZE - 1
 _LARGE_MASK = addr.LARGE_PAGE_SIZE - 1
 
-#: Write-bitmap bit -> the exact bool the tuple path passes, so packed
-#: replay feeds ``data_access`` bit-identical arguments.
-_WRITE_BOOL = (False, True)
-
 
 # The machine hands these to its walkers and VMs as partials over plain
 # data, not as bound methods: a bound method would make every Machine a
@@ -360,7 +356,6 @@ class Machine:
         owner = merged.owner
         icounts = merged.icounts
         vaddrs = merged.vaddrs
-        writes = merged.writes
         order = merged.order
         stop_at = (max_references if max_references is not None
                    else len(order) + 1)
@@ -414,7 +409,7 @@ class Machine:
             result = translate_packed(core, ctx, vaddr, page)
             translation_cycles += result[0]
             hpa = page[2] | (vaddr & (_LARGE_MASK if page[0] else _SMALL_MASK))
-            data_cycles += data_access(core, hpa, _WRITE_BOOL[writes[j]])
+            data_cycles += data_access(core, hpa)
             if record_translation is not None:
                 record_translation(result[0])
                 if result[1]:

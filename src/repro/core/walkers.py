@@ -56,10 +56,10 @@ class WalkerPool:
         self._walkers: Dict[Tuple[int, int, int],
                             Union[NestedWalker, NativeWalker]] = {}
 
-    def _pte_access(self, core: int):
-        # Bind data_access directly (pte_access is a pure forwarder);
-        # resolved via getattr so a profiler's per-instance wrapper is
-        # picked up.  partial avoids a Python frame per PTE reference.
+    def _read_pte(self, core: int):
+        # A PTE reference is a data-cache load.  Resolved via getattr so
+        # a profiler's per-instance wrapper is picked up; partial avoids
+        # a Python frame per PTE reference.
         return partial(self.hierarchy.data_access, core)
 
     def _walker_for(self, core: int, vm_id: int,
@@ -78,7 +78,7 @@ class WalkerPool:
                                                self.stats.group(f"{tag}.gpsc")),
                 host_psc=PagingStructureCache(self.config.walk_cache,
                                               self.stats.group(f"{tag}.hpsc")),
-                pte_access=self._pte_access(core),
+                read_pte=self._read_pte(core),
                 stats=self.stats.group(f"{tag}.walker"),
                 tracer=self.trace,
             )
@@ -90,7 +90,7 @@ class WalkerPool:
                 page_table=process.page_table,
                 psc=PagingStructureCache(self.config.walk_cache,
                                          self.stats.group(f"{tag}.psc")),
-                pte_access=self._pte_access(core),
+                read_pte=self._read_pte(core),
                 stats=self.stats.group(f"{tag}.walker"),
                 tracer=self.trace,
             )

@@ -13,7 +13,7 @@ Acceleration modelled, matching the baseline hardware the paper measures:
 * a **combined guest PSC** whose entries map a gVA prefix directly to the
   *host-physical* base of the guest table, skipping both the guest upper
   levels and their nested host walks, and
-* PTE caching in the data caches (via the ``pte_access`` callback).
+* PTE caching in the data caches (via the ``read_pte`` callback).
 
 This is the hottest non-replay loop of the simulator (every L2 TLB miss
 of every scheme ends here in virtualized mode), so the walk bodies
@@ -59,13 +59,13 @@ class NestedWalker:
 
     def __init__(self, guest_table: RadixPageTable, host_table: RadixPageTable,
                  guest_psc: PagingStructureCache, host_psc: PagingStructureCache,
-                 pte_access: PteAccess, stats: StatGroup,
+                 read_pte: PteAccess, stats: StatGroup,
                  tracer=NULL_TRACER) -> None:
         self.guest_table = guest_table
         self.host_table = host_table
         self.guest_psc = guest_psc
         self.host_psc = host_psc
-        self._pte_access = pte_access
+        self._read_pte = read_pte
         self.stats = stats
         self.trace = tracer
         self._nested_walks = stats.counter("nested_walks")
@@ -95,16 +95,16 @@ class NestedWalker:
             start_level = addr.RADIX_LEVELS
             ptes, leaf = host_table.walk(gpa)
         tr = self.trace
-        pte_access = self._pte_access
+        read_pte = self._read_pte
         if tr.active:
             for step, pte in enumerate(ptes):
-                step_cycles = pte_access(pte)
+                step_cycles = read_pte(pte)
                 cycles += step_cycles
                 tr.emit(events.WALK_STEP, cycles=step_cycles, dim="host",
                         level=start_level - step)
         else:
             for pte in ptes:
-                cycles += pte_access(pte)
+                cycles += read_pte(pte)
         # _PrefixCache.fill inlined per level (~3 refills per host walk;
         # warm, the upper levels are already resident-and-newest and the
         # whole body is the get + two compares of the first branch).
@@ -153,7 +153,7 @@ class NestedWalker:
             ptes, leaf = guest_table.walk(gva)
         tr = self.trace
         tracing = tr.active
-        pte_access = self._pte_access
+        read_pte = self._read_pte
         host_translate = self.host_translate
         total_refs = 0
         first = 0
@@ -161,7 +161,7 @@ class NestedWalker:
             # Combined-PSC hit: the host address of this guest table is
             # cached, no nested host walk for it.
             gpa_base, hpa_base = cached
-            step_cycles = pte_access(hpa_base + (ptes[0] - gpa_base))
+            step_cycles = read_pte(hpa_base + (ptes[0] - gpa_base))
             cycles += step_cycles
             total_refs += 1
             if tracing:
@@ -173,7 +173,7 @@ class NestedWalker:
             pte_hpa, host_cycles, host_refs = host_translate(pte)
             cycles += host_cycles
             total_refs += host_refs
-            step_cycles = pte_access(pte_hpa)
+            step_cycles = read_pte(pte_hpa)
             cycles += step_cycles
             total_refs += 1
             if tracing:

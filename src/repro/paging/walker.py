@@ -2,7 +2,7 @@
 
 Used directly in bare-metal mode and as the host-dimension helper of the
 nested walker.  Every PTE reference goes through the caller-supplied
-``pte_access`` callback (the data-cache hierarchy), so walk cost reflects
+``read_pte`` callback (the data-cache hierarchy), so walk cost reflects
 PTE caching exactly as in the baseline the paper measures against.
 
 The walk loop hoists its attribute lookups, splits the traced and
@@ -43,11 +43,11 @@ class NativeWalker:
     """Walks one radix table, accelerated by a paging-structure cache."""
 
     def __init__(self, page_table: RadixPageTable, psc: PagingStructureCache,
-                 pte_access: PteAccess, stats: StatGroup,
+                 read_pte: PteAccess, stats: StatGroup,
                  tracer=NULL_TRACER) -> None:
         self.page_table = page_table
         self.psc = psc
-        self._pte_access = pte_access
+        self._read_pte = read_pte
         self.stats = stats
         self.trace = tracer
         self._walks = stats.counter("walks")
@@ -72,17 +72,17 @@ class NativeWalker:
             start_level = addr.RADIX_LEVELS
             ptes, leaf = page_table.walk(vaddr)
         tr = self.trace
-        pte_access = self._pte_access
+        read_pte = self._read_pte
         refs = len(ptes)
         if tr.active:
             for step, pte in enumerate(ptes):
-                step_cycles = pte_access(pte)
+                step_cycles = read_pte(pte)
                 cycles += step_cycles
                 tr.emit(events.WALK_STEP, cycles=step_cycles, dim="native",
                         level=start_level - step)
         else:
             for pte in ptes:
-                cycles += pte_access(pte)
+                cycles += read_pte(pte)
         tables = page_table._tables
         va = vaddr & VA_MASK
         for level in range(2 if leaf.large else 1, addr.RADIX_LEVELS):

@@ -1,12 +1,10 @@
-"""SRAM TLB structures, the shared-TLB baseline and the latency model."""
+"""SRAM TLB structures and the latency model."""
 
 from . import latency
 from .entry import TlbEntry, TlbKey
-from .shared_l2 import SharedLastLevelTlb
 from .tlb import SramTlb
 
 __all__ = [
-    "SharedLastLevelTlb",
     "SramTlb",
     "TlbEntry",
     "TlbKey",

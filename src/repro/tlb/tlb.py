@@ -31,6 +31,11 @@ from .entry import (KEY_CONTEXT_MASK, KEY_VM_FIELD_MASK, TlbEntry, TlbKey,
 class SramTlb:
     """One SRAM TLB level, keyed by packed integer keys."""
 
+    #: Batch-replay contract (:mod:`repro.core.batch`): as Shared_L2's
+    #: backing array, resolving a miss never touches another core's L1
+    #: TLB or L1 data cache (see :class:`repro.core.pom_tlb.PomTlb`).
+    L1_PRIVATE = True
+
     def __init__(self, config: TlbConfig, stats: StatGroup) -> None:
         self.config = config
         self.stats = stats

@@ -302,7 +302,7 @@ class LruChecker(InvariantChecker):
             yield f"core{core}.l1_large", tlbs.l1_large
             yield f"core{core}.l2", tlbs.l2
         if scheme.name == "shared_l2":
-            yield "shared", scheme.shared._tlb
+            yield "shared", scheme.shared
             for core, shadow in enumerate(scheme._shadow):
                 yield f"core{core}.shadow", shadow
 

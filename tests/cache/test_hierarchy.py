@@ -3,7 +3,8 @@
 import pytest
 
 from repro.cache.hierarchy import CacheHierarchy
-from repro.common.config import SystemConfig
+from repro.common import addr
+from repro.common.config import CacheConfig, SystemConfig
 from repro.common.stats import StatRegistry
 
 
@@ -35,8 +36,17 @@ class TestDataPath:
         cycles = hierarchy.data_access(1, 0x1000)
         assert cycles == hierarchy.config.l3d.latency_cycles
 
+    def test_writebacks_group_stays_empty(self):
+        # No counter writes to it; every stats snapshot still lists it.
+        stats = StatRegistry()
+        hierarchy = CacheHierarchy(SystemConfig(num_cores=1), stats)
+        for i in range(64):
+            hierarchy.data_access(0, i * 4096)
+        assert stats.as_nested_dict()["writebacks"] == {}
+
     def test_pte_access_uses_data_path(self, hierarchy):
-        hierarchy.pte_access(0, 0x2000)
+        # The walkers issue PTE references as ordinary data accesses.
+        hierarchy.data_access(0, 0x2000)
         assert hierarchy.l1(0).contains(0x2000)
 
 
@@ -96,3 +106,35 @@ class TestLatencyAccumulation:
         hierarchy.data_access(0, 0x1000)
         hierarchy.data_access(0, 0x1000)
         assert hierarchy.main_dram.stats["accesses"] == 1
+
+
+class TestTlbPriority:
+    """Sec. 5.1 TLB-aware caching: the L2 evicts data before TLB lines."""
+
+    # A 2-way, 16-set L2: lines 1 KiB apart share a set.
+    A, B, C = 0x0, 0x400, 0x800
+
+    @pytest.fixture
+    def hierarchy(self):
+        config = SystemConfig(num_cores=1, l2d=CacheConfig(
+            name="l2d", size_bytes=2 * addr.KiB, ways=2, latency_cycles=12))
+        return CacheHierarchy(config, StatRegistry(), tlb_priority=True)
+
+    def test_data_fill_evicts_data_line_not_tlb_line(self, hierarchy):
+        hierarchy.tlb_line_fill(0, self.A)
+        hierarchy.data_access(0, self.B)
+        hierarchy.data_access(0, self.C)
+        l2 = hierarchy.l2(0)
+        assert l2.contains(self.A) and l2.contains(self.C)
+        assert not l2.contains(self.B)
+        assert l2.stats["data_evictions"] == 1
+        assert l2.stats["tlb_evictions"] == 0
+
+    @pytest.mark.parametrize("fill", ["tlb_line_fill", "tlb_line_refill"])
+    def test_tlb_fill_evicts_data_line_not_tlb_line(self, hierarchy, fill):
+        hierarchy.tlb_line_fill(0, self.A)
+        hierarchy.data_access(0, self.B)
+        getattr(hierarchy, fill)(0, self.C)
+        l2 = hierarchy.l2(0)
+        assert l2.contains(self.A) and l2.contains(self.C)
+        assert not l2.contains(self.B)

@@ -40,24 +40,33 @@ SCHEMES = ("baseline", "pom", "pom_skewed", "shared_l2", "tsb")
 PARAMS = ExperimentParams(num_cores=2, refs_per_core=900, scale=0.1, seed=42)
 
 #: The POM flow's configuration branches (uncached sets, no bypass
-#: prediction, next-page prefetch) on both organisations and two
-#: benchmarks.  These cases replay at scale 0.3 and compare every counter
-#: from the first reference: at PARAMS' scale the warmup covers the whole
-#: footprint and leaves no L2 TLB miss to compare.  Prefetch is
-#: partitioned-only (``pom_skewed`` rejects it).  The default-config
-#: cases of every scheme keep their plain ids.
+#: prediction, next-page prefetch, TLB-aware L2D$/L3D$ victims) on both
+#: organisations and two benchmarks.  These cold cases replay at scale
+#: 0.3 and compare every counter from the first reference: at PARAMS'
+#: scale the warmup covers the whole footprint and leaves no L2 TLB miss
+#: to compare.  Prefetch is partitioned-only (``pom_skewed`` rejects
+#: it).  The default-config cases of every scheme keep their plain ids.
 POM_VARIANTS = (("default", {}), ("uncached", {"cache_tlb_entries": False}),
                 ("nobypass", {"bypass_enabled": False}),
-                ("prefetch", {"tlb_prefetch": True}))
+                ("prefetch", {"tlb_prefetch": True}),
+                ("priority", {"tlb_priority": True}))
 CASES = [pytest.param(scheme, "gups", PARAMS, True, id=scheme)
          for scheme in SCHEMES]
-CASES += [pytest.param(scheme, name,
-                       dataclasses.replace(PARAMS, scale=0.3, **overrides),
-                       False, id=f"{scheme}-{name}-{label}")
-          for scheme in ("pom", "pom_skewed")
-          for name in ("gups", "mcf")
-          for label, overrides in POM_VARIANTS
-          if not (scheme == "pom_skewed" and label == "prefetch")]
+COLD_CASES = [pytest.param(scheme, name,
+                           dataclasses.replace(PARAMS, scale=0.3,
+                                               **overrides),
+                           False, id=f"{scheme}-{name}-{label}")
+              for scheme in ("pom", "pom_skewed")
+              for name in ("gups", "mcf")
+              for label, overrides in POM_VARIANTS
+              if not (scheme == "pom_skewed" and label == "prefetch")]
+#: The other schemes' miss paths (walk, shared array, TSB probes) cold.
+COLD_CASES += [pytest.param(scheme, name, dataclasses.replace(PARAMS,
+                                                              scale=0.3),
+                            False, id=f"{scheme}-{name}-default")
+               for scheme in ("baseline", "shared_l2", "tsb")
+               for name in ("gups", "mcf")]
+CASES += COLD_CASES
 
 RESULT_FIELDS = ("scheme", "references", "instructions", "l2_tlb_misses",
                  "penalty_cycles", "translation_cycles", "data_cycles",
@@ -79,7 +88,8 @@ def _warmup(workload, warm=True):
 def _run_reference(scheme, profile, workload, params=PARAMS, warm=True):
     machine = ReferenceMachine(params.system_config(), scheme=scheme,
                                thp_large_fraction=profile.thp_large_fraction,
-                               seed=params.seed)
+                               seed=params.seed,
+                               tlb_priority=params.tlb_priority)
     return machine.run(workload.streams,
                        warmup_references=_warmup(workload, warm))
 
@@ -88,7 +98,8 @@ def _run_optimized(scheme, profile, workload, params=PARAMS, obs=None,
                    warm=True):
     machine = Machine(params.system_config(), scheme=scheme,
                       thp_large_fraction=profile.thp_large_fraction,
-                      seed=params.seed, obs=obs)
+                      seed=params.seed, obs=obs,
+                      tlb_priority=params.tlb_priority)
     return machine.run(workload.streams,
                        warmup_references=_warmup(workload, warm))
 
@@ -120,6 +131,9 @@ def test_counters_bit_identical(scheme, name, params, warm):
     reference = _run_reference(scheme, profile, workload, params, warm)
     optimized = _run_optimized(scheme, profile, workload, params, warm=warm)
     _assert_equivalent(reference, optimized)
+    if not warm:
+        # A cold case exists to compare the miss path: it must reach it.
+        assert reference.l2_tlb_misses > 0
 
 
 @pytest.mark.parametrize("scheme", ("pom", "baseline"))
@@ -161,7 +175,8 @@ def test_fast_path_equals_traced_path_counters():
 def _batch_machine(scheme, profile, params=PARAMS, **kwargs):
     return Machine(params.system_config(), scheme=scheme,
                    thp_large_fraction=profile.thp_large_fraction,
-                   seed=params.seed, batch=True, **kwargs)
+                   seed=params.seed, batch=True,
+                   tlb_priority=params.tlb_priority, **kwargs)
 
 
 def _packed(workload):
@@ -171,13 +186,19 @@ def _packed(workload):
 @needs_numpy
 @pytest.mark.parametrize("scheme, name, params, warm", CASES)
 def test_batch_engine_bit_identical(scheme, name, params, warm):
-    """Batch replay == frozen reference, every counter, every scheme."""
+    """Batch replay == frozen reference, every counter, every scheme.
+
+    The batch engine declines ``tlb_priority``; those cases check that
+    the fallback to the scalar loop still matches.
+    """
     profile, workload = _workload(name, params)
     reference = _run_reference(scheme, profile, workload, params, warm)
     machine = _batch_machine(scheme, profile, params)
     batched = machine.run(_packed(workload),
                           warmup_references=_warmup(workload, warm))
-    assert machine.last_replay_mode == "batch", machine.batch_fallback_reason
+    expected_mode = "scalar" if params.tlb_priority else "batch"
+    assert machine.last_replay_mode == expected_mode, (
+        machine.batch_fallback_reason)
     _assert_equivalent(reference, batched)
 
 

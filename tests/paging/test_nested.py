@@ -29,7 +29,7 @@ def make_setup(large_fraction=0.0):
         host_table=vm.host_table,
         guest_psc=PagingStructureCache(WalkCacheConfig(), StatGroup("gpsc")),
         host_psc=PagingStructureCache(WalkCacheConfig(), StatGroup("hpsc")),
-        pte_access=mem,
+        read_pte=mem,
         stats=StatGroup("nested"),
     )
     return vm, walker, mem

@@ -4,7 +4,8 @@
   equals an eager copy fed through ``record_many(value, 1)``;
 * ``CacheHierarchy.tlb_line_refill`` equals ``invalidate_tlb_line`` then
   ``tlb_line_fill``, and ``invalidate_lines`` equals the per-address
-  calls, on random cache states (set order, dirty sets, counters);
+  calls, on random cache states (set order, line kinds, counters),
+  with LRU and with ``tlb_priority`` victims;
 * the one-pass ``invalidate_vm``/``invalidate_asid``/``flush`` scans
   equal the per-set scans they replaced: same surviving entries, the
   same multiset of set addresses and the same ``shootdowns`` counts.
@@ -97,7 +98,7 @@ class TestDeferredHistogram:
 
 # -- fused cache-hierarchy operations -----------------------------------------
 
-def tiny_config(writeback: bool, l4: bool) -> SystemConfig:
+def tiny_config(l4: bool) -> SystemConfig:
     return SystemConfig(
         num_cores=2,
         l1d=CacheConfig(name="l1d", size_bytes=1 * addr.KiB, ways=2,
@@ -106,22 +107,22 @@ def tiny_config(writeback: bool, l4: bool) -> SystemConfig:
                         latency_cycles=12),
         l3d=CacheConfig(name="l3d", size_bytes=4 * addr.KiB, ways=4,
                         latency_cycles=42),
-        writeback_modeling=writeback,
         l4_data_cache_bytes=64 * addr.KiB if l4 else 0)
 
 
 lines = st.integers(0, (1 << 15) - 1).map(lambda a: a & ~7)
 cache_ops = st.lists(st.tuples(
-    st.sampled_from(["load", "store", "tlb_fill", "tlb_probe"]),
+    st.sampled_from(["load", "tlb_fill", "tlb_probe"]),
     st.integers(0, 1), lines), max_size=150)
 
 
-def build_hierarchy(ops, writeback, l4):
+def build_hierarchy(ops, tlb_priority, l4):
     stats = StatRegistry()
-    hierarchy = CacheHierarchy(tiny_config(writeback, l4), stats)
+    hierarchy = CacheHierarchy(tiny_config(l4), stats,
+                               tlb_priority=tlb_priority)
     for op, core, paddr in ops:
-        if op in ("load", "store"):
-            hierarchy.data_access(core, paddr, is_write=op == "store")
+        if op == "load":
+            hierarchy.data_access(core, paddr)
         elif op == "tlb_fill":
             hierarchy.tlb_line_fill(core, paddr)
         else:
@@ -133,7 +134,6 @@ def snapshot(hierarchy, stats):
     caches = hierarchy.all_caches()
     l4 = hierarchy.l4
     return ([[list(tags.items()) for tags in cache._tags] for cache in caches],
-            [sorted(cache._dirty) for cache in caches],
             stats.as_nested_dict(),
             dict(l4._lines) if l4 is not None else None)
 
@@ -142,9 +142,9 @@ class TestFusedCacheOperations:
     @settings(max_examples=120, deadline=None)
     @given(cache_ops, st.integers(0, 1), lines, st.booleans(), st.booleans())
     def test_tlb_line_refill_equals_invalidate_then_fill(
-            self, ops, core, paddr, writeback, l4):
-        fused, fused_stats = build_hierarchy(ops, writeback, l4)
-        steps, steps_stats = build_hierarchy(ops, writeback, l4)
+            self, ops, core, paddr, tlb_priority, l4):
+        fused, fused_stats = build_hierarchy(ops, tlb_priority, l4)
+        steps, steps_stats = build_hierarchy(ops, tlb_priority, l4)
         fused.tlb_line_refill(core, paddr)
         steps.invalidate_tlb_line(paddr)
         steps.tlb_line_fill(core, paddr)
@@ -154,9 +154,9 @@ class TestFusedCacheOperations:
     @given(cache_ops, st.lists(lines, max_size=40), st.booleans(),
            st.booleans(), st.booleans())
     def test_invalidate_lines_equals_per_address_calls(
-            self, ops, doomed, tlb_only, writeback, l4):
-        fused, fused_stats = build_hierarchy(ops, writeback, l4)
-        steps, steps_stats = build_hierarchy(ops, writeback, l4)
+            self, ops, doomed, tlb_only, tlb_priority, l4):
+        fused, fused_stats = build_hierarchy(ops, tlb_priority, l4)
+        steps, steps_stats = build_hierarchy(ops, tlb_priority, l4)
         fused.invalidate_lines(doomed, tlb_only=tlb_only)
         for paddr in doomed:
             if tlb_only:

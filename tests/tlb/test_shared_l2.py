@@ -1,38 +1,30 @@
-"""Unit tests for the Shared_L2 baseline TLB."""
+"""Unit tests for the Shared_L2 baseline TLB (one SRAM TLB for all cores)."""
 
 from repro.common.config import SharedL2Config
 from repro.common.stats import StatGroup
 from repro.tlb.entry import TlbEntry, TlbKey
-from repro.tlb.shared_l2 import SharedLastLevelTlb
+from repro.tlb.tlb import SramTlb
 
 
 def make_shared(num_cores=8):
-    return SharedLastLevelTlb(SharedL2Config(), num_cores, StatGroup("shared"))
+    return SramTlb(SharedL2Config().tlb_config(num_cores),
+                   StatGroup("shared"))
 
 
 class TestSharedLastLevelTlb:
     def test_aggregate_capacity(self):
         shared = make_shared(8)
-        assert shared.tlb_config.entries == 8 * 1536
+        assert shared.config.entries == 8 * 1536
 
     def test_latency_exceeds_private_l2_tlb(self):
         # Banked array + interconnect: must cost more than the 9-cycle
         # private L2 TLB, else sharing would be free.
         shared = make_shared(8)
-        assert shared.latency > 9
-
-    def test_monolithic_latency_grows_with_core_count(self):
-        from repro.common.config import SharedL2Config
-        from repro.common.stats import StatGroup
-        from repro.tlb.shared_l2 import SharedLastLevelTlb
-
-        def monolithic(cores):
-            return SharedLastLevelTlb(SharedL2Config(banked=False), cores,
-                                      StatGroup(f"s{cores}"))
-        assert monolithic(32).latency > monolithic(4).latency
+        assert shared.config.latency_cycles > 9
 
     def test_banked_latency_is_core_count_independent(self):
-        assert make_shared(32).latency == make_shared(4).latency
+        assert (make_shared(32).config.latency_cycles
+                == make_shared(4).config.latency_cycles)
 
     def test_insert_lookup_roundtrip(self):
         shared = make_shared(4)
