@@ -258,8 +258,6 @@ def try_replay(machine, streams, max_references, warmup_references):
     if hierarchy._l3.tlb_priority:
         return _decline(machine, "tlb_priority victim selection enabled")
     scheme = machine.scheme
-    if not getattr(scheme, "batch_l1_inline", False):
-        return _decline(machine, "scheme has a custom L1 front end")
     for attr in ("pom", "tsb", "shared"):
         backing = getattr(scheme, attr, None)
         if backing is not None and not getattr(type(backing), "L1_PRIVATE",
@@ -333,7 +331,9 @@ def try_replay(machine, streams, max_references, warmup_references):
     dram_access = hierarchy.main_dram.access
     l4 = hierarchy.l4
     data_access = hierarchy.data_access
-    l2_inline = bool(getattr(scheme, "batch_l2_inline", False))
+    # With a shared array every L1 miss resolves through the scalar
+    # front end; without one the private-L2 probe is inlined below.
+    l2_inline = scheme.shared is None
 
     histograms = obs.histograms
     rec_t = rec_p = None

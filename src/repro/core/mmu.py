@@ -1,8 +1,8 @@
 """Translation schemes: the POM-TLB flow and the paper's comparison points.
 
 Every scheme shares the front end of a Skylake-like MMU — per-core split
-L1 TLBs (4 KiB / 2 MiB) and, except for Shared_L2, a private unified L2
-TLB.  They differ in what happens after the last private TLB misses:
+L1 TLBs (4 KiB / 2 MiB) and a private unified L2 TLB.  They differ in
+what happens after the last private TLB misses:
 
 * :class:`BaselineWalkScheme` — nested (or native) page walk immediately.
   This is the *simulated* baseline used by the Figure 2/3 characterisation.
@@ -13,7 +13,9 @@ TLB.  They differ in what happens after the last private TLB misses:
   flow over the unified skew-associative structure, whose probe fetches
   one line per way instead of one set.
 * :class:`SharedL2Scheme` — private L2 TLBs replaced by one shared SRAM
-  TLB with aggregate capacity (Bhattacharjee et al. [9]).
+  TLB with aggregate capacity (Bhattacharjee et al. [9]).  Its private
+  L2 stays as a zero-latency shadow that only counts the baseline's L2
+  misses; every L1 miss probes the shared array (:attr:`shared`) next.
 * :class:`TsbScheme` — SPARC-style software-managed TSB: trap + two
   dependent direct-mapped lookups in cacheable memory.
 
@@ -31,7 +33,9 @@ L1-hit path (>95 % of references) touches no stats strings, allocates
 nothing, and — when tracing is disabled — never consults the tracer
 beyond one ``enabled`` check.  The traced variant
 (:meth:`_translate_traced`) keeps the seed-era event sequence and, by
-the engine-equivalence test, the exact same counters.
+the engine-equivalence test, the exact same counters.  Every scheme
+plugs in below these two: through :meth:`_resolve_miss` or, for
+Shared_L2, :meth:`SharedL2Scheme._probe_shared`.
 """
 
 from __future__ import annotations
@@ -104,15 +108,10 @@ class TranslationScheme:
 
     name = "abstract"
 
-    #: Batch-replay contract (:mod:`repro.core.batch`): the packed
-    #: L1-probe prefix of ``translate_packed`` is this base class's
-    #: implementation, so the batched engine may resolve L1 hits inline.
-    #: A subclass that customizes the L1 front end must clear this.
-    batch_l1_inline = True
-    #: Same contract for the private-L2 probe prefix (hit counting, MRU
-    #: refresh, L1 insert).  Cleared by schemes that replace the private
-    #: L2 with different bookkeeping (shared_l2's shadow TLBs).
-    batch_l2_inline = True
+    #: The SRAM TLB every L1 miss probes after the private L2, or None.
+    #: A scheme that sets it implements :meth:`_probe_shared`, which
+    #: resolves every L1 miss (the private L2 then only counts misses).
+    shared: Optional[SramTlb] = None
 
     def __init__(self, config: SystemConfig, stats: StatRegistry,
                  hierarchy: CacheHierarchy, walkers: WalkerPool) -> None:
@@ -175,6 +174,7 @@ class TranslationScheme:
         l2 = tlbs.l2
         set2 = l2._sets[vpn & l2._set_mask]
         found = set2.pop(key, None)
+        shared = self.shared
         if found is None:
             slot = l2._misses
             slot.value += 1
@@ -182,9 +182,10 @@ class TranslationScheme:
             slot = self._l2_misses
             slot.value += 1
             slot.touched = True
-            penalty = self._resolve_miss(core, (ctx >> 1) & 0xFFFF,
-                                         (ctx >> 17) & 0xFFFF, vaddr, page,
-                                         entry)
+            if shared is None:
+                penalty = self._resolve_miss(core, (ctx >> 1) & 0xFFFF,
+                                             (ctx >> 17) & 0xFFFF, vaddr,
+                                             page, entry)
             if len(set2) >= l2._ways:
                 del set2[next(iter(set2))]
                 slot = l2._evictions
@@ -199,6 +200,9 @@ class TranslationScheme:
             slot = l2._hits
             slot.value += 1
             slot.touched = True
+        if shared is not None:
+            cycles, penalty = self._probe_shared(core, ctx, vaddr, key,
+                                                 entry, vpn)
         if len(set1) >= l1._ways:
             del set1[next(iter(set1))]
             slot = l1._evictions
@@ -208,14 +212,14 @@ class TranslationScheme:
         slot = l1._fills
         slot.value += 1
         slot.touched = True
-        if found is not None:
-            return tlbs.l2_hit_result
+        if shared is None:
+            if found is not None:
+                return tlbs.l2_hit_result
+            cycles = tlbs.l1_latency + tlbs.l2_latency + penalty
         slot = self._penalty_cycles
         slot.value += penalty
         slot.touched = True
-        return _new(TranslationResult,
-                    (tlbs.l1_latency + tlbs.l2_latency + penalty, True,
-                     penalty))
+        return _new(TranslationResult, (cycles, found is None, penalty))
 
     def resolve_packed(self, core: int, ctx: int, vaddr: int,
                        page: ResolvedPage, key: int, l1_idx: int,
@@ -228,7 +232,7 @@ class TranslationScheme:
         the packed ``key`` and both set indices precomputed — no
         re-hash, no re-probe.  Returns ``(total_cycles, penalty)``, the
         :class:`TranslationResult` fields the replay loop consumes.
-        Only valid on schemes with ``batch_l2_inline`` set.
+        Only valid on schemes without a :attr:`shared` array.
         """
         slot = self._l2_misses
         slot.value += 1
@@ -272,25 +276,31 @@ class TranslationScheme:
                     hit=False)
         cycles += tlbs.l2_latency
         entry = TlbEntry(page.host_frame >> addr.page_shift(page.large))
-        if tlbs.l2.lookup(key) is not None:
-            l1.insert_at(l1_idx, key, entry)
-            if tr.active:
-                tr.emit(events.TLB_PROBE, cycles=tlbs.l2_latency, level="l2",
-                        hit=True)
-                tr.end(cycles=cycles, l2_miss=False, penalty=0)
-            return TranslationResult(cycles, False, 0)
-        l2_idx = tlbs.l2.probe_index
-        if tr.active:
+        shared = self.shared
+        l2_miss = tlbs.l2.lookup(key) is None
+        # Shared_L2's private L2 is bookkeeping, not a probe its hardware
+        # makes: its trace shows the shared-array probe instead.
+        if tr.active and shared is None:
             tr.emit(events.TLB_PROBE, cycles=tlbs.l2_latency, level="l2",
-                    hit=False)
-        self._l2_misses.add()
-        penalty = self._resolve_miss(core, vm_id, asid, vaddr, page, entry)
-        tlbs.l2.insert_at(l2_idx, key, entry)
+                    hit=not l2_miss)
+        penalty = 0
+        if l2_miss:
+            l2_idx = tlbs.l2.probe_index
+            self._l2_misses.add()
+            if shared is None:
+                penalty = self._resolve_miss(core, vm_id, asid, vaddr, page,
+                                             entry)
+                cycles += penalty
+            tlbs.l2.insert_at(l2_idx, key, entry)
+        if shared is not None:
+            cycles, penalty = self._probe_shared(core, ctx, vaddr, key,
+                                                 entry, None)
         l1.insert_at(l1_idx, key, entry)
-        self._penalty_cycles.add(penalty)
+        if l2_miss or shared is not None:
+            self._penalty_cycles.add(penalty)
         if tr.active:
-            tr.end(cycles=cycles + penalty, l2_miss=True, penalty=penalty)
-        return TranslationResult(cycles + penalty, True, penalty)
+            tr.end(cycles=cycles, l2_miss=l2_miss, penalty=penalty)
+        return TranslationResult(cycles, l2_miss, penalty)
 
     def _resolve_miss(self, core: int, vm_id: int, asid: int, vaddr: int,
                       page: ResolvedPage, entry: TlbEntry) -> int:
@@ -587,18 +597,14 @@ class SharedL2Scheme(TranslationScheme):
     """Shared last-level SRAM TLB replacing the private L2 TLBs.
 
     The Eq. 4 anchor scales with the *baseline's* L2 TLB miss count, so
-    each core keeps a zero-latency **shadow** copy of the private L2 TLB
-    it replaced: the shadow's misses are what ``l2_tlb_misses`` reports,
-    while penalties reflect the shared structure's real behaviour (extra
-    hit latency on every L1 miss, walks on shared misses).
+    each core's private L2 becomes a zero-latency **shadow** of the L2
+    TLB the shared array replaced: its misses are what ``l2_tlb_misses``
+    reports, while cycles and penalties come from the shared array's real
+    behaviour (extra hit latency on every L1 miss, walks on shared
+    misses), probed by :meth:`_probe_shared`.
     """
 
     name = "shared_l2"
-
-    #: The private-L2 probe is replaced by shadow + shared-array
-    #: bookkeeping, so batched replay must take the scalar path on every
-    #: L1 miss (L1 hits still share the base front end).
-    batch_l2_inline = False
 
     def __init__(self, config: SystemConfig, stats: StatRegistry,
                  hierarchy: CacheHierarchy, walkers: WalkerPool,
@@ -610,90 +616,61 @@ class SharedL2Scheme(TranslationScheme):
             (shared_config or SharedL2Config()).tlb_config(config.num_cores),
             stats.group("shared_l2_tlb"))
         self._shared_latency = self.shared.config.latency_cycles
-        self._shadow: List[SramTlb] = [
-            SramTlb(config.mmu.l2_unified,
-                    stats.group(f"core{c}.shadow_l2_tlb"))
-            for c in range(config.num_cores)]
+        # The shadows keep their own stat groups; the replaced private
+        # L2s leave theirs registered and empty.
+        for core, tlbs in enumerate(self.cores):
+            tlbs.l2 = SramTlb(config.mmu.l2_unified,
+                              stats.group(f"core{core}.shadow_l2_tlb"))
         # The private-L2 latency the shared array is compared against:
         # its extra cost is penalty the baseline would not pay.
-        self._baseline_l2_latency = config.mmu.l2_unified.latency_cycles
         self._extra_hit_cost = max(
-            0, self._shared_latency - self._baseline_l2_latency)
+            0, self._shared_latency - config.mmu.l2_unified.latency_cycles)
 
-    def translate_packed(self, core: int, ctx: int, vaddr: int,
-                         page: ResolvedPage) -> TranslationResult:
-        if self.trace.enabled:
-            return self._translate_traced(core, ctx, vaddr, page)
-        tlbs = self.cores[core]
-        if page.large:
-            shift = _LARGE_SHIFT
-            vpn = vaddr >> _LARGE_SHIFT
-            key = (vpn << 33) | ctx | 1
-            l1 = tlbs.l1_large
-        else:
-            shift = _SMALL_SHIFT
-            vpn = vaddr >> _SMALL_SHIFT
-            key = (vpn << 33) | ctx
-            l1 = tlbs.l1_small
-        # SRAM probes unrolled as in TranslationScheme.translate_packed.
-        vpn ^= (((ctx >> 1) & 0xFFFF) * 0x9E37) ^ (((ctx >> 17) & 0xFFFF)
-                                                   * 0x85EB)
-        set1 = l1._sets[vpn & l1._set_mask]
-        found = set1.pop(key, None)
-        if found is not None:
-            set1[key] = found
-            slot = l1._hits
-            slot.value += 1
-            slot.touched = True
-            return tlbs.l1_hit_result
-        slot = l1._misses
-        slot.value += 1
-        slot.touched = True
-        entry = _new(TlbEntry, (page.host_frame >> shift, True))
-        # Shadow bookkeeping: would the baseline's private L2 have missed?
-        shadow = self._shadow[core]
-        entries = shadow._sets[vpn & shadow._set_mask]
-        found = entries.pop(key, None)
-        shadow_miss = found is None
-        if shadow_miss:
-            slot = shadow._misses
-            slot.value += 1
-            slot.touched = True
-            if len(entries) >= shadow._ways:
-                del entries[next(iter(entries))]
-                slot = shadow._evictions
-                slot.value += 1
-                slot.touched = True
-            entries[key] = entry
-            slot = shadow._fills
-            slot.value += 1
-            slot.touched = True
-            slot = self._l2_misses
-            slot.value += 1
-            slot.touched = True
-        else:
-            entries[key] = found
-            slot = shadow._hits
-            slot.value += 1
-            slot.touched = True
+    def _probe_shared(self, core: int, ctx: int, vaddr: int, key: int,
+                      entry: TlbEntry,
+                      index: Optional[int]) -> Tuple[int, int]:
+        """Resolve an L1 miss in the shared array; ``(cycles, penalty)``.
+
+        Every L1 miss pays the shared array's latency and, as penalty,
+        its extra cost over a private L2.  A shared miss adds the
+        baseline's dispatch overhead and walk to that penalty and to the
+        cycles; a hit's cycles stay ``l1 + shared latency``.
+
+        ``index`` is the key's unmasked set hash from the unrolled front
+        end, which probes and fills the set dict inline.  The traced
+        flow passes None and goes through ``SramTlb.lookup``/
+        ``insert_at``: the oracle the unrolled probe is tested against.
+        """
         shared = self.shared
+        tlbs = self.cores[core]
         cycles = tlbs.l1_latency + self._shared_latency
         penalty = self._extra_hit_cost
-        entries = shared._sets[vpn & shared._set_mask]
-        found = entries.pop(key, None)
-        if found is not None:
-            entries[key] = found
-            slot = shared._hits
-            slot.value += 1
-            slot.touched = True
-            entry = found
+        if index is None:
+            hit = shared.lookup(key) is not None
+            tr = self.trace
+            if tr.active:
+                tr.emit(events.TLB_PROBE, cycles=self._shared_latency,
+                        level="shared_l2", hit=hit)
         else:
-            slot = shared._misses
+            entries = shared._sets[index & shared._set_mask]
+            found = entries.pop(key, None)
+            hit = found is not None
+            if hit:
+                entries[key] = found
+                slot = shared._hits
+            else:
+                slot = shared._misses
             slot.value += 1
             slot.touched = True
-            penalty += tlbs.l2_miss_overhead + self._walk(
-                core, (ctx >> 1) & 0xFFFF, (ctx >> 17) & 0xFFFF,
-                vaddr)  # dispatch as baseline
+        if hit:
+            return cycles, penalty
+        penalty += tlbs.l2_miss_overhead + self._walk(
+            core, (ctx >> 1) & 0xFFFF, (ctx >> 17) & 0xFFFF, vaddr)
+        # The walk never touches the shared array: the probed set (and
+        # probe_index) still name the set to fill.
+        if index is None:
+            shared.insert_at(shared.probe_index, key, entry)
+        else:
             if len(entries) >= shared._ways:
                 del entries[next(iter(entries))]
                 slot = shared._evictions
@@ -703,91 +680,15 @@ class SharedL2Scheme(TranslationScheme):
             slot = shared._fills
             slot.value += 1
             slot.touched = True
-        if len(set1) >= l1._ways:
-            del set1[next(iter(set1))]
-            slot = l1._evictions
-            slot.value += 1
-            slot.touched = True
-        set1[key] = entry
-        slot = l1._fills
-        slot.value += 1
-        slot.touched = True
-        slot = self._penalty_cycles
-        slot.value += penalty
-        slot.touched = True
-        if found is not None:
-            return _new(TranslationResult, (cycles, shadow_miss, penalty))
-        return _new(TranslationResult,
-                    (cycles + penalty, shadow_miss, penalty))
-
-    def _translate_traced(self, core: int, ctx: int, vaddr: int,
-                          page: ResolvedPage) -> TranslationResult:
-        tlbs = self.cores[core]
-        tr = self.trace
-        vm_id = (ctx >> 1) & 0xFFFF
-        asid = (ctx >> 17) & 0xFFFF
-        tr.begin(core=core, vm=vm_id, asid=asid, vaddr=vaddr,
-                 scheme=self.name)
-        key = _key_for(vm_id, asid, vaddr, page.large)
-        cycles = tlbs.l1_latency
-        l1 = tlbs.l1(page.large)
-        if l1.lookup(key) is not None:
-            if tr.active:
-                tr.emit(events.TLB_PROBE, cycles=cycles, level="l1", hit=True)
-                tr.end(cycles=cycles, l2_miss=False, penalty=0)
-            return TranslationResult(cycles, False, 0)
-        l1_idx = l1.probe_index
-        if tr.active:
-            tr.emit(events.TLB_PROBE, cycles=tlbs.l1_latency, level="l1",
-                    hit=False)
-        entry_template = TlbEntry(page.host_frame >> addr.page_shift(page.large))
-        shadow = self._shadow[core]
-        shadow_miss = shadow.lookup(key) is None
-        if shadow_miss:
-            shadow.insert_at(shadow.probe_index, key, entry_template)
-            self._l2_misses.add()
-        cycles += self._shared_latency
-        extra_hit_cost = self._extra_hit_cost
-        entry = self.shared.lookup(key)
-        if tr.active:
-            tr.emit(events.TLB_PROBE, cycles=self._shared_latency,
-                    level="shared_l2", hit=entry is not None)
-        if entry is not None:
-            l1.insert_at(l1_idx, key, entry)
-            self._penalty_cycles.add(extra_hit_cost)
-            if tr.active:
-                tr.end(cycles=cycles, l2_miss=shadow_miss,
-                       penalty=extra_hit_cost)
-            return TranslationResult(cycles, shadow_miss, extra_hit_cost)
-        shared_idx = self.shared.probe_index
-        penalty = extra_hit_cost + tlbs.l2_miss_overhead
-        penalty += self._walk(core, vm_id, asid, vaddr)  # dispatch as baseline
-        self.shared.insert_at(shared_idx, key, entry_template)
-        l1.insert_at(l1_idx, key, entry_template)
-        self._penalty_cycles.add(penalty)
-        if tr.active:
-            tr.end(cycles=cycles + penalty, l2_miss=shadow_miss,
-                   penalty=penalty)
-        return TranslationResult(cycles + penalty, shadow_miss, penalty)
-
-    def _resolve_miss(self, core: int, vm_id: int, asid: int, vaddr: int,
-                      page: ResolvedPage,
-                      entry: TlbEntry) -> int:  # pragma: no cover
-        raise AssertionError("SharedL2Scheme overrides translate_packed()")
+        return cycles + penalty, penalty
 
     def _shootdown_backend(self, vm_id: int, asid: int, vaddr: int) -> int:
         for large in (False, True):
-            k = _key_for(vm_id, asid, vaddr, large)
-            self.shared.invalidate_page(k)
-            for shadow in self._shadow:
-                shadow.invalidate_page(k)
+            self.shared.invalidate_page(_key_for(vm_id, asid, vaddr, large))
         return self._shared_latency  # one shared-array invalidate op
 
     def _invalidate_vm_backend(self, vm_id: int) -> int:
-        dropped = self.shared.invalidate_vm(vm_id)
-        for shadow in self._shadow:
-            shadow.invalidate_vm(vm_id)
-        return dropped
+        return self.shared.invalidate_vm(vm_id)
 
 
 class TsbScheme(TranslationScheme):
@@ -902,7 +803,11 @@ SCHEMES = {
 def make_scheme(name: str, config: SystemConfig, stats: StatRegistry,
                 hierarchy: CacheHierarchy, walkers: WalkerPool,
                 **kwargs) -> TranslationScheme:
-    """Instantiate a scheme by name: baseline, pom, shared_l2 or tsb."""
+    """Instantiate a scheme by name: one of :data:`SCHEMES`.
+
+    That is baseline, pom, pom_skewed, shared_l2 or tsb; ``kwargs`` go to
+    the scheme (``shared_config`` for shared_l2, ``tsb_config`` for tsb).
+    """
     try:
         cls = SCHEMES[name]
     except KeyError:

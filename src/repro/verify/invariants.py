@@ -111,11 +111,9 @@ def _backend_holds(scheme, vaddr: int, vm_id: int, asid: int,
     pom = _pom(scheme)
     if pom is not None:
         return pom.contains(vaddr, key, vm_id, large)
-    name = scheme.name
-    if name == "shared_l2":
-        return (scheme.shared.contains(key)
-                or any(shadow.contains(key) for shadow in scheme._shadow))
-    if name == "tsb":
+    if scheme.shared is not None:
+        return scheme.shared.contains(key)
+    if scheme.name == "tsb":
         return scheme.tsb.contains_guest(
             vm_id, asid, vaddr >> addr.page_shift(large), large)
     return False  # baseline has no backing structure
@@ -127,13 +125,9 @@ def _backend_vm_keys(scheme, vm_id: int) -> List[int]:
     if pom is not None:
         return [key for *_pos, key in pom.resident()
                 if (key >> 1) & 0xFFFF == vm_id]
-    name = scheme.name
-    if name == "shared_l2":
-        found = [k for k in scheme.shared.keys() if k.vm_id == vm_id]
-        for shadow in scheme._shadow:
-            found.extend(k for k in shadow.keys() if k.vm_id == vm_id)
-        return found
-    if name == "tsb":
+    if scheme.shared is not None:
+        return [k for k in scheme.shared.keys() if k.vm_id == vm_id]
+    if scheme.name == "tsb":
         resident = scheme.tsb.resident()
         return ([t for t in resident["guest"] if t[0] == vm_id]
                 + [t for t in resident["host"] if t[0] == vm_id])
@@ -301,10 +295,8 @@ class LruChecker(InvariantChecker):
             yield f"core{core}.l1_small", tlbs.l1_small
             yield f"core{core}.l1_large", tlbs.l1_large
             yield f"core{core}.l2", tlbs.l2
-        if scheme.name == "shared_l2":
+        if scheme.shared is not None:
             yield "shared", scheme.shared
-            for core, shadow in enumerate(scheme._shadow):
-                yield f"core{core}.shadow", shadow
 
     def check_final(self, machine, result):
         scheme = machine.scheme
@@ -381,23 +373,17 @@ class ConservationChecker(InvariantChecker):
             self.fail(f"L1 TLBs saw {l1_probes} probes for "
                       f"{self.references} references "
                       f"(hits+misses != probes)")
-        if scheme.name == "shared_l2":
-            next_probes = sum(
-                int(s.stats["hits"]) + int(s.stats["misses"])
-                for s in scheme._shadow)
-            next_misses = sum(int(s.stats["misses"])
-                              for s in scheme._shadow)
+        next_probes = next_misses = 0
+        for tlbs in scheme.cores:
+            group = tlbs.l2.stats
+            next_probes += int(group["hits"]) + int(group["misses"])
+            next_misses += int(group["misses"])
+        if scheme.shared is not None:
             shared_probes = (int(scheme.shared.stats["hits"])
                              + int(scheme.shared.stats["misses"]))
             if shared_probes != l1_misses:
                 self.fail(f"shared TLB saw {shared_probes} probes for "
                           f"{l1_misses} L1 misses")
-        else:
-            next_probes = next_misses = 0
-            for tlbs in scheme.cores:
-                group = tlbs.l2.stats
-                next_probes += int(group["hits"]) + int(group["misses"])
-                next_misses += int(group["misses"])
         if next_probes != l1_misses:
             self.fail(f"L2 TLBs saw {next_probes} probes for "
                       f"{l1_misses} L1 misses")

@@ -77,18 +77,16 @@ class TestShootdownDropsBothSizes:
             assert not tlbs.l2.contains(key_large)
 
     def test_shared_l2_shadow_drops_both_sizes(self):
+        """The shadows (the private L2s) and the shared array agree."""
         machine = make_machine("shared_l2")
         scheme = machine.scheme
         key_small, key_large = plant_both_sizes(scheme)
-        for shadow in scheme._shadow:
-            shadow.insert(key_small, TlbEntry(1))
-            shadow.insert(key_large, TlbEntry(1))
+        scheme.shared.insert(key_small, TlbEntry(1))
+        scheme.shared.insert(key_large, TlbEntry(1))
         scheme.shootdown(0, 1, 0x3000, True)
-        for tlbs in scheme.cores:
-            assert not tlbs.l2.contains(key_small)
-        for shadow in scheme._shadow:
-            assert not shadow.contains(key_small)
-            assert not shadow.contains(key_large)
+        for tlb in [tlbs.l2 for tlbs in scheme.cores] + [scheme.shared]:
+            assert not tlb.contains(key_small)
+            assert not tlb.contains(key_large)
 
 
 class TestShootdownOfUnmappedPage:

@@ -1,13 +1,15 @@
-"""Shootdowns and a VM teardown through both POM-TLB organisations.
+"""Shootdowns and a VM teardown through the POM-TLB and Shared_L2.
 
 The frozen reference engine (:mod:`repro.core.refcheck`) models no
 shootdowns or teardowns, so the engine-equivalence oracle cannot hold
-the invalidation paths of the POM flow to anything.  This test pins
-them instead: a run with 24 mid-run shootdowns and one ``destroy_vm``,
-with every invariant checker armed, must reproduce the full stat
-snapshot recorded before the partitioned and skewed schemes shared one
-miss flow.  Small private L2 TLBs and a 16 KiB POM-TLB make the run hit
-the POM-TLB at both sizes, evict from it and bypass the caches.
+the invalidation paths of the POM flow or of Shared_L2's shadow and
+shared arrays to anything.  This test pins them instead: a run with 24
+mid-run shootdowns and one ``destroy_vm``, with every invariant checker
+armed, must reproduce the full stat snapshot recorded before the
+partitioned and skewed schemes shared one miss flow (``pom``,
+``pom_skewed``) and before Shared_L2's shadow became its private L2
+(``shared_l2``).  Small private L2 TLBs and a 16 KiB POM-TLB make the
+run hit the POM-TLB at both sizes, evict from it and bypass the caches.
 """
 
 import random
@@ -157,6 +159,50 @@ EXPECTED = {
             "shootdowns": 306},
         "stacked_dram": {"accesses": 467, "bytes": 29888, "row_hits": 459,
             "row_misses": 8},
+        "writebacks": {},
+    },
+    "shared_l2": {
+        "core0.l1_tlb_2m": {"evictions": 30, "fills": 58, "hits": 316,
+            "misses": 58, "shootdowns": 3},
+        "core0.l1_tlb_4k": {"evictions": 841, "fills": 906, "hits": 220,
+            "misses": 906, "shootdowns": 1},
+        "core0.l1d": {"data_evictions": 1446, "data_fills": 1958,
+            "data_hits": 702, "data_misses": 1958},
+        "core0.l2_tlb": {},
+        "core0.l2d": {"data_evictions": 59, "data_fills": 1833,
+            "data_hits": 125, "data_misses": 1833},
+        "core0.shadow_l2_tlb": {"evictions": 651, "fills": 782, "hits": 182,
+            "misses": 782, "shootdowns": 3},
+        "core0.vm0.asid1.gpsc": {"misses": 8, "pde_hits": 88, "pdp_hits": 244},
+        "core0.vm0.asid1.hpsc": {"misses": 1, "pde_hits": 547, "pdp_hits": 33,
+            "pml4_hits": 1},
+        "core0.vm0.asid1.walker": {"nested_cycles": 86196, "nested_refs": 1160,
+            "nested_walks": 340},
+        "core1.l1_tlb_2m": {"evictions": 22, "fills": 80, "hits": 319,
+            "misses": 80, "shootdowns": 30},
+        "core1.l1_tlb_4k": {"evictions": 768, "fills": 898, "hits": 203,
+            "misses": 898, "shootdowns": 66},
+        "core1.l1d": {"data_evictions": 1653, "data_fills": 2165,
+            "data_hits": 1137, "data_misses": 2165},
+        "core1.l2_tlb": {},
+        "core1.l2d": {"data_evictions": 57, "data_fills": 2045,
+            "data_hits": 120, "data_misses": 2045},
+        "core1.shadow_l2_tlb": {"evictions": 552, "fills": 810, "hits": 168,
+            "misses": 810, "shootdowns": 131},
+        "core1.vm1.asid1.gpsc": {"misses": 10, "pde_hits": 157,
+            "pdp_hits": 379},
+        "core1.vm1.asid1.hpsc": {"misses": 2, "pde_hits": 837, "pdp_hits": 61,
+            "pml4_hits": 2},
+        "core1.vm1.asid1.walker": {"nested_cycles": 135169,
+            "nested_refs": 1802, "nested_walks": 546},
+        "l3d": {"data_fills": 3874, "data_hits": 4, "data_misses": 3874},
+        "main_dram": {"accesses": 3874, "bytes": 247936, "row_conflicts": 3792,
+            "row_hits": 66, "row_misses": 16},
+        "mmu": {"l2_tlb_misses": 1592, "page_walk_cycles": 221365,
+            "page_walks": 886, "penalty_cycles": 244195,
+            "shootdown_cycles": 2904, "shootdowns": 24},
+        "shared_l2_tlb": {"fills": 886, "hits": 1056, "misses": 886,
+            "shootdowns": 310},
         "writebacks": {},
     },
 }

@@ -1,13 +1,15 @@
 """The unrolled SRAM-TLB probes of translate_packed match lookup/insert_at.
 
-``translate_packed`` probes and fills the L1/L2 (and, for Shared_L2, the
-shadow and shared) TLBs straight over their set dicts.  The traced
+``translate_packed`` probes and fills the L1 and L2 TLBs (for Shared_L2
+the L2 is the shadow, and its hook does the same for the shared array)
+straight over their set dicts.  The traced
 translate flow still goes through ``SramTlb.lookup``/``insert_at``, so
 it serves as the oracle: two identical machines with tiny TLBs (one or
 two sets of two ways, so evictions happen constantly) translate the
 same random references, one through each path, and must agree on every
-TLB set's contents *and recency order*, every counter, and every
-returned :class:`TranslationResult`.
+TLB set's contents *and recency order* (Shared_L2's shared array
+included), every counter, and every returned
+:class:`TranslationResult`.
 """
 
 import pytest
@@ -40,10 +42,8 @@ def sram_tlbs(scheme):
     tlbs = []
     for core in scheme.cores:
         tlbs += [core.l1_small, core.l1_large, core.l2]
-    tlbs += getattr(scheme, "_shadow", [])
-    shared = getattr(scheme, "_shared_tlb", None)
-    if shared is not None:
-        tlbs.append(shared)
+    if scheme.shared is not None:
+        tlbs.append(scheme.shared)
     return tlbs
 
 
