@@ -239,14 +239,9 @@ class _ObsSession:
                      **obs.windows.as_dict()}
                     for benchmark, scheme, obs in self._runs
                     if obs.windows is not None]
-            _atomic_write(self.metrics_out,
-                          json.dumps({"window": self.window, "runs": runs},
-                                     indent=2) + "\n")
-
-
-#: Back-compat alias; the shared helper lives in :mod:`repro.common.fileio`
-#: so the checkpoint store and trace sinks use the same idiom.
-_atomic_write = atomic_write_text
+            atomic_write_text(self.metrics_out,
+                              json.dumps({"window": self.window,
+                                          "runs": runs}, indent=2) + "\n")
 
 
 def _render(args: argparse.Namespace, report) -> str:
@@ -561,9 +556,9 @@ def _lifecycle_main(argv: List[str]) -> int:
         if args.artifacts:
             os.makedirs(args.artifacts, exist_ok=True)
             path = os.path.join(args.artifacts, "lifecycle_violation.txt")
-            _atomic_write(path, f"scenario: {args.scenario}\n"
-                                f"params: {params}\n"
-                                f"violation: {exc}\n")
+            atomic_write_text(path, f"scenario: {args.scenario}\n"
+                                    f"params: {params}\n"
+                                    f"violation: {exc}\n")
             print(f"violation report written to {path}", file=sys.stderr)
         return EXIT_DEGRADED
 
@@ -573,7 +568,7 @@ def _lifecycle_main(argv: List[str]) -> int:
         text = "\n".join(report.render() for report in reports) + "\n"
     sys.stdout.write(text)
     if args.output:
-        _atomic_write(args.output, text)
+        atomic_write_text(args.output, text)
     return 0
 
 
@@ -803,7 +798,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     if args.output:
         try:
-            _atomic_write(args.output, text)
+            atomic_write_text(args.output, text)
         except OSError as exc:
             print(f"cannot write --output file: {exc}", file=sys.stderr)
             return 2

@@ -30,12 +30,12 @@ per-reference entry point.  It takes a pre-packed software context
 (:func:`repro.tlb.entry.pack_context`, interned per stream by
 ``Machine.run``), builds the packed key with two shift-ors, and on the
 L1-hit path (>95 % of references) touches no stats strings, allocates
-nothing, and — when tracing is disabled — never consults the tracer
-beyond one ``enabled`` check.  The traced variant
-(:meth:`_translate_traced`) keeps the seed-era event sequence and, by
-the engine-equivalence test, the exact same counters.  Every scheme
-plugs in below these two: through :meth:`_resolve_miss` or, for
-Shared_L2, :meth:`SharedL2Scheme._probe_shared`.
+nothing, and — when tracing is disabled — consults the tracer only
+through its ``enabled`` class attribute.  It is the only front end,
+traced or not: a trace is a view of the code that produces the
+counters.  Every scheme plugs in below it: through
+:meth:`_resolve_miss` or, for Shared_L2,
+:meth:`SharedL2Scheme._probe_shared`.
 """
 
 from __future__ import annotations
@@ -139,10 +139,19 @@ class TranslationScheme:
 
     def translate_packed(self, core: int, ctx: int, vaddr: int,
                          page: ResolvedPage) -> TranslationResult:
-        """Translate one reference given a pre-packed (vm, asid) context."""
-        if self.trace.enabled:
-            return self._translate_traced(core, ctx, vaddr, page)
+        """Translate one reference given a pre-packed (vm, asid) context.
+
+        Traced or not, this is the front end: its events sit behind
+        ``tracing``, the tracer's ``active`` flag read once after
+        ``begin`` (nothing in between begins or ends a translation).
+        """
         tlbs = self.cores[core]
+        tr = self.trace
+        tracing = False
+        if tr.enabled:
+            tr.begin(core=core, vm=(ctx >> 1) & 0xFFFF,
+                     asid=(ctx >> 17) & 0xFFFF, vaddr=vaddr, scheme=self.name)
+            tracing = tr.active
         if page.large:
             shift = _LARGE_SHIFT
             vpn = vaddr >> _LARGE_SHIFT
@@ -166,15 +175,27 @@ class TranslationScheme:
             slot = l1._hits
             slot.value += 1
             slot.touched = True
+            if tracing:
+                tr.emit(events.TLB_PROBE, cycles=tlbs.l1_latency, level="l1",
+                        hit=True)
+                tr.end(cycles=tlbs.l1_latency, l2_miss=False, penalty=0)
             return tlbs.l1_hit_result
         slot = l1._misses
         slot.value += 1
         slot.touched = True
+        if tracing:
+            tr.emit(events.TLB_PROBE, cycles=tlbs.l1_latency, level="l1",
+                    hit=False)
         entry = _new(TlbEntry, (page.host_frame >> shift, True))
         l2 = tlbs.l2
         set2 = l2._sets[vpn & l2._set_mask]
         found = set2.pop(key, None)
         shared = self.shared
+        # Shared_L2's private L2 is bookkeeping, not a probe its hardware
+        # makes: its trace shows the shared-array probe instead.
+        if tracing and shared is None:
+            tr.emit(events.TLB_PROBE, cycles=tlbs.l2_latency, level="l2",
+                    hit=found is not None)
         if found is None:
             slot = l2._misses
             slot.value += 1
@@ -214,11 +235,16 @@ class TranslationScheme:
         slot.touched = True
         if shared is None:
             if found is not None:
+                if tracing:
+                    tr.end(cycles=tlbs.l1_latency + tlbs.l2_latency,
+                           l2_miss=False, penalty=0)
                 return tlbs.l2_hit_result
             cycles = tlbs.l1_latency + tlbs.l2_latency + penalty
         slot = self._penalty_cycles
         slot.value += penalty
         slot.touched = True
+        if tracing:
+            tr.end(cycles=cycles, l2_miss=found is None, penalty=penalty)
         return _new(TranslationResult, (cycles, found is None, penalty))
 
     def resolve_packed(self, core: int, ctx: int, vaddr: int,
@@ -252,55 +278,6 @@ class TranslationScheme:
         slot.value += penalty
         slot.touched = True
         return tlbs.l1_latency + tlbs.l2_latency + penalty, penalty
-
-    def _translate_traced(self, core: int, ctx: int, vaddr: int,
-                          page: ResolvedPage) -> TranslationResult:
-        """Seed-era translate flow with tracer events (counters identical)."""
-        tlbs = self.cores[core]
-        tr = self.trace
-        vm_id = (ctx >> 1) & 0xFFFF
-        asid = (ctx >> 17) & 0xFFFF
-        tr.begin(core=core, vm=vm_id, asid=asid, vaddr=vaddr,
-                 scheme=self.name)
-        key = _key_for(vm_id, asid, vaddr, page.large)
-        cycles = tlbs.l1_latency
-        l1 = tlbs.l1(page.large)
-        if l1.lookup(key) is not None:
-            if tr.active:
-                tr.emit(events.TLB_PROBE, cycles=cycles, level="l1", hit=True)
-                tr.end(cycles=cycles, l2_miss=False, penalty=0)
-            return TranslationResult(cycles, False, 0)
-        l1_idx = l1.probe_index
-        if tr.active:
-            tr.emit(events.TLB_PROBE, cycles=tlbs.l1_latency, level="l1",
-                    hit=False)
-        cycles += tlbs.l2_latency
-        entry = TlbEntry(page.host_frame >> addr.page_shift(page.large))
-        shared = self.shared
-        l2_miss = tlbs.l2.lookup(key) is None
-        # Shared_L2's private L2 is bookkeeping, not a probe its hardware
-        # makes: its trace shows the shared-array probe instead.
-        if tr.active and shared is None:
-            tr.emit(events.TLB_PROBE, cycles=tlbs.l2_latency, level="l2",
-                    hit=not l2_miss)
-        penalty = 0
-        if l2_miss:
-            l2_idx = tlbs.l2.probe_index
-            self._l2_misses.add()
-            if shared is None:
-                penalty = self._resolve_miss(core, vm_id, asid, vaddr, page,
-                                             entry)
-                cycles += penalty
-            tlbs.l2.insert_at(l2_idx, key, entry)
-        if shared is not None:
-            cycles, penalty = self._probe_shared(core, ctx, vaddr, key,
-                                                 entry, None)
-        l1.insert_at(l1_idx, key, entry)
-        if l2_miss or shared is not None:
-            self._penalty_cycles.add(penalty)
-        if tr.active:
-            tr.end(cycles=cycles, l2_miss=l2_miss, penalty=penalty)
-        return TranslationResult(cycles, l2_miss, penalty)
 
     def _resolve_miss(self, core: int, vm_id: int, asid: int, vaddr: int,
                       page: ResolvedPage, entry: TlbEntry) -> int:
@@ -627,8 +604,7 @@ class SharedL2Scheme(TranslationScheme):
             0, self._shared_latency - config.mmu.l2_unified.latency_cycles)
 
     def _probe_shared(self, core: int, ctx: int, vaddr: int, key: int,
-                      entry: TlbEntry,
-                      index: Optional[int]) -> Tuple[int, int]:
+                      entry: TlbEntry, index: int) -> Tuple[int, int]:
         """Resolve an L1 miss in the shared array; ``(cycles, penalty)``.
 
         Every L1 miss pays the shared array's latency and, as penalty,
@@ -636,50 +612,49 @@ class SharedL2Scheme(TranslationScheme):
         baseline's dispatch overhead and walk to that penalty and to the
         cycles; a hit's cycles stay ``l1 + shared latency``.
 
-        ``index`` is the key's unmasked set hash from the unrolled front
-        end, which probes and fills the set dict inline.  The traced
-        flow passes None and goes through ``SramTlb.lookup``/
-        ``insert_at``: the oracle the unrolled probe is tested against.
+        A shared miss therefore charges the extra cost twice: once inside
+        the shared latency and once more as penalty added on top of it
+        (1476 cycles, not 1472, for the cold walk that
+        ``tests/core/test_mmu.py`` pins).  The frozen reference and
+        the benchmark digests, which include ``translation_cycles``, hold
+        the same double charge, so it stays until the benchmark changes.
+
+        ``index`` is the key's unmasked set hash from
+        :meth:`translate_packed`; the set dict is probed and filled
+        inline (``SramTlb.lookup``/``insert_at`` unrolled).
         """
         shared = self.shared
         tlbs = self.cores[core]
         cycles = tlbs.l1_latency + self._shared_latency
         penalty = self._extra_hit_cost
-        if index is None:
-            hit = shared.lookup(key) is not None
-            tr = self.trace
-            if tr.active:
-                tr.emit(events.TLB_PROBE, cycles=self._shared_latency,
-                        level="shared_l2", hit=hit)
+        entries = shared._sets[index & shared._set_mask]
+        found = entries.pop(key, None)
+        if found is not None:
+            entries[key] = found
+            slot = shared._hits
         else:
-            entries = shared._sets[index & shared._set_mask]
-            found = entries.pop(key, None)
-            hit = found is not None
-            if hit:
-                entries[key] = found
-                slot = shared._hits
-            else:
-                slot = shared._misses
-            slot.value += 1
-            slot.touched = True
-        if hit:
+            slot = shared._misses
+        slot.value += 1
+        slot.touched = True
+        tr = self.trace
+        if tr.active:
+            tr.emit(events.TLB_PROBE, cycles=self._shared_latency,
+                    level="shared_l2", hit=found is not None)
+        if found is not None:
             return cycles, penalty
         penalty += tlbs.l2_miss_overhead + self._walk(
             core, (ctx >> 1) & 0xFFFF, (ctx >> 17) & 0xFFFF, vaddr)
-        # The walk never touches the shared array: the probed set (and
-        # probe_index) still name the set to fill.
-        if index is None:
-            shared.insert_at(shared.probe_index, key, entry)
-        else:
-            if len(entries) >= shared._ways:
-                del entries[next(iter(entries))]
-                slot = shared._evictions
-                slot.value += 1
-                slot.touched = True
-            entries[key] = entry
-            slot = shared._fills
+        # The walk never touches the shared array: the probed set is
+        # still the one to fill.
+        if len(entries) >= shared._ways:
+            del entries[next(iter(entries))]
+            slot = shared._evictions
             slot.value += 1
             slot.touched = True
+        entries[key] = entry
+        slot = shared._fills
+        slot.value += 1
+        slot.touched = True
         return cycles + penalty, penalty
 
     def _shootdown_backend(self, vm_id: int, asid: int, vaddr: int) -> int:

@@ -17,10 +17,10 @@ Acceleration modelled, matching the baseline hardware the paper measures:
 
 This is the hottest non-replay loop of the simulator (every L2 TLB miss
 of every scheme ends here in virtualized mode), so the walk bodies
-hoist attribute lookups, split traced/untraced loops and refill the
-PSCs with one dict probe per level of the flat page tables; behaviour
-is bit-identical to the frozen reference copy in
-:mod:`repro.core._refimpl.nested`.
+hoist attribute lookups, gate each PTE loop's trace emit on one
+hoisted flag and refill the PSCs with one dict probe per level of the
+flat page tables; behaviour is bit-identical to the frozen reference
+copy in :mod:`repro.core._refimpl.nested`.
 """
 
 from __future__ import annotations
@@ -95,16 +95,16 @@ class NestedWalker:
             start_level = addr.RADIX_LEVELS
             ptes, leaf = host_table.walk(gpa)
         tr = self.trace
+        tracing = tr.active
         read_pte = self._read_pte
-        if tr.active:
-            for step, pte in enumerate(ptes):
-                step_cycles = read_pte(pte)
-                cycles += step_cycles
+        level = start_level
+        for pte in ptes:
+            step_cycles = read_pte(pte)
+            cycles += step_cycles
+            if tracing:
                 tr.emit(events.WALK_STEP, cycles=step_cycles, dim="host",
-                        level=start_level - step)
-        else:
-            for pte in ptes:
-                cycles += read_pte(pte)
+                        level=level)
+                level -= 1
         # _PrefixCache.fill inlined per level (~3 refills per host walk;
         # warm, the upper levels are already resident-and-newest and the
         # whole body is the get + two compares of the first branch).

@@ -5,11 +5,11 @@ nested walker.  Every PTE reference goes through the caller-supplied
 ``read_pte`` callback (the data-cache hierarchy), so walk cost reflects
 PTE caching exactly as in the baseline the paper measures against.
 
-The walk loop hoists its attribute lookups, splits the traced and
-untraced PTE loops, reads the PSC-refill bases straight from the flat
-table and bumps its counters through resolved slots; behaviour is
-bit-identical to the frozen reference copy in
-:mod:`repro.core._refimpl.walker`.
+The walk loop hoists its attribute lookups, runs one PTE loop whose
+trace emit sits behind a hoisted ``tracing`` flag, reads the PSC-refill
+bases straight from the flat table and bumps its counters through
+resolved slots; behaviour is bit-identical to the frozen reference copy
+in :mod:`repro.core._refimpl.walker`.
 """
 
 from __future__ import annotations
@@ -72,17 +72,17 @@ class NativeWalker:
             start_level = addr.RADIX_LEVELS
             ptes, leaf = page_table.walk(vaddr)
         tr = self.trace
+        tracing = tr.active
         read_pte = self._read_pte
         refs = len(ptes)
-        if tr.active:
-            for step, pte in enumerate(ptes):
-                step_cycles = read_pte(pte)
-                cycles += step_cycles
+        level = start_level
+        for pte in ptes:
+            step_cycles = read_pte(pte)
+            cycles += step_cycles
+            if tracing:
                 tr.emit(events.WALK_STEP, cycles=step_cycles, dim="native",
-                        level=start_level - step)
-        else:
-            for pte in ptes:
-                cycles += read_pte(pte)
+                        level=level)
+                level -= 1
         tables = page_table._tables
         va = vaddr & VA_MASK
         for level in range(2 if leaf.large else 1, addr.RADIX_LEVELS):

@@ -48,9 +48,6 @@ class SramTlb:
         self._misses = stats.counter("misses")
         self._fills = stats.counter("fills")
         self._evictions = stats.counter("evictions")
-        #: Set index of the most recent :meth:`lookup`; the schemes read
-        #: it to :meth:`insert_at` after a miss without re-hashing.
-        self.probe_index = 0
 
     def _set_index(self, key: int) -> int:
         # XOR in vm/asid so co-running guests spread over the sets; the
@@ -63,15 +60,10 @@ class SramTlb:
     # -- operations -----------------------------------------------------------
 
     def lookup(self, key: int) -> Optional[TlbEntry]:
-        """Probe for ``key``; refreshes recency and stats.
-
-        Leaves the probed set index in :attr:`probe_index` so a
-        following :meth:`insert_at` skips the second hash.
-        """
+        """Probe for ``key``; refreshes recency and stats."""
         set_idx = ((key >> 33)
                    ^ (((key >> 1) & 0xFFFF) * 0x9E37)
                    ^ (((key >> 17) & 0xFFFF) * 0x85EB)) & self._set_mask
-        self.probe_index = set_idx
         entries = self._sets[set_idx]
         entry = entries.get(key)
         if entry is not None:
@@ -181,9 +173,9 @@ class SramTlb:
         return found
 
     def hit_rate(self) -> float:
-        return self.stats.ratio("hits", "lookups") if "lookups" in self.stats else (
-            self.stats["hits"] / (self.stats["hits"] + self.stats["misses"])
-            if (self.stats["hits"] + self.stats["misses"]) else 0.0)
+        hits = self.stats["hits"]
+        lookups = hits + self.stats["misses"]
+        return hits / lookups if lookups else 0.0
 
     @property
     def reach_bytes(self) -> int:

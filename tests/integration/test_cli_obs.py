@@ -5,7 +5,8 @@ import os
 
 import pytest
 
-from repro.cli import _atomic_write, main as cli_main
+from repro.cli import main as cli_main
+from repro.common.fileio import atomic_write_text
 from repro.obs.replay import load_chrome, load_jsonl, replay_counters
 
 _SMALL = ["--cores", "1", "--refs", "300", "--scale", "0.02", "--seed", "2"]
@@ -123,7 +124,7 @@ class TestAtomicOutput:
     def test_atomic_write_replaces_existing_content(self, tmp_path):
         path = tmp_path / "r.txt"
         path.write_text("old")
-        _atomic_write(str(path), "new")
+        atomic_write_text(str(path), "new")
         assert path.read_text() == "new"
 
     def test_failed_write_leaves_no_temp_file(self, tmp_path, monkeypatch):
@@ -134,7 +135,7 @@ class TestAtomicOutput:
 
         monkeypatch.setattr(os, "replace", boom)
         with pytest.raises(OSError):
-            _atomic_write(str(path), "data")
+            atomic_write_text(str(path), "data")
         assert not path.exists()
         assert not (tmp_path / "r.txt.tmp").exists()
 

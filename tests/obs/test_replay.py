@@ -5,6 +5,8 @@ acceptance criterion): replaying an unsampled JSONL trace must yield the
 same counters the :class:`~repro.common.stats.StatRegistry` reports.
 """
 
+from collections import Counter
+
 import pytest
 
 from repro.common.config import SystemConfig
@@ -17,10 +19,10 @@ from repro.workloads.suite import get_profile
 SCHEMES = ("baseline", "pom", "pom_skewed", "shared_l2", "tsb")
 
 
-def _traced_run(scheme, warmup=0, benchmark="mcf"):
+def _traced_run(scheme, warmup=0, benchmark="mcf", scale=0.1):
     profile = get_profile(benchmark)
     workload = profile.build(num_cores=2, refs_per_core=1200,
-                             seed=11, scale=0.1)
+                             seed=11, scale=scale)
     sink = ListSink()
     obs = Observability(tracer=EventTracer([sink], sample=1))
     machine = Machine(SystemConfig(num_cores=2), scheme=scheme,
@@ -90,6 +92,40 @@ class TestReplayAgreement:
         assert replayed["translations"] == result.references
         assert replayed["l2_tlb_misses"] == result.l2_tlb_misses
         assert replayed["penalty_cycles"] == result.penalty_cycles
+
+
+def _probe_counts(trace):
+    """``tlb_probe`` events after the last ``stats_reset``, by (level, hit)."""
+    start = 1 + max((i for i, e in enumerate(trace)
+                     if e["type"] == "marker" and e["name"] == "stats_reset"),
+                    default=-1)
+    return Counter((e["level"], e["hit"]) for e in trace[start:]
+                   if e["type"] == "tlb_probe")
+
+
+class TestTlbProbeEvents:
+    """The front end's probe events agree with the SRAM TLB counters."""
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_probe_events_match_sram_counters(self, scheme):
+        machine, result, trace = _traced_run(scheme, warmup=600,
+                                             benchmark="gups", scale=0.3)
+        assert result.l2_tlb_misses > 0  # the run must exercise the miss path
+        stats = machine.stats
+        groups = {"l1": [f"core{c}.l1_tlb_{size}" for c in range(2)
+                         for size in ("4k", "2m")]}
+        if machine.scheme.shared is None:
+            groups["l2"] = [f"core{c}.l2_tlb" for c in range(2)]
+        else:
+            # The private L2 is the zero-latency shadow: no event.
+            groups["shared_l2"] = ["shared_l2_tlb"]
+        want = Counter()
+        for level, names in groups.items():
+            for name in names:
+                want[(level, True)] += int(stats[name]["hits"])
+                want[(level, False)] += int(stats[name]["misses"])
+        assert want[("l1", False)] > 0 and want[("l1", True)] > 0
+        assert _probe_counts(trace) == +want
 
 
 class TestSampledTraces:
