@@ -52,7 +52,7 @@ except ImportError:  # pragma: no cover - exercised via tests' stubbing
 
 from ..cache.cache import DATA
 from ..common import addr
-from ..tlb.entry import TlbEntry
+from ..tlb.entry import SET_HASH_ASID, SET_HASH_VM, TlbEntry
 
 _new = tuple.__new__  # TlbEntry without its Python-level __new__
 
@@ -126,8 +126,8 @@ class _StreamState:
         self.ctx = ctx
         vm_id = (ctx >> 1) & 0xFFFF
         asid = (ctx >> 17) & 0xFFFF
-        # SramTlb._set_index == (vpn ^ vm*0x9E37 ^ asid*0x85EB) & mask.
-        self.ctx_hash = (vm_id * 0x9E37) ^ (asid * 0x85EB)
+        # SramTlb._set_index == (vpn ^ ctx_hash) & mask.
+        self.ctx_hash = (vm_id * SET_HASH_VM) ^ (asid * SET_HASH_ASID)
         self.touch = touch_slow
         self.large_pages = large_pages
         self.small_pages = small_pages

@@ -49,7 +49,8 @@ from ..common.errors import ConfigError
 from ..common.stats import StatRegistry
 from ..obs import events
 from ..obs.tracer import NULL_TRACER
-from ..tlb.entry import TlbEntry, pack_context, pack_key
+from ..tlb.entry import (SET_HASH_ASID, SET_HASH_VM, TlbEntry, pack_context,
+                         pack_key)
 from ..tlb.tlb import SramTlb
 from ..vmm.vm import ResolvedPage
 from .pom_tlb import PomTlb
@@ -166,8 +167,8 @@ class TranslationScheme:
         # CacheHierarchy.data_access: pop + reinsert is lookup's
         # move-to-end, and the fills skip insert_at's already-resident
         # branch (the probe of that set just missed).
-        vpn ^= (((ctx >> 1) & 0xFFFF) * 0x9E37) ^ (((ctx >> 17) & 0xFFFF)
-                                                   * 0x85EB)
+        vpn ^= ((((ctx >> 1) & 0xFFFF) * SET_HASH_VM)
+                ^ (((ctx >> 17) & 0xFFFF) * SET_HASH_ASID))
         set1 = l1._sets[vpn & l1._set_mask]
         found = set1.pop(key, None)
         if found is not None:

@@ -1,4 +1,4 @@
-"""DRAM channel: banks + address mapping + data-burst transfer cost.
+"""DRAM channel: banks + address mapping + cache-line burst cost.
 
 The channel is the unit the rest of the simulator talks to.  It returns
 access latencies in **CPU cycles** so callers never deal with clock-domain
@@ -18,6 +18,9 @@ from ..obs.tracer import NULL_TRACER
 from .bank import DramBank
 from .mapping import AddressMapper
 
+#: Every access moves one cache line over a double-data-rate bus.
+_LINE = addr.CACHE_LINE_SIZE
+
 
 class DramChannel:
     """One independent DRAM channel (die-stacked or DDR4)."""
@@ -35,65 +38,54 @@ class DramChannel:
         #: stacked-DRAM channel); None keeps the hot path untouched.
         self.histogram = None
         # Hot-path constants: the address decomposition (mirrors
-        # ``self.mapper``), the cache-line burst cost, the clock-domain
-        # ratio and resolved counter slots.
+        # ``self.mapper``), the CPU-cycle latency of each row-buffer
+        # outcome for one cache line and resolved counter slots.
         self._row_shift = addr.ilog2(timing.row_buffer_bytes)
         self._bank_mask = timing.banks - 1
         self._bank_bits = addr.ilog2(timing.banks)
-        self._controller_cycles = timing.controller_cycles
-        self._line_burst = self._burst_cycles(addr.CACHE_LINE_SIZE)
-        self._bus_mhz = timing.bus_mhz
+        latency = typical_latencies(timing, cpu_mhz)
+        self._hit_cycles = latency["row_hit"]
+        self._miss_cycles = latency["row_miss"]
+        self._conflict_cycles = latency["row_conflict"]
         self._accesses = stats.counter("accesses")
         self._bytes = stats.counter("bytes")
 
-    def _burst_cycles(self, nbytes: int) -> int:
-        """Bus cycles to move ``nbytes`` over a double-data-rate bus."""
-        bytes_per_bus_cycle = max(1, self.timing.bus_bits // 8 * 2)
-        return -(-nbytes // bytes_per_bus_cycle)
-
-    def access(self, paddr: int, nbytes: int = addr.CACHE_LINE_SIZE) -> int:
-        """Read/write ``nbytes`` at ``paddr``; returns CPU-cycle latency."""
+    def access(self, paddr: int) -> int:
+        """Read/write the cache line at ``paddr``; returns CPU cycles."""
         block = paddr >> self._row_shift
-        bank_idx = block & self._bank_mask
         row = block >> self._bank_bits
-        bank = self._banks[bank_idx]
-        tracing = self.trace.active
+        bank = self._banks[block & self._bank_mask]
         # DramBank.access unrolled over the bank's slots (row-buffer
-        # outcome, cost, state update) — one call frame per DRAM access
-        # was measurable on the miss-bound schemes.
+        # outcome, state update) — one call frame per DRAM access was
+        # measurable on the miss-bound schemes.
         open_row = bank._open_row
         if open_row == row:
             slot = bank._row_hits
-            bank_cost = bank._hit_cost
+            cycles = self._hit_cycles
         else:
             if open_row is None:
                 slot = bank._row_misses
-                bank_cost = bank._miss_cost
+                cycles = self._miss_cycles
             else:
                 slot = bank._row_conflicts
-                bank_cost = bank._conflict_cost
+                cycles = self._conflict_cycles
             bank._open_row = row
         slot.value += 1
         slot.touched = True
-        if tracing:
-            outcome = ("hit" if open_row == row
-                       else "miss" if open_row is None else "conflict")
-        burst = (self._line_burst if nbytes == addr.CACHE_LINE_SIZE
-                 else self._burst_cycles(nbytes))
-        bus_cycles = self._controller_cycles + bank_cost + burst
         slot = self._accesses
         slot.value += 1
         slot.touched = True
         slot = self._bytes
-        slot.value += nbytes
+        slot.value += _LINE
         slot.touched = True
-        # Inline of DramTimingConfig.cpu_cycles (ceiling division).
-        cycles = -(-bus_cycles * self.cpu_mhz // self._bus_mhz)
         if self.histogram is not None:
             self.histogram.record(cycles)
-        if tracing:
+        if self.trace.active:
             self.trace.emit(events.DRAM_ACCESS, cycles=cycles,
-                            bank=bank_idx, row=row, outcome=outcome)
+                            bank=block & self._bank_mask, row=row,
+                            outcome=("hit" if open_row == row
+                                     else "miss" if open_row is None
+                                     else "conflict"))
         return cycles
 
     def row_buffer_hit_rate(self) -> float:
@@ -113,12 +105,13 @@ class DramChannel:
 
 
 def typical_latencies(timing: DramTimingConfig, cpu_mhz: int) -> dict:
-    """CPU-cycle latencies of the three access classes, for documentation.
+    """CPU-cycle latencies of the three access classes for one cache line.
 
-    Handy when sanity-checking configuration tables: e.g. with the paper's
-    stacked-DRAM parameters at a 4 GHz core a row hit costs ~70 cycles.
+    :class:`DramChannel` charges exactly these, so the documented figures
+    and the simulated ones cannot drift apart: e.g. with the paper's
+    stacked-DRAM parameters at a 4 GHz core a row hit costs 60 cycles.
     """
-    burst = -(-addr.CACHE_LINE_SIZE // max(1, timing.bus_bits // 8 * 2))
+    burst = -(-_LINE // max(1, timing.bus_bits // 8 * 2))
     base = timing.controller_cycles + burst
     return {
         "row_hit": timing.cpu_cycles(base + timing.tcas, cpu_mhz),

@@ -15,30 +15,37 @@ Acceleration modelled, matching the baseline hardware the paper measures:
   levels and their nested host walks, and
 * PTE caching in the data caches (via the ``read_pte`` callback).
 
-This is the hottest non-replay loop of the simulator (every L2 TLB miss
-of every scheme ends here in virtualized mode), so the walk bodies
-hoist attribute lookups, gate each PTE loop's trace emit on one
-hoisted flag and refill the PSCs with one dict probe per level of the
-flat page tables; behaviour is bit-identical to the frozen reference
-copy in :mod:`repro.core._refimpl.nested`.
+This is the hottest non-replay loop of the simulator: every L2 TLB miss
+of every scheme ends here in virtualized mode, and a warm-up that
+touches every page once misses on each reference.  Its host time
+tracks the bytecodes it executes, not its call frames, so
+:meth:`NestedWalker.walk` runs the whole grid in one frame: both PSC
+probes, both table descents and every host column are inline, and the
+PSC refills iterate plans built once per walker.  Behaviour is
+bit-identical to the frozen reference copy in
+:mod:`repro.core._refimpl.nested`.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Tuple
+from typing import NamedTuple
 
 from ..common import addr
-from ..common.errors import AddressError
+from ..common.errors import TranslationFault
 from ..common.stats import StatGroup
 from ..obs import events
 from ..obs.tracer import NULL_TRACER
-from .page_table import LARGE_OFFSET, SMALL_OFFSET, VA_MASK, RadixPageTable
+from .page_table import (LARGE_OFFSET, PTE_MASK, PTE_SHIFT, SMALL_OFFSET,
+                         TABLE_SHIFT, VA_MASK, RadixPageTable)
 from .walk_cache import PagingStructureCache
 from .walker import PteAccess
 
 #: Worst-case reference count of one nested walk (paper Figure 1).
 MAX_NESTED_REFS = 24
 
+_ROOT = addr.RADIX_LEVELS
+_SHIFT_SMALL = addr.SMALL_PAGE_SHIFT
+_SHIFT_LARGE = addr.LARGE_PAGE_SHIFT
 _new = tuple.__new__  # NamedTuple construction without a Python frame
 
 
@@ -71,142 +78,167 @@ class NestedWalker:
         self._nested_walks = stats.counter("nested_walks")
         self._nested_cycles = stats.counter("nested_cycles")
         self._nested_refs = stats.counter("nested_refs")
-
-    # -- host dimension ----------------------------------------------------------
-
-    def host_translate(self, gpa: int) -> Tuple[int, int, int]:
-        """Translate a guest-physical address through the host table.
-
-        Returns ``(hpa, cycles, memory_refs)``.  This is one column of
-        the paper's Figure 1 grid.
-        """
-        host_psc = self.host_psc
-        host_table = self.host_table
-        start_level, table_base, cycles = host_psc.lookup(gpa)
-        try:
-            if table_base is None:
-                ptes, leaf = host_table.walk(gpa)
-            else:
-                ptes, leaf = host_table.walk_from(gpa, start_level,
-                                                  table_base)
-        except AddressError:
-            self.stats.inc("host_psc_stale")
-            host_psc.invalidate(gpa)
-            start_level = addr.RADIX_LEVELS
-            ptes, leaf = host_table.walk(gpa)
-        tr = self.trace
-        tracing = tr.active
-        read_pte = self._read_pte
-        level = start_level
-        for pte in ptes:
-            step_cycles = read_pte(pte)
-            cycles += step_cycles
-            if tracing:
-                tr.emit(events.WALK_STEP, cycles=step_cycles, dim="host",
-                        level=level)
-                level -= 1
-        # _PrefixCache.fill inlined per level (~3 refills per host walk;
-        # warm, the upper levels are already resident-and-newest and the
-        # whole body is the get + two compares of the first branch).
-        tables = host_table._tables
-        va = gpa & VA_MASK
-        by_level = host_psc.by_level
-        for level in range(2 if leaf.large else 1, addr.RADIX_LEVELS):
-            pc = by_level[level]
-            cap = pc.capacity
-            if not cap:
-                continue
-            entries = pc._entries
-            shift = pc.shift
-            pkey = gpa >> shift
-            base = tables[level][va >> shift]
-            resident = entries.get(pkey)
-            if resident is not None:
-                if resident == base and next(reversed(entries)) == pkey:
-                    continue
-                del entries[pkey]
-            elif len(entries) >= cap:
-                del entries[next(iter(entries))]
-            entries[pkey] = base
-        # leaf.translate(gpa) inlined
-        return (leaf[0] | (gpa & (LARGE_OFFSET if leaf[1] else SMALL_OFFSET)),
-                cycles, len(ptes))
-
-    # -- full 2-D walk ------------------------------------------------------
+        # Plans of the inlined probes, descents and refills; every
+        # dict and counter they hold is never rebound.
+        self._guest_probe = guest_psc.probe_order()
+        self._guest_misses = guest_psc.stats.counter("misses")
+        self._guest_latency = guest_psc.config.hit_latency_cycles
+        self._guest_descents = guest_table.descents
+        self._guest_refill = guest_psc.refill_plans(guest_table._tables)
+        self._host = (host_psc.probe_order(),
+                      host_psc.stats.counter("misses"),
+                      host_psc.config.hit_latency_cycles,
+                      host_table._tables, host_table._large,
+                      host_table._small, host_table.descents,
+                      host_psc.refill_plans(host_table._tables))
 
     def walk(self, gva: int) -> NestedOutcome:
-        """Translate ``gva`` end to end (gVA -> gPA -> hPA)."""
-        guest_psc = self.guest_psc
-        guest_table = self.guest_table
-        start_level, cached, cycles = guest_psc.lookup(gva)
-        try:
-            if cached is None:
-                ptes, leaf = guest_table.walk(gva)
-            else:
-                ptes, leaf = guest_table.walk_from(gva, start_level,
-                                                   cached[0])
-        except AddressError:
-            self.stats.inc("guest_psc_stale")
-            guest_psc.invalidate(gva)
-            cached = None
-            start_level = addr.RADIX_LEVELS
-            ptes, leaf = guest_table.walk(gva)
+        """Translate ``gva`` end to end (gVA -> gPA -> hPA).
+
+        The guest PSC probe and the check of its base come first.  Then
+        one host column runs per guest PTE still to read (the column's
+        host PTE reads, then the guest PTE read), and a last column
+        translates the data page's gPA; the guest PSC refill ends the
+        walk.  A stale PSC base is counted, invalidated and re-walked
+        from the root; an unmapped address raises
+        :class:`TranslationFault` naming the guest or host table.
+        """
         tr = self.trace
         tracing = tr.active
         read_pte = self._read_pte
-        host_translate = self.host_translate
-        total_refs = 0
-        first = 0
+        # PagingStructureCache.lookup inlined, deepest cache first; the
+        # combined guest cache maps a gVA prefix to (gPA, hPA) bases.
+        cycles = self._guest_latency
+        for entries, shift, start, slot in self._guest_probe:
+            key = gva >> shift
+            cached = entries.get(key)
+            if cached is not None:
+                if next(reversed(entries)) != key:
+                    entries[key] = entries.pop(key)
+                break
+        else:
+            start = _ROOT
+            cached = None
+            slot = self._guest_misses
+        slot.value += 1
+        slot.touched = True
+        # RadixPageTable.walk_from inlined: the cached base and the leaf
+        # are checked before any PTE is read.
+        table = self.guest_table
+        va = gva & VA_MASK
         if cached is not None:
-            # Combined-PSC hit: the host address of this guest table is
-            # cached, no nested host walk for it.
-            gpa_base, hpa_base = cached
-            step_cycles = read_pte(hpa_base + (ptes[0] - gpa_base))
+            base = table._tables[start].get(va >> TABLE_SHIFT[start])
+            if base != cached[0]:
+                if base is None:
+                    raise TranslationFault(gva, space=table.name)
+                self.stats.inc("guest_psc_stale")
+                self.guest_psc.invalidate(gva)
+                cached = None
+                start = _ROOT
+        leaf = table._large.get(va >> _SHIFT_LARGE)
+        if leaf is None:
+            leaf = table._small.get(va >> _SHIFT_SMALL)
+            if leaf is None:
+                raise TranslationFault(gva, space=table.name)
+        large = leaf[1]
+        level = start  # guest level of the next guest PTE
+        refs = 0
+        if cached is not None:
+            # Combined-PSC hit: the guest table's hPA is cached, so its
+            # PTE is read with no host column.
+            step_cycles = read_pte(
+                cached[1] + ((va >> PTE_SHIFT[start]) & PTE_MASK))
             cycles += step_cycles
-            total_refs += 1
+            refs = 1
             if tracing:
                 tr.emit(events.WALK_STEP, cycles=step_cycles, dim="guest",
-                        level=start_level)
-            first = 1
-        for step in range(first, len(ptes)):
-            pte = ptes[step]
-            pte_hpa, host_cycles, host_refs = host_translate(pte)
-            cycles += host_cycles
-            total_refs += host_refs
-            step_cycles = read_pte(pte_hpa)
-            cycles += step_cycles
-            total_refs += 1
-            if tracing:
-                tr.emit(events.WALK_STEP, cycles=step_cycles, dim="guest",
-                        level=start_level - step)
-        # Final column: translate the data page's gPA through the host.
-        host_frame_addr, host_cycles, host_refs = host_translate(leaf.frame)
-        cycles += host_cycles
-        total_refs += host_refs
+                        level=start)
+            level -= 1
+        # The gPA each host column translates: the guest PTEs still to
+        # read, then the data page.
+        gpas = []
+        for tbl, tshift, pshift in self._guest_descents[level][large]:
+            gpas.append(tbl[va >> tshift] + ((va >> pshift) & PTE_MASK))
+        gpas.append(leaf[0])
+        low = 2 if large else 1  # guest leaf level
+        (probe, misses, latency, tables, large_leaves, small_leaves,
+         descents, refill) = self._host
+        for gpa in gpas:
+            cycles += latency
+            for entries, shift, hstart, slot in probe:
+                key = gpa >> shift
+                base = entries.get(key)
+                if base is not None:
+                    if next(reversed(entries)) != key:
+                        entries[key] = entries.pop(key)
+                    break
+            else:
+                hstart = _ROOT
+                slot = misses
+            slot.value += 1
+            slot.touched = True
+            hva = gpa & VA_MASK
+            if hstart != _ROOT:
+                found = tables[hstart].get(hva >> TABLE_SHIFT[hstart])
+                if found != base:
+                    if found is None:
+                        raise TranslationFault(gpa,
+                                               space=self.host_table.name)
+                    self.stats.inc("host_psc_stale")
+                    self.host_psc.invalidate(gpa)
+                    hstart = _ROOT
+            hleaf = large_leaves.get(hva >> _SHIFT_LARGE)
+            if hleaf is None:
+                hleaf = small_leaves.get(hva >> _SHIFT_SMALL)
+                if hleaf is None:
+                    raise TranslationFault(gpa, space=self.host_table.name)
+            hlarge = hleaf[1]
+            steps = descents[hstart][hlarge]
+            refs += len(steps)
+            step_level = hstart
+            for tbl, tshift, pshift in steps:
+                step_cycles = read_pte(
+                    tbl[hva >> tshift] + ((hva >> pshift) & PTE_MASK))
+                cycles += step_cycles
+                if tracing:
+                    tr.emit(events.WALK_STEP, cycles=step_cycles,
+                            dim="host", level=step_level)
+                    step_level -= 1
+            # _PrefixCache.fill inlined per level (warm, an upper level
+            # is already resident-and-newest: the get + two compares).
+            for entries, shift, tbl, cap in refill[hstart][hlarge]:
+                pkey = gpa >> shift
+                base = tbl[hva >> shift]
+                resident = entries.get(pkey)
+                if resident is not None:
+                    if resident == base and next(reversed(entries)) == pkey:
+                        continue
+                    del entries[pkey]
+                elif len(entries) >= cap:
+                    del entries[next(iter(entries))]
+                entries[pkey] = base
+            hpa = hleaf[0] | (gpa & (LARGE_OFFSET if hlarge else SMALL_OFFSET))
+            if level >= low:
+                step_cycles = read_pte(hpa)
+                cycles += step_cycles
+                refs += 1
+                if tracing:
+                    tr.emit(events.WALK_STEP, cycles=step_cycles,
+                            dim="guest", level=level)
+                level -= 1
         # Refill the combined cache with (gPA, hPA) guest-table bases.
         # Guest table frames are host-mapped when allocated and that
         # mapping never changes while the VM lives, so a resident entry
         # with the same gPA base already holds the right hPA: the host
         # lookup runs only when an entry is actually (re)written.
-        # _PrefixCache.fill inlined (cf. host_translate).
-        tables = guest_table._tables
-        host_lookup = self.host_table.lookup
-        va = gva & VA_MASK
-        by_level = guest_psc.by_level
-        for level in range(2 if leaf.large else 1, addr.RADIX_LEVELS):
-            pc = by_level[level]
-            cap = pc.capacity
-            if not cap:
-                continue
-            entries = pc._entries
-            shift = pc.shift
+        for entries, shift, tbl, cap in self._guest_refill[start][large]:
             pkey = gva >> shift
-            gpa_base = tables[level][va >> shift]
+            gpa_base = tbl[va >> shift]
             resident = entries.get(pkey)
             if (resident is not None and resident[0] == gpa_base
                     and next(reversed(entries)) == pkey):
                 continue
-            hpa_leaf = host_lookup(gpa_base)
+            hpa_leaf = self.host_table.lookup(gpa_base)
             if hpa_leaf is None:
                 continue
             if resident is not None:
@@ -223,7 +255,6 @@ class NestedWalker:
         slot.value += cycles
         slot.touched = True
         slot = self._nested_refs
-        slot.value += total_refs
+        slot.value += refs
         slot.touched = True
-        return _new(NestedOutcome,
-                    (cycles, total_refs, host_frame_addr, leaf[1]))
+        return _new(NestedOutcome, (cycles, refs, hpa, large))

@@ -58,20 +58,17 @@ TABLE_SHIFT = tuple(
     None if level == 0
     else addr.SMALL_PAGE_SHIFT + addr.RADIX_LEVEL_BITS * level
     for level in range(addr.RADIX_LEVELS + 1))
-#: ``(va >> _PTE_SHIFT[L]) & _PTE_MASK`` is ``PTE_BYTES * index`` at level L.
-_PTE_SHIFT = tuple(None if shift is None else shift - addr.RADIX_LEVEL_BITS - 3
-                   for shift in TABLE_SHIFT)
-_PTE_MASK = (addr.ENTRIES_PER_TABLE - 1) * PTE_BYTES
-#: ``_LEVELS_BELOW[L][large]``: the levels a walk from level L visits
-#: after L itself, down to the small (level 1) or large (level 2) leaf.
-_LEVELS_BELOW = tuple((tuple(range(start - 1, 0, -1)),
-                       tuple(range(start - 1, 1, -1)))
-                      for start in range(addr.RADIX_LEVELS + 1))
+#: ``(va >> PTE_SHIFT[L]) & PTE_MASK`` is ``PTE_BYTES * index`` at level L.
+PTE_SHIFT = tuple(None if shift is None else shift - addr.RADIX_LEVEL_BITS - 3
+                  for shift in TABLE_SHIFT)
+PTE_MASK = (addr.ENTRIES_PER_TABLE - 1) * PTE_BYTES
 
 #: ``_DESCENT[large]``: ``(level, TABLE_SHIFT[level])`` of every table
 #: :meth:`RadixPageTable.map_page` must find or create, root side first.
 _DESCENT = tuple(tuple((level, TABLE_SHIFT[level]) for level in levels)
                  for levels in ((3, 2, 1), (3, 2)))
+#: Prefix shift of the level-2 (PD) table, the deepest a large page has.
+_SHIFT_PD = TABLE_SHIFT[2]
 
 #: signature of a frame allocator: returns the base address of a fresh
 #: 4 KiB frame in the table's output address space.
@@ -102,6 +99,18 @@ class RadixPageTable:
         #: leaves by small VPN (level 1) and by large VPN (level 2).
         self._small: Dict[int, LeafMapping] = {}
         self._large: Dict[int, LeafMapping] = {}
+        #: ``descents[L][large]``: ``(level table, TABLE_SHIFT, PTE_SHIFT)``
+        #: of every level a walk from level ``L`` reads, ``L`` first, down
+        #: to the small (level 1) or large (level 2) leaf; empty when
+        #: ``L`` is below the leaf.  Step ``i`` reads the PTE at
+        #: ``table[va >> TABLE_SHIFT] + ((va >> PTE_SHIFT) & PTE_MASK)``.
+        #: The level tables are never rebound, so this holds for good.
+        self.descents = tuple(
+            tuple(tuple((self._tables[level], TABLE_SHIFT[level],
+                         PTE_SHIFT[level])
+                        for level in range(start, 1 if large else 0, -1))
+                  for large in (False, True))
+            for start in range(_ROOT_LEVEL + 1))
 
     @property
     def root_base(self) -> int:
@@ -122,24 +131,35 @@ class RadixPageTable:
                 f"frame {frame:#x} not aligned to {'2MiB' if large else '4KiB'}")
         va = vaddr & VA_MASK
         key = va >> _SHIFT_LARGE
-        if large and key in self._tables[1]:
-            raise AddressError(
-                f"{self.name}: VA {vaddr:#x} already covered by small pages")
-        if not large and key in self._large:
-            raise AddressError(
-                f"{self.name}: VA {vaddr:#x} already covered by a large page")
-        # Missing tables are allocated top-down, as a hardware-style
-        # descent would; allocation order fixes every frame address.
+        tables = self._tables
+        # Tables are created top-down and never deleted, so when the
+        # deepest covering table exists every table above it does too:
+        # one probe, and a descent only on a missing table.
+        if large:
+            if key in tables[1]:
+                raise AddressError(f"{self.name}: VA {vaddr:#x} already "
+                                   f"covered by small pages")
+            if va >> _SHIFT_PD not in tables[2]:
+                self._descend(va, True)
+            self._large[key] = _new(LeafMapping, (frame, True))
+        else:
+            if key in self._large:
+                raise AddressError(f"{self.name}: VA {vaddr:#x} already "
+                                   f"covered by a large page")
+            if key not in tables[1]:
+                self._descend(va, False)
+            self._small[va >> _SHIFT_SMALL] = _new(LeafMapping, (frame, False))
+
+    def _descend(self, va: int, large: bool) -> None:
+        """Allocate the missing tables covering ``va``, top-down, as a
+        hardware-style descent would; allocation order fixes every frame
+        address."""
         tables = self._tables
         for level, shift in _DESCENT[large]:
             table = tables[level]
             prefix = va >> shift
             if prefix not in table:
                 table[prefix] = self._alloc()
-        if large:
-            self._large[key] = _new(LeafMapping, (frame, True))
-        else:
-            self._small[va >> _SHIFT_SMALL] = _new(LeafMapping, (frame, False))
 
     def unmap_page(self, vaddr: int, large: bool = False) -> bool:
         """Remove the leaf for the page containing ``vaddr``."""
@@ -183,10 +203,10 @@ class RadixPageTable:
             leaf = self._small.get(va >> _SHIFT_SMALL)
             if leaf is None:
                 raise TranslationFault(vaddr, space=self.name)
-        ptes = [base + ((va >> _PTE_SHIFT[start_level]) & _PTE_MASK)]
-        for level in _LEVELS_BELOW[start_level][leaf.large]:
-            ptes.append(tables[level][va >> TABLE_SHIFT[level]]
-                        + ((va >> _PTE_SHIFT[level]) & _PTE_MASK))
+        ptes = [base + ((va >> PTE_SHIFT[start_level]) & PTE_MASK)]
+        below = self.descents[start_level - 1][leaf.large]
+        for table, tshift, pshift in below:
+            ptes.append(table[va >> tshift] + ((va >> pshift) & PTE_MASK))
         return tuple(ptes), leaf
 
     def table_base(self, vaddr: int, level: int) -> Optional[int]:

@@ -17,8 +17,11 @@ Capacities follow Table 1 (2 / 4 / 32 entries), fully associative, LRU.
 
 Every page walk starts with a PSC probe, so :meth:`lookup` is unrolled
 (deepest cache first) over plain insertion-ordered dicts with counter
-slots resolved at construction; behaviour is bit-identical to the
-frozen reference copy in :mod:`repro.core._refimpl.walk_cache`.
+slots resolved at construction, and the nested walker, which probes two
+caches per walk, inlines the probe and the refills from
+:meth:`~PagingStructureCache.probe_order` and
+:meth:`~PagingStructureCache.refill_plans`; behaviour is bit-identical
+to the frozen reference copy in :mod:`repro.core._refimpl.walk_cache`.
 """
 
 from __future__ import annotations
@@ -101,11 +104,7 @@ class PagingStructureCache:
         self._pdp = _PrefixCache(config.pdp_entries, _LEVELS[1][2])
         self._pml4 = _PrefixCache(config.pml4_entries, _LEVELS[2][2])
         #: level -> cache (index 0 unused); level order matches _LEVELS.
-        #: Public: the walkers' refill loops index it directly, skipping
-        #: the range check of :meth:`fill` (their levels are 1..3 by
-        #: construction).
-        self.by_level = (None, self._pde, self._pdp, self._pml4)
-        self._by_level = self.by_level
+        self._by_level = (None, self._pde, self._pdp, self._pml4)
         self._hit_latency = config.hit_latency_cycles
         # Entry-dict aliases for :meth:`lookup` — the sub-caches never
         # rebind ``_entries`` (flush() clears it in place), so probing
@@ -162,6 +161,38 @@ class PagingStructureCache:
         slot.value += 1
         slot.touched = True
         return addr.RADIX_LEVELS, None, cycles
+
+    def probe_order(self) -> tuple:
+        """``(entries, prefix shift, level, hits counter)`` of each cache
+        that can hold an entry, deepest first: :meth:`lookup`'s probe
+        order, for a walker that inlines it.  A zero-capacity cache never
+        hits, so it is left out; the entry dicts are never rebound.
+        """
+        return tuple((pc._entries, pc.shift, level,
+                      self.stats.counter(f"{name}_hits"))
+                     for name, _, _, level in _LEVELS
+                     for pc in (self._by_level[level],) if pc.capacity)
+
+    def refill_plans(self, tables) -> tuple:
+        """``plans[start][large]``: ``(entries, prefix shift, level table,
+        capacity)`` of each cache a walk that started at level ``start``
+        refills, ascending, for a small or large leaf.
+
+        ``tables`` is the walked table's level -> {VA prefix: base}
+        storage (a prefix shift equals its level's table shift).
+        Zero-capacity caches are left out.  So is level ``start``: a
+        probe that hit there and passed the walker's base check left
+        that entry current and newest, so its refill would change
+        nothing (a stale hit re-walks from the root, ``start`` 4).
+        """
+        return tuple(
+            tuple(tuple((pc._entries, pc.shift, tables[level], pc.capacity)
+                        for level in range(2 if large else 1,
+                                           addr.RADIX_LEVELS)
+                        for pc in (self._by_level[level],)
+                        if pc.capacity and level != start)
+                  for large in (False, True))
+            for start in range(addr.RADIX_LEVELS + 1))
 
     def fill(self, vaddr: int, level: int, table_base: int) -> None:
         """Cache the base of the level-``level`` table covering ``vaddr``."""

@@ -50,6 +50,13 @@ KEY_CONTEXT_MASK = ((KEY_ASID_MASK << KEY_ASID_SHIFT)
 #: Mask selecting the (vm_id) bits of a packed key.
 KEY_VM_FIELD_MASK = KEY_VM_MASK << KEY_VM_SHIFT
 
+#: Multipliers of the SRAM TLB set hash.  A key's set is
+#: ``(vpn ^ vm_id * SET_HASH_VM ^ asid * SET_HASH_ASID) & set_mask``, so
+#: co-running guests spread over the sets (the paper applies the same
+#: trick to the POM-TLB set mapping).
+SET_HASH_VM = 0x9E37
+SET_HASH_ASID = 0x85EB
+
 
 def pack_key(vm_id: int, asid: int, vpn: int, large: bool) -> int:
     """Pack a translation identity into one integer (unchecked)."""

@@ -24,8 +24,8 @@ from typing import Dict, List, Optional, Tuple
 from ..common import addr
 from ..common.config import TlbConfig
 from ..common.stats import StatGroup
-from .entry import (KEY_CONTEXT_MASK, KEY_VM_FIELD_MASK, TlbEntry, TlbKey,
-                    pack_context, unpack_key)
+from .entry import (KEY_CONTEXT_MASK, KEY_VM_FIELD_MASK, SET_HASH_ASID,
+                    SET_HASH_VM, TlbEntry, TlbKey, pack_context, unpack_key)
 
 
 class SramTlb:
@@ -50,20 +50,19 @@ class SramTlb:
         self._evictions = stats.counter("evictions")
 
     def _set_index(self, key: int) -> int:
-        # XOR in vm/asid so co-running guests spread over the sets; the
-        # paper applies the same trick to the POM-TLB set mapping.
+        # XOR in vm/asid so co-running guests spread over the sets.
         # Field extraction inlined from entry.py's packed layout.
         return ((key >> 33)
-                ^ (((key >> 1) & 0xFFFF) * 0x9E37)
-                ^ (((key >> 17) & 0xFFFF) * 0x85EB)) & self._set_mask
+                ^ (((key >> 1) & 0xFFFF) * SET_HASH_VM)
+                ^ (((key >> 17) & 0xFFFF) * SET_HASH_ASID)) & self._set_mask
 
     # -- operations -----------------------------------------------------------
 
     def lookup(self, key: int) -> Optional[TlbEntry]:
         """Probe for ``key``; refreshes recency and stats."""
         set_idx = ((key >> 33)
-                   ^ (((key >> 1) & 0xFFFF) * 0x9E37)
-                   ^ (((key >> 17) & 0xFFFF) * 0x85EB)) & self._set_mask
+                   ^ (((key >> 1) & 0xFFFF) * SET_HASH_VM)
+                   ^ (((key >> 17) & 0xFFFF) * SET_HASH_ASID)) & self._set_mask
         entries = self._sets[set_idx]
         entry = entries.get(key)
         if entry is not None:

@@ -40,9 +40,9 @@ class TestDramChannel:
     def test_bytes_and_access_counters(self):
         ch, stats = make_channel()
         ch.access(0)
-        ch.access(4096, nbytes=128)
+        ch.access(4096)
         assert stats["accesses"] == 2
-        assert stats["bytes"] == 64 + 128
+        assert stats["bytes"] == 64 + 64
 
     def test_precharge_all_closes_rows(self):
         ch, _ = make_channel()
@@ -69,3 +69,15 @@ class TestTypicalLatencies:
     def test_values_are_cpu_cycles(self):
         lat = typical_latencies(stacked_dram_timing(), 4000)
         assert lat["row_hit"] == (2 + 2 + 11) * 4
+
+    def test_channel_charges_the_documented_latencies(self):
+        for timing in (stacked_dram_timing(), ddr4_timing()):
+            for cpu_mhz in (4000, 3333):
+                lat = typical_latencies(timing, cpu_mhz)
+                ch, stats = make_channel(timing, cpu_mhz)
+                row = timing.row_buffer_bytes * timing.banks  # bank 0, row 1
+                assert ch.access(0) == lat["row_miss"]
+                assert ch.access(64) == lat["row_hit"]
+                assert ch.access(row) == lat["row_conflict"]
+                assert (stats["row_misses"], stats["row_hits"],
+                        stats["row_conflicts"]) == (1, 1, 1)

@@ -1,7 +1,7 @@
 """Count guard: latency histograms cost no Python frame per reference.
 
-The timing guard (``benchmarks/test_bench_obs_overhead.py``) compares
-wall times and so carries timer noise.  This guard counts instead: the
+A guard that compares wall times carries timer noise (the timing guard
+this one replaced failed on unchanged code).  This guard counts: the
 same gups machine, forced onto the scalar replay loop, runs once with
 the default observability (histograms on, null tracer) and once with
 ``Observability.disabled()``, under ``sys.setprofile``.  Histograms

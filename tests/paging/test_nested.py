@@ -1,7 +1,10 @@
 """Unit tests for the 2-D nested walker (paper Figure 1)."""
 
+import pytest
+
 from repro.common import addr
 from repro.common.config import WalkCacheConfig
+from repro.common.errors import TranslationFault
 from repro.common.stats import StatGroup
 from repro.paging.nested import MAX_NESTED_REFS, NestedWalker
 from repro.paging.walk_cache import PagingStructureCache
@@ -20,9 +23,8 @@ class CountingMemory:
         return self.cost
 
 
-def make_setup(large_fraction=0.0):
-    host = PhysicalMemory(base=0, size_bytes=4 * addr.GiB)
-    vm = VirtualMachine(0, host, ThpPolicy(large_fraction, seed=1))
+def make_walker(vm):
+    """A walker over ``vm``'s tables with empty PSCs of its own."""
     mem = CountingMemory()
     walker = NestedWalker(
         guest_table=vm.process(1).guest_table,
@@ -32,6 +34,13 @@ def make_setup(large_fraction=0.0):
         read_pte=mem,
         stats=StatGroup("nested"),
     )
+    return walker, mem
+
+
+def make_setup(large_fraction=0.0):
+    host = PhysicalMemory(base=0, size_bytes=4 * addr.GiB)
+    vm = VirtualMachine(0, host, ThpPolicy(large_fraction, seed=1))
+    walker, mem = make_walker(vm)
     return vm, walker, mem
 
 
@@ -110,3 +119,64 @@ class TestStats:
         assert walker.stats["nested_walks"] == 1
         assert walker.stats["nested_refs"] > 0
         assert walker.stats["nested_cycles"] > 0
+
+
+class TestErrorPaths:
+    """A stale PSC base is re-walked from the root; unmapped faults."""
+
+    def assert_same_as_empty_pscs(self, vm, walker, mem, gva):
+        fresh, fresh_mem = make_walker(vm)
+        assert walker.walk(gva) == fresh.walk(gva)
+        assert mem.addresses == fresh_mem.addresses
+        assert walker.guest_psc.sizes() == fresh.guest_psc.sizes()
+        assert walker.host_psc.sizes() == fresh.host_psc.sizes()
+        return fresh
+
+    def test_stale_guest_psc_base_rewalks_from_root(self):
+        vm, walker, mem = make_setup()
+        gva = 0x1234
+        vm.touch(1, gva)
+        guest_table = vm.process(1).guest_table
+        real = guest_table.table_base(gva, 1)
+        # A PDE-cache entry whose gPA base is not the live level-1 table.
+        walker.guest_psc.fill(gva, 1, (real + addr.SMALL_PAGE_SIZE, 0))
+        fresh = self.assert_same_as_empty_pscs(vm, walker, mem, gva)
+        assert walker.stats["guest_psc_stale"] == 1
+        assert walker.stats["host_psc_stale"] == 0
+        # The stale probe counted as a hit; the empty walker missed.
+        assert walker.guest_psc.stats["pde_hits"] == 1
+        assert fresh.guest_psc.stats["pde_hits"] == 0
+
+    def test_stale_host_psc_base_rewalks_from_root(self):
+        vm, walker, mem = make_setup()
+        gva = 0x1234
+        vm.touch(1, gva)
+        # The first host column translates the gPA of the guest root's
+        # PTE; plant a wrong level-1 table base for it.
+        gpa = vm.process(1).guest_table.root_base
+        real = vm.host_table.table_base(gpa, 1)
+        walker.host_psc.fill(gpa, 1, real + addr.SMALL_PAGE_SIZE)
+        fresh = self.assert_same_as_empty_pscs(vm, walker, mem, gva)
+        assert walker.stats["host_psc_stale"] == 1
+        assert walker.stats["guest_psc_stale"] == 0
+        assert (walker.host_psc.stats["pde_hits"]
+                == fresh.host_psc.stats["pde_hits"] + 1)
+
+    def test_unmapped_gva_faults_in_guest_table(self):
+        vm, walker, mem = make_setup()
+        vm.touch(1, 0x1000)
+        walker.walk(0x1000)
+        gva = 0x4000_0000
+        with pytest.raises(TranslationFault) as info:
+            walker.walk(gva)
+        assert info.value.space == vm.process(1).guest_table.name
+        assert info.value.vaddr == gva
+
+    def test_unmapped_gpa_faults_in_host_table(self):
+        vm, walker, mem = make_setup()
+        page = vm.touch(1, 0x1000)
+        vm.host_table.unmap_page(page.guest_frame, large=page.large)
+        with pytest.raises(TranslationFault) as info:
+            walker.walk(0x1234)
+        assert info.value.space == vm.host_table.name
+        assert info.value.vaddr == page.guest_frame

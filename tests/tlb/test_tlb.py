@@ -1,5 +1,7 @@
 """Unit tests for the SRAM TLB."""
 
+import random
+
 import pytest
 
 from repro.common.config import TlbConfig
@@ -48,6 +50,24 @@ class TestLookupInsert:
         t.insert(key(1), TlbEntry(ppn=9))
         assert t.lookup(key(1)).ppn == 9
         assert len(t) == 1
+
+
+class TestSetHash:
+    @pytest.mark.parametrize("vm,asid", [(0, 0), (1, 0), (0, 1), (3, 7),
+                                         (0xFFFF, 0xFFFF), (0x1234, 0x8001)])
+    def test_lookup_probes_the_set_index_set(self, vm, asid):
+        # lookup() inlines _set_index(): an entry planted in the set
+        # _set_index() names must be found there, for any context.
+        t = make_tlb(entries=1024, ways=1)
+        rng = random.Random(vm * 65536 + asid)
+        for _ in range(200):
+            k = key(rng.getrandbits(36), vm=vm, asid=asid,
+                    large=rng.random() < 0.5)
+            entry = TlbEntry(ppn=rng.getrandbits(20))
+            entries = t._sets[t._set_index(k)]
+            entries[k] = entry
+            assert t.lookup(k) is entry
+            del entries[k]
 
 
 class TestEviction:
