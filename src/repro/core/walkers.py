@@ -12,27 +12,17 @@ in native mode they are 1-D against the process's single table.
 from __future__ import annotations
 
 from functools import partial
-from typing import Callable, Dict, NamedTuple, Tuple, Union
+from typing import Callable, Dict, Tuple, Union
 
 from ..cache.hierarchy import CacheHierarchy
-from ..common import addr
 from ..common.config import SystemConfig
 from ..common.stats import StatRegistry
 from ..obs import events
 from ..obs.tracer import NULL_TRACER
 from ..paging.nested import NestedWalker
 from ..paging.walk_cache import PagingStructureCache
-from ..paging.walker import NativeWalker
+from ..paging.walker import NativeWalker, WalkResult
 from ..vmm.vm import Host, NativeProcess
-
-
-class WalkResult(NamedTuple):
-    """Uniform walk outcome for both walk dimensions."""
-
-    cycles: int
-    memory_refs: int
-    host_frame: int
-    large: bool
 
 
 #: Resolver from asid to a NativeProcess (native mode only).
@@ -102,18 +92,7 @@ class WalkerPool:
         walker = self._walkers.get((core, vm_id, asid))
         if walker is None:
             walker = self._walker_for(core, vm_id, asid)
-        outcome = walker.walk(vaddr)
-        if self.virtualized:
-            # NestedOutcome already carries (cycles, memory_refs,
-            # host_frame, large) in WalkResult's exact field layout, so
-            # hand it straight through instead of re-wrapping — one
-            # NamedTuple allocation per walk, on every scheme's miss path.
-            result = outcome
-        else:
-            leaf = outcome.leaf
-            frame = leaf.frame & ~(addr.page_size(leaf.large) - 1)
-            result = WalkResult(outcome.cycles, outcome.memory_refs,
-                                frame, leaf.large)
+        result = walker.walk(vaddr)
         trace = self.trace
         if trace.active:
             trace.emit(events.WALK, cycles=result.cycles,
@@ -123,23 +102,15 @@ class WalkerPool:
     def invalidate(self, vm_id: int, asid: int, vaddr: int) -> None:
         """Drop PSC entries covering ``vaddr`` in every core's walker."""
         for (core, w_vm, w_asid), walker in self._walkers.items():
-            if (w_vm, w_asid) != (vm_id, asid):
-                continue
-            if isinstance(walker, NestedWalker):
-                walker.guest_psc.invalidate(vaddr)
-            else:
-                walker.psc.invalidate(vaddr)
+            if (w_vm, w_asid) == (vm_id, asid):
+                walker.pscs[0].invalidate(vaddr)
 
     def invalidate_vm(self, vm_id: int) -> None:
         """Flush every paging-structure cache of one VM (VM teardown)."""
         for (core, w_vm, w_asid), walker in self._walkers.items():
-            if w_vm != vm_id:
-                continue
-            if isinstance(walker, NestedWalker):
-                walker.guest_psc.flush()
-                walker.host_psc.flush()
-            else:
-                walker.psc.flush()
+            if w_vm == vm_id:
+                for psc in walker.pscs:
+                    psc.flush()
 
     def discard_vm(self, vm_id: int) -> None:
         """Drop the walker objects of one VM (after ``destroy_vm``).

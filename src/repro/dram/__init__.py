@@ -1,13 +1,11 @@
 """Ramulator-like DRAM latency model (banks, row buffers, channels)."""
 
-from .bank import DramBank
 from .channel import DramChannel, typical_latencies
 from .mapping import AddressMapper, DramCoordinate
 from .scheduler import CommandScheduler, LatencySummary, Request, summarize_latencies
 
 __all__ = [
     "AddressMapper",
-    "DramBank",
     "DramChannel",
     "CommandScheduler",
     "DramCoordinate",

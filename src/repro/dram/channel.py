@@ -6,6 +6,16 @@ conversion.  The model is deliberately a latency model, not a cycle-exact
 command scheduler: the paper's evaluation needs row-buffer behaviour and
 hit/miss/conflict latencies (Ramulator-like), not inter-command timing
 corner cases.
+
+Each bank has an open-page row buffer, and an access is classed by the
+row it requests against the row latched in its bank:
+
+* **row hit** — the row is already open: pay ``tCAS``.
+* **row miss (bank idle)** — no row open: pay ``tRCD + tCAS``.
+* **row conflict** — a different row is open: pay ``tRP + tRCD + tCAS``.
+
+The paper's Figure 11 reports the resulting row-buffer hit rate for
+POM-TLB traffic.
 """
 
 from __future__ import annotations
@@ -15,8 +25,6 @@ from ..common.config import DramTimingConfig
 from ..common.stats import StatGroup
 from ..obs import events
 from ..obs.tracer import NULL_TRACER
-from .bank import DramBank
-from .mapping import AddressMapper
 
 #: Every access moves one cache line over a double-data-rate bus.
 _LINE = addr.CACHE_LINE_SIZE
@@ -30,16 +38,17 @@ class DramChannel:
         self.timing = timing
         self.cpu_mhz = cpu_mhz
         self.stats = stats
-        self.mapper = AddressMapper(timing)
-        self._banks = [DramBank(i, timing, stats) for i in range(timing.banks)]
+        #: Row latched in each bank's row buffer; None while it is idle.
+        self._open_rows = [None] * timing.banks
         #: Event tracer; the null object unless Observability attaches one.
         self.trace = NULL_TRACER
         #: Optional latency histogram (set by Observability on the
         #: stacked-DRAM channel); None keeps the hot path untouched.
         self.histogram = None
-        # Hot-path constants: the address decomposition (mirrors
-        # ``self.mapper``), the CPU-cycle latency of each row-buffer
-        # outcome for one cache line and resolved counter slots.
+        # Hot-path constants: the address decomposition (that of
+        # :class:`~repro.dram.mapping.AddressMapper`), the CPU-cycle
+        # latency of each row-buffer outcome for one cache line and
+        # resolved counter slots, shared by every bank.
         self._row_shift = addr.ilog2(timing.row_buffer_bytes)
         self._bank_mask = timing.banks - 1
         self._bank_bits = addr.ilog2(timing.banks)
@@ -47,6 +56,9 @@ class DramChannel:
         self._hit_cycles = latency["row_hit"]
         self._miss_cycles = latency["row_miss"]
         self._conflict_cycles = latency["row_conflict"]
+        self._row_hits = stats.counter("row_hits")
+        self._row_misses = stats.counter("row_misses")
+        self._row_conflicts = stats.counter("row_conflicts")
         self._accesses = stats.counter("accesses")
         self._bytes = stats.counter("bytes")
 
@@ -54,22 +66,20 @@ class DramChannel:
         """Read/write the cache line at ``paddr``; returns CPU cycles."""
         block = paddr >> self._row_shift
         row = block >> self._bank_bits
-        bank = self._banks[block & self._bank_mask]
-        # DramBank.access unrolled over the bank's slots (row-buffer
-        # outcome, state update) — one call frame per DRAM access was
-        # measurable on the miss-bound schemes.
-        open_row = bank._open_row
+        bank = block & self._bank_mask
+        open_rows = self._open_rows
+        open_row = open_rows[bank]
         if open_row == row:
-            slot = bank._row_hits
+            slot = self._row_hits
             cycles = self._hit_cycles
         else:
             if open_row is None:
-                slot = bank._row_misses
+                slot = self._row_misses
                 cycles = self._miss_cycles
             else:
-                slot = bank._row_conflicts
+                slot = self._row_conflicts
                 cycles = self._conflict_cycles
-            bank._open_row = row
+            open_rows[bank] = row
         slot.value += 1
         slot.touched = True
         slot = self._accesses
@@ -82,7 +92,7 @@ class DramChannel:
             self.histogram.record(cycles)
         if self.trace.active:
             self.trace.emit(events.DRAM_ACCESS, cycles=cycles,
-                            bank=block & self._bank_mask, row=row,
+                            bank=bank, row=row,
                             outcome=("hit" if open_row == row
                                      else "miss" if open_row is None
                                      else "conflict"))
@@ -96,12 +106,11 @@ class DramChannel:
 
     def precharge_all(self) -> None:
         """Close every open row (models a refresh interval boundary)."""
-        for bank in self._banks:
-            bank.precharge()
+        self._open_rows[:] = [None] * len(self._open_rows)
 
     @property
     def banks(self) -> int:
-        return len(self._banks)
+        return len(self._open_rows)
 
 
 def typical_latencies(timing: DramTimingConfig, cpu_mhz: int) -> dict:

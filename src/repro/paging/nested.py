@@ -28,8 +28,6 @@ bit-identical to the frozen reference copy in
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 from ..common import addr
 from ..common.errors import TranslationFault
 from ..common.stats import StatGroup
@@ -38,7 +36,7 @@ from ..obs.tracer import NULL_TRACER
 from .page_table import (LARGE_OFFSET, PTE_MASK, PTE_SHIFT, SMALL_OFFSET,
                          TABLE_SHIFT, VA_MASK, RadixPageTable)
 from .walk_cache import PagingStructureCache
-from .walker import PteAccess
+from .walker import PteAccess, WalkResult
 
 #: Worst-case reference count of one nested walk (paper Figure 1).
 MAX_NESTED_REFS = 24
@@ -47,18 +45,6 @@ _ROOT = addr.RADIX_LEVELS
 _SHIFT_SMALL = addr.SMALL_PAGE_SHIFT
 _SHIFT_LARGE = addr.LARGE_PAGE_SHIFT
 _new = tuple.__new__  # NamedTuple construction without a Python frame
-
-
-class NestedOutcome(NamedTuple):
-    """Result of a nested walk: the end-to-end gVA -> hPA mapping."""
-
-    cycles: int
-    memory_refs: int
-    host_frame: int   # host-physical frame of the guest page
-    large: bool       # effective page size (guest size, host backs it)
-
-    def translate(self, gva: int) -> int:
-        return self.host_frame | addr.page_offset(gva, self.large)
 
 
 class NestedWalker:
@@ -72,6 +58,8 @@ class NestedWalker:
         self.host_table = host_table
         self.guest_psc = guest_psc
         self.host_psc = host_psc
+        #: The walker's PSCs, the one keyed by the walked address first.
+        self.pscs = (guest_psc, host_psc)
         self._read_pte = read_pte
         self.stats = stats
         self.trace = tracer
@@ -92,7 +80,7 @@ class NestedWalker:
                       host_table._small, host_table.descents,
                       host_psc.refill_plans(host_table._tables))
 
-    def walk(self, gva: int) -> NestedOutcome:
+    def walk(self, gva: int) -> WalkResult:
         """Translate ``gva`` end to end (gVA -> gPA -> hPA).
 
         The guest PSC probe and the check of its base come first.  Then
@@ -106,8 +94,8 @@ class NestedWalker:
         tr = self.trace
         tracing = tr.active
         read_pte = self._read_pte
-        # PagingStructureCache.lookup inlined, deepest cache first; the
-        # combined guest cache maps a gVA prefix to (gPA, hPA) bases.
+        # The PSC probe, deepest cache first; the combined guest cache
+        # maps a gVA prefix to (gPA, hPA) bases.
         cycles = self._guest_latency
         for entries, shift, start, slot in self._guest_probe:
             key = gva >> shift
@@ -122,8 +110,8 @@ class NestedWalker:
             slot = self._guest_misses
         slot.value += 1
         slot.touched = True
-        # RadixPageTable.walk_from inlined: the cached base and the leaf
-        # are checked before any PTE is read.
+        # The cached base and the leaf are checked before any PTE is
+        # read.
         table = self.guest_table
         va = gva & VA_MASK
         if cached is not None:
@@ -204,8 +192,8 @@ class NestedWalker:
                     tr.emit(events.WALK_STEP, cycles=step_cycles,
                             dim="host", level=step_level)
                     step_level -= 1
-            # _PrefixCache.fill inlined per level (warm, an upper level
-            # is already resident-and-newest: the get + two compares).
+            # The host PSC refill (warm, an upper level is already
+            # resident-and-newest: the get + two compares).
             for entries, shift, tbl, cap in refill[hstart][hlarge]:
                 pkey = gpa >> shift
                 base = tbl[hva >> shift]
@@ -245,7 +233,6 @@ class NestedWalker:
                 del entries[pkey]
             elif len(entries) >= cap:
                 del entries[next(iter(entries))]
-            # hpa_leaf.translate(gpa_base) inlined
             entries[pkey] = (gpa_base, hpa_leaf[0] | (
                 gpa_base & (LARGE_OFFSET if hpa_leaf[1] else SMALL_OFFSET)))
         slot = self._nested_walks
@@ -257,4 +244,4 @@ class NestedWalker:
         slot = self._nested_refs
         slot.value += refs
         slot.touched = True
-        return _new(NestedOutcome, (cycles, refs, hpa, large))
+        return _new(WalkResult, (cycles, refs, hpa, large))

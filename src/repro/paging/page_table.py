@@ -22,9 +22,10 @@ to that table's base address, and two leaf dicts hold the mappings by
 small and large VPN.  Tables are created top-down and never deleted, so
 a table exists only if every table above it does: any one table or leaf
 is found with a single dict probe, and a walk that starts at a
-PSC-supplied base checks that base with one lookup.  Behaviour is
-bit-identical to the frozen reference tree in
-:mod:`repro.core._refimpl.page_table`.
+PSC-supplied base checks that base with one lookup.  The walkers read
+the storage directly, through the per-level plans in
+:attr:`RadixPageTable.descents`.  Behaviour is bit-identical to the
+frozen reference tree in :mod:`repro.core._refimpl.page_table`.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from ..common import addr
-from ..common.errors import AddressError, TranslationFault
+from ..common.errors import AddressError
 
 PTE_BYTES = 8
 
@@ -76,14 +77,10 @@ FrameAllocator = Callable[[], int]
 
 
 class LeafMapping(NamedTuple):
-    """Result of a successful walk: the mapped frame and its size."""
+    """One mapping: the mapped frame and its size."""
 
     frame: int  # frame base address in the output address space
     large: bool
-
-    def translate(self, vaddr: int) -> int:
-        """Apply the mapping to a full input address."""
-        return self.frame | addr.page_offset(vaddr, self.large)
 
 
 class RadixPageTable:
@@ -168,46 +165,7 @@ class RadixPageTable:
             return self._large.pop(va >> _SHIFT_LARGE, None) is not None
         return self._small.pop(va >> _SHIFT_SMALL, None) is not None
 
-    # -- walking ------------------------------------------------------------
-
-    def walk(self, vaddr: int) -> Tuple[Tuple[int, ...], LeafMapping]:
-        """Full walk from the root; returns the PTE addresses and the leaf.
-
-        Raises :class:`TranslationFault` when the address is unmapped.
-        """
-        return self.walk_from(vaddr, _ROOT_LEVEL, self._tables[_ROOT_LEVEL][0])
-
-    def walk_from(self, vaddr: int, start_level: int, table_base: int
-                  ) -> Tuple[Tuple[int, ...], LeafMapping]:
-        """Walk starting at ``start_level`` (a PSC hit skips upper levels).
-
-        ``table_base`` must be the base of the level-``start_level`` table
-        covering ``vaddr`` — i.e. what the PSC cached; a different base
-        raises :class:`AddressError` (stale PSC entry).  Returns the PTE
-        address of every level touched, step ``i`` at level
-        ``start_level - i``, and the leaf.
-        """
-        va = vaddr & VA_MASK
-        tables = self._tables
-        base = tables[start_level].get(va >> TABLE_SHIFT[start_level])
-        if base != table_base:
-            if base is None:
-                raise TranslationFault(vaddr, space=self.name)
-            raise AddressError(
-                f"{self.name}: stale table base {table_base:#x} "
-                f"at level {start_level}")
-        # A leaf implies every table above it, so only a missing leaf
-        # can fault from here on.
-        leaf = self._large.get(va >> _SHIFT_LARGE)
-        if leaf is None:
-            leaf = self._small.get(va >> _SHIFT_SMALL)
-            if leaf is None:
-                raise TranslationFault(vaddr, space=self.name)
-        ptes = [base + ((va >> PTE_SHIFT[start_level]) & PTE_MASK)]
-        below = self.descents[start_level - 1][leaf.large]
-        for table, tshift, pshift in below:
-            ptes.append(table[va >> tshift] + ((va >> pshift) & PTE_MASK))
-        return tuple(ptes), leaf
+    # -- table queries ------------------------------------------------------
 
     def table_base(self, vaddr: int, level: int) -> Optional[int]:
         """Base address of the level-``level`` table covering ``vaddr``.
@@ -216,24 +174,10 @@ class RadixPageTable:
         """
         return self._tables[level].get((vaddr & VA_MASK) >> TABLE_SHIFT[level])
 
-    def table_bases(self, vaddr: int, min_level: int) -> List[Tuple[int, int]]:
-        """``(level, base)`` of every covering table from ``min_level`` up
-        to level 3, ascending; levels whose table does not exist are
-        skipped (the PSC-refill set of a walk ending at ``min_level``).
-        """
-        va = vaddr & VA_MASK
-        tables = self._tables
-        bases = []
-        for level in range(min_level, _ROOT_LEVEL):
-            base = tables[level].get(va >> TABLE_SHIFT[level])
-            if base is not None:
-                bases.append((level, base))
-        return bases
-
     # -- functional lookup (no timing) ----------------------------------------
 
     def lookup(self, vaddr: int) -> Optional[LeafMapping]:
-        """Translate without recording steps; ``None`` when unmapped."""
+        """The leaf mapping ``vaddr``, or ``None`` when unmapped."""
         va = vaddr & VA_MASK
         leaf = self._large.get(va >> _SHIFT_LARGE)
         if leaf is not None:

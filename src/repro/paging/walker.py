@@ -1,15 +1,15 @@
 """Native (1-D) hardware page-table walker.
 
-Used directly in bare-metal mode and as the host-dimension helper of the
-nested walker.  Every PTE reference goes through the caller-supplied
-``read_pte`` callback (the data-cache hierarchy), so walk cost reflects
-PTE caching exactly as in the baseline the paper measures against.
+Used in bare-metal mode.  Every PTE reference goes through the
+caller-supplied ``read_pte`` callback (the data-cache hierarchy), so
+walk cost reflects PTE caching exactly as in the baseline the paper
+measures against.
 
-The walk loop hoists its attribute lookups, runs one PTE loop whose
-trace emit sits behind a hoisted ``tracing`` flag, reads the PSC-refill
-bases straight from the flat table and bumps its counters through
-resolved slots; behaviour is bit-identical to the frozen reference copy
-in :mod:`repro.core._refimpl.walker`.
+A native walk is one host column of :meth:`NestedWalker.walk
+<repro.paging.nested.NestedWalker.walk>`, and runs on the same plans:
+the PSC probe order, the table's per-level descents and the PSC refill
+plans, all built once per walker.  Behaviour is bit-identical to the
+frozen reference copy in :mod:`repro.core._refimpl.walker`.
 """
 
 from __future__ import annotations
@@ -17,26 +17,32 @@ from __future__ import annotations
 from typing import Callable, NamedTuple
 
 from ..common import addr
-from ..common.errors import AddressError
+from ..common.errors import TranslationFault
 from ..common.stats import StatGroup
 from ..obs import events
 from ..obs.tracer import NULL_TRACER
-from .page_table import TABLE_SHIFT, VA_MASK, LeafMapping, RadixPageTable
+from .page_table import PTE_MASK, TABLE_SHIFT, VA_MASK, RadixPageTable
 from .walk_cache import PagingStructureCache
 
 #: PTE access callback: physical address -> CPU cycles.
 PteAccess = Callable[[int], int]
 
+_ROOT = addr.RADIX_LEVELS
+_SHIFT_SMALL = addr.SMALL_PAGE_SHIFT
+_SHIFT_LARGE = addr.LARGE_PAGE_SHIFT
+_new = tuple.__new__  # NamedTuple construction without a Python frame
 
-class WalkOutcome(NamedTuple):
-    """Timing and result of one table walk."""
+
+class WalkResult(NamedTuple):
+    """Result of a native or nested walk: the end-to-end mapping."""
 
     cycles: int
     memory_refs: int
-    leaf: LeafMapping
+    host_frame: int   # frame base in the (host-)physical address space
+    large: bool       # effective page size
 
     def translate(self, vaddr: int) -> int:
-        return self.leaf.translate(vaddr)
+        return self.host_frame | addr.page_offset(vaddr, self.large)
 
 
 class NativeWalker:
@@ -47,46 +53,83 @@ class NativeWalker:
                  tracer=NULL_TRACER) -> None:
         self.page_table = page_table
         self.psc = psc
+        #: The walker's PSCs, the one keyed by the walked address first.
+        self.pscs = (psc,)
         self._read_pte = read_pte
         self.stats = stats
         self.trace = tracer
         self._walks = stats.counter("walks")
         self._walk_cycles = stats.counter("walk_cycles")
         self._walk_refs = stats.counter("walk_refs")
+        # Plans of the probe, descent and refill; every dict and
+        # counter they hold is never rebound.
+        self._probe = psc.probe_order()
+        self._misses = psc.stats.counter("misses")
+        self._latency = psc.config.hit_latency_cycles
+        self._refill = psc.refill_plans(page_table._tables)
 
-    def walk(self, vaddr: int) -> WalkOutcome:
-        """Translate ``vaddr``; cycles include PSC lookup and PTE accesses."""
-        psc = self.psc
-        page_table = self.page_table
-        start_level, table_base, cycles = psc.lookup(vaddr)
-        try:
-            if table_base is None:
-                ptes, leaf = page_table.walk(vaddr)
-            else:
-                ptes, leaf = page_table.walk_from(vaddr, start_level,
-                                                  table_base)
-        except AddressError:
-            # Stale PSC entry (mapping changed under it): retry from root.
-            self.stats.inc("psc_stale")
-            psc.invalidate(vaddr)
-            start_level = addr.RADIX_LEVELS
-            ptes, leaf = page_table.walk(vaddr)
+    def walk(self, vaddr: int) -> WalkResult:
+        """Translate ``vaddr``; cycles include the PSC probe and every
+        PTE read.
+
+        A stale PSC base is counted in ``psc_stale``, invalidated and
+        re-walked from the root; an unmapped address raises
+        :class:`TranslationFault` naming the table.
+        """
+        cycles = self._latency
+        for entries, shift, start, slot in self._probe:
+            key = vaddr >> shift
+            base = entries.get(key)
+            if base is not None:
+                if next(reversed(entries)) != key:
+                    entries[key] = entries.pop(key)
+                break
+        else:
+            start = _ROOT
+            slot = self._misses
+        slot.value += 1
+        slot.touched = True
+        table = self.page_table
+        va = vaddr & VA_MASK
+        if start != _ROOT:
+            found = table._tables[start].get(va >> TABLE_SHIFT[start])
+            if found != base:
+                if found is None:
+                    raise TranslationFault(vaddr, space=table.name)
+                self.stats.inc("psc_stale")
+                self.psc.invalidate(vaddr)
+                start = _ROOT
+        leaf = table._large.get(va >> _SHIFT_LARGE)
+        if leaf is None:
+            leaf = table._small.get(va >> _SHIFT_SMALL)
+            if leaf is None:
+                raise TranslationFault(vaddr, space=table.name)
+        large = leaf[1]
+        steps = table.descents[start][large]
         tr = self.trace
         tracing = tr.active
         read_pte = self._read_pte
-        refs = len(ptes)
-        level = start_level
-        for pte in ptes:
-            step_cycles = read_pte(pte)
+        level = start
+        for tbl, tshift, pshift in steps:
+            step_cycles = read_pte(
+                tbl[va >> tshift] + ((va >> pshift) & PTE_MASK))
             cycles += step_cycles
             if tracing:
                 tr.emit(events.WALK_STEP, cycles=step_cycles, dim="native",
                         level=level)
                 level -= 1
-        tables = page_table._tables
-        va = vaddr & VA_MASK
-        for level in range(2 if leaf.large else 1, addr.RADIX_LEVELS):
-            psc.fill(vaddr, level, tables[level][va >> TABLE_SHIFT[level]])
+        for entries, shift, tbl, cap in self._refill[start][large]:
+            key = vaddr >> shift
+            base = tbl[va >> shift]
+            resident = entries.get(key)
+            if resident is not None:
+                if resident == base and next(reversed(entries)) == key:
+                    continue
+                del entries[key]
+            elif len(entries) >= cap:
+                del entries[next(iter(entries))]
+            entries[key] = base
+        refs = len(steps)
         slot = self._walks
         slot.value += 1
         slot.touched = True
@@ -96,4 +139,4 @@ class NativeWalker:
         slot = self._walk_refs
         slot.value += refs
         slot.touched = True
-        return WalkOutcome(cycles, refs, leaf)
+        return _new(WalkResult, (cycles, refs, leaf[0], large))

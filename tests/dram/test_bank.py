@@ -1,48 +1,48 @@
-"""Unit tests for the DRAM bank row-buffer model."""
+"""Unit tests for the per-bank row buffers kept by the DRAM channel."""
 
 from repro.common.config import stacked_dram_timing
 from repro.common.stats import StatGroup
-from repro.dram.bank import DramBank
+from repro.dram.channel import DramChannel, typical_latencies
 
 
-def make_bank():
-    stats = StatGroup("bank")
-    return DramBank(0, stacked_dram_timing(), stats), stats
+def make_channel():
+    stats = StatGroup("dram")
+    ch = DramChannel(stacked_dram_timing(), 4000, stats)
+    return ch, stats, typical_latencies(ch.timing, ch.cpu_mhz)
+
+
+def bank_addr(ch, bank, row):
+    """Physical address of the first line of ``row`` in ``bank``."""
+    return (row * ch.banks + bank) * ch.timing.row_buffer_bytes
 
 
 class TestDramBank:
     def test_first_access_is_row_miss(self):
-        bank, stats = make_bank()
-        cost = bank.access(5)
-        assert cost == 11 + 11  # tRCD + tCAS
-        assert stats["row_misses"] == 1
+        ch, stats, lat = make_channel()
+        # Every bank starts idle, so its first access opens a row.
+        for bank in range(ch.banks):
+            assert ch.access(bank_addr(ch, bank, 5)) == lat["row_miss"]
+        assert stats["row_misses"] == ch.banks
+        assert (stats["row_hits"], stats["row_conflicts"]) == (0, 0)
 
     def test_repeat_access_is_row_hit(self):
-        bank, stats = make_bank()
-        bank.access(5)
-        cost = bank.access(5)
-        assert cost == 11  # tCAS only
-        assert stats["row_hits"] == 1
-
-    def test_different_row_is_conflict(self):
-        bank, stats = make_bank()
-        bank.access(5)
-        cost = bank.access(6)
-        assert cost == 11 + 11 + 11  # tRP + tRCD + tCAS
-        assert stats["row_conflicts"] == 1
-        assert bank.open_row == 6
+        ch, stats, lat = make_channel()
+        for bank in range(ch.banks):
+            ch.access(bank_addr(ch, bank, 5))
+        # Each bank kept its own row open.
+        for bank in range(ch.banks):
+            assert ch.access(bank_addr(ch, bank, 5) + 64) == lat["row_hit"]
+        assert stats["row_hits"] == ch.banks
+        assert stats["row_conflicts"] == 0
 
     def test_precharge_resets_to_idle(self):
-        bank, stats = make_bank()
-        bank.access(5)
-        bank.precharge()
-        assert bank.open_row is None
-        cost = bank.access(5)
-        assert cost == 22  # row miss again, not a conflict
-        assert stats["row_misses"] == 2
-
-    def test_open_row_tracks_last_access(self):
-        bank, _ = make_bank()
-        assert bank.open_row is None
-        bank.access(3)
-        assert bank.open_row == 3
+        ch, stats, lat = make_channel()
+        ch.access(bank_addr(ch, 0, 5))
+        ch.access(bank_addr(ch, 1, 7))
+        ch.precharge_all()
+        # Idle banks: the same row and a different row are both misses,
+        # neither a hit nor a conflict.
+        assert ch.access(bank_addr(ch, 0, 5)) == lat["row_miss"]
+        assert ch.access(bank_addr(ch, 1, 8)) == lat["row_miss"]
+        assert stats["row_misses"] == 4
+        assert (stats["row_hits"], stats["row_conflicts"]) == (0, 0)

@@ -45,11 +45,33 @@ class TestDramChannel:
         assert stats["bytes"] == 64 + 64
 
     def test_precharge_all_closes_rows(self):
-        ch, _ = make_channel()
+        ch, stats = make_channel()
         ch.access(0)
         ch.precharge_all()
         # After precharge the same row is a miss, not a hit.
         assert ch.access(0) == (2 + 22 + 2) * 4
+        assert (stats["row_misses"], stats["row_conflicts"]) == (2, 0)
+
+    def test_open_row_after_conflict(self):
+        ch, stats = make_channel()
+        lat = typical_latencies(ch.timing, ch.cpu_mhz)
+        row = ch.timing.row_buffer_bytes * ch.banks  # bank 0, row 1
+        ch.access(0)
+        assert ch.access(row) == lat["row_conflict"]
+        # The conflict left row 1 open in bank 0.
+        assert ch.access(row + 64) == lat["row_hit"]
+        assert ch.access(0) == lat["row_conflict"]
+        assert (stats["row_misses"], stats["row_hits"],
+                stats["row_conflicts"]) == (1, 1, 2)
+
+    def test_open_row_tracks_last_access(self):
+        ch, stats = make_channel()
+        lat = typical_latencies(ch.timing, ch.cpu_mhz)
+        ch.access(0)
+        # The next row block maps to bank 1, idle with its own buffer.
+        assert ch.access(ch.timing.row_buffer_bytes) == lat["row_miss"]
+        assert ch.access(64) == lat["row_hit"]  # bank 0's row still open
+        assert (stats["row_misses"], stats["row_hits"]) == (2, 1)
 
     def test_ddr4_is_slower_than_stacked(self):
         stacked, _ = make_channel(stacked_dram_timing())

@@ -11,16 +11,7 @@ from repro.paging.walk_cache import PagingStructureCache
 from repro.vmm.memory_manager import PhysicalMemory
 from repro.vmm.thp import ThpPolicy
 from repro.vmm.vm import VirtualMachine
-
-
-class CountingMemory:
-    def __init__(self, cost=10):
-        self.cost = cost
-        self.addresses = []
-
-    def __call__(self, paddr):
-        self.addresses.append(paddr)
-        return self.cost
+from tests.paging.helpers import CountingMemory, plant
 
 
 def make_walker(vm):
@@ -139,7 +130,7 @@ class TestErrorPaths:
         guest_table = vm.process(1).guest_table
         real = guest_table.table_base(gva, 1)
         # A PDE-cache entry whose gPA base is not the live level-1 table.
-        walker.guest_psc.fill(gva, 1, (real + addr.SMALL_PAGE_SIZE, 0))
+        plant(walker.guest_psc, gva, 1, (real + addr.SMALL_PAGE_SIZE, 0))
         fresh = self.assert_same_as_empty_pscs(vm, walker, mem, gva)
         assert walker.stats["guest_psc_stale"] == 1
         assert walker.stats["host_psc_stale"] == 0
@@ -155,7 +146,7 @@ class TestErrorPaths:
         # PTE; plant a wrong level-1 table base for it.
         gpa = vm.process(1).guest_table.root_base
         real = vm.host_table.table_base(gpa, 1)
-        walker.host_psc.fill(gpa, 1, real + addr.SMALL_PAGE_SIZE)
+        plant(walker.host_psc, gpa, 1, real + addr.SMALL_PAGE_SIZE)
         fresh = self.assert_same_as_empty_pscs(vm, walker, mem, gva)
         assert walker.stats["host_psc_stale"] == 1
         assert walker.stats["guest_psc_stale"] == 0

@@ -1,17 +1,10 @@
 """Unit tests for the radix page table."""
 
-import itertools
-
 import pytest
 
-from repro.common import addr
 from repro.common.errors import AddressError, TranslationFault
 from repro.paging.page_table import PTE_BYTES, RadixPageTable
-
-
-def bump_allocator(start=0x100000):
-    counter = itertools.count()
-    return lambda: start + next(counter) * addr.SMALL_PAGE_SIZE
+from tests.paging.helpers import bump_allocator, walk_ptes
 
 
 def make_table():
@@ -22,27 +15,27 @@ class TestMapping:
     def test_small_page_walk_has_four_steps(self):
         pt = make_table()
         pt.map_page(0x1000, 0x200000)
-        ptes, leaf = pt.walk(0x1234)
+        ptes, result, _ = walk_ptes(pt, 0x1234)
         assert len(ptes) == 4  # levels 4, 3, 2, 1
-        assert leaf.frame == 0x200000 and not leaf.large
+        assert result.host_frame == 0x200000 and not result.large
 
     def test_large_page_walk_has_three_steps(self):
         pt = make_table()
         pt.map_page(0x0, 0x400000, large=True)
-        ptes, leaf = pt.walk(0x123456)
+        ptes, result, _ = walk_ptes(pt, 0x123456)
         assert len(ptes) == 3  # levels 4, 3, 2
-        assert leaf.large
+        assert result.large
 
     def test_translate(self):
         pt = make_table()
         pt.map_page(0x5000, 0x200000)
-        _, leaf = pt.walk(0x5123)
-        assert leaf.translate(0x5123) == 0x200123
+        _, result, _ = walk_ptes(pt, 0x5123)
+        assert result.translate(0x5123) == 0x200123
 
     def test_unmapped_raises_fault(self):
         pt = make_table()
         with pytest.raises(TranslationFault):
-            pt.walk(0x1000)
+            walk_ptes(pt, 0x1000)
 
     def test_misaligned_frame_rejected(self):
         pt = make_table()
@@ -76,7 +69,7 @@ class TestWalkAddresses:
         pt = make_table()
         va = (3 << 39) | (5 << 30) | (7 << 21) | (9 << 12)
         pt.map_page(va, 0x200000)
-        ptes, _ = pt.walk(va)
+        ptes, _, _ = walk_ptes(pt, va)
         assert ptes[0] == pt.root_base + PTE_BYTES * 3
         for level, pte, index in zip((3, 2, 1), ptes[1:], (5, 7, 9)):
             base = pt.table_base(va, level)
@@ -98,25 +91,29 @@ class TestWalkAddresses:
 
 
 class TestWalkFrom:
+    """Walks that start at a PSC-supplied table base."""
+
     def test_walk_from_cached_level(self):
         pt = make_table()
         pt.map_page(0x1000, 0x200000)
         base = pt.table_base(0x1000, 1)
-        ptes, leaf = pt.walk_from(0x1000, 1, base)
+        ptes, result, _ = walk_ptes(pt, 0x1000, 1, base)
         assert ptes == (base + PTE_BYTES * 1,)  # one level-1 step
-        assert leaf.frame == 0x200000
+        assert result.host_frame == 0x200000
 
     def test_walk_from_detects_stale_base(self):
         pt = make_table()
         pt.map_page(0x1000, 0x200000)
-        with pytest.raises(AddressError):
-            pt.walk_from(0x1000, 1, 0xDEAD000)
+        ptes, result, walker = walk_ptes(pt, 0x1000, 1, 0xDEAD000)
+        assert walker.stats["psc_stale"] == 1
+        assert ptes == walk_ptes(pt, 0x1000)[0]  # re-walked from the root
+        assert result.host_frame == 0x200000
 
     def test_walk_from_unmapped_subtree_faults(self):
         pt = make_table()
         pt.map_page(0x1000, 0x200000)
         with pytest.raises(TranslationFault):
-            pt.walk_from(1 << 40, 1, pt.root_base)
+            walk_ptes(pt, 1 << 40, 1, pt.root_base)
 
 
 class TestUnmap:

@@ -1,34 +1,18 @@
 """Unit tests for the native (1-D) page walker."""
 
-import itertools
+import pytest
 
 from repro.common import addr
-from repro.common.config import WalkCacheConfig
-from repro.common.stats import StatGroup
+from repro.common.errors import TranslationFault
 from repro.paging.page_table import RadixPageTable
-from repro.paging.walk_cache import PagingStructureCache
-from repro.paging.walker import NativeWalker
-
-
-class CountingMemory:
-    """PTE access stub: fixed cost, records every address."""
-
-    def __init__(self, cost=10):
-        self.cost = cost
-        self.addresses = []
-
-    def __call__(self, paddr):
-        self.addresses.append(paddr)
-        return self.cost
+from tests.paging import helpers
+from tests.paging.helpers import cached, plant
 
 
 def make_walker(cost=10):
-    counter = itertools.count()
-    pt = RadixPageTable(lambda: 0x100000 + next(counter) * 4096, name="t")
-    psc = PagingStructureCache(WalkCacheConfig(), StatGroup("psc"))
-    mem = CountingMemory(cost)
-    walker = NativeWalker(pt, psc, mem, StatGroup("walker"))
-    return walker, pt, psc, mem
+    pt = RadixPageTable(helpers.bump_allocator(), name="t")
+    walker, mem = helpers.make_walker(pt, cost)
+    return walker, pt, walker.psc, mem
 
 
 class TestColdWalk:
@@ -45,7 +29,7 @@ class TestColdWalk:
         pt.map_page(0x0, 0x400000, large=True)
         outcome = walker.walk(0x1234)
         assert outcome.memory_refs == 3
-        assert outcome.leaf.large
+        assert outcome.large
 
     def test_cycles_include_psc_probe_and_refs(self):
         walker, pt, _, _ = make_walker(cost=10)
@@ -76,14 +60,16 @@ class TestPscAcceleration:
         outcome = walker.walk(0x1000)
         assert outcome.memory_refs == 1  # PDP$ hit -> PD access only
 
-    def test_stale_psc_falls_back_to_full_walk(self):
+    def test_remapped_page_keeps_its_pde_entry(self):
         walker, pt, _, _ = make_walker()
         pt.map_page(0x1000, 0x200000)
         walker.walk(0x1000)
-        # Remap the page so PT pages change beneath the PSC.
+        # A new leaf under the same tables: the cached base stays valid.
         pt.unmap_page(0x1000)
         pt.map_page(0x1000, 0x300000)
         outcome = walker.walk(0x1000)
+        assert outcome.memory_refs == 1
+        assert walker.stats["psc_stale"] == 0
         assert outcome.translate(0x1000) == 0x300000
 
 
@@ -95,3 +81,31 @@ class TestStats:
         walker.walk(0x1000)
         assert walker.stats["walks"] == 2
         assert walker.stats["walk_refs"] == 5  # 4 cold + 1 warm
+
+
+class TestErrorPaths:
+    """A stale PSC base is re-walked from the root; unmapped faults."""
+
+    def test_stale_psc_base_rewalks_from_root(self):
+        walker, pt, psc, mem = make_walker()
+        pt.map_page(0x1000, 0x200000)
+        real = pt.table_base(0x1000, 1)
+        # A PDE-cache entry whose base is not the live level-1 table.
+        plant(psc, 0x1000, 1, real + addr.SMALL_PAGE_SIZE)
+        outcome = walker.walk(0x1234)
+        assert walker.stats["psc_stale"] == 1
+        assert outcome.memory_refs == 4
+        assert mem.addresses[0] == pt.root_base
+        assert outcome.translate(0x1234) == 0x200234
+        # The stale probe counted as a hit; the refill replaced the base.
+        assert psc.stats["pde_hits"] == 1
+        assert cached(psc, 0x1000, 1) == real
+
+    def test_unmapped_address_faults_in_its_table(self):
+        walker, pt, _, _ = make_walker()
+        pt.map_page(0x1000, 0x200000)
+        walker.walk(0x1000)
+        with pytest.raises(TranslationFault) as info:
+            walker.walk(0x4000_0000)
+        assert info.value.space == pt.name
+        assert info.value.vaddr == 0x4000_0000

@@ -5,17 +5,26 @@ and misaligned frames, addresses above the 48-bit VA space) are applied
 to :class:`repro.paging.page_table.RadixPageTable` and to the node-tree
 :class:`repro.core._refimpl.page_table.RadixPageTable`.  After every
 operation both must agree on its outcome (return value or exception
-type and message), on every walk, lookup and table query over a set of
-probe addresses, and on the order in which table frames were allocated
-and are reported by ``table_frames()`` — the order a VM teardown frees
+type and message), on every lookup and table query over a set of probe
+addresses, and on the order in which table frames were allocated and
+are reported by ``table_frames()`` — the order a VM teardown frees
 them in, which LIFO reuse turns into the next VM's addresses.
+
+Walks of the flat table run through the native walker, which reads the
+table through its per-level descents: every PTE address sequence it
+reads — from the root, and from a PSC-supplied base at each level that
+is the true one, a stale one or one whose table is missing — must be
+the one the tree's walk reads, and its PSC refill must cache the
+tree's table bases.
 """
 
 from hypothesis import given, settings, strategies as st
 
 from repro.common import addr
+from repro.common.errors import AddressError
 from repro.core._refimpl.page_table import RadixPageTable as TreeTable
 from repro.paging.page_table import RadixPageTable as FlatTable
+from tests.paging.helpers import cached, walk_ptes
 
 _LEVELS = (4, 3, 2, 1)
 
@@ -50,29 +59,39 @@ def _leaf(leaf):
     return None if leaf is None else (leaf.frame, leaf.large)
 
 
-def _walk(result, start_level):
-    """Normalize a walk result to (PTE addresses, levels, leaf)."""
+def _tree_walk(result):
+    """Normalize a tree walk to (PTE addresses, levels, leaf)."""
     status, value = result
     if status != "ok":
         return result
     steps, leaf = value
-    if steps and hasattr(steps[0], "pte_paddr"):  # reference WalkSteps
-        return (tuple(s.pte_paddr for s in steps),
-                tuple(s.level for s in steps), _leaf(leaf))
-    return (tuple(steps), tuple(start_level - i for i in range(len(steps))),
-            _leaf(leaf))
+    return (tuple(s.pte_paddr for s in steps),
+            tuple(s.level for s in steps), _leaf(leaf))
 
 
-def _tree_table_bases(tree, vaddr, min_level):
-    """The node tree's single-descent ``table_bases`` semantics."""
-    bases = []
-    for level in range(3, min_level - 1, -1):
-        base = tree.table_base(vaddr, level)
-        if base is None:
-            break
-        bases.append((level, base))
-    bases.reverse()
-    return bases
+def _assert_walks_agree(flat, tree, va, level, base):
+    """A native walk of ``flat`` from ``base`` at ``level`` (4: the root)
+    reads what the tree's walk reads; a base the tree calls stale is
+    re-walked from the root."""
+    if level == 4:
+        expected = _tree_walk(_outcome(tree.walk, va))
+    else:
+        expected = _tree_walk(_outcome(tree.walk_from, va, level, base))
+    stale = expected[0] == AddressError.__name__
+    if stale:
+        expected = _tree_walk(_outcome(tree.walk, va))
+    status, value = _outcome(walk_ptes, flat, va, level, base)
+    if status != "ok":
+        assert (status, value) == expected
+        return
+    ptes, result, walker = value
+    start = 4 if stale else level
+    assert (ptes, tuple(start - i for i in range(len(ptes))),
+            (result.host_frame, result.large)) == expected
+    assert walker.stats["psc_stale"] == stale
+    for refilled in range(2 if result.large else 1, 4):
+        assert (cached(walker.psc, va, refilled)
+                == tree.table_base(va, refilled))
 
 
 def _tree_table_frames(tree):
@@ -92,20 +111,15 @@ def _assert_agree(flat, tree, probes):
     assert flat.table_frames() == _tree_table_frames(tree)
     for va in probes:
         assert _leaf(flat.lookup(va)) == _leaf(tree.lookup(va))
-        assert (_walk(_outcome(flat.walk, va), 4)
-                == _walk(_outcome(tree.walk, va), 4))
-        for min_level in (1, 2):
-            assert (flat.table_bases(va, min_level)
-                    == _tree_table_bases(tree, va, min_level))
+        _assert_walks_agree(flat, tree, va, 4, None)
         for level in _LEVELS:
             base = tree.table_base(va, level)
             assert flat.table_base(va, level) == base
+            if level == 4:
+                continue  # no PSC holds the root
             # The true base, a stale one, and (missing table) any base.
             for start_base in ({base, 0xDEAD000} - {None}):
-                assert (_walk(_outcome(flat.walk_from, va, level, start_base),
-                              level)
-                        == _walk(_outcome(tree.walk_from, va, level,
-                                          start_base), level))
+                _assert_walks_agree(flat, tree, va, level, start_base)
 
 
 # A few 2 MiB regions spread over different PML4/PDPT/PD slots, so

@@ -1,12 +1,12 @@
-"""Property-based tests for the radix page table."""
+"""Property-based tests for the radix page table (walked natively)."""
 
 import itertools
 
 from hypothesis import given, settings, strategies as st
 
 from repro.common import addr
-from repro.common.errors import AddressError
 from repro.paging.page_table import RadixPageTable
+from tests.paging.helpers import walk_ptes
 
 
 def make_table():
@@ -35,14 +35,14 @@ class TestMappingProperties:
         for (region, large), frame in frames.items():
             offset = data.draw(st.integers(0, addr.page_size(large) - 1))
             va = (region << addr.LARGE_PAGE_SHIFT) + offset
-            steps, leaf = table.walk(va)
+            steps, result, _ = walk_ptes(table, va)
             if large:
-                assert leaf.translate(va) == frame + offset
+                assert result.translate(va) == frame + offset
                 assert len(steps) == 3
             else:
                 # Small page mapped at the region's first 4 KiB only.
                 if offset < addr.SMALL_PAGE_SIZE:
-                    assert leaf.translate(va) == frame + offset
+                    assert result.translate(va) == frame + offset
                     assert len(steps) == 4
 
     @settings(max_examples=40, deadline=None)
@@ -55,8 +55,8 @@ class TestMappingProperties:
                            large=large)
         for region, large in regions:
             va = region << addr.LARGE_PAGE_SHIFT
-            _steps, leaf = table.walk(va)
-            assert table.lookup(va) == leaf
+            _steps, result, _ = walk_ptes(table, va)
+            assert table.lookup(va) == (result.host_frame, result.large)
 
     @settings(max_examples=40, deadline=None)
     @given(mappings)
@@ -89,5 +89,5 @@ class TestMappingProperties:
         table = make_table()
         va = region << addr.LARGE_PAGE_SHIFT
         table.map_page(va, 1 << addr.LARGE_PAGE_SHIFT)
-        ptes, _ = table.walk(va)
+        ptes, _, _ = walk_ptes(table, va)
         assert len(set(ptes)) == len(ptes)
