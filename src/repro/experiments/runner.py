@@ -16,7 +16,6 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple
 from ..common import addr
 from ..common.config import PomTlbConfig, PredictorConfig, SystemConfig
 from ..common.errors import ConfigError, RunFailed
-from ..core.batch import resolve_batch_flag
 from ..core.perfmodel import PerformanceEstimate, estimate
 from ..core.system import Machine, SimulationResult
 from ..faults import RaiseAtTranslation, corrupt_streams
@@ -76,8 +75,9 @@ class ExperimentParams:
     #: replay through the vectorized batch engine (:mod:`repro.core.batch`)
     #: when it applies; batch and scalar replays are bit-identical, so
     #: this too is an execution knob (``--no-batch`` / ``POMTLB_BATCH=0``
-    #: force the scalar loop, e.g. for differential debugging)
-    batch: bool = True
+    #: force the scalar loop, e.g. for differential debugging).  ``None``
+    #: leaves the choice to ``POMTLB_BATCH`` when each Machine is built
+    batch: Optional[bool] = None
 
     @classmethod
     def from_env(cls, **overrides) -> "ExperimentParams":
@@ -93,7 +93,6 @@ class ExperimentParams:
             "scale": _env_value("POMTLB_SCALE", 1.0, float),
             "seed": _env_value("POMTLB_SEED", 42, int),
             "workers": _env_value("POMTLB_WORKERS", 0, int),
-            "batch": resolve_batch_flag(),
         }
         env.update(overrides)
         return cls(**env)

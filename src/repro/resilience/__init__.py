@@ -9,7 +9,7 @@ real world:
 * :mod:`repro.resilience.checkpoint` — an atomic, content-hash-keyed
   JSONL store of finished runs, enabling ``--checkpoint``/``--resume``;
 * :mod:`repro.resilience.workers` — the executor: serial or
-  process-pool (one child per run, per-run timeout, crash containment),
+  process-pool (reused children, per-run timeout, crash containment),
   with the retry loop and checkpoint integration on top.
 
 Fault injection to *prove* all of it lives in :mod:`repro.faults`.

@@ -9,10 +9,12 @@ execution modes share every other behaviour:
   degrade to synthetic :class:`~repro.common.errors.WorkerCrash` /
   :class:`~repro.common.errors.RunTimeout` errors, and per-run timeouts
   are not enforced (there is no one to kill the run).
-* **process pool** (``workers >= 2``) — each run attempt executes in a
-  fresh child process; a crash or hang kills only that attempt.  Hung
-  workers are terminated at ``timeout_s``; dead workers are detected by
-  exit code.  Results come back over a pipe.
+* **process pool** (``workers >= 2``) — up to ``workers`` long-lived
+  child processes each serve attempt after attempt: a request goes out
+  over the worker's pipe and its result comes back the same way.  A
+  crash or hang kills only that attempt and its worker, which a fresh
+  one replaces when a slot needs it.  Hung workers are terminated at
+  ``timeout_s``; dead workers are detected by exit code.
 
 On top of either mode: transient failures are retried with the
 :class:`~repro.resilience.retry.RetryPolicy` backoff, successes are
@@ -120,9 +122,9 @@ def _measurement(wall_s: float, cpu_s: Optional[float]) -> dict:
     return {"wall_s": wall_s, "cpu_s": cpu_s}
 
 
-def _child_entry(request: RunRequest, fault: Optional[Tuple[str, int]],
-                 conn) -> None:
-    """Run one attempt in a worker process and report over ``conn``."""
+def _serve_attempt(conn, request: RunRequest,
+                   fault: Optional[Tuple[str, int]]) -> None:
+    """Run one attempt in a pool worker and report it over ``conn``."""
     started = time.monotonic()
     started_cpu = time.process_time()
     try:
@@ -141,6 +143,15 @@ def _child_entry(request: RunRequest, fault: Optional[Tuple[str, int]],
         meas = _measurement(time.monotonic() - started,
                             time.process_time() - started_cpu)
         conn.send(("error", ErrorInfo.from_exception(error), meas))
+
+
+def _worker_loop(conn) -> None:
+    """A pool worker's life: serve ``(request, fault)`` jobs until ``None``."""
+    try:
+        for job in iter(conn.recv, None):
+            _serve_attempt(conn, *job)
+    except (EOFError, OSError, KeyboardInterrupt):
+        pass  # the parent went away or is tearing the pool down
     finally:
         conn.close()
 
@@ -151,9 +162,8 @@ def simulate_request(request: RunRequest, fault: Optional[Tuple[str, int]],
 
     A request that carries packed workload bytes replays them; one that
     carries none generates its workload from the benchmark profile.
-    Pool workers are forked per attempt, so the bytes reach the child
-    by inheritance rather than by copy (under spawn they are pickled,
-    17 bytes per reference).
+    Pool workers receive the request, bytes included, pickled over
+    their pipe (17 bytes per reference).
     """
     from ..experiments.runner import simulate_run
     from ..workloads.packed import decode_container
@@ -406,21 +416,35 @@ def _mp_context():
 
 
 class _Worker:
-    """One live child process executing one attempt."""
+    """One long-lived child process that serves attempt after attempt.
 
-    def __init__(self, ctx_mp, attempt: _Attempt,
-                 fault: Optional[Tuple[str, int]], timeout_s: float) -> None:
-        self.attempt = attempt
+    ``alive`` turns False once the worker crashed, was killed at its
+    deadline or was stopped; it never serves again.
+    """
+
+    def __init__(self, ctx_mp, timeout_s: float) -> None:
         self.timeout_s = timeout_s
-        parent_conn, child_conn = ctx_mp.Pipe(duplex=False)
-        self.conn = parent_conn
-        self.process = ctx_mp.Process(
-            target=_child_entry, args=(attempt.request, fault, child_conn),
-            daemon=True)
+        self.conn, child_conn = ctx_mp.Pipe()
+        self.process = ctx_mp.Process(target=_worker_loop,
+                                      args=(child_conn,), daemon=True)
         self.process.start()
         child_conn.close()
+        self.alive = True
+        self.attempt: Optional[_Attempt] = None
+        self.started = 0.0
+        self.deadline: Optional[float] = None
+
+    def start(self, attempt: _Attempt,
+              fault: Optional[Tuple[str, int]]) -> None:
+        """Hand an idle worker its next attempt."""
+        self.attempt = attempt
         self.started = time.monotonic()
-        self.deadline = (self.started + timeout_s) if timeout_s else None
+        self.deadline = ((self.started + self.timeout_s)
+                         if self.timeout_s else None)
+        try:
+            self.conn.send((attempt.request, fault))
+        except OSError:
+            pass  # died while idle: poll() reports the crash
 
     def _synthesized(self, error) -> Tuple[str, object, dict]:
         """An error message for attempts that never reported themselves
@@ -431,36 +455,39 @@ class _Worker:
     def poll(self) -> Optional[Tuple[str, object, dict]]:
         """Non-blocking check: a ("ok"|"error", payload, meas) message, a
         synthesised error for crash/timeout, or None (still running)."""
+        request = self.attempt.request
         if self.conn.poll():
             try:
-                message = self.conn.recv()
+                return self.conn.recv()
             except EOFError:
-                message = None
-            self.process.join()
-            if message is not None:
-                return message
-            return self._synthesized(WorkerCrash(
-                self.attempt.request.benchmark, self.attempt.request.scheme,
-                self.process.exitcode or 0))
-        if not self.process.is_alive():
-            self.process.join()
-            return self._synthesized(WorkerCrash(
-                self.attempt.request.benchmark, self.attempt.request.scheme,
-                self.process.exitcode or 0))
-        if self.deadline is not None and time.monotonic() > self.deadline:
+                pass  # died mid-attempt
+        elif self.process.is_alive():
+            if self.deadline is None or time.monotonic() <= self.deadline:
+                return None
             self.kill()
             return self._synthesized(RunTimeout(
-                self.attempt.request.benchmark, self.attempt.request.scheme,
-                self.timeout_s))
-        return None
+                request.benchmark, request.scheme, self.timeout_s))
+        self.kill()
+        return self._synthesized(WorkerCrash(
+            request.benchmark, request.scheme, self.process.exitcode or 0))
+
+    def stop(self) -> None:
+        """Ask an idle worker to exit, and reap it."""
+        try:
+            self.conn.send(None)
+        except OSError:
+            pass  # already gone
+        self.process.join(timeout=5)
+        self.kill()
 
     def kill(self) -> None:
+        self.alive = False
         if self.process.is_alive():
             self.process.terminate()
             self.process.join(timeout=5)
             if self.process.is_alive():  # pragma: no cover - stubborn child
                 self.process.kill()
-                self.process.join()
+        self.process.join()
         self.conn.close()
 
 
@@ -482,12 +509,16 @@ def _wait_bound(running: Sequence[_Worker], queue: Sequence[_Attempt],
 
 
 def _run_pooled(todo: List[_Attempt], workers: int, ctx: _Context) -> None:
-    """Dispatch attempts to at most ``workers`` child processes.
+    """Dispatch attempts to at most ``workers`` reused child processes.
 
-    Event-driven: the loop blocks in :data:`_wait` on every running
-    worker's result pipe and process sentinel, bounded by
-    :func:`_wait_bound`, and loops again at once whenever a worker
-    finished so its slot refills without waiting.
+    An answered worker goes back on the idle list and takes the next
+    ready attempt; a crashed or timed-out one is dropped, and a new
+    worker is forked only when a free slot finds no idle one.  Event
+    driven: the loop blocks in :data:`_wait` on every running worker's
+    result pipe and process sentinel, bounded by :func:`_wait_bound`,
+    and loops again at once whenever a worker finished so its slot
+    refills without waiting.  Idle workers are stopped when the queue
+    drains; on any exception every worker is killed.
     """
     ctx_mp = _mp_context()
     telemetry = ctx.telemetry
@@ -496,6 +527,7 @@ def _run_pooled(todo: List[_Attempt], workers: int, ctx: _Context) -> None:
         heartbeat_s = None  # no heartbeat cadence to keep
     queue = deque(todo)
     running: List[_Worker] = []
+    idle: List[_Worker] = []
     try:
         while queue or running:
             now = time.monotonic()
@@ -511,8 +543,10 @@ def _run_pooled(todo: List[_Attempt], workers: int, ctx: _Context) -> None:
                             telemetry.run_dispatched(
                                 attempt.key, attempt.request,
                                 attempt.number, mode="pool")
-                        running.append(_Worker(ctx_mp, attempt, fault,
-                                               ctx.timeout_s))
+                        worker = (idle.pop() if idle
+                                  else _Worker(ctx_mp, ctx.timeout_s))
+                        running.append(worker)
+                        worker.start(attempt, fault)
                         launched = True
                         break
                     queue.append(attempt)  # still backing off; rotate
@@ -523,6 +557,8 @@ def _run_pooled(todo: List[_Attempt], workers: int, ctx: _Context) -> None:
                 if message is None:
                     still_running.append(worker)
                     continue
+                if worker.alive:
+                    idle.append(worker)
                 status, payload, meas = message
                 if status == "ok":
                     ctx.succeed(worker.attempt, payload, meas=meas)
@@ -541,7 +577,9 @@ def _run_pooled(todo: List[_Attempt], workers: int, ctx: _Context) -> None:
             ready.extend(worker.process.sentinel for worker in running)
             _wait(ready, _wait_bound(running, queue, workers,
                                      time.monotonic(), heartbeat_s))
+        for worker in idle:
+            worker.stop()
     except BaseException:
-        for worker in running:
+        for worker in running + idle:
             worker.kill()
         raise

@@ -5,11 +5,13 @@ import dataclasses
 import pytest
 
 from repro.common.errors import ConfigError, RunFailed
+from repro.core.batch import HAS_NUMPY
 from repro.experiments.runner import (
     EXECUTION_FIELDS,
     BenchmarkRun,
     ExperimentParams,
     SuiteRunner,
+    simulate_run,
 )
 
 TINY = ExperimentParams(num_cores=1, refs_per_core=400, scale=0.02, seed=3)
@@ -68,6 +70,30 @@ class TestExperimentParams:
     def test_from_env_reads_workers(self, monkeypatch):
         monkeypatch.setenv("POMTLB_WORKERS", "4")
         assert ExperimentParams.from_env().workers == 4
+
+    @pytest.mark.parametrize("env, overrides, mode", [
+        ("0", {}, "scalar"),                # reaches direct builds
+        ("1", {"batch": False}, "scalar"),  # --no-batch beats it
+        (None, {}, "batch" if HAS_NUMPY else "scalar"),
+    ])
+    def test_pomtlb_batch_reaches_directly_built_params(
+            self, monkeypatch, env, overrides, mode):
+        import repro.experiments.runner as runner_module
+
+        machines = []
+
+        class RecordingMachine(runner_module.Machine):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                machines.append(self)
+
+        monkeypatch.setattr(runner_module, "Machine", RecordingMachine)
+        if env is None:
+            monkeypatch.delenv("POMTLB_BATCH", raising=False)
+        else:
+            monkeypatch.setenv("POMTLB_BATCH", env)
+        simulate_run("gups", "pom", dataclasses.replace(TINY, **overrides))
+        assert [machine.last_replay_mode for machine in machines] == [mode]
 
     def test_checkpoint_fields_exclude_execution_knobs(self):
         fields = ExperimentParams().checkpoint_fields()

@@ -126,7 +126,7 @@ print("segments", sorted(n for n in after - before
 
 
 def test_pooled_campaign_needs_no_shared_memory():
-    """Bytes ride the fork: no resource tracker, no /dev/shm segment."""
+    """Bytes ride the worker pipe: no resource tracker, no /dev/shm segment."""
     src = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir,
                        "src")
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))

@@ -1,5 +1,8 @@
 """Unit tests for the resilient executor, serial and pooled."""
 
+import dataclasses
+import multiprocessing
+
 import pytest
 
 from repro.common.errors import RunTimeout, TraceFormatError
@@ -227,27 +230,131 @@ class TestPooled:
         assert outcomes[0].failure.error.type == "RunTimeout"
 
 
+@pytest.fixture
+def forks(monkeypatch):
+    """Counts pool-worker constructions (one fork each)."""
+    from repro.resilience import workers
+
+    started = []
+
+    class CountingWorker(workers._Worker):
+        def __init__(self, *args, **kwargs):
+            started.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(workers, "_Worker", CountingWorker)
+    return started
+
+
+def seeded(count, benchmark="gups", scheme="pom"):
+    return [request(benchmark, scheme,
+                    dataclasses.replace(TINY, seed=seed))
+            for seed in range(count)]
+
+
+class TestReusedPool:
+    def test_clean_campaign_forks_one_worker_per_slot(self, forks):
+        outcomes = execute_runs(seeded(5), workers=2, retry=FAST_RETRY)
+        assert all(outcome.ok for outcome in outcomes)
+        assert len(forks) == 2
+        assert multiprocessing.active_children() == []
+
+    def test_restored_campaign_forks_nothing(self, forks, tmp_path):
+        store = CheckpointStore(str(tmp_path / "ck.jsonl"))
+        store.put(run_key("gups", "pom", TINY),
+                  simulate_run("gups", "pom", TINY))
+        outcomes = execute_runs([request()], workers=2, retry=FAST_RETRY,
+                                checkpoint=store)
+        assert outcomes[0].restored
+        assert forks == []
+
+    def test_crash_forks_exactly_one_replacement(self, forks):
+        plan = FaultPlan.parse("crash@gups/pom#1")
+        outcomes = execute_runs([request()], workers=2, retry=FAST_RETRY,
+                                faults=plan)
+        assert outcomes[0].ok and outcomes[0].attempts == 2
+        assert len(forks) == 2  # the first worker, then its replacement
+        assert not forks[0].alive
+        assert multiprocessing.active_children() == []
+
+    def test_timeout_forks_exactly_one_replacement(self, forks):
+        plan = FaultPlan.parse("hang@gups/pom#1")
+        outcomes = execute_runs([request()], workers=2, timeout_s=0.5,
+                                retry=FAST_RETRY, faults=plan)
+        assert outcomes[0].ok and outcomes[0].attempts == 2
+        assert len(forks) == 2
+        assert multiprocessing.active_children() == []
+
+    def test_worker_serves_on_after_a_raising_attempt(self, forks):
+        plan = FaultPlan.parse("corrupt-trace@gups/pom#*")
+        requests = seeded(2) + seeded(2, "gcc", "baseline")
+        outcomes = execute_runs(requests, workers=2, retry=FAST_RETRY,
+                                faults=plan)
+        assert [outcome.ok for outcome in outcomes] == \
+            [False, False, True, True]
+        assert outcomes[0].failure.error.type == "TraceFormatError"
+        assert len(forks) == 2
+
+    def test_second_attempt_reports_its_own_measurement(self, forks):
+        telemetry = _RecordingTelemetry()
+        outcomes = execute_runs(seeded(4), workers=2, retry=FAST_RETRY,
+                                telemetry=telemetry)
+        assert all(outcome.ok for outcome in outcomes)
+        assert len(forks) == 2  # so two attempts were served second
+        finished = [kwargs for _, kwargs in telemetry.of("run_finished")]
+        assert len(finished) == 4
+        for kwargs in finished:
+            assert 0 < kwargs["cpu_s"] <= kwargs["wall_s"] + 0.005
+
+    def test_no_child_outlives_an_exhausted_failure(self, forks):
+        plan = FaultPlan.parse("crash@gups/pom#*")
+        outcomes = execute_runs(
+            [request("gups", "pom"), request("gcc", "baseline")],
+            workers=2, retry=RetryPolicy(max_retries=1, base_delay_s=0.0),
+            faults=plan)
+        assert not outcomes[0].ok and outcomes[1].ok
+        assert outcomes[0].failure.attempts == 2
+        assert multiprocessing.active_children() == []
+
+    def test_no_child_outlives_an_interrupt(self, forks):
+        plan = FaultPlan.parse("interrupt@gcc/baseline")
+        requests = seeded(2) + [request("gcc", "baseline")]
+        with pytest.raises(KeyboardInterrupt):
+            execute_runs(requests, workers=2, retry=FAST_RETRY, faults=plan)
+        # Both slots forked; the interrupt came as one of them sat idle.
+        assert len(forks) == 2
+        assert multiprocessing.active_children() == []
+
+
 class _FakeWorker:
-    """Stands in for a pooled child: finishes when the fake wait says so."""
+    """Stands in for a pool worker: answers when the fake wait says so."""
 
-    live = []
+    busy = []
 
-    def __init__(self, ctx_mp, attempt, fault, timeout_s):
-        self.attempt = attempt
+    def __init__(self, ctx_mp, timeout_s):
+        self.alive = True
+        self.attempt = None
         self.deadline = None
         self.done = False
         self.conn = object()
         self.process = type("Process", (), {"sentinel": object()})()
-        _FakeWorker.live.append(self)
+
+    def start(self, attempt, fault):
+        self.attempt = attempt
+        self.done = False
+        _FakeWorker.busy.append(self)
 
     def poll(self):
         if not self.done:
             return None
-        _FakeWorker.live.remove(self)
+        _FakeWorker.busy.remove(self)
         return ("ok", _StubRun(), {"wall_s": 0.0, "cpu_s": 0.0})
 
+    def stop(self):
+        self.alive = False
+
     def kill(self):
-        pass
+        self.alive = False
 
 
 class TestPooledDispatch:
@@ -260,16 +367,16 @@ class TestPooledDispatch:
         waits = []
 
         def fake_wait(objects, timeout=None):
-            live = list(_FakeWorker.live)
-            assert not any(worker.done for worker in live)
-            waits.append((len(live), timeout))
-            live[0].done = True  # the oldest worker reports
-            return [live[0].conn]
+            busy = list(_FakeWorker.busy)
+            assert not any(worker.done for worker in busy)
+            waits.append((len(busy), timeout))
+            busy[0].done = True  # the oldest attempt reports
+            return [busy[0].conn]
 
         def no_sleep(seconds):
             raise AssertionError(f"pooled dispatcher slept {seconds}s")
 
-        _FakeWorker.live = []
+        _FakeWorker.busy = []
         monkeypatch.setattr(workers, "_Worker", _FakeWorker)
         monkeypatch.setattr(workers, "_wait", fake_wait)
         monkeypatch.setattr(workers.time, "sleep", no_sleep)
