@@ -179,10 +179,5 @@ class SetAssociativeCache:
                 counts[kind] = counts.get(kind, 0) + 1
         return counts
 
-    def hit_rate(self, kind: str = DATA) -> float:
-        hits = self.stats[f"{kind}_hits"]
-        total = hits + self.stats[f"{kind}_misses"]
-        return hits / total if total else 0.0
-
     def __len__(self) -> int:
         return sum(len(tags) for tags in self._tags)

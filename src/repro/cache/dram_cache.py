@@ -93,10 +93,5 @@ class DramDataCache:
             return True
         return False
 
-    def hit_rate(self) -> float:
-        hits = self.stats["l4_hits"]
-        total = hits + self.stats["l4_misses"]
-        return hits / total if total else 0.0
-
     def __len__(self) -> int:
         return len(self._lines)

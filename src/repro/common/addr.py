@@ -67,21 +67,6 @@ def page_base(vaddr: int, large: bool = False) -> int:
     return vaddr & ~(page_size(large) - 1)
 
 
-def small_vpn_of_large(large_vpn: int) -> int:
-    """First small-page VPN contained in the given large-page VPN."""
-    return large_vpn << (LARGE_PAGE_SHIFT - SMALL_PAGE_SHIFT)
-
-
-def large_vpn_of_small(small_vpn: int) -> int:
-    """Large-page VPN containing the given small-page VPN."""
-    return small_vpn >> (LARGE_PAGE_SHIFT - SMALL_PAGE_SHIFT)
-
-
-def cache_line(addr: int) -> int:
-    """Cache-line number (64 B granularity) of a byte address."""
-    return addr >> CACHE_LINE_SHIFT
-
-
 def cache_line_base(addr: int) -> int:
     """Byte address of the start of the cache line containing ``addr``."""
     return addr & ~(CACHE_LINE_SIZE - 1)

@@ -217,10 +217,6 @@ class PredictorConfig:
         _require(1 <= self.size_counter_bits <= 4,
                  "size counter must be 1..4 bits")
 
-    @property
-    def index_bits(self) -> int:
-        return addr.ilog2(self.entries)
-
 
 @dataclass
 class TsbConfig:

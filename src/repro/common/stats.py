@@ -159,13 +159,6 @@ class StatRegistry:
             self._groups[name] = StatGroup(name)
         return self._groups[name]
 
-    def register(self, group: StatGroup) -> StatGroup:
-        """Adopt an externally created group; name must be unused."""
-        if group.name in self._groups and self._groups[group.name] is not group:
-            raise ValueError(f"stat group {group.name!r} already registered")
-        self._groups[group.name] = group
-        return group
-
     def __getitem__(self, name: str) -> StatGroup:
         return self._groups[name]
 

@@ -137,11 +137,6 @@ class PomStructure:
                 return line
         return None
 
-    def hit_rate(self) -> float:
-        hits = self.stats["hits_small"] + self.stats["hits_large"]
-        total = hits + self.stats["misses_small"] + self.stats["misses_large"]
-        return hits / total if total else 0.0
-
 
 class PomTlb(PomStructure):
     """The paper's partitioned POM-TLB: one 64 B set per probe."""
@@ -288,10 +283,3 @@ class PomTlb(PomStructure):
             "small": sum(len(v) for v in self._sets[False].values()),
             "large": sum(len(v) for v in self._sets[True].values()),
         }
-
-    @property
-    def reach_bytes(self) -> int:
-        """Address space covered when both partitions are full."""
-        small_entries = self.config.small_sets * self._ways
-        large_entries = self.config.large_sets * self._ways
-        return small_entries * 4096 + large_entries * 2 * 1024 * 1024

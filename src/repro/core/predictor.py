@@ -113,9 +113,3 @@ class SizeBypassPredictor:
     def bypass_accuracy(self) -> float:
         total = self.stats["bypass_correct"] + self.stats["bypass_wrong"]
         return self.stats["bypass_correct"] / total if total else 0.0
-
-    @property
-    def storage_bytes(self) -> int:
-        """SRAM footprint (paper design: 2 bits/entry = 128 B per core)."""
-        bits_per_entry = self.config.size_counter_bits + 1
-        return self.config.entries * bits_per_entry // 8

@@ -149,11 +149,6 @@ class TranslationStorageBuffer:
         resident = self._guest.get(self._guest_index(vm_id, asid, vpn))
         return bool(resident) and resident[0] == (vm_id, asid, vpn, large)
 
-    def contains_host(self, vm_id: int, gpa_vpn: int) -> bool:
-        """Host-half presence check with no stats side effects."""
-        resident = self._host.get(self._host_index(vm_id, gpa_vpn))
-        return bool(resident) and resident[0] == (vm_id, gpa_vpn)
-
     def resident(self) -> Dict[str, List[Tuple]]:
         """Resident tags per half (consistency checks and tests)."""
         return {"guest": [tag for tag, _p in self._guest.values()],
@@ -161,12 +156,6 @@ class TranslationStorageBuffer:
 
     def occupancy(self) -> Dict[str, int]:
         return {"guest": len(self._guest), "host": len(self._host)}
-
-    def full_translation_hit_rate(self) -> float:
-        """Fraction of guest-half probes that hit (first dependent access)."""
-        hits = self.stats["guest_hits"]
-        total = hits + self.stats["guest_misses"]
-        return hits / total if total else 0.0
 
     @staticmethod
     def gpa_vpn(gpa: int) -> int:

@@ -42,8 +42,3 @@ class AddressMapper:
             row=block >> self._bank_bits,
             column=paddr & self._col_mask,
         )
-
-    def same_row(self, a: int, b: int) -> bool:
-        """True when two addresses land in the same bank row."""
-        ca, cb = self.map(a), self.map(b)
-        return ca.bank == cb.bank and ca.row == cb.row

@@ -33,7 +33,6 @@ from ..workloads.trace import validate_stream
 from . import figures, tables
 from .report import Report
 from .runner import ExperimentParams, ObsFactory, SuiteRunner
-from .schedule import cost_function, predicted_costs
 
 #: Subset used for the (expensive) sensitivity sweeps; spans the
 #: pattern space: pointer-chase, random, scan, grid, graph, mixed.
@@ -186,7 +185,12 @@ def run_all(params: Optional[ExperimentParams] = None,
     retry = RetryPolicy(max_retries=params.max_retries,
                         base_delay_s=params.retry_backoff_s,
                         seed=params.seed)
-    total = len(requests)
+    # Keys collapse duplicate requests (the sensitivity sweep shares
+    # points with the main grid) exactly like the executor does, so the
+    # progress count and total_runs both end at completed + failed +
+    # restored.
+    total = len({run_key(r.benchmark, r.scheme, r.params)
+                 for r in requests})
     done = {"count": 0}
 
     def on_outcome(outcome) -> None:
@@ -198,21 +202,8 @@ def run_all(params: Optional[ExperimentParams] = None,
                         f"# [{done['count']}/{total}] "
                         f"{outcome.request.label} {state}\n")
 
-    cost = (cost_function()
-            if parallel or telemetry.enabled else None)
     if telemetry.enabled:
-        # The LPT accuracy tracker needs the scheduler's prediction for
-        # every run, serial campaigns included — calibration is what
-        # adaptive sweeps will feed on.  Keys collapse duplicate
-        # requests (the sensitivity sweep shares points with the main
-        # grid) exactly like the executor does, so runs_planned equals
-        # completed + failed + restored at campaign end.
-        predictions = predicted_costs(
-            requests, cost,
-            key=lambda r: run_key(r.benchmark, r.scheme, r.params))
-        telemetry.campaign_start(len(predictions), params.workers)
-        for key, predicted in predictions.items():
-            telemetry.predict(key, predicted)
+        telemetry.campaign_start(total, params.workers)
 
     try:
         return _run_all_inner(params, names, requests, out, progress,
@@ -220,7 +211,7 @@ def run_all(params: Optional[ExperimentParams] = None,
                               simulate_parallel=parallel,
                               checkpoint=checkpoint, retry=retry,
                               faults=faults, tracer=tracer,
-                              on_outcome=on_outcome, cost=cost,
+                              on_outcome=on_outcome,
                               telemetry=telemetry)
     finally:
         # Close the status stream even when the campaign dies mid-way —
@@ -231,7 +222,7 @@ def run_all(params: Optional[ExperimentParams] = None,
 def _run_all_inner(params, names, requests, out, progress,
                    include_sensitivity, runner, *,
                    simulate_parallel, checkpoint, retry, faults, tracer,
-                   on_outcome, cost, telemetry) -> CampaignResult:
+                   on_outcome, telemetry) -> CampaignResult:
     parallel = simulate_parallel
     # Monotonic, not wall clock: an NTP step mid-campaign must not
     # corrupt the finishing time (or any duration derived from it).
@@ -257,7 +248,6 @@ def _run_all_inner(params, names, requests, out, progress,
                             tracer=tracer,
                             on_outcome=on_outcome,
                             simulate=simulate,
-                            cost=cost if parallel else None,
                             telemetry=telemetry)
 
     result = CampaignResult()

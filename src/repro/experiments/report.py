@@ -8,7 +8,7 @@ the examples print — the same rows/series the paper's figures plot.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Union
+from typing import List, Sequence, Union
 
 #: ``None`` marks a missing cell — a run the resilient campaign recorded
 #: as failed; it renders as ``n/a`` and serialises as JSON ``null``.
@@ -106,19 +106,6 @@ class Report:
             "rows": [list(row) for row in self.rows],
             "notes": list(self.notes),
         }, indent=2)
-
-    @classmethod
-    def from_json(cls, payload: str) -> "Report":
-        """Inverse of :meth:`to_json` (for archiving/diffing results)."""
-        import json
-
-        data = json.loads(payload)
-        report = cls(title=data["title"], headers=tuple(data["headers"]))
-        for row in data["rows"]:
-            report.add_row(*row)
-        for note in data["notes"]:
-            report.add_note(note)
-        return report
 
     def __str__(self) -> str:  # pragma: no cover - convenience
         return self.render()

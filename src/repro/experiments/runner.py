@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import dataclasses
 import os
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, Optional, Tuple
 
 from ..common import addr
 from ..common.config import PomTlbConfig, PredictorConfig, SystemConfig
@@ -20,7 +20,7 @@ from ..core.perfmodel import PerformanceEstimate, estimate
 from ..core.system import Machine, SimulationResult
 from ..faults import RaiseAtTranslation, corrupt_streams
 from ..obs import Observability
-from ..workloads.suite import BENCHMARKS, get_profile
+from ..workloads.suite import get_profile
 from ..workloads.trace import validate_stream
 
 #: Builds the per-run Observability for (benchmark, scheme); None means
@@ -78,6 +78,23 @@ class ExperimentParams:
     #: force the scalar loop, e.g. for differential debugging).  ``None``
     #: leaves the choice to ``POMTLB_BATCH`` when each Machine is built
     batch: Optional[bool] = None
+
+    def __post_init__(self) -> None:
+        """Reject values no run can use, before anything is simulated.
+
+        The CLI reports the :class:`~repro.common.errors.ConfigError`
+        as a usage error (exit 2).
+        """
+        for name, usable, rule in (
+                ("num_cores", self.num_cores >= 1, ">= 1"),
+                ("refs_per_core", self.refs_per_core >= 1, ">= 1"),
+                ("scale", self.scale > 0, "> 0"),
+                ("run_timeout_s", self.run_timeout_s >= 0, ">= 0"),
+                ("max_retries", self.max_retries >= 0, ">= 0"),
+                ("retry_backoff_s", self.retry_backoff_s >= 0, ">= 0")):
+            if not usable:
+                raise ConfigError(f"{name} must be {rule}, got "
+                                  f"{getattr(self, name)!r}")
 
     @classmethod
     def from_env(cls, **overrides) -> "ExperimentParams":
@@ -251,10 +268,3 @@ class SuiteRunner:
         """Mark a pair as failed; ``run()`` raises RunFailed for it."""
         params = params or self.params
         self.failures[(benchmark, scheme, params)] = failure
-
-    def run_suite(self, scheme: str, benchmarks: Iterable[str] = (),
-                  params: Optional[ExperimentParams] = None
-                  ) -> List[BenchmarkRun]:
-        """Run every benchmark (or a subset) under one scheme."""
-        names = list(benchmarks) or BENCHMARKS
-        return [self.run(name, scheme, params) for name in names]

@@ -22,8 +22,8 @@ from typing import Dict, Optional
 
 from .histogram import LogHistogram
 from .sinks import ChromeTraceSink, JsonlSink, ListSink
-from .telemetry import (NO_TELEMETRY, CampaignTelemetry, LptAccuracy,
-                        NullTelemetry, StatusSnapshot)
+from .telemetry import (NO_TELEMETRY, CampaignTelemetry, NullTelemetry,
+                        StatusSnapshot)
 from .tracer import NULL_TRACER, EventTracer, NullTracer
 from .windows import WindowedMetrics
 
@@ -95,7 +95,6 @@ __all__ = [
     "JsonlSink",
     "ListSink",
     "LogHistogram",
-    "LptAccuracy",
     "NO_TELEMETRY",
     "NULL_TRACER",
     "NullTelemetry",

@@ -14,10 +14,10 @@ rename idiom as every other persisted file):
   ``_count`` / ``_sum`` pair.
 * ``campaign_dashboard.html`` — a single self-contained file (inline
   JSON + a few hundred bytes of vanilla JS, no external assets) in the
-  llm-d ``benchmark_report`` idiom: stat tiles, run table with
-  predicted-vs-actual scheduling error, heartbeat sparklines, and the
-  raw metric families for drill-down.  Open it from a laptop, attach it
-  to CI, or archive it with the campaign output — it renders anywhere.
+  llm-d ``benchmark_report`` idiom: stat tiles, run table, heartbeat
+  sparklines, and the raw metric families for drill-down.  Open it
+  from a laptop, attach it to CI, or archive it with the campaign
+  output — it renders anywhere.
 
 Metric names, dashboard fields and the file contract are documented in
 EXPERIMENTS.md ("Campaign telemetry").
@@ -66,8 +66,6 @@ def metric_families(snapshot) -> List[tuple]:
         if event["cpu_s"] is not None:
             cpu[event["scheme"]].append(event["cpu_s"])
     start, end = snapshot.start, snapshot.end
-    lpt = snapshot.lpt.summary()
-    calibrated = end is not None and lpt["mape"] is not None
     busy = [max(0.0, event["wall_s"]) for event in simulated]
     families = [
         ("pomtlb_campaign_attempts_total", "counter",
@@ -86,15 +84,6 @@ def metric_families(snapshot) -> List[tuple]:
         ("pomtlb_campaign_elapsed_seconds", "gauge",
          "Campaign wall-clock (monotonic).",
          _scalar(end["elapsed_s"] if end else None)),
-        ("pomtlb_campaign_lpt_bias", "gauge",
-         "LPT scheduler mean signed relative error.",
-         _scalar(round(lpt["bias"], 6) if calibrated else None)),
-        ("pomtlb_campaign_lpt_mape", "gauge",
-         "LPT scheduler mean absolute percentage error.",
-         _scalar(round(lpt["mape"], 6) if calibrated else None)),
-        ("pomtlb_campaign_lpt_runs", "gauge",
-         "Runs with a predicted-vs-actual calibration record.",
-         _scalar(lpt["runs"] if end else None)),
         ("pomtlb_campaign_retries_total", "counter",
          "Transient failures scheduled for another attempt.",
          _scalar(snapshot.retries or None)),
@@ -211,7 +200,7 @@ def dashboard_document(snapshot) -> Dict[str, object]:
     runs = sorted(snapshot.rows(),
                   key=lambda r: (r["benchmark"], r["scheme"], r["key"]))
     return {
-        "version": 3,
+        "version": 4,
         "summary": {
             "total_runs": snapshot.total_runs,
             "workers": snapshot.workers,
@@ -221,7 +210,6 @@ def dashboard_document(snapshot) -> Dict[str, object]:
             "retries": snapshot.retries,
             "busy_seconds": round(snapshot.busy_seconds, 6),
         },
-        "lpt": snapshot.lpt.summary(),
         "runs": [{name: value for name, value in run.items()
                   if name not in ("v", "event", "ts")} for run in runs],
         "heartbeats": [dict(beat) for beat in snapshot.heartbeats],
@@ -304,8 +292,7 @@ _DASHBOARD_TEMPLATE = """<!DOCTYPE html>
   <table id="runs"><thead><tr>
     <th>benchmark</th><th>scheme</th><th>state</th>
     <th class="num">attempts</th><th class="num">wall s</th>
-    <th class="num">cpu s</th><th class="num">predicted s</th>
-    <th class="num">sched err</th><th>error</th>
+    <th class="num">cpu s</th><th>error</th>
   </tr></thead><tbody></tbody></table>
   <details><summary>Raw metric families</summary>
     <pre id="metrics"></pre></details>
@@ -325,9 +312,7 @@ _DASHBOARD_TEMPLATE = """<!DOCTYPE html>
       ? "–" : Number(value).toFixed(digits === undefined ? 2 : digits);
   }
   document.getElementById("sub").textContent =
-    s.total_runs + " runs planned · " + s.workers + " worker(s)" +
-    (doc.lpt.runs ? " · LPT MAPE " + fmt(100 * doc.lpt.mape, 1) +
-       "% (bias " + fmt(100 * doc.lpt.bias, 1) + "%)" : "");
+    s.total_runs + " runs planned · " + s.workers + " worker(s)";
   var tiles = document.getElementById("tiles");
   [["completed", s.completed], ["failed", s.failed],
    ["restored", s.restored], ["retries", s.retries]]
@@ -390,11 +375,6 @@ _DASHBOARD_TEMPLATE = """<!DOCTYPE html>
     tr.appendChild(el("td", "num", String(run.attempts)));
     tr.appendChild(el("td", "num", fmt(run.wall_s)));
     tr.appendChild(el("td", "num", fmt(run.cpu_s)));
-    tr.appendChild(el("td", "num", fmt(run.predicted_s)));
-    var err = (run.predicted_s && run.wall_s !== null)
-      ? fmt(100 * (run.wall_s - run.predicted_s) / run.predicted_s, 0) + "%"
-      : "–";
-    tr.appendChild(el("td", "num", err));
     tr.appendChild(el("td", null, run.error || "–"));
     tbody.appendChild(tr);
   });

@@ -21,14 +21,11 @@ events are the only record of a campaign:
   :func:`render_top`, the Prometheus text and the HTML dashboard
   (:mod:`repro.obs.exporters`) are functions of a snapshot, so a replayed
   stream reproduces every artifact exactly.
-* :class:`LptAccuracy` — compares :mod:`repro.experiments.schedule`
-  predicted cost against actual duration per run, the calibration
-  signal adaptive sweeps need.
 
 :data:`NO_TELEMETRY` is the default everywhere.  Its hook methods are
 no-ops and its ``enabled`` attribute is a ``False`` class attribute, so
 a campaign that never asked for telemetry pays one attribute check per
-*run* (not per translation) — far inside the < 5% overhead guard.
+*run* (not per translation).
 """
 
 from __future__ import annotations
@@ -42,7 +39,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Set, Tuple
 
 #: Bumped when the NDJSON status-stream schema changes; every event
 #: carries it as ``v`` so consumers can reject streams they don't speak.
-STATUS_VERSION = 2
+STATUS_VERSION = 3
 
 #: Campaign accepted: totals and pool shape.
 CAMPAIGN_START = "campaign_start"
@@ -65,12 +62,11 @@ CAMPAIGN_END = "campaign_end"
 STATUS_EVENT_FIELDS: Dict[str, Tuple[str, ...]] = {
     CAMPAIGN_START: ("total_runs", "workers"),
     WORKLOADS: ("compiled",),
-    RUN_START: ("key", "benchmark", "scheme", "attempt", "mode",
-                "predicted_s"),
+    RUN_START: ("key", "benchmark", "scheme", "attempt", "mode"),
     RUN_RETRY: ("key", "benchmark", "scheme", "attempt", "error",
                 "delay_s"),
     RUN_END: ("key", "benchmark", "scheme", "state", "attempts", "wall_s",
-              "cpu_s", "predicted_s", "error"),
+              "cpu_s", "error"),
     HEARTBEAT: ("elapsed_s", "queued", "running", "completed", "failed",
                 "restored", "retries", "busy_frac"),
     CAMPAIGN_END: ("elapsed_s", "completed", "failed", "restored",
@@ -112,49 +108,6 @@ def validate_status_event(event: Mapping) -> None:
                          f"is not true, false or null")
 
 
-# -- LPT calibration -----------------------------------------------------------
-
-class LptAccuracy:
-    """Predicted-vs-actual run duration, per run and aggregated.
-
-    The LPT scheduler (:mod:`repro.experiments.schedule`) dispatches
-    longest-expected-first from ``BENCH_engine.json`` rates; this
-    tracker records how good those predictions were.  ``error`` is the
-    signed relative error ``(actual - predicted) / predicted``; the
-    summary reports MAPE (mean absolute percentage error) and bias
-    (mean signed error) — the feedback adaptive sweeps will calibrate
-    against.
-    """
-
-    def __init__(self) -> None:
-        self._predicted: Dict[str, float] = {}
-        self.records: List[Dict[str, object]] = []
-
-    def predict(self, key: str, seconds: float) -> None:
-        self._predicted[key] = seconds
-
-    def observe(self, key: str, benchmark: str, scheme: str,
-                actual_s: float) -> None:
-        predicted = self._predicted.get(key)
-        if predicted is None or predicted <= 0 or actual_s < 0:
-            return
-        self.records.append({
-            "key": key, "benchmark": benchmark, "scheme": scheme,
-            "predicted_s": predicted, "actual_s": actual_s,
-            "error": (actual_s - predicted) / predicted,
-        })
-
-    def summary(self) -> Dict[str, object]:
-        if not self.records:
-            return {"runs": 0, "mape": None, "bias": None}
-        errors = [record["error"] for record in self.records]
-        return {
-            "runs": len(errors),
-            "mape": sum(abs(e) for e in errors) / len(errors),
-            "bias": sum(errors) / len(errors),
-        }
-
-
 # -- the telemetry hub ---------------------------------------------------------
 
 class NullTelemetry:
@@ -170,9 +123,6 @@ class NullTelemetry:
         pass
 
     def workloads_compiled(self, compiled: int) -> None:
-        pass
-
-    def predict(self, key: str, seconds: float) -> None:
         pass
 
     def run_restored(self, key: str, request) -> None:
@@ -236,7 +186,6 @@ class CampaignTelemetry(NullTelemetry):
         self.wall = wall
         self.snapshot = StatusSnapshot()
         self.started = self.clock()
-        self._predicted: Dict[str, float] = {}
         self._last_heartbeat = None  # None until campaign_start
         self._stream = open(status_path, "w") if status_path else None
 
@@ -263,23 +212,17 @@ class CampaignTelemetry(NullTelemetry):
     def workloads_compiled(self, compiled: int) -> None:
         self._emit(WORKLOADS, compiled=compiled)
 
-    def predict(self, key: str, seconds: float) -> None:
-        self._predicted[key] = seconds
-
     # -- run lifecycle (executor hooks) --------------------------------------
 
     def run_restored(self, key: str, request) -> None:
         self._emit(RUN_END, key=key, benchmark=request.benchmark,
                    scheme=request.scheme, state="restored", attempts=0,
-                   wall_s=0.0, cpu_s=None,
-                   predicted_s=self._predicted.get(key), error=None,
-                   checkpoint=None)
+                   wall_s=0.0, cpu_s=None, error=None, checkpoint=None)
 
     def run_dispatched(self, key: str, request, attempt: int,
                        mode: str) -> None:
         self._emit(RUN_START, key=key, benchmark=request.benchmark,
-                   scheme=request.scheme, attempt=attempt, mode=mode,
-                   predicted_s=self._predicted.get(key))
+                   scheme=request.scheme, attempt=attempt, mode=mode)
 
     def run_retry(self, key: str, request, attempt: int, error: str,
                   delay_s: float) -> None:
@@ -295,8 +238,7 @@ class CampaignTelemetry(NullTelemetry):
                    scheme=request.scheme, state="ok" if ok else "failed",
                    attempts=attempts, wall_s=round(wall_s, 6),
                    cpu_s=None if cpu_s is None else round(cpu_s, 6),
-                   predicted_s=self._predicted.get(key), error=error,
-                   checkpoint=checkpoint)
+                   error=error, checkpoint=checkpoint)
 
     # -- heartbeats ----------------------------------------------------------
 
@@ -375,7 +317,6 @@ class StatusSnapshot:
         self.ends: Dict[str, Mapping] = {}
         self.heartbeats: List[Mapping] = []
         self.recent = deque(maxlen=recent)
-        self.lpt = LptAccuracy()
 
     def apply_line(self, line: str) -> None:
         line = line.strip()
@@ -408,10 +349,6 @@ class StatusSnapshot:
         elif etype == RUN_END:
             self.running.pop(event["key"], None)
             self.ends[event["key"]] = event
-            if event["state"] == "ok" and event["predicted_s"] is not None:
-                self.lpt.predict(event["key"], event["predicted_s"])
-                self.lpt.observe(event["key"], event["benchmark"],
-                                 event["scheme"], event["wall_s"])
             self.recent.appendleft((event["state"], event))
         elif etype == HEARTBEAT:
             self.heartbeats.append(event)
@@ -490,13 +427,8 @@ def render_top(snapshot: StatusSnapshot) -> str:
         f"· queued {beat.get('queued', 0)} · running {len(snapshot.running)} "
         f"· retries {snapshot.retries}",
         f"workloads: {snapshot.compiled} compiled",
+        f"{_bar(fraction)} {100 * fraction:3.0f}%",
     ]
-    lpt = snapshot.lpt.summary()
-    if lpt["runs"]:
-        lines.append(f"LPT calibration: {lpt['runs']} runs · MAPE "
-                     f"{100 * lpt['mape']:.1f}% · bias "
-                     f"{100 * lpt['bias']:+.1f}%")
-    lines.append(f"{_bar(fraction)} {100 * fraction:3.0f}%")
     if snapshot.running:
         lines.append("running:")
         for record in list(snapshot.running.values())[:8]:

@@ -57,10 +57,6 @@ class RetryPolicy:
         if not 0.0 <= self.jitter <= 1.0:
             raise ValueError("jitter must be in [0, 1]")
 
-    def should_retry(self, error: BaseException, attempt: int) -> bool:
-        """Whether attempt number ``attempt`` (1-based) gets another try."""
-        return is_transient(error) and attempt <= self.max_retries
-
     def delay_s(self, key: str, attempt: int) -> float:
         """Backoff before retry ``attempt`` (1-based) of run ``key``."""
         if attempt < 1:

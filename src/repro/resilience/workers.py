@@ -37,7 +37,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..common.errors import ReproError, RunTimeout, WorkerCrash
+from ..common.errors import RunTimeout, WorkerCrash
 from ..faults import NO_FAULTS, FaultPlan
 from ..obs import NO_TELEMETRY, NULL_TRACER
 from ..obs import events as obs_events
@@ -198,7 +198,6 @@ def execute_runs(requests: List[RunRequest],
                  tracer=NULL_TRACER,
                  on_outcome: Optional[Callable[[RunOutcome], None]] = None,
                  simulate: Optional[Callable] = None,
-                 cost: Optional[Callable[[RunRequest], float]] = None,
                  telemetry=NO_TELEMETRY,
                  ) -> List[RunOutcome]:
     """Execute every request; never raises for per-run failures.
@@ -213,12 +212,8 @@ def execute_runs(requests: List[RunRequest],
     campaign uses it to thread per-run observability through in-process
     execution.
 
-    ``cost`` estimates a request's wall-clock seconds (see
-    :func:`repro.experiments.schedule.cost_function`).  In pooled mode
-    the queue is dispatched longest-first (LPT), which bounds the
-    makespan wasted on stragglers; serial mode ignores it — order
-    cannot change serial wall-clock, and stable enumeration order keeps
-    progress output deterministic.
+    Both modes start attempts in request order, duplicates collapsed
+    to their first occurrence; retries join the back of the queue.
 
     ``telemetry`` (default :data:`repro.obs.NO_TELEMETRY`, the null
     object) receives run-lifecycle hooks — dispatched, retried,
@@ -253,9 +248,6 @@ def execute_runs(requests: List[RunRequest],
                        telemetry=telemetry)
     if todo:
         if workers and workers > 1:
-            if cost is not None:
-                todo.sort(key=lambda attempt: cost(attempt.request),
-                          reverse=True)
             _run_pooled(todo, workers, context)
         else:
             _run_serial(todo, context, simulate or simulate_request)

@@ -42,11 +42,6 @@ KEY_VPN_SHIFT = KEY_ASID_SHIFT + KEY_ASID_BITS  # 33
 KEY_VM_MASK = (1 << KEY_VM_BITS) - 1
 KEY_ASID_MASK = (1 << KEY_ASID_BITS) - 1
 
-#: Mask selecting the (vm_id, asid) bits of a packed key — one ``&``
-#: compares a key's software context against a packed context.
-KEY_CONTEXT_MASK = ((KEY_ASID_MASK << KEY_ASID_SHIFT)
-                    | (KEY_VM_MASK << KEY_VM_SHIFT))
-
 #: Mask selecting the (vm_id) bits of a packed key.
 KEY_VM_FIELD_MASK = KEY_VM_MASK << KEY_VM_SHIFT
 
@@ -103,10 +98,6 @@ class TlbKey(NamedTuple):
     def pack(self) -> int:
         """The packed-integer form of this key (validated)."""
         return pack_key_checked(self.vm_id, self.asid, self.vpn, self.large)
-
-    @classmethod
-    def from_packed(cls, packed: int) -> "TlbKey":
-        return unpack_key(packed)
 
 
 class TlbEntry(NamedTuple):

@@ -19,7 +19,7 @@ Absolute calibration is irrelevant for Figure 4 (it is normalised to a
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Tuple
+from typing import Iterable, List, Tuple
 
 from ..common import addr
 
@@ -58,11 +58,6 @@ def latency_cycles(capacity_bytes: int, base_cycles: int = 9) -> int:
     return max(1, round(base_cycles * access_time(capacity_bytes) / anchor))
 
 
-def tlb_array_bytes(entries: int, entry_bytes: int = 16) -> int:
-    """SRAM footprint of a TLB with the given entry count."""
-    return entries * entry_bytes
-
-
 def capacity_sweep(capacities: Iterable[int] = ()) -> List[Tuple[int, float]]:
     """(capacity, normalised latency) pairs for the Figure 4 sweep.
 
@@ -72,8 +67,3 @@ def capacity_sweep(capacities: Iterable[int] = ()) -> List[Tuple[int, float]]:
     if not points:
         points = [16 * addr.KiB << i for i in range(11)]  # 16KiB..16MiB
     return [(c, normalized_latency(c)) for c in points]
-
-
-def figure4_series() -> Dict[str, float]:
-    """Figure 4 as a {label: normalised latency} mapping."""
-    return {addr.pretty_size(c): lat for c, lat in capacity_sweep()}

@@ -21,11 +21,10 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from ..common import addr
 from ..common.config import TlbConfig
 from ..common.stats import StatGroup
-from .entry import (KEY_CONTEXT_MASK, KEY_VM_FIELD_MASK, SET_HASH_ASID,
-                    SET_HASH_VM, TlbEntry, TlbKey, pack_context, unpack_key)
+from .entry import (KEY_VM_FIELD_MASK, SET_HASH_ASID, SET_HASH_VM, TlbEntry,
+                    TlbKey, pack_context, unpack_key)
 
 
 class SramTlb:
@@ -131,10 +130,6 @@ class SramTlb:
             return True
         return False
 
-    def invalidate_asid(self, vm_id: int, asid: int) -> int:
-        """Drop all translations of one guest process; returns count."""
-        return self._drop(KEY_CONTEXT_MASK, pack_context(vm_id, asid))
-
     def invalidate_vm(self, vm_id: int) -> int:
         """Drop all translations of one VM (e.g. VM teardown)."""
         return self._drop(KEY_VM_FIELD_MASK, pack_context(vm_id, 0))
@@ -170,13 +165,3 @@ class SramTlb:
         for entries in self._sets:
             found.extend(unpack_key(key) for key in entries)
         return found
-
-    def hit_rate(self) -> float:
-        hits = self.stats["hits"]
-        lookups = hits + self.stats["misses"]
-        return hits / lookups if lookups else 0.0
-
-    @property
-    def reach_bytes(self) -> int:
-        """Bytes of address space covered if filled with 4 KiB entries."""
-        return self.config.entries * addr.SMALL_PAGE_SIZE

@@ -43,13 +43,3 @@ class ThpPolicy:
             decision = point < self.large_fraction
         self._decisions[key] = decision
         return decision
-
-    def decided_regions(self) -> int:
-        """How many regions have been decided (introspection for tests)."""
-        return len(self._decisions)
-
-    def observed_large_fraction(self) -> float:
-        """Fraction of decided regions that came out large."""
-        if not self._decisions:
-            return 0.0
-        return sum(self._decisions.values()) / len(self._decisions)

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 from collections import Counter, OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List
 
 from ..common import addr
-from .trace import CoreStream, MemoryReference
+from .trace import CoreStream
 
 
 @dataclass(frozen=True)
@@ -27,13 +27,6 @@ class TraceSummary:
     footprint_bytes: int
     write_fraction: float
     refs_per_page_touch: float
-
-    @property
-    def memory_intensity(self) -> float:
-        """Memory references per instruction."""
-        if self.instructions == 0:
-            return 0.0
-        return self.references / self.instructions
 
 
 def summarize(stream: CoreStream) -> TraceSummary:
@@ -137,13 +130,3 @@ def estimate_tlb_miss_rate(stream: CoreStream, entries: int,
                 total += 1
                 misses += 1
     return misses / total if total else 0.0
-
-
-def region_breakdown(stream: CoreStream,
-                     region_shift: int = 32) -> Dict[int, int]:
-    """References per address-space region (suite regions are 4 GiB-aligned)."""
-    counts: Dict[int, int] = {}
-    for ref in stream.references:
-        region = ref.vaddr >> region_shift
-        counts[region] = counts.get(region, 0) + 1
-    return counts

@@ -301,13 +301,6 @@ def save_packed(path: str, streams: Sequence[CoreStream], benchmark: str = "",
     atomic_write_bytes(path, blob)
 
 
-def save_packed_workload(path: str, workload, validated: bool = False) -> None:
-    """Write a suite workload as a packed container (see save_packed)."""
-    save_packed(path, workload.streams, benchmark=workload.profile.name,
-                seed=workload.seed, scale=workload.scale,
-                warmup_by_core=workload.warmup_by_core, validated=validated)
-
-
 def load_packed(path: str) -> DecodedContainer:
     """Load a packed container from disk (gzip when ``path`` is .gz).
 

@@ -106,16 +106,3 @@ PATTERNS: Dict[str, PatternFactory] = {
     "random": uniform_random,
     "pointer": pointer_chase,
 }
-
-
-def make_pattern(name: str, pages: int, rng: random.Random,
-                 params: dict = None) -> Iterator[int]:
-    """Instantiate a pattern generator by name."""
-    try:
-        factory = PATTERNS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown pattern {name!r}; pick one of {sorted(PATTERNS)}") from None
-    if pages <= 0:
-        raise ValueError("pattern needs a positive page count")
-    return factory(pages, rng, params or {})

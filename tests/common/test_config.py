@@ -110,7 +110,6 @@ class TestPredictorConfig:
     def test_default_512_entries(self):
         cfg = PredictorConfig()
         assert cfg.entries == 512
-        assert cfg.index_bits == 9
 
     def test_rejects_non_power_of_two(self):
         with pytest.raises(ConfigError):

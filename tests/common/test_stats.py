@@ -104,32 +104,6 @@ class TestStatRegistry:
         reg = StatRegistry()
         assert reg.group("x") is reg.group("x")
 
-    def test_register_foreign_group(self):
-        reg = StatRegistry()
-        g = StatGroup("mine")
-        assert reg.register(g) is g
-        assert reg["mine"] is g
-
-    def test_register_rejects_name_collision(self):
-        reg = StatRegistry()
-        reg.group("x")
-        with pytest.raises(ValueError):
-            reg.register(StatGroup("x"))
-
-    def test_register_same_object_is_idempotent(self):
-        reg = StatRegistry()
-        g = reg.group("x")
-        assert reg.register(g) is g
-
-    def test_duplicate_register_keeps_the_original_group(self):
-        reg = StatRegistry()
-        original = reg.group("x")
-        original.inc("n", 5)
-        with pytest.raises(ValueError):
-            reg.register(StatGroup("x"))
-        assert reg["x"] is original      # failed register must not clobber
-        assert reg["x"]["n"] == 5
-
     def test_registry_reset_forgets_keys_but_keeps_groups(self):
         reg = StatRegistry()
         g = reg.group("a")

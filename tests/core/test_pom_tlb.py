@@ -130,19 +130,12 @@ class TestInvalidation:
 
 
 class TestCapacityAndReach:
-    def test_reach_is_orders_of_magnitude_beyond_sram(self):
-        pom = make_pom(16)
-        # 8MiB small partition = 512K entries covering 2GiB, plus the
-        # large partition covering 1TiB — paper: "orders of magnitude
-        # larger than today's on-chip TLBs".
-        assert pom.reach_bytes > 1 << 40
-
     def test_hit_rate(self):
         pom = make_pom()
         pom.insert(0x5000, key(5), TlbEntry(1))
         pom.probe(0x5000, key(5))
         pom.probe(0x6000, key(6))
-        assert pom.hit_rate() == pytest.approx(0.5)
+        assert (pom.stats["hits_small"], pom.stats["misses_small"]) == (1, 1)
 
 
 # -- the interface both organisations answer the MMU and verifier through ---

@@ -73,10 +73,6 @@ class TestBypassPrediction:
 
 
 class TestStorage:
-    def test_storage_is_128_bytes_for_512_entries(self):
-        # Paper Section 2.1.4: 512 x 2 bits = 128 bytes per core.
-        assert make_predictor(512).storage_bytes == 128
-
     def test_size_and_bypass_bits_are_independent(self):
         p = make_predictor()
         p.record_size(0x1000, actual_large=True)
@@ -123,16 +119,6 @@ class TestHysteresis:
         p.record_size(0x1000, actual_large=False)
         p.record_size(0x1000, actual_large=False)
         assert p.predict_size(0x1000) is False
-
-    def test_storage_grows_with_counter_bits(self):
-        from repro.common.config import PredictorConfig
-        from repro.common.stats import StatGroup
-        one = SizeBypassPredictor(PredictorConfig(size_counter_bits=1),
-                                  StatGroup("a"))
-        two = SizeBypassPredictor(PredictorConfig(size_counter_bits=2),
-                                  StatGroup("b"))
-        assert one.storage_bytes == 128
-        assert two.storage_bytes > one.storage_bytes
 
     def test_rejects_bad_counter_bits(self):
         import pytest

@@ -153,7 +153,9 @@ class TestSchemeIntegration:
         pom.insert(va(key(5)), key(5), TlbEntry(1))
         assert pom.probe(va(key(5)), key(5)) is not None
         assert pom.probe(va(key(99)), key(99)) is None
-        assert pom.hit_rate() == pytest.approx(0.5)
+        hits = pom.stats["hits_small"] + pom.stats["hits_large"]
+        misses = pom.stats["misses_small"] + pom.stats["misses_large"]
+        assert (hits, misses) == (1, 1)
 
     def test_prefetch_is_rejected(self):
         # Next-page prefetch fetches the partitioned layout's next set;

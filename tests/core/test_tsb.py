@@ -81,10 +81,3 @@ class TestInvalidateAndReporting:
         tsb.fill_guest(0, 1, 5, False, 0xAA000)
         tsb.fill_host(0, 123, 0xBB000)
         assert tsb.occupancy() == {"guest": 1, "host": 1}
-
-    def test_full_translation_hit_rate(self):
-        tsb = make_tsb()
-        tsb.fill_guest(0, 1, 5, False, 0xAA000)
-        tsb.probe_guest(0, 1, 5, False)
-        tsb.probe_guest(0, 1, 6, False)
-        assert tsb.full_translation_hit_rate() == 0.5

@@ -30,11 +30,6 @@ class TestAddressMapper:
         assert m.map(0).row == 0
         assert m.map(16 * 2048).row == 1
 
-    def test_same_row_helper(self):
-        m = make_mapper()
-        assert m.same_row(0x100, 0x200)
-        assert not m.same_row(0x100, 0x100 + 2048)
-
     def test_mapping_is_injective_over_a_window(self):
         m = make_mapper()
         seen = set()

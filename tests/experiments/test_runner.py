@@ -125,10 +125,6 @@ class TestSuiteRunner:
         run = runner.run("gcc", "pom")
         assert -100 < run.improvement_percent < 100
 
-    def test_run_suite_subset(self, runner):
-        runs = runner.run_suite("pom", benchmarks=["gcc", "canneal"])
-        assert [r.benchmark for r in runs] == ["gcc", "canneal"]
-
     def test_unknown_benchmark_rejected(self, runner):
         with pytest.raises(ValueError):
             runner.run("quake", "pom")

@@ -161,3 +161,19 @@ class TestCliExitCodes:
         assert code == 2
         err = capsys.readouterr().err
         assert "POMTLB_CORES" in err and "many" in err
+
+    @pytest.mark.parametrize("flags", [
+        ["--max-retries", "-1"],
+        ["--retry-backoff", "-1"],
+        ["--refs", "-5"],
+        ["--timeout", "-1", "--workers", "2"],
+        ["--cores", "0"],
+    ], ids=["max-retries", "retry-backoff", "refs", "timeout", "cores"])
+    def test_out_of_range_params_exit_2_before_simulating(self, flags,
+                                                           capsys):
+        code = cli.main(["campaign", "--benchmarks", "gups", "--cores", "1",
+                         "--refs", "200", "--scale", "0.02"] + flags)
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert err.startswith("configuration error: "), err
+        assert "# [" not in err  # no run was dispatched

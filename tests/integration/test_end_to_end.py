@@ -66,6 +66,20 @@ class TestCampaign:
         assert "campaign finished" in progress.getvalue()
         assert "campaign finished" not in out.getvalue()
 
+    def test_progress_counts_each_distinct_run_once(self):
+        # The 16 MiB capacity point is the default POM-TLB run: the
+        # duplicate request runs once, and the count says so.
+        params = ExperimentParams(num_cores=1, refs_per_core=300,
+                                  scale=0.02, seed=2)
+        progress = io.StringIO()
+        result = run_all(params, benchmarks=["gups"], out=io.StringIO(),
+                         progress=progress)
+        lines = [line for line in progress.getvalue().splitlines()
+                 if line.startswith("# [")]
+        total = result.simulated + result.restored + len(result.failures)
+        assert len(lines) == total
+        assert lines[-1].startswith(f"# [{total}/{total}] ")
+
 
 class TestCli:
     def test_list(self, capsys):

@@ -35,8 +35,6 @@ def populated_telemetry():
                             wall=lambda: 1700000000.0)
     hub.campaign_start(4, 2)
     hub.workloads_compiled(2)
-    hub.predict("k1", 0.5)
-    hub.predict("k4", 1.0)
     hub.run_dispatched("k1", _Request(), attempt=1, mode="pool")
     hub.run_retry("k1", _Request(), attempt=1, error="RunTimeout: slow",
                   delay_s=0.25)
@@ -69,7 +67,7 @@ def snapshot_of(*events):
 def run_end(key, state="ok", scheme="pom", wall_s=0.5):
     return ("run_end", {"key": key, "benchmark": "gups", "scheme": scheme,
                         "state": state, "attempts": 1, "wall_s": wall_s,
-                        "cpu_s": None, "predicted_s": None, "error": None})
+                        "cpu_s": None, "error": None})
 
 
 #: ``prometheus_text`` of :func:`populated_telemetry`, pinned byte for byte
@@ -91,15 +89,6 @@ pomtlb_campaign_checkpoint_writes_total 1
 # HELP pomtlb_campaign_elapsed_seconds Campaign wall-clock (monotonic).
 # TYPE pomtlb_campaign_elapsed_seconds gauge
 pomtlb_campaign_elapsed_seconds 2.5
-# HELP pomtlb_campaign_lpt_bias LPT scheduler mean signed relative error.
-# TYPE pomtlb_campaign_lpt_bias gauge
-pomtlb_campaign_lpt_bias 0.25
-# HELP pomtlb_campaign_lpt_mape LPT scheduler mean absolute percentage error.
-# TYPE pomtlb_campaign_lpt_mape gauge
-pomtlb_campaign_lpt_mape 0.75
-# HELP pomtlb_campaign_lpt_runs Runs with a predicted-vs-actual calibration record.
-# TYPE pomtlb_campaign_lpt_runs gauge
-pomtlb_campaign_lpt_runs 2
 # HELP pomtlb_campaign_retries_total Transient failures scheduled for another attempt.
 # TYPE pomtlb_campaign_retries_total counter
 pomtlb_campaign_retries_total 1
@@ -244,14 +233,17 @@ class TestDashboardDocument:
             "pomtlb_campaign_workloads_compiled_total"]["series"][0][
                 "value"] == 2
 
-    def test_runs_sorted_and_carry_calibration(self):
+    def test_runs_sorted_and_carry_measurements(self):
         doc = dashboard_document(populated_telemetry().snapshot)
+        assert doc["version"] == 4
+        assert set(doc) == {"version", "summary", "runs", "heartbeats",
+                            "metrics"}
         keys = [(r["benchmark"], r["scheme"]) for r in doc["runs"]]
         assert keys == sorted(keys)
         ok = [r for r in doc["runs"] if r["state"] == "ok"][0]
-        assert ok["predicted_s"] == 0.5 and ok["wall_s"] == 1.0
+        assert ok["wall_s"] == 1.0 and ok["cpu_s"] == 0.75
         assert ok["checkpoint"] is True
-        assert doc["lpt"]["runs"] == 2
+        assert not [r for r in doc["runs"] if "predicted_s" in r]
 
     def test_document_is_json_serializable(self):
         doc = dashboard_document(populated_telemetry().snapshot)

@@ -1,4 +1,4 @@
-"""Campaign telemetry: status-stream schema, snapshot, heartbeats, LPT."""
+"""Campaign telemetry: status-stream schema, snapshot, heartbeats."""
 
 import json
 
@@ -7,7 +7,6 @@ import pytest
 from repro.obs import (
     NO_TELEMETRY,
     CampaignTelemetry,
-    LptAccuracy,
     NullTelemetry,
     StatusSnapshot,
 )
@@ -85,7 +84,6 @@ class TestStatusSchema:
         request = _Request()
         hub.campaign_start(2, 2)
         hub.workloads_compiled(2)
-        hub.predict("k1", 0.5)
         hub.run_dispatched("k1", request, attempt=1, mode="pool")
         clock.advance(0.4)
         hub.run_retry("k1", request, attempt=1, error="RunTimeout: slow",
@@ -136,7 +134,7 @@ class TestStatusSchema:
         event = {"v": STATUS_VERSION, "event": "run_end", "t": 0, "ts": 0,
                  "key": "k", "benchmark": "gups", "scheme": "pom",
                  "state": "exploded", "attempts": 1, "wall_s": 0.1,
-                 "cpu_s": None, "predicted_s": None, "error": None}
+                 "cpu_s": None, "error": None}
         with pytest.raises(ValueError, match="exploded"):
             validate_status_event(event)
         for state in RUN_END_STATES:
@@ -146,7 +144,7 @@ class TestStatusSchema:
         event = {"v": STATUS_VERSION, "event": "run_end", "t": 0, "ts": 0,
                  "key": "k", "benchmark": "gups", "scheme": "pom",
                  "state": "ok", "attempts": 1, "wall_s": 0.1,
-                 "cpu_s": None, "predicted_s": None, "error": None}
+                 "cpu_s": None, "error": None}
         validate_status_event(event)  # a stream from before the field
         for written in (True, False, None):
             validate_status_event({**event, "checkpoint": written})
@@ -159,10 +157,27 @@ class TestStatusSchema:
         assert set(STATUS_EVENT_FIELDS) == {
             "campaign_start", "workloads", "run_start", "run_retry",
             "run_end", "heartbeat", "campaign_end"}
-        assert STATUS_VERSION == 2
+        assert STATUS_VERSION == 3
         assert STATUS_EVENT_FIELDS["workloads"] == ("compiled",)
-        assert not any("cache" in name for fields
-                       in STATUS_EVENT_FIELDS.values() for name in fields)
+        assert not any("cache" in name or "predicted" in name
+                       for fields in STATUS_EVENT_FIELDS.values()
+                       for name in fields)
+
+    def test_run_events_carry_measurements_not_predictions(self, tmp_path):
+        hub, _ = telemetry(tmp_path)
+        request = _Request()
+        hub.run_dispatched("k1", request, attempt=1, mode="pool")
+        hub.run_finished("k1", request, ok=True, attempts=1, wall_s=1.0,
+                         cpu_s=0.5)
+        hub.run_finished("k2", request, ok=False, attempts=1, wall_s=1.0,
+                         error="WorkerCrash: boom")
+        hub.run_restored("k3", request)
+        hub.close()
+        events = stream_events(tmp_path)
+        assert not [event for event in events if "predicted_s" in event]
+        ends = [event for event in events if event["event"] == "run_end"]
+        assert [(e["state"], e["wall_s"], e["cpu_s"]) for e in ends] == [
+            ("ok", 1.0, 0.5), ("failed", 1.0, None), ("restored", 0.0, None)]
 
 
 class TestHeartbeat:
@@ -198,47 +213,12 @@ class TestHeartbeat:
         hub.close()
 
 
-class TestLptAccuracy:
-    def test_mape_and_bias(self):
-        lpt = LptAccuracy()
-        lpt.predict("a", 1.0)
-        lpt.predict("b", 2.0)
-        lpt.observe("a", "gups", "pom", 1.5)   # +50%
-        lpt.observe("b", "mcf", "pom", 1.0)    # -50%
-        summary = lpt.summary()
-        assert summary["runs"] == 2
-        assert summary["mape"] == pytest.approx(0.5)
-        assert summary["bias"] == pytest.approx(0.0)
-
-    def test_unpredicted_and_degenerate_observations_ignored(self):
-        lpt = LptAccuracy()
-        lpt.observe("missing", "gups", "pom", 1.0)
-        lpt.predict("zero", 0.0)
-        lpt.observe("zero", "gups", "pom", 1.0)
-        lpt.predict("neg", 1.0)
-        lpt.observe("neg", "gups", "pom", -0.1)
-        assert lpt.summary() == {"runs": 0, "mape": None, "bias": None}
-
-    def test_hub_records_calibration_only_for_ok_runs(self, tmp_path):
-        hub, _ = telemetry(tmp_path)
-        request = _Request()
-        hub.predict("k1", 0.5)
-        hub.predict("k2", 0.5)
-        hub.run_finished("k1", request, ok=True, attempts=1, wall_s=1.0)
-        hub.run_finished("k2", request, ok=False, attempts=1, wall_s=1.0,
-                         error="WorkerCrash: boom")
-        assert hub.snapshot.lpt.summary()["runs"] == 1
-        assert hub.snapshot.lpt.records[0]["error"] == pytest.approx(1.0)
-        hub.close()
-
-
 class TestSnapshotAndTop:
     def test_snapshot_replays_stream(self, tmp_path):
         hub, clock = telemetry(tmp_path)
         request = _Request()
         hub.campaign_start(3, 2)
         hub.workloads_compiled(3)
-        hub.predict("k1", 0.5)
         hub.run_dispatched("k1", request, attempt=1, mode="pool")
         clock.advance(0.6)
         hub.run_finished("k1", request, ok=True, attempts=1, wall_s=0.6)
@@ -257,7 +237,6 @@ class TestSnapshotAndTop:
         assert snapshot.done == snapshot.total_runs == 3
         assert snapshot.compiled == 3
         assert snapshot.running == {}
-        assert snapshot.lpt.summary()["runs"] == 1
         assert snapshot.errors == ["(gups, pom): WorkerCrash: signal 9"]
 
         view = render_top(snapshot)
@@ -283,7 +262,7 @@ class TestSnapshotAndTop:
         snapshot.apply({"v": STATUS_VERSION, "event": "run_start", "t": 0.1,
                         "ts": 0.1,
                         "key": "k1", "benchmark": "gups", "scheme": "pom",
-                        "attempt": 1, "mode": "pool", "predicted_s": 0.5})
+                        "attempt": 1, "mode": "pool"})
         view = render_top(snapshot)
         assert "[running]" in view
         assert "(gups, pom) attempt 1 [pool]" in view

@@ -34,8 +34,9 @@ class TestMappingProperties:
     @given(paddrs, st.integers(0, 2047))
     def test_same_row_within_row_buffer(self, paddr, offset):
         mapper = AddressMapper(stacked_dram_timing())
-        row_base = paddr & ~2047
-        assert mapper.same_row(row_base, row_base + offset)
+        row_base = mapper.map(paddr & ~2047)
+        coord = mapper.map((paddr & ~2047) + offset)
+        assert (coord.bank, coord.row) == (row_base.bank, row_base.row)
 
 
 class TestChannelProperties:

@@ -6,7 +6,7 @@
   ``tlb_line_fill``, and ``invalidate_lines`` equals the per-address
   calls, on random cache states (set order, line kinds, counters),
   with LRU and with ``tlb_priority`` victims;
-* the one-pass ``invalidate_vm``/``invalidate_asid``/``flush`` scans
+* the one-pass ``invalidate_vm``/``flush`` scans
   equal the per-set scans they replaced: same surviving entries, the
   same multiset of set addresses and the same ``shootdowns`` counts.
 """
@@ -23,8 +23,8 @@ from repro.common.stats import StatGroup, StatRegistry
 from repro.core.pom_tlb import PomTlb
 from repro.core.skewed_pom import SkewedPomTlb
 from repro.obs.histogram import LogHistogram
-from repro.tlb.entry import (KEY_CONTEXT_MASK, KEY_VM_FIELD_MASK, TlbEntry,
-                             pack_context, pack_key)
+from repro.tlb.entry import (KEY_VM_FIELD_MASK, TlbEntry, pack_context,
+                             pack_key)
 from repro.tlb.tlb import SramTlb
 
 # -- deferred histogram -------------------------------------------------------
@@ -231,12 +231,9 @@ def pom_config():
 
 class TestOnePassTeardown:
     @settings(max_examples=80, deadline=None)
-    @given(translations, st.integers(0, 3), st.integers(0, 3))
-    def test_sram_tlb_scans(self, items, vm_id, asid):
+    @given(translations, st.integers(0, 3))
+    def test_sram_tlb_scans(self, items, vm_id):
         fused, reference = filled_tlbs(items)
-        context = pack_context(vm_id, asid)
-        assert fused.invalidate_asid(vm_id, asid) == _reference_sram_drop(
-            reference, lambda k: k & KEY_CONTEXT_MASK == context)
         vm_bits = pack_context(vm_id, 0)
         assert fused.invalidate_vm(vm_id) == _reference_sram_drop(
             reference, lambda k: k & KEY_VM_FIELD_MASK == vm_bits)

@@ -55,23 +55,6 @@ class TestPolicyValidation:
             RetryPolicy(jitter=1.5)
 
 
-class TestShouldRetry:
-    def test_transient_within_budget(self):
-        policy = RetryPolicy(max_retries=2)
-        error = RunTimeout("gups", "pom", 1.0)
-        assert policy.should_retry(error, 1)
-        assert policy.should_retry(error, 2)
-        assert not policy.should_retry(error, 3)
-
-    def test_permanent_never_retries(self):
-        policy = RetryPolicy(max_retries=5)
-        assert not policy.should_retry(TraceFormatError("bad"), 1)
-
-    def test_zero_retries(self):
-        policy = RetryPolicy(max_retries=0)
-        assert not policy.should_retry(RunTimeout("gups", "pom", 1.0), 1)
-
-
 class TestBackoff:
     def test_deterministic_for_same_inputs(self):
         a = RetryPolicy(seed=7).delay_s("key", 1)

@@ -388,6 +388,49 @@ class TestPooledDispatch:
         # without deadlines, backoff or telemetry.
         assert waits == [(2, None)] * 4 + [(1, None)]
 
+    #: Planned requests (by ``refs_per_core``) with two duplicate keys,
+    #: and the order their attempts must start in: request order, each
+    #: distinct key once, nothing reordered by expected length.
+    REFS = [100, 900, 300, 900, 500, 100, 700]
+    PLANNED = [100, 900, 300, 500, 700]
+
+    def _requests(self):
+        return [request(params=dataclasses.replace(TINY, refs_per_core=n))
+                for n in self.REFS]
+
+    def test_pooled_attempts_start_in_request_order(self, monkeypatch):
+        from repro.resilience import workers
+
+        started = []
+
+        class _RecordingWorker(_FakeWorker):
+            def start(self, attempt, fault):
+                started.append(attempt.request.params.refs_per_core)
+                super().start(attempt, fault)
+
+        def fake_wait(objects, timeout=None):
+            _FakeWorker.busy[0].done = True  # the oldest attempt reports
+            return [_FakeWorker.busy[0].conn]
+
+        _FakeWorker.busy = []
+        monkeypatch.setattr(workers, "_Worker", _RecordingWorker)
+        monkeypatch.setattr(workers, "_wait", fake_wait)
+        pooled = execute_runs(self._requests(), workers=2, retry=FAST_RETRY)
+        assert started == self.PLANNED
+        assert [o.request.params.refs_per_core for o in pooled] == self.PLANNED
+
+    def test_serial_attempts_start_in_request_order(self):
+        started = []
+
+        def simulate(req, fault):
+            started.append(req.params.refs_per_core)
+            return _StubRun()
+
+        serial = execute_runs(self._requests(), retry=FAST_RETRY,
+                              simulate=simulate)
+        assert started == self.PLANNED
+        assert [o.request.params.refs_per_core for o in serial] == self.PLANNED
+
     def test_wait_is_bounded_by_deadline_backoff_and_heartbeat(self):
         from repro.resilience.workers import _Attempt, _wait_bound
 

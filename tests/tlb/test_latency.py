@@ -36,11 +36,11 @@ class TestNormalizedLatency:
 class TestLatencyCycles:
     def test_anchor_is_l2_tlb(self):
         # A 1536-entry TLB (~24KiB of 16B entries) costs ~9 cycles.
-        assert latency.latency_cycles(latency.tlb_array_bytes(1536)) == 9
+        assert latency.latency_cycles(1536 * 16) == 9
 
     def test_bigger_arrays_cost_more_cycles(self):
-        small = latency.latency_cycles(latency.tlb_array_bytes(1536))
-        big = latency.latency_cycles(latency.tlb_array_bytes(1536 * 8))
+        small = latency.latency_cycles(1536 * 16)
+        big = latency.latency_cycles(1536 * 8 * 16)
         assert big > small
 
     def test_never_below_one_cycle(self):
@@ -57,8 +57,3 @@ class TestSweep:
     def test_custom_capacities(self):
         points = latency.capacity_sweep([addr.MiB])
         assert len(points) == 1 and points[0][0] == addr.MiB
-
-    def test_figure4_series_labels(self):
-        series = latency.figure4_series()
-        assert "16KiB" in series and "16MiB" in series
-        assert series["16KiB"] == pytest.approx(1.0)

@@ -6,7 +6,7 @@ import pytest
 
 from repro.common.config import TlbConfig
 from repro.common.stats import StatGroup
-from repro.tlb.entry import TlbEntry, TlbKey
+from repro.tlb.entry import TlbEntry, TlbKey, unpack_key
 from repro.tlb.tlb import SramTlb
 
 
@@ -106,13 +106,6 @@ class TestInvalidation:
         t = make_tlb()
         assert not t.invalidate_page(key(1))
 
-    def test_invalidate_asid_spares_others(self):
-        t = make_tlb()
-        t.insert(key(1, asid=1), TlbEntry(1))
-        t.insert(key(2, asid=2), TlbEntry(2))
-        assert t.invalidate_asid(vm_id=0, asid=1) == 1
-        assert t.contains(key(2, asid=2))
-
     def test_invalidate_vm(self):
         t = make_tlb()
         t.insert(key(1, vm=1, asid=1), TlbEntry(1))
@@ -134,19 +127,14 @@ class TestIntrospection:
         t = make_tlb()
         t.insert(key(1), TlbEntry(1))
         t.insert(key(2), TlbEntry(2))
-        assert set(t.keys()) == {TlbKey.from_packed(key(1)),
-                                 TlbKey.from_packed(key(2))}
-
-    def test_reach(self):
-        t = make_tlb(entries=64)
-        assert t.reach_bytes == 64 * 4096
+        assert set(t.keys()) == {unpack_key(key(1)), unpack_key(key(2))}
 
     def test_hit_rate(self):
         t = make_tlb()
         t.insert(key(1), TlbEntry(1))
         t.lookup(key(1))
         t.lookup(key(2))
-        assert t.hit_rate() == pytest.approx(0.5)
+        assert (t.stats["hits"], t.stats["misses"]) == (1, 1)
 
 
 class TestTlbEntry:

@@ -40,16 +40,5 @@ class TestThpPolicy:
 
     def test_fraction_is_approximately_respected(self):
         thp = ThpPolicy(0.3, seed=7)
-        for r in range(2000):
-            thp.is_large_region(1, r)
-        assert 0.25 < thp.observed_large_fraction() < 0.35
-
-    def test_decided_regions_counts_unique(self):
-        thp = ThpPolicy(0.5)
-        thp.is_large_region(1, 0)
-        thp.is_large_region(1, 0)
-        thp.is_large_region(2, 0)
-        assert thp.decided_regions() == 2
-
-    def test_observed_fraction_empty_is_zero(self):
-        assert ThpPolicy(0.5).observed_large_fraction() == 0.0
+        large = sum(thp.is_large_region(1, r) for r in range(2000))
+        assert 0.25 < large / 2000 < 0.35

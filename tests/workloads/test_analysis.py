@@ -6,7 +6,6 @@ from repro.common import addr
 from repro.workloads.analysis import (
     estimate_tlb_miss_rate,
     page_popularity,
-    region_breakdown,
     reuse_distance_histogram,
     summarize,
 )
@@ -38,15 +37,10 @@ class TestSummarize:
         summary = summarize(stream_of([0, 0, 0, 1]))
         assert summary.refs_per_page_touch == 2.0
 
-    def test_memory_intensity(self):
-        summary = summarize(stream_of([0, 1]))
-        assert summary.memory_intensity == pytest.approx(2 / 20)
-
     def test_empty_stream(self):
         summary = summarize(CoreStream(0, 0, 1))
         assert summary.references == 0
         assert summary.write_fraction == 0.0
-        assert summary.memory_intensity == 0.0
 
 
 class TestPagePopularity:
@@ -107,12 +101,3 @@ class TestMissRateEstimate:
         small = estimate_tlb_miss_rate(stream_of(pages), entries=8)
         large = estimate_tlb_miss_rate(stream_of(pages), entries=64)
         assert small >= large
-
-
-class TestRegionBreakdown:
-    def test_regions_counted(self):
-        refs = [MemoryReference(10, (1 << 32) + 0x1000, False),
-                MemoryReference(20, (2 << 32) + 0x1000, False),
-                MemoryReference(30, (2 << 32) + 0x2000, False)]
-        stream = CoreStream(0, 0, 1, refs)
-        assert region_breakdown(stream) == {1: 1, 2: 2}

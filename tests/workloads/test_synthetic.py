@@ -7,7 +7,6 @@ import pytest
 from repro.common.rng import make_rng
 from repro.workloads.synthetic import (
     PATTERNS,
-    make_pattern,
     pointer_chase,
     sequential,
     strided,
@@ -90,18 +89,10 @@ class TestPointerChase:
 class TestMakePattern:
     @pytest.mark.parametrize("name", sorted(PATTERNS))
     def test_all_patterns_constructible(self, name):
-        gen = make_pattern(name, 64, make_rng(8))
+        gen = PATTERNS[name](64, make_rng(8), {})
         assert all(0 <= p < 64 for p in take(gen, 50))
 
-    def test_unknown_pattern_rejected(self):
-        with pytest.raises(ValueError):
-            make_pattern("mystery", 64, make_rng(0))
-
-    def test_zero_pages_rejected(self):
-        with pytest.raises(ValueError):
-            make_pattern("sequential", 0, make_rng(0))
-
     def test_determinism(self):
-        a = take(make_pattern("zipf", 100, make_rng(9), {"alpha": 1.0}), 50)
-        b = take(make_pattern("zipf", 100, make_rng(9), {"alpha": 1.0}), 50)
+        a = take(zipf(100, make_rng(9), {"alpha": 1.0}), 50)
+        b = take(zipf(100, make_rng(9), {"alpha": 1.0}), 50)
         assert a == b
