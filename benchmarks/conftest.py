@@ -17,36 +17,11 @@ share one session-scoped :class:`SuiteRunner`, so simulations common to
 several figures (e.g. the POM runs feeding Figures 8-11) execute once.
 """
 
-import json
 import os
-from pathlib import Path
 
 import pytest
 
 from repro.experiments.runner import ExperimentParams, SuiteRunner
-
-#: Machine-performance results shared by the engine benchmarks
-#: (throughput, observability overhead).  Sections merge: each bench
-#: rewrites only its own key, so partial runs keep the other sections.
-BENCH_ENGINE_JSON = Path(__file__).resolve().parent.parent / "BENCH_engine.json"
-
-
-def update_bench_json(section: str, payload) -> None:
-    """Merge ``payload`` under ``section`` in ``BENCH_engine.json``."""
-    data = {}
-    if BENCH_ENGINE_JSON.exists():
-        try:
-            data = json.loads(BENCH_ENGINE_JSON.read_text())
-        except ValueError:
-            data = {}
-    data[section] = payload
-    BENCH_ENGINE_JSON.write_text(json.dumps(data, indent=2, sort_keys=True)
-                                 + "\n")
-
-
-@pytest.fixture(scope="session")
-def bench_json():
-    return update_bench_json
 
 
 def _harness_params() -> ExperimentParams:

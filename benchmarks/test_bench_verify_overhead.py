@@ -49,7 +49,7 @@ def _best_of(fn, rounds=_ROUNDS):
     return best
 
 
-def test_bench_verify_overhead(benchmark, bench_json):
+def test_bench_verify_overhead(benchmark):
     disabled_run = _make_run(lambda: None)  # NO_VERIFIER
     empty_run = _make_run(lambda: Verifier([]))
     armed_run = _make_run(Verifier)
@@ -67,17 +67,6 @@ def test_bench_verify_overhead(benchmark, bench_json):
     print(f"\ndisabled {disabled:.3f}s, armed-empty {empty:.3f}s "
           f"({100 * empty_overhead:+.1f}%), armed {armed:.3f}s "
           f"({100 * armed_overhead:+.1f}%)")
-    bench_json("verify_overhead", {
-        "workload": "gups",
-        "params": {"num_cores": 2, "refs_per_core": 3000,
-                   "scale": 0.2, "seed": 7},
-        "rounds": _ROUNDS,
-        "disabled_s": round(disabled, 4),
-        "armed_empty_s": round(empty, 4),
-        "armed_s": round(armed, 4),
-        "armed_overhead_pct": round(100 * armed_overhead, 2),
-        "budget_pct": 5.0,
-    })
     assert empty <= disabled * 1.05 + _SLACK_SECONDS, (
         f"armed-but-empty verifier costs {100 * empty_overhead:.1f}% "
         f"(budget 5%): the hook dispatch itself regressed")

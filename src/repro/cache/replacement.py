@@ -24,16 +24,12 @@ class ReplacementPolicy:
         """Record a hit on (or insertion of) ``key``."""
         raise NotImplementedError
 
-    def remove(self, key: Hashable) -> None:
-        """Forget ``key`` (invalidation)."""
-        raise NotImplementedError
-
     def victim(self) -> Hashable:
         """Choose the key to evict.  The caller removes it afterwards."""
         raise NotImplementedError
 
     def keys(self) -> Iterable[Hashable]:
-        """All currently tracked keys (used by tests and shootdowns)."""
+        """All currently tracked keys."""
         raise NotImplementedError
 
     def __len__(self) -> int:
@@ -51,9 +47,6 @@ class LruPolicy(ReplacementPolicy):
             self._order.move_to_end(key)
         else:
             self._order[key] = None
-
-    def remove(self, key: Hashable) -> None:
-        self._order.pop(key, None)
 
     def victim(self) -> Hashable:
         return next(iter(self._order))
@@ -74,9 +67,6 @@ class FifoPolicy(ReplacementPolicy):
     def touch(self, key: Hashable) -> None:
         if key not in self._order:
             self._order[key] = None
-
-    def remove(self, key: Hashable) -> None:
-        self._order.pop(key, None)
 
     def victim(self) -> Hashable:
         return next(iter(self._order))
@@ -100,15 +90,6 @@ class RandomPolicy(ReplacementPolicy):
         if key not in self._index:
             self._index[key] = len(self._members)
             self._members.append(key)
-
-    def remove(self, key: Hashable) -> None:
-        pos = self._index.pop(key, None)
-        if pos is None:
-            return
-        last = self._members.pop()
-        if last is not key:
-            self._members[pos] = last
-            self._index[last] = pos
 
     def victim(self) -> Hashable:
         return self._members[self._rng.randrange(len(self._members))]

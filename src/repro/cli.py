@@ -316,11 +316,10 @@ def _audit_parser() -> argparse.ArgumentParser:
         prog="pomtlb audit",
         description="Differential consistency audit: replay one workload "
                     "through every translation scheme with the invariant "
-                    "checkers armed, cross-check functional page mappings "
-                    "between schemes and counters against the frozen "
-                    "reference engine.  On a violation the trace is shrunk "
-                    "to a minimal repro and written as a packed .pwl "
-                    "artifact.")
+                    "checkers armed, and cross-check the functional page "
+                    "mappings between schemes.  On a violation the trace "
+                    "is shrunk to a minimal repro and written as a packed "
+                    ".pwl artifact.")
     parser.add_argument("--benchmarks", default="",
                         help="comma-separated subset (default: all)")
     parser.add_argument("--schemes", default="all",
@@ -337,8 +336,6 @@ def _audit_parser() -> argparse.ArgumentParser:
                         help="footprint scale factor")
     parser.add_argument("--seed", type=int, default=None,
                         help="workload seed")
-    parser.add_argument("--no-reference", action="store_true",
-                        help="skip the frozen-reference counter comparison")
     parser.add_argument("--no-shrink", action="store_true",
                         help="report the violation without shrinking the "
                              "trace to a minimal repro")
@@ -402,12 +399,10 @@ def _audit_main(argv: List[str]) -> int:
             report = audit_benchmark(
                 benchmark, params, schemes=schemes,
                 invariants=invariants,
-                use_reference=not args.no_reference,
                 shrink=not args.no_shrink,
                 artifact_dir=args.artifacts)
-            checked = "+reference" if report.reference_checked else ""
             print(f"audit {benchmark}: OK "
-                  f"({len(report.results)} scheme(s){checked})")
+                  f"({len(report.results)} scheme(s))")
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)
         return EXIT_INTERRUPTED
@@ -593,7 +588,7 @@ def _top_main(argv: List[str]) -> int:
     import time
 
     from .obs import StatusSnapshot
-    from .obs.telemetry import render_top
+    from .obs.telemetry import STATUS_VERSION, render_top
 
     args = _top_parser().parse_args(argv)
     if args.interval <= 0:
@@ -617,6 +612,12 @@ def _top_main(argv: List[str]) -> int:
                     stream.seek(position)
                 else:
                     snapshot.apply_line(line)
+                    if snapshot.unsupported_version is not None:
+                        print("unsupported status-stream version "
+                              f"{snapshot.unsupported_version!r} (this "
+                              f"pomtlb reads v{STATUS_VERSION})",
+                              file=sys.stderr)
+                        return EXIT_USAGE
                     continue
             if not args.follow or snapshot.finished:
                 break

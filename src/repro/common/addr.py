@@ -72,19 +72,6 @@ def cache_line_base(addr: int) -> int:
     return addr & ~(CACHE_LINE_SIZE - 1)
 
 
-def radix_index(vaddr: int, level: int) -> int:
-    """Index into the radix page table at ``level``.
-
-    Levels follow the x86-64 naming convention used in the paper's
-    Figure 1: level 4 is the root (PML4), level 1 is the leaf page table.
-    A large (2 MiB) page terminates the walk at level 2 (PD).
-    """
-    if not 1 <= level <= RADIX_LEVELS:
-        raise AddressError(f"radix level must be 1..4, got {level}")
-    shift = SMALL_PAGE_SHIFT + RADIX_LEVEL_BITS * (level - 1)
-    return (vaddr >> shift) & (ENTRIES_PER_TABLE - 1)
-
-
 def canonical(vaddr: int) -> int:
     """Truncate an arbitrary integer into the modelled 48-bit VA space."""
     return vaddr & ((1 << VA_BITS) - 1)

@@ -25,12 +25,11 @@ around numpy:
    resolution, demand paging, first-slice stream debuts) to the
    unmodified scalar calls at the exact same position in the order.
 
-Bit-identity with the scalar engine (and hence with the frozen
-``repro.core.refcheck`` reference) is by construction: every state
+Bit-identity with the scalar engine is by construction: every state
 mutation and counter update either *is* the scalar code path, or is a
 line-by-line inline of it operating on the same live objects in the
-same order.  ``tests/integration/test_engine_equivalence.py`` enforces
-this for all five schemes.
+same order.  ``tests/integration/test_engine_equivalence.py`` holds
+both engines to the same golden counter fixtures, for all five schemes.
 
 The engine declines (returns None, recording the reason on the machine)
 whenever any feature needs the scalar per-reference hook order:

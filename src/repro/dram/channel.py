@@ -46,9 +46,9 @@ class DramChannel:
         #: stacked-DRAM channel); None keeps the hot path untouched.
         self.histogram = None
         # Hot-path constants: the address decomposition (that of
-        # :class:`~repro.dram.mapping.AddressMapper`), the CPU-cycle
-        # latency of each row-buffer outcome for one cache line and
-        # resolved counter slots, shared by every bank.
+        # :meth:`~repro.dram.scheduler.CommandScheduler.locate`), the
+        # CPU-cycle latency of each row-buffer outcome for one cache line
+        # and resolved counter slots, shared by every bank.
         self._row_shift = addr.ilog2(timing.row_buffer_bytes)
         self._bank_mask = timing.banks - 1
         self._bank_bits = addr.ilog2(timing.banks)
@@ -103,10 +103,6 @@ class DramChannel:
         return self.stats.ratio(
             "row_hits",
             "accesses") if self.stats["accesses"] else 0.0
-
-    def precharge_all(self) -> None:
-        """Close every open row (models a refresh interval boundary)."""
-        self._open_rows[:] = [None] * len(self._open_rows)
 
     @property
     def banks(self) -> int:

@@ -14,7 +14,11 @@ Model (all times in memory-bus cycles):
   tFAW;
 * one shared data bus per channel: bursts serialize;
 * **FR-FCFS** arbitration: among arrived requests, row hits go first,
-  then oldest-first — the standard policy Ramulator defaults to.
+  then oldest-first — the standard policy Ramulator defaults to;
+* the row-interleaved address mapping common in die-stacked parts:
+  consecutive row-buffer-sized blocks rotate across banks, so addresses
+  within one block share a bank row (row-buffer locality for sequential
+  streams) while independent streams spread over banks.
 
 Use :meth:`CommandScheduler.run` on a list of :class:`Request`\\ s; each
 comes back with issue/completion times, from which per-class latency
@@ -24,12 +28,11 @@ statistics are derived.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ..common import addr
 from ..common.config import DramTimingConfig
 from ..common.stats import StatGroup
-from .mapping import AddressMapper
 
 
 @dataclass
@@ -72,7 +75,10 @@ class CommandScheduler:
                  stats: Optional[StatGroup] = None) -> None:
         self.timing = timing
         self.stats = stats or StatGroup("sched")
-        self.mapper = AddressMapper(timing)
+        self._row_shift = addr.ilog2(timing.row_buffer_bytes)
+        self._bank_mask = timing.banks - 1
+        self._bank_bits = addr.ilog2(timing.banks)
+        self._column_mask = timing.row_buffer_bytes - 1
         self._banks = [_BankState() for _ in range(timing.banks)]
         self._bus_free_at = 0
         self._act_times: List[int] = []  # for the tFAW window
@@ -86,6 +92,13 @@ class CommandScheduler:
         self._tfaw = getattr(timing, "tfaw", 4 * timing.trcd)
         self._tccd = getattr(timing, "tccd", max(2, self._burst))
 
+    def locate(self, paddr: int) -> Tuple[int, int, int]:
+        """``(bank, row, column)`` of ``paddr``: the column is its offset
+        in the row buffer, the bank the low bits of its row-buffer block."""
+        block = paddr >> self._row_shift
+        return (block & self._bank_mask, block >> self._bank_bits,
+                paddr & self._column_mask)
+
     # -- arbitration ----------------------------------------------------------
 
     def _pick(self, queue: List[Request], now: int) -> int:
@@ -94,8 +107,8 @@ class CommandScheduler:
         for index, request in enumerate(queue):
             if request.arrival > now:
                 break
-            coord = self.mapper.map(request.paddr)
-            if self._banks[coord.bank].open_row == coord.row:
+            bank, row, _column = self.locate(request.paddr)
+            if self._banks[bank].open_row == row:
                 return index
             if oldest is None:
                 oldest = index
@@ -125,13 +138,13 @@ class CommandScheduler:
 
     def _service(self, request: Request, now: int) -> int:
         """Issue the column command; returns the completion time."""
-        coord = self.mapper.map(request.paddr)
-        bank = self._banks[coord.bank]
-        if bank.open_row == coord.row:
+        bank_index, row, _column = self.locate(request.paddr)
+        bank = self._banks[bank_index]
+        if bank.open_row == row:
             ready = max(now, bank.ready_at)
             self.stats.inc("row_hits")
         else:
-            ready = self._activate(bank, coord.row, now)
+            ready = self._activate(bank, row, now)
             self.stats.inc("row_misses" if bank.precharged_at >= bank.ras_until
                            else "row_conflicts")
         # Column command + data burst must win the shared bus.

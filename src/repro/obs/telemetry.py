@@ -298,7 +298,9 @@ class StatusSnapshot:
     events themselves, so counts, busy seconds and failures are read off
     them rather than kept twice.  Tolerant by design: unknown events and
     damaged lines are skipped — a live tail must survive a half-written
-    final line or a newer stream version's extra events.
+    final line.  An event of another stream version is skipped too, and
+    its ``v`` kept in :attr:`unsupported_version` for the reader to
+    refuse the stream.
     """
 
     def __init__(self, recent: int = 8) -> None:
@@ -317,6 +319,9 @@ class StatusSnapshot:
         self.ends: Dict[str, Mapping] = {}
         self.heartbeats: List[Mapping] = []
         self.recent = deque(maxlen=recent)
+        #: ``v`` of the first whole event written in a stream version
+        #: this reader cannot fold, None while there was none
+        self.unsupported_version = None
 
     def apply_line(self, line: str) -> None:
         line = line.strip()
@@ -324,6 +329,11 @@ class StatusSnapshot:
             return
         try:
             event = json.loads(line)
+            if (isinstance(event, dict) and "v" in event
+                    and event["v"] != STATUS_VERSION):
+                if self.unsupported_version is None:
+                    self.unsupported_version = event["v"]
+                return
             validate_status_event(event)
         except (ValueError, TypeError):
             return

@@ -21,9 +21,9 @@ touches every page once misses on each reference.  Its host time
 tracks the bytecodes it executes, not its call frames, so
 :meth:`NestedWalker.walk` runs the whole grid in one frame: both PSC
 probes, both table descents and every host column are inline, and the
-PSC refills iterate plans built once per walker.  Behaviour is
-bit-identical to the frozen reference copy in
-:mod:`repro.core._refimpl.nested`.
+PSC refills iterate plans built once per walker.  Its counters and
+cycles are pinned, with every other counter, by the golden counter
+fixtures in ``tests/golden/``.
 """
 
 from __future__ import annotations

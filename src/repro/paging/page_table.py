@@ -24,8 +24,10 @@ a table exists only if every table above it does: any one table or leaf
 is found with a single dict probe, and a walk that starts at a
 PSC-supplied base checks that base with one lookup.  The walkers read
 the storage directly, through the per-level plans in
-:attr:`RadixPageTable.descents`.  Behaviour is bit-identical to the
-frozen reference tree in :mod:`repro.core._refimpl.page_table`.
+:attr:`RadixPageTable.descents`.  The table's rules — outcomes, table
+frame allocation and teardown order, every PTE address a walk reads —
+are held to a dict-of-mappings model by
+``tests/property/test_page_table_differential.py``.
 """
 
 from __future__ import annotations
@@ -109,11 +111,6 @@ class RadixPageTable:
                   for large in (False, True))
             for start in range(_ROOT_LEVEL + 1))
 
-    @property
-    def root_base(self) -> int:
-        """Address of the root (PML4) table frame — the CR3 analogue."""
-        return self._tables[_ROOT_LEVEL][0]
-
     # -- construction --------------------------------------------------------
 
     def map_page(self, vaddr: int, frame: int, large: bool = False,
@@ -165,15 +162,6 @@ class RadixPageTable:
             return self._large.pop(va >> _SHIFT_LARGE, None) is not None
         return self._small.pop(va >> _SHIFT_SMALL, None) is not None
 
-    # -- table queries ------------------------------------------------------
-
-    def table_base(self, vaddr: int, level: int) -> Optional[int]:
-        """Base address of the level-``level`` table covering ``vaddr``.
-
-        ``None`` when the covering table does not exist.
-        """
-        return self._tables[level].get((vaddr & VA_MASK) >> TABLE_SHIFT[level])
-
     # -- functional lookup (no timing) ----------------------------------------
 
     def lookup(self, vaddr: int) -> Optional[LeafMapping]:
@@ -185,11 +173,6 @@ class RadixPageTable:
         return self._small.get(va >> _SHIFT_SMALL)
 
     # -- introspection -----------------------------------------------------
-
-    @property
-    def mapped_pages(self) -> Tuple[int, int]:
-        """(small, large) leaf counts."""
-        return len(self._small), len(self._large)
 
     def table_count(self) -> int:
         """Number of table frames allocated (root included)."""

@@ -19,8 +19,9 @@ Each cache is a plain insertion-ordered dict (oldest first) with its
 VA prefix shift and capacity.  The native and nested walkers probe and
 refill them inline, iterating the plans of
 :meth:`~PagingStructureCache.probe_order` and
-:meth:`~PagingStructureCache.refill_plans`; behaviour is bit-identical
-to the frozen reference copy in :mod:`repro.core._refimpl.walk_cache`.
+:meth:`~PagingStructureCache.refill_plans`; their hit and fill
+counters are pinned, with every other counter, by the golden counter
+fixtures in ``tests/golden/``.
 """
 
 from __future__ import annotations

@@ -8,8 +8,9 @@ measures against.
 A native walk is one host column of :meth:`NestedWalker.walk
 <repro.paging.nested.NestedWalker.walk>`, and runs on the same plans:
 the PSC probe order, the table's per-level descents and the PSC refill
-plans, all built once per walker.  Behaviour is bit-identical to the
-frozen reference copy in :mod:`repro.core._refimpl.walker`.
+plans, all built once per walker.  Its PTE addresses, stale-base
+handling and PSC refills are held to a model of the radix table by
+``tests/property/test_page_table_differential.py``.
 """
 
 from __future__ import annotations

@@ -6,11 +6,11 @@ schemes with the invariant checkers armed, then cross-checks:
 * **functional truth** — translation must never change *what* is
   mapped: after the run every scheme's demand-paged page tables carry
   identical (vm, asid, vpn) -> host-frame mappings;
-* **reference equivalence** — each scheme's counters must match the
-  frozen seed-era engine (:mod:`repro.core.refcheck`) replaying the
-  same workload;
 * **per-scheme invariants** — the :mod:`repro.verify.invariants`
   checkers run inside each simulation.
+
+The counters themselves are pinned by the golden fixtures of the test
+suite (``tests/golden/``), which record this audit's CI configuration.
 
 On a violation the failing trace is shrunk ddmin-style to a minimal
 reproducing trace and written as a packed ``.pwl`` artifact
@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..common.errors import VerificationError
-from ..core.refcheck import run_reference
 from ..core.system import Machine, SimulationResult
 from ..workloads.packed import save_packed
 from ..workloads.suite import get_profile
@@ -33,11 +32,6 @@ from ..workloads.trace import CoreStream
 
 #: Schemes the audit covers by default (every implemented scheme).
 ALL_SCHEMES = ("baseline", "pom", "pom_skewed", "shared_l2", "tsb")
-
-#: Counters compared between the live engine and the frozen reference.
-_COMPARED_COUNTERS = ("references", "instructions", "l2_tlb_misses",
-                      "penalty_cycles", "translation_cycles", "data_cycles",
-                      "page_walks")
 
 #: Budget of candidate re-simulations the shrinker may spend.
 _SHRINK_BUDGET = 200
@@ -50,7 +44,6 @@ class AuditReport:
     benchmark: str
     schemes: Tuple[str, ...]
     results: Dict[str, SimulationResult] = field(default_factory=dict)
-    reference_checked: bool = False
 
     @property
     def ok(self) -> bool:
@@ -85,10 +78,6 @@ def _page_snapshot(machine: Machine) -> Dict[Tuple[int, int], Tuple]:
             {vpn: page.host_frame for vpn, page in proc.small_pages.items()},
             {vpn: page.host_frame for vpn, page in proc.large_pages.items()})
     return snapshot
-
-
-def _counters(result: SimulationResult) -> Dict[str, int]:
-    return {name: getattr(result, name) for name in _COMPARED_COUNTERS}
 
 
 # -- trace shrinking ----------------------------------------------------------
@@ -186,15 +175,12 @@ def _shrunk_artifact(benchmark: str, scheme: str, params, profile,
 def audit_benchmark(benchmark: str, params,
                     schemes: Sequence[str] = ALL_SCHEMES,
                     invariants: Optional[Sequence[str]] = None,
-                    use_reference: bool = True,
                     shrink: bool = True,
                     artifact_dir: str = "audit-artifacts") -> AuditReport:
     """Audit one benchmark across schemes; raises on any violation.
 
     Returns an :class:`AuditReport` when every scheme passes its
-    invariants, all schemes agree on the functional page mappings, and
-    (with ``use_reference``) every scheme's counters match the frozen
-    reference engine.
+    invariants and all schemes agree on the functional page mappings.
     """
     profile = get_profile(benchmark)
     workload = profile.build(num_cores=params.num_cores,
@@ -230,18 +216,4 @@ def audit_benchmark(benchmark: str, params,
                 f"[{benchmark}] schemes {baseline_scheme!r} and "
                 f"{scheme!r} resolved different page mappings for the "
                 f"same trace")
-    if use_reference:
-        for scheme in schemes:
-            reference = run_reference(benchmark, scheme, params)
-            live, frozen = (_counters(report.results[scheme]),
-                            _counters(reference))
-            if live != frozen:
-                diverged = [f"{name}: live={live[name]} ref={frozen[name]}"
-                            for name in _COMPARED_COUNTERS
-                            if live[name] != frozen[name]]
-                raise VerificationError(
-                    "reference-divergence",
-                    f"[{benchmark}/{scheme}] live engine diverged from "
-                    f"the frozen reference ({'; '.join(diverged)})")
-        report.reference_checked = True
     return report

@@ -27,19 +27,6 @@ class TestLruPolicy:
         p.touch("a")
         assert p.victim() == "b"
 
-    def test_remove(self):
-        p = LruPolicy()
-        p.touch("a")
-        p.touch("b")
-        p.remove("a")
-        assert p.victim() == "b"
-        assert len(p) == 1
-
-    def test_remove_missing_is_noop(self):
-        p = LruPolicy()
-        p.remove("ghost")
-        assert len(p) == 0
-
     def test_keys_in_recency_order(self):
         p = LruPolicy()
         for k in "abc":
@@ -56,13 +43,6 @@ class TestFifoPolicy:
         p.touch("a")  # re-touch must not move "a" back
         assert p.victim() == "a"
 
-    def test_remove(self):
-        p = FifoPolicy()
-        p.touch("a")
-        p.touch("b")
-        p.remove("a")
-        assert p.victim() == "b"
-
 
 class TestRandomPolicy:
     def test_victim_is_member(self):
@@ -71,14 +51,6 @@ class TestRandomPolicy:
             p.touch(k)
         for _ in range(20):
             assert p.victim() in set(p.keys())
-
-    def test_remove_keeps_members_consistent(self):
-        p = RandomPolicy(random.Random(0))
-        for k in range(5):
-            p.touch(k)
-        p.remove(2)
-        assert 2 not in set(p.keys())
-        assert len(p) == 4
 
     def test_double_touch_is_idempotent(self):
         p = RandomPolicy(random.Random(0))

@@ -9,8 +9,8 @@ disable), and the lexsort-vs-heap-merge order
 equivalence the whole design rests on.
 
 Everything here compares against the scalar ``Machine`` loop, which is
-the semantics of record (itself pinned to ``repro.core.refcheck`` by
-the integration suite).
+the semantics of record (itself pinned to the golden counter fixtures
+of ``tests/golden/`` by the integration suite).
 """
 
 import pytest

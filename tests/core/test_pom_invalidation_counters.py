@@ -1,15 +1,15 @@
 """Shootdowns and a VM teardown through the POM-TLB and Shared_L2.
 
-The frozen reference engine (:mod:`repro.core.refcheck`) models no
-shootdowns or teardowns, so the engine-equivalence oracle cannot hold
-the invalidation paths of the POM flow or of Shared_L2's shadow and
-shared arrays to anything.  This test pins them instead: a run with 24
-mid-run shootdowns and one ``destroy_vm``, with every invariant checker
-armed, must reproduce the full stat snapshot recorded before the
-partitioned and skewed schemes shared one miss flow (``pom``,
-``pom_skewed``) and before Shared_L2's shadow became its private L2
-(``shared_l2``).  Small private L2 TLBs and a 16 KiB POM-TLB make the
-run hit the POM-TLB at both sizes, evict from it and bypass the caches.
+The golden fixtures' lifecycle cases replay shootdown storms and
+teardowns on the suite's workloads; this test aims a denser storm at
+the invalidation paths of the POM flow and of Shared_L2's shadow and
+shared arrays: a run with 24 mid-run shootdowns and one ``destroy_vm``,
+with every invariant checker armed, must reproduce the full stat
+snapshot recorded before the partitioned and skewed schemes shared one
+miss flow (``pom``, ``pom_skewed``) and before Shared_L2's shadow
+became its private L2 (``shared_l2``).  Small private L2 TLBs and a
+16 KiB POM-TLB make the run hit the POM-TLB at both sizes, evict from
+it and bypass the caches.
 """
 
 import random

@@ -35,14 +35,3 @@ class TestDramBank:
         assert stats["row_hits"] == ch.banks
         assert stats["row_conflicts"] == 0
 
-    def test_precharge_resets_to_idle(self):
-        ch, stats, lat = make_channel()
-        ch.access(bank_addr(ch, 0, 5))
-        ch.access(bank_addr(ch, 1, 7))
-        ch.precharge_all()
-        # Idle banks: the same row and a different row are both misses,
-        # neither a hit nor a conflict.
-        assert ch.access(bank_addr(ch, 0, 5)) == lat["row_miss"]
-        assert ch.access(bank_addr(ch, 1, 8)) == lat["row_miss"]
-        assert stats["row_misses"] == 4
-        assert (stats["row_hits"], stats["row_conflicts"]) == (0, 0)

@@ -44,14 +44,6 @@ class TestDramChannel:
         assert stats["accesses"] == 2
         assert stats["bytes"] == 64 + 64
 
-    def test_precharge_all_closes_rows(self):
-        ch, stats = make_channel()
-        ch.access(0)
-        ch.precharge_all()
-        # After precharge the same row is a miss, not a hit.
-        assert ch.access(0) == (2 + 22 + 2) * 4
-        assert (stats["row_misses"], stats["row_conflicts"]) == (2, 0)
-
     def test_open_row_after_conflict(self):
         ch, stats = make_channel()
         lat = typical_latencies(ch.timing, ch.cpu_mhz)

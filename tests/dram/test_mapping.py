@@ -1,40 +1,38 @@
-"""Unit tests for DRAM address mapping."""
+"""Unit tests for the DRAM address mapping of the FR-FCFS scheduler."""
 
 from repro.common.config import stacked_dram_timing
-from repro.dram.mapping import AddressMapper
+from repro.dram.scheduler import CommandScheduler
 
 
 def make_mapper():
-    return AddressMapper(stacked_dram_timing())
+    return CommandScheduler(stacked_dram_timing()).locate
 
 
 class TestAddressMapper:
     def test_column_is_offset_in_row(self):
-        m = make_mapper()
-        assert m.map(0).column == 0
-        assert m.map(100).column == 100
-        assert m.map(2048).column == 0
+        locate = make_mapper()
+        assert locate(0)[2] == 0
+        assert locate(100)[2] == 100
+        assert locate(2048)[2] == 0
 
     def test_addresses_in_same_2k_block_share_bank_and_row(self):
-        m = make_mapper()
-        a, b = m.map(0x1000), m.map(0x17FF)
-        assert (a.bank, a.row) == (b.bank, b.row)
+        locate = make_mapper()
+        assert locate(0x1000)[:2] == locate(0x17FF)[:2]
 
     def test_consecutive_blocks_rotate_banks(self):
-        m = make_mapper()
-        banks = [m.map(i * 2048).bank for i in range(16)]
+        locate = make_mapper()
+        banks = [locate(i * 2048)[0] for i in range(16)]
         assert banks == list(range(16))
 
     def test_row_increments_after_bank_wrap(self):
-        m = make_mapper()
-        assert m.map(0).row == 0
-        assert m.map(16 * 2048).row == 1
+        locate = make_mapper()
+        assert locate(0)[1] == 0
+        assert locate(16 * 2048)[1] == 1
 
     def test_mapping_is_injective_over_a_window(self):
-        m = make_mapper()
+        locate = make_mapper()
         seen = set()
         for paddr in range(0, 64 * 2048, 64):
-            c = m.map(paddr)
-            key = (c.bank, c.row, c.column)
-            assert key not in seen
-            seen.add(key)
+            coordinate = locate(paddr)
+            assert coordinate not in seen
+            seen.add(coordinate)

@@ -344,6 +344,15 @@ class TestCli:
         assert "POM-TLB campaign [finished]" in view
         assert "failed" in view and "100%" in view
 
+    def test_top_rejects_unsupported_stream_version(self, tmp_path, capsys):
+        status = tmp_path / "status.ndjson"
+        status.write_text(
+            '{"event":"campaign_start","t":0.0,"total_runs":1,"ts":0.0,'
+            '"v":2,"workers":1}\n{"event":"run_st')
+        assert cli.main(["top", str(status)]) == 2
+        assert "unsupported status-stream version 2" in \
+            capsys.readouterr().err
+
     def test_top_missing_file_is_usage_error(self, tmp_path, capsys):
         assert cli.main(["top", str(tmp_path / "nope.ndjson")]) == 2
         assert "cannot open" in capsys.readouterr().err

@@ -1,38 +1,47 @@
-"""Differential test: optimized engine == frozen seed-era reference engine.
+"""Both replay engines reproduce the recorded counters bit for bit.
 
-The fast-path engine rewrite (packed keys, slot counters, dict-ordering
-LRU, batched replay) promises **bit-identical counters**.  This test
-holds it to that: for every scheme, a workload replayed through
-:mod:`repro.core.refcheck` (the frozen pre-rewrite engine) and through
-the optimized :class:`~repro.core.system.Machine` must produce
+Every case replays a workload through :class:`~repro.core.system.Machine`
+and compares, with the golden fixture recorded for it under
+``tests/golden/``:
 
-* identical ``SimulationResult`` scalar fields,
-* an identical ``StatRegistry`` snapshot (every group, every counter,
-  exact values), and
-* identical latency histograms.
+* every ``SimulationResult`` scalar field,
+* the whole ``StatRegistry`` snapshot (every group, every counter), and
+* every latency histogram.
 
-This is the contract future optimizations are held to — see the
-"Engine performance" section of EXPERIMENTS.md.
+The scalar loop and the vectorized batch engine are held to the same
+entries.  The cases cover every scheme warm and cold, the POM flow's
+configuration branches, a multithreaded benchmark, a warm replay, a
+traced run, the lifecycle studies (boot/teardown churn, migration,
+shootdown storms) and the CI audit's configuration, all verifier-armed
+where a run would be.  To re-record a family, delete its file (see
+:mod:`tests.golden`).  This is the contract future optimizations are
+held to — see the "Engine performance" section of EXPERIMENTS.md.
 """
 
 import dataclasses
 
 import pytest
 
+from repro.common.addr import KiB
+from repro.common.config import CacheConfig
 from repro.core.batch import HAS_NUMPY
-from repro.core.refcheck import ReferenceMachine
 from repro.core.system import Machine
+from repro.experiments.lifecycle import ALL_SCHEMES, _run_scenario
 from repro.experiments.runner import ExperimentParams
 from repro.obs import Observability
 from repro.obs.sinks import ListSink
 from repro.obs.tracer import EventTracer
+from repro.verify.differential import audit_benchmark
+from repro.workloads.lifecycle import (build_churn, build_migration,
+                                       build_shootdown_storm)
 from repro.workloads.packed import pack_stream
 from repro.workloads.suite import get_profile
+from tests import golden
 
 needs_numpy = pytest.mark.skipif(
     not HAS_NUMPY, reason="numpy unavailable (pomtlb[fast] not installed)")
 
-SCHEMES = ("baseline", "pom", "pom_skewed", "shared_l2", "tsb")
+SCHEMES = ALL_SCHEMES
 
 #: Small but representative: 2 cores, demand paging, warmup reset,
 #: mixed page sizes (gups has a THP fraction), every scheme's miss path
@@ -50,27 +59,64 @@ POM_VARIANTS = (("default", {}), ("uncached", {"cache_tlb_entries": False}),
                 ("nobypass", {"bypass_enabled": False}),
                 ("prefetch", {"tlb_prefetch": True}),
                 ("priority", {"tlb_priority": True}))
-CASES = [pytest.param(scheme, "gups", PARAMS, True, id=scheme)
+CASES = [pytest.param(scheme, scheme, "gups", PARAMS, True, {}, id=scheme)
          for scheme in SCHEMES]
-COLD_CASES = [pytest.param(scheme, name,
+COLD_CASES = [pytest.param(case, scheme, name,
                            dataclasses.replace(PARAMS, scale=0.3,
                                                **overrides),
-                           False, id=f"{scheme}-{name}-{label}")
+                           False, {}, id=case)
               for scheme in ("pom", "pom_skewed")
               for name in ("gups", "mcf")
               for label, overrides in POM_VARIANTS
-              if not (scheme == "pom_skewed" and label == "prefetch")]
+              if not (scheme == "pom_skewed" and label == "prefetch")
+              for case in [f"{scheme}-{name}-{label}"]]
 #: The other schemes' miss paths (walk, shared array, TSB probes) cold.
-COLD_CASES += [pytest.param(scheme, name, dataclasses.replace(PARAMS,
-                                                              scale=0.3),
-                            False, id=f"{scheme}-{name}-default")
+COLD_CASES += [pytest.param(case, scheme, name,
+                            dataclasses.replace(PARAMS, scale=0.3),
+                            False, {}, id=case)
                for scheme in ("baseline", "shared_l2", "tsb")
-               for name in ("gups", "mcf")]
+               for name in ("gups", "mcf")
+               for case in [f"{scheme}-{name}-default"]]
+#: POM-TLB set lines crowd the sets of a 4 KiB L2D$ and a 16 KiB L3D$,
+#: so a walk's PTE reads can evict the set line it is about to rewrite
+#: and the refill lands in a full set: the only runs where the refill's
+#: TLB-aware victim differs from the LRU one.  graph500's cores share
+#: one address space, so a line the L3D$ refill keeps is hit again.
+TINY_CACHES = {
+    "l2d": CacheConfig(name="l2d", size_bytes=4 * KiB, ways=2,
+                       latency_cycles=12),
+    "l3d": CacheConfig(name="l3d", size_bytes=16 * KiB, ways=2,
+                       latency_cycles=42)}
+COLD_CASES += [pytest.param(case, scheme, name,
+                            dataclasses.replace(PARAMS, scale=0.3,
+                                                tlb_priority=True),
+                            False, TINY_CACHES, id=case)
+               for scheme, name in (("pom", "graph500"),
+                                    ("pom_skewed", "gups"))
+               for case in [f"{scheme}-{name}-priority-tinycache"]]
 CASES += COLD_CASES
 
-RESULT_FIELDS = ("scheme", "references", "instructions", "l2_tlb_misses",
-                 "penalty_cycles", "translation_cycles", "data_cycles",
-                 "page_walks")
+#: The lifecycle studies at small params, verifier armed.  Churn and
+#: migration are first-touch heavy and pin teardown, reclamation and
+#: re-boot; the shootdown storms run where the POM-TLB and the TSB serve
+#: most re-misses, so a shot-down page left in either shows.  Two VMs
+#: for migration: Shared_L2 needs a power-of-two core count.
+LIFECYCLE_PARAMS = ExperimentParams(seed=42, verify=True)
+LIFECYCLE_WORKLOADS = {
+    "churn": lambda: build_churn(("gups", "mcf"), generations=2,
+                                 refs_per_core=300, seed=42, scale=0.1),
+    "migration": lambda: build_migration(("mcf", "gups"), refs_per_core=300,
+                                         seed=42, scale=0.1),
+    **{f"shootdown-{rate:g}": (
+        lambda rate=rate: build_shootdown_storm(
+            "gups", num_cores=2, refs_per_core=300, seed=42, scale=0.2,
+            per_1k_refs=rate))
+       for rate in (0.0, 20.0)},
+}
+
+#: CI's differential audit step: gups/gcc/mcf, every scheme, verifier armed.
+AUDIT_PARAMS = ExperimentParams(num_cores=2, refs_per_core=1000, scale=0.05,
+                                seed=42)
 
 
 def _workload(benchmark="gups", params=PARAMS):
@@ -85,98 +131,119 @@ def _warmup(workload, warm=True):
             if warm else 0)
 
 
-def _run_reference(scheme, profile, workload, params=PARAMS, warm=True):
-    machine = ReferenceMachine(params.system_config(), scheme=scheme,
-                               thp_large_fraction=profile.thp_large_fraction,
-                               seed=params.seed,
-                               tlb_priority=params.tlb_priority)
-    return machine.run(workload.streams,
-                       warmup_references=_warmup(workload, warm))
+def _machine(scheme, profile, params=PARAMS, caches=None, **kwargs):
+    return Machine(params.system_config().copy_with(**caches or {}),
+                   scheme=scheme,
+                   thp_large_fraction=profile.thp_large_fraction,
+                   seed=params.seed, tlb_priority=params.tlb_priority,
+                   **kwargs)
 
 
-def _run_optimized(scheme, profile, workload, params=PARAMS, obs=None,
-                   warm=True):
-    machine = Machine(params.system_config(), scheme=scheme,
-                      thp_large_fraction=profile.thp_large_fraction,
-                      seed=params.seed, obs=obs,
-                      tlb_priority=params.tlb_priority)
-    return machine.run(workload.streams,
-                       warmup_references=_warmup(workload, warm))
+def _family(warm):
+    return "warm" if warm else "cold"
 
 
-def _assert_equivalent(reference, optimized):
-    for field in RESULT_FIELDS:
-        assert getattr(optimized, field) == getattr(reference, field), (
-            f"SimulationResult.{field}: optimized "
-            f"{getattr(optimized, field)!r} != reference "
-            f"{getattr(reference, field)!r}")
-    ref_stats = reference.stats.as_nested_dict()
-    new_stats = optimized.stats.as_nested_dict()
-    assert sorted(new_stats) == sorted(ref_stats), (
-        "stat group sets differ: only-new="
-        f"{sorted(set(new_stats) - set(ref_stats))} only-ref="
-        f"{sorted(set(ref_stats) - set(new_stats))}")
-    for group, counters in ref_stats.items():
-        assert new_stats[group] == counters, (
-            f"group {group!r}: optimized {new_stats[group]!r} "
-            f"!= reference {counters!r}")
-    ref_hists = {name: h.as_dict() for name, h in reference.histograms.items()}
-    new_hists = {name: h.as_dict() for name, h in optimized.histograms.items()}
-    assert new_hists == ref_hists
-
-
-@pytest.mark.parametrize("scheme, name, params, warm", CASES)
-def test_counters_bit_identical(scheme, name, params, warm):
+@pytest.mark.parametrize("case, scheme, name, params, warm, caches", CASES)
+def test_counters_bit_identical(case, scheme, name, params, warm, caches):
     profile, workload = _workload(name, params)
-    reference = _run_reference(scheme, profile, workload, params, warm)
-    optimized = _run_optimized(scheme, profile, workload, params, warm=warm)
-    _assert_equivalent(reference, optimized)
+    result = _machine(scheme, profile, params, caches).run(
+        workload.streams, warmup_references=_warmup(workload, warm))
+    golden.check(_family(warm), {case: result})
     if not warm:
         # A cold case exists to compare the miss path: it must reach it.
-        assert reference.l2_tlb_misses > 0
+        assert result.l2_tlb_misses > 0
+
+
+def test_walks_from_two_pml4_slots_bit_identical():
+    """Every other reference moves to PML4 slot 8, so the walks read two
+    root entries of one table: the suite's workloads never leave slot 0,
+    where no level-4 index bit is set."""
+    params = dataclasses.replace(PARAMS, scale=0.3)
+    profile, workload = _workload("gups", params)
+    for stream in workload.streams:
+        vaddrs = stream.vaddrs
+        for index in range(1, len(vaddrs), 2):
+            vaddrs[index] |= 8 << 39
+    result = _machine("baseline", profile, params).run(workload.streams)
+    golden.check("cold", {"baseline-gups-two-pml4-slots": result})
+    assert result.l2_tlb_misses > 0
 
 
 @pytest.mark.parametrize("scheme", ("pom", "baseline"))
 def test_counters_bit_identical_multithreaded(scheme):
     """Shared address space + per-core warmup counts (mapping form)."""
     profile, workload = _workload(benchmark="graph500")
-    reference = _run_reference(scheme, profile, workload)
-    optimized = _run_optimized(scheme, profile, workload)
-    _assert_equivalent(reference, optimized)
+    result = _machine(scheme, profile).run(
+        workload.streams, warmup_references=_warmup(workload))
+    golden.check("multithreaded", {scheme: result})
 
 
 def test_counters_identical_with_tracing_enabled():
-    """The traced slow path must count exactly like the fast path."""
+    """The traced path counts exactly like the recorded untraced run."""
     profile, workload = _workload()
-    reference = _run_reference("pom", profile, workload)
     sink = ListSink()
     obs = Observability(tracer=EventTracer(sinks=[sink]))
-    optimized = _run_optimized("pom", profile, workload, obs=obs)
-    _assert_equivalent(reference, optimized)
+    traced = _machine("pom", profile, obs=obs).run(
+        workload.streams, warmup_references=_warmup(workload))
+    golden.check("warm", {"pom": traced})
     assert sink.events, "tracer saw no events despite being enabled"
 
 
 def test_fast_path_equals_traced_path_counters():
     """Tracing on vs off may not change a single counter."""
     profile, workload = _workload()
-    plain = _run_optimized("pom", profile, workload)
-    traced = _run_optimized(
-        "pom", profile, workload,
-        obs=Observability(tracer=EventTracer(sinks=[ListSink()])))
+    warm = _warmup(workload)
+    plain = _machine("pom", profile).run(workload.streams,
+                                         warmup_references=warm)
+    traced = _machine(
+        "pom", profile,
+        obs=Observability(tracer=EventTracer(sinks=[ListSink()]))).run(
+            workload.streams, warmup_references=warm)
     assert (traced.stats.as_nested_dict()
             == plain.stats.as_nested_dict())
-    for field in RESULT_FIELDS:
+    for field in golden.RESULT_FIELDS:
         assert getattr(traced, field) == getattr(plain, field)
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_warm_replay_bit_identical(scheme):
+    """A second run on the same machine starts from the first's state."""
+    profile, workload = _workload()
+    machine = _machine(scheme, profile)
+    machine.run(workload.streams, warmup_references=_warmup(workload))
+    result = machine.run(workload.streams,
+                         warmup_references=_warmup(workload))
+    golden.check("warm_replay", {scheme: result})
+
+
+@pytest.mark.parametrize("study", LIFECYCLE_WORKLOADS)
+def test_lifecycle_counters_bit_identical(study):
+    """Mid-run boots, teardowns and shootdowns, every scheme, verified."""
+    workload = LIFECYCLE_WORKLOADS[study]()
+    results = {}
+    for scheme in SCHEMES:
+        result, machine = _run_scenario(workload, scheme, LIFECYCLE_PARAMS)
+        results[f"{study}-{scheme}"] = result
+        assert result.l2_tlb_misses > 0
+        if study == "churn":
+            # Every guest was torn down: all its frames came back.
+            assert machine.host.memory.bytes_allocated == 0
+    golden.check("lifecycle", results)
+
+
+@pytest.mark.parametrize("name", ("gups", "gcc", "mcf"))
+def test_audit_configuration_counters(name):
+    """The differential audit passes, and its runs keep their counters."""
+    report = audit_benchmark(name, AUDIT_PARAMS, shrink=False)
+    golden.check("audit", {f"{name}-{scheme}": result
+                           for scheme, result in report.results.items()})
 
 
 # -- vectorized batch engine (repro.core.batch) ----------------------------
 
 
-def _batch_machine(scheme, profile, params=PARAMS, **kwargs):
-    return Machine(params.system_config(), scheme=scheme,
-                   thp_large_fraction=profile.thp_large_fraction,
-                   seed=params.seed, batch=True,
-                   tlb_priority=params.tlb_priority, **kwargs)
+def _batch_machine(scheme, profile, params=PARAMS, caches=None, **kwargs):
+    return _machine(scheme, profile, params, caches, batch=True, **kwargs)
 
 
 def _packed(workload):
@@ -184,22 +251,22 @@ def _packed(workload):
 
 
 @needs_numpy
-@pytest.mark.parametrize("scheme, name, params, warm", CASES)
-def test_batch_engine_bit_identical(scheme, name, params, warm):
-    """Batch replay == frozen reference, every counter, every scheme.
+@pytest.mark.parametrize("case, scheme, name, params, warm, caches", CASES)
+def test_batch_engine_bit_identical(case, scheme, name, params, warm,
+                                    caches):
+    """Batch replay reproduces the scalar loop's recorded counters.
 
     The batch engine declines ``tlb_priority``; those cases check that
     the fallback to the scalar loop still matches.
     """
     profile, workload = _workload(name, params)
-    reference = _run_reference(scheme, profile, workload, params, warm)
-    machine = _batch_machine(scheme, profile, params)
+    machine = _batch_machine(scheme, profile, params, caches)
     batched = machine.run(_packed(workload),
                           warmup_references=_warmup(workload, warm))
     expected_mode = "scalar" if params.tlb_priority else "batch"
     assert machine.last_replay_mode == expected_mode, (
         machine.batch_fallback_reason)
-    _assert_equivalent(reference, batched)
+    golden.check(_family(warm), {case: batched})
 
 
 @needs_numpy
@@ -207,12 +274,11 @@ def test_batch_engine_bit_identical(scheme, name, params, warm):
 def test_batch_engine_bit_identical_multithreaded(scheme):
     """Shared address space, same-core stream pairs, per-core warmup."""
     profile, workload = _workload(benchmark="graph500")
-    reference = _run_reference(scheme, profile, workload)
     machine = _batch_machine(scheme, profile)
-    warm = workload.warmup_by_core or workload.warmup_references
-    batched = machine.run(_packed(workload), warmup_references=warm)
+    batched = machine.run(_packed(workload),
+                          warmup_references=_warmup(workload))
     assert machine.last_replay_mode == "batch", machine.batch_fallback_reason
-    _assert_equivalent(reference, batched)
+    golden.check("multithreaded", {scheme: batched})
 
 
 @needs_numpy
@@ -222,22 +288,16 @@ def test_batch_engine_warm_replay_identical(scheme):
 
     Warm replay takes the pre-created-stream-state fast path in the
     batch engine (the debut slice vectorizes), so it needs its own
-    equivalence check against a twice-run reference machine.
+    check against the scalar loop's recorded warm replay.
     """
     profile, workload = _workload()
-    params = PARAMS
-    warm = workload.warmup_by_core or workload.warmup_references
-    ref = ReferenceMachine(params.system_config(), scheme=scheme,
-                           thp_large_fraction=profile.thp_large_fraction,
-                           seed=params.seed)
-    ref.run(workload.streams, warmup_references=warm)
-    reference = ref.run(workload.streams, warmup_references=warm)
+    warm = _warmup(workload)
     machine = _batch_machine(scheme, profile)
     packed = _packed(workload)
     machine.run(packed, warmup_references=warm)
     batched = machine.run(packed, warmup_references=warm)
     assert machine.last_replay_mode == "batch", machine.batch_fallback_reason
-    _assert_equivalent(reference, batched)
+    golden.check("warm_replay", {scheme: batched})
 
 
 @needs_numpy
@@ -248,7 +308,7 @@ def test_batch_requested_verify_armed_still_identical():
     (all checkers armed; the verifier is an execution knob).
     """
     profile, workload = _workload()
-    warm = workload.warmup_by_core or workload.warmup_references
+    warm = _warmup(workload)
     machine = _batch_machine("pom", profile)
     batched = machine.run(_packed(workload), warmup_references=warm)
     assert machine.last_replay_mode == "batch"
@@ -258,4 +318,4 @@ def test_batch_requested_verify_armed_still_identical():
     assert verified_machine.last_replay_mode == "scalar"
     assert verified_machine.batch_fallback_reason == (
         "consistency verifier armed")
-    _assert_equivalent(batched, verified)
+    assert golden.snapshot(verified) == golden.snapshot(batched)

@@ -1,6 +1,7 @@
 """Shared helpers of the paging tests: a recording PTE reader, PSC
-planting through the walkers' probe plans, and a native walk that
-reports every PTE address it read."""
+planting through the walkers' probe plans, a native walk that reports
+every PTE address it read, and table bases and leaf counts read off a
+radix table's storage."""
 
 import itertools
 
@@ -21,6 +22,18 @@ class CountingMemory:
     def __call__(self, paddr):
         self.addresses.append(paddr)
         return self.cost
+
+
+def table_base(table, vaddr, level):
+    """Base of the level-``level`` table covering ``vaddr`` (level 4: the
+    root), or None when that table was never created."""
+    return table._tables[level].get((vaddr & ((1 << 48) - 1))
+                                    >> (12 + 9 * level))
+
+
+def mapped_pages(table):
+    """(small, large) leaf counts of ``table``."""
+    return len(table._small), len(table._large)
 
 
 def bump_allocator(start=0x100000):

@@ -11,7 +11,7 @@ from repro.paging.walk_cache import PagingStructureCache
 from repro.vmm.memory_manager import PhysicalMemory
 from repro.vmm.thp import ThpPolicy
 from repro.vmm.vm import VirtualMachine
-from tests.paging.helpers import CountingMemory, plant
+from tests.paging.helpers import CountingMemory, plant, table_base
 
 
 def make_walker(vm):
@@ -128,7 +128,7 @@ class TestErrorPaths:
         gva = 0x1234
         vm.touch(1, gva)
         guest_table = vm.process(1).guest_table
-        real = guest_table.table_base(gva, 1)
+        real = table_base(guest_table, gva, 1)
         # A PDE-cache entry whose gPA base is not the live level-1 table.
         plant(walker.guest_psc, gva, 1, (real + addr.SMALL_PAGE_SIZE, 0))
         fresh = self.assert_same_as_empty_pscs(vm, walker, mem, gva)
@@ -144,8 +144,8 @@ class TestErrorPaths:
         vm.touch(1, gva)
         # The first host column translates the gPA of the guest root's
         # PTE; plant a wrong level-1 table base for it.
-        gpa = vm.process(1).guest_table.root_base
-        real = vm.host_table.table_base(gpa, 1)
+        gpa = table_base(vm.process(1).guest_table, 0, 4)
+        real = table_base(vm.host_table, gpa, 1)
         plant(walker.host_psc, gpa, 1, real + addr.SMALL_PAGE_SIZE)
         fresh = self.assert_same_as_empty_pscs(vm, walker, mem, gva)
         assert walker.stats["host_psc_stale"] == 1

@@ -4,7 +4,8 @@ import pytest
 
 from repro.common.errors import AddressError, TranslationFault
 from repro.paging.page_table import PTE_BYTES, RadixPageTable
-from tests.paging.helpers import bump_allocator, walk_ptes
+from tests.paging.helpers import (bump_allocator, mapped_pages, table_base,
+                                  walk_ptes)
 
 
 def make_table():
@@ -61,7 +62,7 @@ class TestMapping:
         pt.map_page(0x1000, 0x200000)
         pt.map_page(0x1000, 0x300000)
         assert pt.lookup(0x1000).frame == 0x300000
-        assert pt.mapped_pages == (1, 0)
+        assert mapped_pages(pt) == (1, 0)
 
 
 class TestWalkAddresses:
@@ -70,9 +71,9 @@ class TestWalkAddresses:
         va = (3 << 39) | (5 << 30) | (7 << 21) | (9 << 12)
         pt.map_page(va, 0x200000)
         ptes, _, _ = walk_ptes(pt, va)
-        assert ptes[0] == pt.root_base + PTE_BYTES * 3
+        assert ptes[0] == table_base(pt, 0, 4) + PTE_BYTES * 3
         for level, pte, index in zip((3, 2, 1), ptes[1:], (5, 7, 9)):
-            base = pt.table_base(va, level)
+            base = table_base(pt, va, level)
             assert pte == base + PTE_BYTES * index
 
     def test_sibling_pages_share_tables(self):
@@ -96,7 +97,7 @@ class TestWalkFrom:
     def test_walk_from_cached_level(self):
         pt = make_table()
         pt.map_page(0x1000, 0x200000)
-        base = pt.table_base(0x1000, 1)
+        base = table_base(pt, 0x1000, 1)
         ptes, result, _ = walk_ptes(pt, 0x1000, 1, base)
         assert ptes == (base + PTE_BYTES * 1,)  # one level-1 step
         assert result.host_frame == 0x200000
@@ -113,7 +114,7 @@ class TestWalkFrom:
         pt = make_table()
         pt.map_page(0x1000, 0x200000)
         with pytest.raises(TranslationFault):
-            walk_ptes(pt, 1 << 40, 1, pt.root_base)
+            walk_ptes(pt, 1 << 40, 1, table_base(pt, 0, 4))
 
 
 class TestUnmap:
@@ -122,13 +123,13 @@ class TestUnmap:
         pt.map_page(0x1000, 0x200000)
         assert pt.unmap_page(0x1000)
         assert pt.lookup(0x1000) is None
-        assert pt.mapped_pages == (0, 0)
+        assert mapped_pages(pt) == (0, 0)
 
     def test_unmap_large(self):
         pt = make_table()
         pt.map_page(0x0, 0x400000, large=True)
         assert pt.unmap_page(0x0, large=True)
-        assert pt.mapped_pages == (0, 0)
+        assert mapped_pages(pt) == (0, 0)
 
     def test_unmap_missing_returns_false(self):
         pt = make_table()
@@ -151,4 +152,4 @@ class TestLookup:
         pt = make_table()
         pt.map_page(0x1000, 0x200000)
         pt.map_page(1 << 30, 0x400000, large=True)
-        assert pt.mapped_pages == (1, 1)
+        assert mapped_pages(pt) == (1, 1)

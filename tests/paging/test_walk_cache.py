@@ -8,7 +8,8 @@ count), which hit counter moved, and what the caches hold afterwards.
 
 from repro.common import addr
 from repro.paging.page_table import PTE_BYTES, RadixPageTable
-from tests.paging.helpers import bump_allocator, cached, make_walker, plant
+from tests.paging.helpers import (bump_allocator, cached, make_walker, plant,
+                                  table_base)
 
 _GIB = 1 << 30
 
@@ -27,13 +28,13 @@ class TestLookup:
         walker, pt, psc, mem = setup(0x1000)
         outcome = walker.walk(0x1000)
         assert outcome.memory_refs == 4
-        assert mem.addresses[0] == pt.root_base
+        assert mem.addresses[0] == table_base(pt, 0, 4)
         assert outcome.cycles == 2 + 4 * 10  # PSC probe + 4 PTE reads
         assert psc.stats["misses"] == 1
 
     def test_pde_hit_starts_at_level_1(self):
         walker, pt, psc, mem = setup(0x1000)
-        base = pt.table_base(0x1000, 1)
+        base = table_base(pt, 0x1000, 1)
         plant(psc, 0x1000, 1, base)
         outcome = walker.walk(0x1FFF)  # same 2MiB prefix
         assert outcome.memory_refs == 1
@@ -42,8 +43,8 @@ class TestLookup:
 
     def test_deeper_cache_wins(self):
         walker, pt, psc, _ = setup(0x1000)
-        plant(psc, 0x1000, 3, pt.table_base(0x1000, 3))
-        plant(psc, 0x1000, 1, pt.table_base(0x1000, 1))
+        plant(psc, 0x1000, 3, table_base(pt, 0x1000, 3))
+        plant(psc, 0x1000, 1, table_base(pt, 0x1000, 1))
         assert walker.walk(0x1000).memory_refs == 1
         assert psc.stats["pde_hits"] == 1
         assert psc.stats["pml4_hits"] == 0
@@ -51,15 +52,15 @@ class TestLookup:
     def test_pdp_hit_starts_at_level_2(self):
         va = 0x1000 + addr.LARGE_PAGE_SIZE  # same 1GiB as 0x1000
         walker, pt, psc, mem = setup(0x1000, va)
-        plant(psc, 0x1000, 2, pt.table_base(0x1000, 2))
+        plant(psc, 0x1000, 2, table_base(pt, 0x1000, 2))
         assert walker.walk(va).memory_refs == 2
-        assert mem.addresses[0] == pt.table_base(va, 2) + PTE_BYTES * 1
+        assert mem.addresses[0] == table_base(pt, va, 2) + PTE_BYTES * 1
         assert psc.stats["pdp_hits"] == 1
 
     def test_prefix_mismatch_misses(self):
         va = 0x1000 + addr.LARGE_PAGE_SIZE
         walker, pt, psc, _ = setup(0x1000, va)
-        plant(psc, 0x1000, 1, pt.table_base(0x1000, 1))
+        plant(psc, 0x1000, 1, table_base(pt, 0x1000, 1))
         assert walker.walk(va).memory_refs == 4
         assert psc.stats["misses"] == 1
 
@@ -108,10 +109,10 @@ class TestFillValidation:
 
     def test_refill_same_prefix_updates(self):
         walker, pt, psc, _ = setup(0x1000)
-        plant(psc, 0x1000, 1, pt.table_base(0x1000, 1))
+        plant(psc, 0x1000, 1, table_base(pt, 0x1000, 1))
         plant(psc, 0x1000, 3, 0xDEAD000)
         assert walker.walk(0x1000).memory_refs == 1  # the PDE entry wins
-        assert cached(psc, 0x1000, 3) == pt.table_base(0x1000, 3)
+        assert cached(psc, 0x1000, 3) == table_base(pt, 0x1000, 3)
         assert psc.sizes()["pml4"] == 1
 
 

@@ -6,7 +6,7 @@ from repro.common import addr
 from repro.common.errors import TranslationFault
 from repro.paging.page_table import RadixPageTable
 from tests.paging import helpers
-from tests.paging.helpers import cached, plant
+from tests.paging.helpers import cached, plant, table_base
 
 
 def make_walker(cost=10):
@@ -89,13 +89,13 @@ class TestErrorPaths:
     def test_stale_psc_base_rewalks_from_root(self):
         walker, pt, psc, mem = make_walker()
         pt.map_page(0x1000, 0x200000)
-        real = pt.table_base(0x1000, 1)
+        real = table_base(pt, 0x1000, 1)
         # A PDE-cache entry whose base is not the live level-1 table.
         plant(psc, 0x1000, 1, real + addr.SMALL_PAGE_SIZE)
         outcome = walker.walk(0x1234)
         assert walker.stats["psc_stale"] == 1
         assert outcome.memory_refs == 4
-        assert mem.addresses[0] == pt.root_base
+        assert mem.addresses[0] == table_base(pt, 0, 4)
         assert outcome.translate(0x1234) == 0x200234
         # The stale probe counted as a hit; the refill replaced the base.
         assert psc.stats["pde_hits"] == 1

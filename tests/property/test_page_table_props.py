@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.common import addr
 from repro.paging.page_table import RadixPageTable
-from tests.paging.helpers import walk_ptes
+from tests.paging.helpers import mapped_pages, walk_ptes
 
 
 def make_table():
@@ -70,7 +70,7 @@ class TestMappingProperties:
             va = region << addr.LARGE_PAGE_SHIFT
             assert table.unmap_page(va, large=large)
             assert table.lookup(va) is None
-        assert table.mapped_pages == (0, 0)
+        assert mapped_pages(table) == (0, 0)
 
     @settings(max_examples=40, deadline=None)
     @given(mappings)
@@ -79,7 +79,7 @@ class TestMappingProperties:
         for index, (region, large) in enumerate(regions):
             table.map_page(region << addr.LARGE_PAGE_SHIFT,
                            (index + 1) << addr.LARGE_PAGE_SHIFT, large=large)
-        small, large_count = table.mapped_pages
+        small, large_count = mapped_pages(table)
         assert small == sum(1 for _r, lg in regions if not lg)
         assert large_count == sum(1 for _r, lg in regions if lg)
 

@@ -1,9 +1,8 @@
 """Every function in ``src/repro`` has a caller outside the tests.
 
 The guard reads the source with ``ast`` and fails for any ``def`` whose
-name appears nowhere else in ``src/`` (the batch engine, ``refcheck.py``
-and the frozen reference in ``core/_refimpl/`` do not count as callers),
-``examples/`` or ``perf/``.  A function only its own unit tests call is
+name appears nowhere else in ``src/`` (the batch engine does not count
+as a caller), ``examples/`` or ``perf/``.  A function only its own unit tests call is
 code no measured number depends on: delete it with its tests, or name
 it in :data:`ALLOWED` with the reason it stays.
 """
@@ -16,23 +15,14 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "repro"
 
-#: Files whose calls keep nothing alive: the batch engine and the frozen
-#: reference are slated for deletion, and their helpers with them.
-NOT_CALLERS = ("core/batch.py", "core/refcheck.py", "core/_refimpl/")
+#: Files whose calls keep nothing alive: the batch engine is slated for
+#: deletion, and its helpers with it.
+NOT_CALLERS = ("core/batch.py",)
 
 #: Functions kept although nothing outside the tests calls them.
 ALLOWED = {
     "batch_view": "SramTlb storage accessor the batch engine replays on",
     "l4": "the batch engine reads the L4 data cache through it",
-    "root_base": "the frozen reference page table and the page-table "
-                 "differential tests compare roots through it",
-    "table_base": "the frozen reference walkers descend through it",
-    "mapped_pages": "the frozen reference and the page-table property "
-                    "tests enumerate mappings through it",
-    "radix_index": "the frozen reference page table indexes with it",
-    "precharge_all": "the frozen reference channel closes rows with it",
-    "remove": "replacement-policy hook; the frozen reference cache "
-              "evicts through LruPolicy.remove",
     "load_jsonl": "obs.replay trace loader; CI's trace smoke step and "
                   "the replay tests read JSONL traces with it",
     "load_chrome": "obs.replay trace loader for Chrome trace files",

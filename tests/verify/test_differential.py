@@ -17,23 +17,20 @@ PARAMS = ExperimentParams(num_cores=1, refs_per_core=400, scale=0.02, seed=3)
 
 class TestAuditSmoke:
 
-    def test_all_schemes_pass_with_reference(self):
+    def test_all_schemes_pass(self):
         report = audit_benchmark("gups", PARAMS)
         assert report.ok
-        assert report.reference_checked
         assert set(report.results) == set(ALL_SCHEMES)
 
     def test_invariant_subset_runs(self):
         report = audit_benchmark("gcc", PARAMS, schemes=("pom",),
-                                 invariants=("set-address",),
-                                 use_reference=False)
+                                 invariants=("set-address",))
         assert report.ok
-        assert not report.reference_checked
 
     def test_unknown_invariant_rejected(self):
         with pytest.raises(ValueError, match="unknown invariant"):
             audit_benchmark("gcc", PARAMS, schemes=("pom",),
-                            invariants=("bogus",), use_reference=False)
+                            invariants=("bogus",))
 
 
 class TestShrinkTrace:
@@ -110,7 +107,6 @@ class TestViolationArtifact:
             with pytest.raises(VerificationError) as exc_info:
                 audit_benchmark("gcc", params, schemes=("baseline",),
                                 invariants=(_FailAtTen.name,),
-                                use_reference=False,
                                 artifact_dir=str(tmp_path))
         finally:
             del INVARIANT_REGISTRY[_FailAtTen.name]
@@ -132,7 +128,7 @@ class TestViolationArtifact:
             with pytest.raises(VerificationError) as exc_info:
                 audit_benchmark("gcc", params, schemes=("baseline",),
                                 invariants=(_FailAtTen.name,),
-                                use_reference=False, shrink=False)
+                                shrink=False)
         finally:
             del INVARIANT_REGISTRY[_FailAtTen.name]
         assert exc_info.value.artifact == ""

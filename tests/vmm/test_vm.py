@@ -6,6 +6,7 @@ from repro.common import addr
 from repro.vmm.memory_manager import PhysicalMemory
 from repro.vmm.thp import ThpPolicy
 from repro.vmm.vm import Host, NativeProcess, VirtualMachine
+from tests.paging.helpers import table_base
 
 
 def make_vm(large_fraction=0.0):
@@ -57,7 +58,7 @@ class TestDemandPaging:
     def test_guest_table_frames_are_host_mapped(self):
         vm = make_vm()
         vm.touch(1, 0x1000)
-        root_gpa = vm.process(1).guest_table.root_base
+        root_gpa = table_base(vm.process(1).guest_table, 0, 4)
         assert vm.host_table.lookup(root_gpa) is not None
 
     def test_processes_are_isolated(self):
