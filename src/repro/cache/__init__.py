@@ -3,13 +3,6 @@
 from .cache import DATA, TLB, SetAssociativeCache
 from .dram_cache import DramCacheAccess, DramDataCache
 from .hierarchy import CacheHierarchy
-from .replacement import (
-    FifoPolicy,
-    LruPolicy,
-    RandomPolicy,
-    ReplacementPolicy,
-    make_policy,
-)
 
 __all__ = [
     "DATA",
@@ -17,10 +10,5 @@ __all__ = [
     "CacheHierarchy",
     "DramCacheAccess",
     "DramDataCache",
-    "FifoPolicy",
-    "LruPolicy",
-    "RandomPolicy",
-    "ReplacementPolicy",
     "SetAssociativeCache",
-    "make_policy",
 ]

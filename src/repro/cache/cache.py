@@ -95,13 +95,11 @@ class SetAssociativeCache:
         if tag in tags:
             slot = self._data_hits if kind == DATA else self._tlb_hits
             slot.value += 1
-            slot.touched = True
             if next(reversed(tags)) != tag:
                 tags[tag] = tags.pop(tag)  # move to most-recent position
             return True
         slot = self._data_misses if kind == DATA else self._tlb_misses
         slot.value += 1
-        slot.touched = True
         return False
 
     def contains(self, address: int) -> bool:
@@ -129,12 +127,10 @@ class SetAssociativeCache:
             slot = (self._data_evictions if victim_kind == DATA
                     else self._tlb_evictions)
             slot.value += 1
-            slot.touched = True
             evicted = ((victim << self._set_shift) | set_idx) << self._line_shift
         tags[tag] = kind
         slot = self._data_fills if kind == DATA else self._tlb_fills
         slot.value += 1
-        slot.touched = True
         return evicted
 
     def _line_address(self, set_idx: int, tag: int) -> int:

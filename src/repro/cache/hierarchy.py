@@ -108,27 +108,19 @@ class CacheHierarchy:
         kind = tags1.pop(tag1, None)
         if kind is not None:
             tags1[tag1] = kind
-            slot = l1._data_hits
-            slot.value += 1
-            slot.touched = True
+            l1._data_hits.value += 1
             return self._l1_latency
-        slot = l1._data_misses
-        slot.value += 1
-        slot.touched = True
+        l1._data_misses.value += 1
         line = paddr >> l2._line_shift
         tags2 = l2._tags[line & l2._set_mask]
         tag2 = line >> l2._set_shift
         kind = tags2.pop(tag2, None)
         if kind is not None:
             tags2[tag2] = kind
-            slot = l2._data_hits
-            slot.value += 1
-            slot.touched = True
+            l2._data_hits.value += 1
             cycles = self._l2_latency
         else:
-            slot = l2._data_misses
-            slot.value += 1
-            slot.touched = True
+            l2._data_misses.value += 1
             l3 = self._l3
             line = paddr >> l3._line_shift
             tags3 = l3._tags[line & l3._set_mask]
@@ -136,14 +128,10 @@ class CacheHierarchy:
             kind = tags3.pop(tag3, None)
             if kind is not None:
                 tags3[tag3] = kind
-                slot = l3._data_hits
-                slot.value += 1
-                slot.touched = True
+                l3._data_hits.value += 1
                 cycles = self._l3_latency
             else:
-                slot = l3._data_misses
-                slot.value += 1
-                slot.touched = True
+                l3._data_misses.value += 1
                 cycles = self._l3_latency
                 if self._l4 is not None:
                     probe = self._l4.access(paddr)
@@ -165,11 +153,8 @@ class CacheHierarchy:
                     slot = (l3._data_evictions if tags3.pop(victim) == DATA
                             else l3._tlb_evictions)
                     slot.value += 1
-                    slot.touched = True
                 tags3[tag3] = DATA
-                slot = l3._data_fills
-                slot.value += 1
-                slot.touched = True
+                l3._data_fills.value += 1
             # L2 fill
             if len(tags2) >= l2._ways:
                 victim = (priority_victim(tags2) if l2.tlb_priority
@@ -177,22 +162,16 @@ class CacheHierarchy:
                 slot = (l2._data_evictions if tags2.pop(victim) == DATA
                         else l2._tlb_evictions)
                 slot.value += 1
-                slot.touched = True
             tags2[tag2] = DATA
-            slot = l2._data_fills
-            slot.value += 1
-            slot.touched = True
+            l2._data_fills.value += 1
         # L1 fill (the L1s never hold TLB lines: plain LRU)
         if len(tags1) >= l1._ways:
             slot = (l1._data_evictions
                     if tags1.pop(next(iter(tags1))) == DATA
                     else l1._tlb_evictions)
             slot.value += 1
-            slot.touched = True
         tags1[tag1] = DATA
-        slot = l1._data_fills
-        slot.value += 1
-        slot.touched = True
+        l1._data_fills.value += 1
         return cycles
 
     # -- POM-TLB entry path ------------------------------------------------
@@ -213,30 +192,22 @@ class CacheHierarchy:
         tags = l2._tags[line & l2._set_mask]
         tag = line >> l2._set_shift
         if tag in tags:
-            slot = l2._tlb_hits
-            slot.value += 1
-            slot.touched = True
+            l2._tlb_hits.value += 1
             if next(reversed(tags)) != tag:
                 tags[tag] = tags.pop(tag)
             return self._l2_latency, "l2"
-        slot = l2._tlb_misses
-        slot.value += 1
-        slot.touched = True
+        l2._tlb_misses.value += 1
         l3 = self._l3
         line = paddr >> l3._line_shift
         tags = l3._tags[line & l3._set_mask]
         tag = line >> l3._set_shift
         if tag in tags:
-            slot = l3._tlb_hits
-            slot.value += 1
-            slot.touched = True
+            l3._tlb_hits.value += 1
             if next(reversed(tags)) != tag:
                 tags[tag] = tags.pop(tag)
             l2.fill(paddr, TLB)
             return self._l3_latency, "l3"
-        slot = l3._tlb_misses
-        slot.value += 1
-        slot.touched = True
+        l3._tlb_misses.value += 1
         return self._l3_latency, None
 
     def tlb_line_fill(self, core: int, paddr: int) -> None:
@@ -257,11 +228,8 @@ class CacheHierarchy:
             slot = (l3._data_evictions if tags.pop(victim) == DATA
                     else l3._tlb_evictions)
             slot.value += 1
-            slot.touched = True
         tags[tag] = TLB
-        slot = l3._tlb_fills
-        slot.value += 1
-        slot.touched = True
+        l3._tlb_fills.value += 1
         l2 = self._l2[core]
         line = paddr >> l2._line_shift
         tags = l2._tags[line & l2._set_mask]
@@ -274,11 +242,8 @@ class CacheHierarchy:
             slot = (l2._data_evictions if tags.pop(victim) == DATA
                     else l2._tlb_evictions)
             slot.value += 1
-            slot.touched = True
         tags[tag] = TLB
-        slot = l2._tlb_fills
-        slot.value += 1
-        slot.touched = True
+        l2._tlb_fills.value += 1
 
     def tlb_line_refill(self, core: int, paddr: int) -> None:
         """:meth:`invalidate_tlb_line` then :meth:`tlb_line_fill`, fused.
@@ -311,11 +276,8 @@ class CacheHierarchy:
             slot = (l3._data_evictions if tags.pop(victim) == DATA
                     else l3._tlb_evictions)
             slot.value += 1
-            slot.touched = True
         tags[tag] = TLB
-        slot = l3._tlb_fills
-        slot.value += 1
-        slot.touched = True
+        l3._tlb_fills.value += 1
         tags = l2._tags[set2]
         if tag2 in tags:
             del tags[tag2]
@@ -325,11 +287,8 @@ class CacheHierarchy:
             slot = (l2._data_evictions if tags.pop(victim) == DATA
                     else l2._tlb_evictions)
             slot.value += 1
-            slot.touched = True
         tags[tag2] = TLB
-        slot = l2._tlb_fills
-        slot.value += 1
-        slot.touched = True
+        l2._tlb_fills.value += 1
 
     def tlb_line_cached(self, core: int, paddr: int) -> bool:
         """Side-effect-free check used to train the bypass predictor."""

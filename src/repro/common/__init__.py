@@ -29,7 +29,7 @@ from .errors import (
     WorkerCrash,
 )
 from .fileio import AtomicFile, atomic_write_text
-from .rng import ZipfSampler, make_rng, shuffled_ranks, weighted_choice
+from .rng import ZipfSampler, make_rng, shuffled_ranks
 from .stats import StatGroup, StatRegistry
 
 __all__ = [
@@ -64,5 +64,4 @@ __all__ = [
     "make_rng",
     "shuffled_ranks",
     "stacked_dram_timing",
-    "weighted_choice",
 ]

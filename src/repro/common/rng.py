@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_right
 from itertools import accumulate
-from typing import List, Sequence
+from typing import List
 
 
 def make_rng(seed: int, stream: str = "") -> random.Random:
@@ -62,11 +62,3 @@ def shuffled_ranks(n: int, rng: random.Random) -> List[int]:
     rng.shuffle(ranks)
     return ranks
 
-
-def weighted_choice(options: Sequence, weights: Sequence[float], rng: random.Random):
-    """Pick one of ``options`` with the given relative weights."""
-    if len(options) != len(weights) or not options:
-        raise ValueError("options and weights must be equal-length and non-empty")
-    cum = list(accumulate(weights))
-    point = rng.random() * cum[-1]
-    return options[bisect_right(cum, point)]

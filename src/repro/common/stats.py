@@ -4,48 +4,31 @@ Components own a :class:`StatGroup`; the system simulator stitches the
 groups of all components into a :class:`StatRegistry` so experiments can
 render a single flat report.
 
-Two access styles share one storage:
-
-* the **string API** (``inc``/``get``/``as_dict``/...) — the cold-path
-  and reporting view, unchanged since the seed; and
-* **bound counter slots** (:meth:`StatGroup.counter`) — the hot-path
-  view.  A component resolves ``group.counter("hits")`` once at
-  construction and the per-event increment is then two attribute stores
-  on a :class:`Counter`, with no string hashing or dict lookup.  The
-  very hottest sites inline the two stores
-  (``slot.value += n; slot.touched = True``) instead of calling
-  :meth:`Counter.add`.
-
-Both views observe the same values at all times; the differential
-engine-equivalence test relies on that.
+A counter is its value: ``as_dict`` and ``in`` report a counter iff
+its value is non-zero, and ``reset`` zeroes every value, so a counter
+drops out of reports until written again.  The string API (``inc``,
+``set``, ``[]``) and the bound slots of :meth:`StatGroup.counter` share
+one storage.  A hot-path site resolves ``group.counter("hits")`` once
+at construction and then bumps ``slot.value`` with no string hashing
+or dict lookup.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Mapping, Tuple
+from typing import Dict, Mapping
 
 
 class Counter:
     """One named counter cell, handed out by :meth:`StatGroup.counter`.
 
-    ``value`` is the count; ``touched`` records whether the counter has
-    been written since creation or the last group reset.  Untouched
-    counters are invisible to every reporting view, which preserves the
-    seed-era semantics where a counter key did not exist until first
-    incremented (and was forgotten by ``reset``).
+    ``value`` is the count; the counter is reported iff it is non-zero.
     """
 
-    __slots__ = ("name", "value", "touched")
+    __slots__ = ("name", "value")
 
     def __init__(self, name: str) -> None:
         self.name = name
         self.value: float = 0
-        self.touched = False
-
-    def add(self, amount: float = 1) -> None:
-        """Add ``amount`` (the bound-slot equivalent of ``inc``)."""
-        self.value += amount
-        self.touched = True
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Counter({self.name!r}, {self.value})"
@@ -65,8 +48,6 @@ class StatGroup:
         self.name = name
         self._slots: Dict[str, Counter] = {}
 
-    # -- hot-path view -------------------------------------------------------
-
     def counter(self, key: str) -> Counter:
         """Resolve-once handle for ``key``: a bound :class:`Counter`.
 
@@ -79,65 +60,34 @@ class StatGroup:
             slot = self._slots[key] = Counter(key)
         return slot
 
-    # -- string view ---------------------------------------------------------
-
     def inc(self, key: str, amount: float = 1) -> None:
-        """Add ``amount`` to counter ``key`` (creating it at zero)."""
+        """Add ``amount`` to counter ``key``."""
         slot = self._slots.get(key)
         if slot is None:
             slot = self._slots[key] = Counter(key)
         slot.value += amount
-        slot.touched = True
 
     def set(self, key: str, value: float) -> None:
         """Overwrite counter ``key``."""
-        slot = self.counter(key)
-        slot.value = value
-        slot.touched = True
-
-    def get(self, key: str, default: float = 0) -> float:
-        """Read counter ``key`` or ``default`` when never touched."""
-        slot = self._slots.get(key)
-        return slot.value if slot is not None and slot.touched else default
+        self.counter(key).value = value
 
     def __getitem__(self, key: str) -> float:
         slot = self._slots.get(key)
-        return slot.value if slot is not None and slot.touched else 0
+        return slot.value if slot is not None else 0
 
     def __contains__(self, key: str) -> bool:
         slot = self._slots.get(key)
-        return slot is not None and slot.touched
-
-    def ratio(self, numerator: str, denominator: str) -> float:
-        """``numerator / denominator`` with 0/0 defined as 0.0."""
-        denom = self.get(denominator)
-        if denom == 0:
-            return 0.0
-        return self.get(numerator) / denom
+        return slot is not None and slot.value != 0
 
     def reset(self) -> None:
-        """Zero every counter (the keys are forgotten, not kept at 0).
-
-        Bound slots stay valid: the cells are zeroed in place and marked
-        untouched, so they vanish from reports until written again.
-        """
+        """Zero every counter; bound slots stay valid."""
         for slot in self._slots.values():
             slot.value = 0
-            slot.touched = False
 
     def as_dict(self) -> Dict[str, float]:
-        """Snapshot of all counters, sorted by key for stable output."""
+        """The non-zero counters, sorted by key for stable output."""
         return {key: slot.value for key, slot in sorted(self._slots.items())
-                if slot.touched}
-
-    def merge(self, other: "StatGroup") -> None:
-        """Accumulate every counter of ``other`` into this group."""
-        for key, slot in other._slots.items():
-            if slot.touched:
-                self.inc(key, slot.value)
-
-    def __iter__(self) -> Iterator[Tuple[str, float]]:
-        return iter(sorted(self.as_dict().items()))
+                if slot.value}
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"StatGroup({self.name!r}, {self.as_dict()})"
@@ -188,14 +138,3 @@ class StatRegistry:
             for key, value in counters.items():
                 group.set(key, value)
         return registry
-
-    def render(self) -> str:
-        """Plain-text report of every counter, one line each."""
-        lines = []
-        for name, group in sorted(self._groups.items()):
-            for key, value in group:
-                if isinstance(value, float) and not value.is_integer():
-                    lines.append(f"{name}.{key} = {value:.6g}")
-                else:
-                    lines.append(f"{name}.{key} = {int(value)}")
-        return "\n".join(lines)

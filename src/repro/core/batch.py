@@ -212,9 +212,7 @@ class _StreamState:
                 (self.d2h, self.s_d2h), (self.d2m, self.s_d2m),
                 (self.d2f, self.s_d2f), (self.d2ed, self.s_d2ed),
                 (self.d2et, self.s_d2et)):
-            if n:
-                slot.value += n
-                slot.touched = True
+            slot.value += n
         self.zero_tallies()
 
 
@@ -507,8 +505,8 @@ def try_replay(machine, streams, max_references, warmup_references):
                     translation_cycles = 0
                     data_cycles = 0
                     # Pre-boundary fast-path counts are discarded, not
-                    # committed: reset() zeroes values *and* touched
-                    # flags, so committing first would be equivalent.
+                    # committed: reset() zeroes every value, so
+                    # committing first would be equivalent.
                     for other in states:
                         if other is not None:
                             other.zero_tallies()
@@ -623,11 +621,9 @@ def try_replay(machine, streams, max_references, warmup_references):
                         if kind is not None:  # L3D hit + L2/L1 fills
                             d3set[dtag3] = kind
                             s_d3h.value += 1
-                            s_d3h.touched = True
                             dcy = l3d_lat
                         else:
                             s_d3m.value += 1
-                            s_d3m.touched = True
                             paddr = hpas[j]
                             if l4 is None:
                                 dcy = l3d_lat + dram_access(paddr)
@@ -643,13 +639,10 @@ def try_replay(machine, streams, max_references, warmup_references):
                                 victim = next(iter(d3set))
                                 if d3set.pop(victim) == DATA:
                                     s_d3ed.value += 1
-                                    s_d3ed.touched = True
                                 else:
                                     s_d3et.value += 1
-                                    s_d3et.touched = True
                             d3set[dtag3] = DATA
                             s_d3f.value += 1
-                            s_d3f.touched = True
                         if len(d2set) >= st.d2_ways:
                             victim = next(iter(d2set))
                             if d2set.pop(victim) == DATA:

@@ -173,17 +173,13 @@ class TranslationScheme:
         found = set1.pop(key, None)
         if found is not None:
             set1[key] = found
-            slot = l1._hits
-            slot.value += 1
-            slot.touched = True
+            l1._hits.value += 1
             if tracing:
                 tr.emit(events.TLB_PROBE, cycles=tlbs.l1_latency, level="l1",
                         hit=True)
                 tr.end(cycles=tlbs.l1_latency, l2_miss=False, penalty=0)
             return tlbs.l1_hit_result
-        slot = l1._misses
-        slot.value += 1
-        slot.touched = True
+        l1._misses.value += 1
         if tracing:
             tr.emit(events.TLB_PROBE, cycles=tlbs.l1_latency, level="l1",
                     hit=False)
@@ -198,42 +194,28 @@ class TranslationScheme:
             tr.emit(events.TLB_PROBE, cycles=tlbs.l2_latency, level="l2",
                     hit=found is not None)
         if found is None:
-            slot = l2._misses
-            slot.value += 1
-            slot.touched = True
-            slot = self._l2_misses
-            slot.value += 1
-            slot.touched = True
+            l2._misses.value += 1
+            self._l2_misses.value += 1
             if shared is None:
                 penalty = self._resolve_miss(core, (ctx >> 1) & 0xFFFF,
                                              (ctx >> 17) & 0xFFFF, vaddr,
                                              page, entry)
             if len(set2) >= l2._ways:
                 del set2[next(iter(set2))]
-                slot = l2._evictions
-                slot.value += 1
-                slot.touched = True
+                l2._evictions.value += 1
             set2[key] = entry
-            slot = l2._fills
-            slot.value += 1
-            slot.touched = True
+            l2._fills.value += 1
         else:
             set2[key] = found
-            slot = l2._hits
-            slot.value += 1
-            slot.touched = True
+            l2._hits.value += 1
         if shared is not None:
             cycles, penalty = self._probe_shared(core, ctx, vaddr, key,
                                                  entry, vpn)
         if len(set1) >= l1._ways:
             del set1[next(iter(set1))]
-            slot = l1._evictions
-            slot.value += 1
-            slot.touched = True
+            l1._evictions.value += 1
         set1[key] = entry
-        slot = l1._fills
-        slot.value += 1
-        slot.touched = True
+        l1._fills.value += 1
         if shared is None:
             if found is not None:
                 if tracing:
@@ -241,9 +223,7 @@ class TranslationScheme:
                            l2_miss=False, penalty=0)
                 return tlbs.l2_hit_result
             cycles = tlbs.l1_latency + tlbs.l2_latency + penalty
-        slot = self._penalty_cycles
-        slot.value += penalty
-        slot.touched = True
+        self._penalty_cycles.value += penalty
         if tracing:
             tr.end(cycles=cycles, l2_miss=found is None, penalty=penalty)
         return _new(TranslationResult, (cycles, found is None, penalty))
@@ -261,9 +241,7 @@ class TranslationScheme:
         :class:`TranslationResult` fields the replay loop consumes.
         Only valid on schemes without a :attr:`shared` array.
         """
-        slot = self._l2_misses
-        slot.value += 1
-        slot.touched = True
+        self._l2_misses.value += 1
         tlbs = self.cores[core]
         if key & 1:
             entry = _new(TlbEntry, (page.host_frame >> _LARGE_SHIFT, True))
@@ -275,9 +253,7 @@ class TranslationScheme:
                                      (ctx >> 17) & 0xFFFF, vaddr, page, entry)
         tlbs.l2.insert_at(l2_idx, key, entry)
         l1.insert_at(l1_idx, key, entry)
-        slot = self._penalty_cycles
-        slot.value += penalty
-        slot.touched = True
+        self._penalty_cycles.value += penalty
         return tlbs.l1_latency + tlbs.l2_latency + penalty, penalty
 
     def _resolve_miss(self, core: int, vm_id: int, asid: int, vaddr: int,
@@ -357,12 +333,8 @@ class TranslationScheme:
 
     def _walk(self, core: int, vm_id: int, asid: int, vaddr: int) -> int:
         cycles = self.walkers.walk(core, vm_id, asid, vaddr).cycles
-        slot = self._page_walks
-        slot.value += 1
-        slot.touched = True
-        slot = self._page_walk_cycles
-        slot.value += cycles
-        slot.touched = True
+        self._page_walks.value += 1
+        self._page_walk_cycles.value += cycles
         return cycles
 
 
@@ -396,7 +368,7 @@ class _PomFlowStats:
                          flow_stats.counter("resolved_second_try"))
         self.resolved_by_walk = flow_stats.counter("resolved_by_walk")
         self.prefetches = flow_stats.counter("prefetches")
-        #: source name -> counter slot (untouched counters stay unreported)
+        #: source name -> counter slot (zero counters stay unreported)
         self.sources = {source: flow_stats.counter(f"set_from_{source}")
                         for source in _SET_SOURCES}
 
@@ -493,9 +465,7 @@ class PomTlbScheme(TranslationScheme):
                         source = "dram"
                     else:
                         source = level
-                counter = sources[source]
-                counter.value += 1
-                counter.touched = True
+                sources[source].value += 1
                 if tr.active:
                     tr.emit(events.POM_FETCH, cycles=fetch_cycles,
                             source=source)
@@ -507,9 +477,7 @@ class PomTlbScheme(TranslationScheme):
                 tr.emit(events.POM_PROBE, attempt=attempt, large=large,
                         hit=found is not None)
             if found is not None:
-                counter = flow.resolved[attempt]
-                counter.value += 1
-                counter.touched = True
+                flow.resolved[attempt].value += 1
                 break
             if attempt:
                 break
@@ -517,9 +485,7 @@ class PomTlbScheme(TranslationScheme):
             large = not predicted_large
         if found is None:
             cycles += self._walk(core, vm_id, asid, vaddr)
-            counter = flow.resolved_by_walk
-            counter.value += 1
-            counter.touched = True
+            flow.resolved_by_walk.value += 1
             line_addr, _evicted = pom.insert(vaddr, true_key, entry, vm_id,
                                              page_large)
             # The line's cached copies are stale now; refresh the
@@ -553,7 +519,7 @@ class PomTlbScheme(TranslationScheme):
             return
         self.pom.dram.access(set_addr)
         self.hierarchy.tlb_line_fill(core, set_addr)
-        self._flow.prefetches.add()
+        self._flow.prefetches.value += 1
 
     def _shootdown_backend(self, vm_id: int, asid: int, vaddr: int) -> int:
         cycles = 0
@@ -636,7 +602,6 @@ class SharedL2Scheme(TranslationScheme):
         else:
             slot = shared._misses
         slot.value += 1
-        slot.touched = True
         tr = self.trace
         if tr.active:
             tr.emit(events.TLB_PROBE, cycles=self._shared_latency,
@@ -649,13 +614,9 @@ class SharedL2Scheme(TranslationScheme):
         # still the one to fill.
         if len(entries) >= shared._ways:
             del entries[next(iter(entries))]
-            slot = shared._evictions
-            slot.value += 1
-            slot.touched = True
+            shared._evictions.value += 1
         entries[key] = entry
-        slot = shared._fills
-        slot.value += 1
-        slot.touched = True
+        shared._fills.value += 1
         return cycles + penalty, penalty
 
     def _shootdown_backend(self, vm_id: int, asid: int, vaddr: int) -> int:

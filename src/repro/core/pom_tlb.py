@@ -186,13 +186,9 @@ class PomTlb(PomStructure):
                 if next(reversed(entries)) != key:
                     del entries[key]
                     entries[key] = entry
-                slot = self._hits[large]
-                slot.value += 1
-                slot.touched = True
+                self._hits[large].value += 1
                 return entry
-        slot = self._misses[large]
-        slot.value += 1
-        slot.touched = True
+        self._misses[large].value += 1
         return None
 
     def _holds(self, key: int, index: int) -> bool:
@@ -225,13 +221,9 @@ class PomTlb(PomStructure):
         elif len(entries) >= self._ways:
             evicted = next(iter(entries))  # LRU is first
             del entries[evicted]
-            slot = self._evictions
-            slot.value += 1
-            slot.touched = True
+            self._evictions.value += 1
         entries[key] = entry
-        slot = self._fills
-        slot.value += 1
-        slot.touched = True
+        self._fills.value += 1
         return set_paddr, evicted
 
     # -- teardown ---------------------------------------------------------
@@ -256,8 +248,7 @@ class PomTlb(PomStructure):
             del entries[key]
             if not entries:
                 del sets[index]
-        if doomed:
-            self.stats.inc("shootdowns", len(doomed))
+        self.stats.inc("shootdowns", len(doomed))
         return [set_paddr for _sets, _index, _key, set_paddr in doomed]
 
     # -- introspection -----------------------------------------------------

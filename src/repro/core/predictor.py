@@ -68,7 +68,6 @@ class SizeBypassPredictor:
         correct = (counter >= self._size_threshold) == actual_large
         slot = self._size_correct if correct else self._size_wrong
         slot.value += 1
-        slot.touched = True
         if self.trace.active:
             self.trace.emit(events.PREDICTOR_TRAIN, kind="size",
                             correct=correct)
@@ -97,7 +96,6 @@ class SizeBypassPredictor:
         correct = predicted == should_bypass
         slot = self._bypass_correct if correct else self._bypass_wrong
         slot.value += 1
-        slot.touched = True
         if self.trace.active:
             self.trace.emit(events.PREDICTOR_TRAIN, kind="bypass",
                             correct=correct)

@@ -119,14 +119,10 @@ class SkewedPomTlb(PomStructure):
         if resident is not None and resident[0] == key:
             self._clock += 1
             slots[pos] = (key, resident[1], self._clock)
-            counter = self._hits[key & 1]
-            counter.value += 1
-            counter.touched = True
+            self._hits[key & 1].value += 1
             return resident[1]
         if pos >= self._last_way_base:
-            counter = self._misses[key & 1]
-            counter.value += 1
-            counter.touched = True
+            self._misses[key & 1].value += 1
         return None
 
     def _holds(self, key: int, pos: int) -> bool:
@@ -148,20 +144,20 @@ class SkewedPomTlb(PomStructure):
             resident = slots.get(pos)
             if resident is not None and resident[0] == key:
                 slots[pos] = (key, entry, self._clock)
-                self._fills.add()
+                self._fills.value += 1
                 return line, None
         # Prefer an empty candidate slot.
         for line, pos in candidates:
             if pos not in slots:
                 slots[pos] = (key, entry, self._clock)
-                self._fills.add()
+                self._fills.value += 1
                 return line, None
         # Evict the least recently touched candidate.
         line, pos = min(candidates, key=lambda c: slots[c[1]][2])
         evicted = slots[pos][0]
         slots[pos] = (key, entry, self._clock)
-        self._fills.add()
-        self._evictions.add()
+        self._fills.value += 1
+        self._evictions.value += 1
         return line, evicted
 
     # -- teardown & reporting -------------------------------------------------
@@ -178,8 +174,7 @@ class SkewedPomTlb(PomStructure):
                   if key & KEY_VM_FIELD_MASK == vm_bits]
         for pos in doomed:
             del slots[pos]
-        if doomed:
-            self.stats.inc("shootdowns", len(doomed))
+        self.stats.inc("shootdowns", len(doomed))
         base = self.config.base_address
         return [base + (pos >> 2 << _LINE_SHIFT) for pos in doomed]
 

@@ -67,13 +67,9 @@ class TranslationStorageBuffer:
         index = (vpn ^ (vm_id * _SPREAD) ^ (asid * 0x85EB)) & self._mask
         resident = self._guest.get(index)
         if resident and resident[0] == (vm_id, asid, vpn, large):
-            slot = self._guest_hits
-            slot.value += 1
-            slot.touched = True
+            self._guest_hits.value += 1
             return resident[1]
-        slot = self._guest_misses
-        slot.value += 1
-        slot.touched = True
+        self._guest_misses.value += 1
         return None
 
     def fill_guest(self, vm_id: int, asid: int, vpn: int, large: bool,
@@ -97,13 +93,9 @@ class TranslationStorageBuffer:
         index = (gpa_vpn ^ (vm_id * _SPREAD)) & self._mask
         resident = self._host.get(index)
         if resident and resident[0] == (vm_id, gpa_vpn):
-            slot = self._host_hits
-            slot.value += 1
-            slot.touched = True
+            self._host_hits.value += 1
             return resident[1]
-        slot = self._host_misses
-        slot.value += 1
-        slot.touched = True
+        self._host_misses.value += 1
         return None
 
     def fill_host(self, vm_id: int, gpa_vpn: int, hpa_frame: int) -> None:

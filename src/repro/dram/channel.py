@@ -81,13 +81,8 @@ class DramChannel:
                 cycles = self._conflict_cycles
             open_rows[bank] = row
         slot.value += 1
-        slot.touched = True
-        slot = self._accesses
-        slot.value += 1
-        slot.touched = True
-        slot = self._bytes
-        slot.value += _LINE
-        slot.touched = True
+        self._accesses.value += 1
+        self._bytes.value += _LINE
         if self.histogram is not None:
             self.histogram.record(cycles)
         if self.trace.active:
@@ -97,12 +92,6 @@ class DramChannel:
                                      else "miss" if open_row is None
                                      else "conflict"))
         return cycles
-
-    def row_buffer_hit_rate(self) -> float:
-        """Fraction of accesses served from an open row buffer."""
-        return self.stats.ratio(
-            "row_hits",
-            "accesses") if self.stats["accesses"] else 0.0
 
     @property
     def banks(self) -> int:

@@ -109,7 +109,6 @@ class NestedWalker:
             cached = None
             slot = self._guest_misses
         slot.value += 1
-        slot.touched = True
         # The cached base and the leaf are checked before any PTE is
         # read.
         table = self.guest_table
@@ -164,7 +163,6 @@ class NestedWalker:
                 hstart = _ROOT
                 slot = misses
             slot.value += 1
-            slot.touched = True
             hva = gpa & VA_MASK
             if hstart != _ROOT:
                 found = tables[hstart].get(hva >> TABLE_SHIFT[hstart])
@@ -235,13 +233,7 @@ class NestedWalker:
                 del entries[next(iter(entries))]
             entries[pkey] = (gpa_base, hpa_leaf[0] | (
                 gpa_base & (LARGE_OFFSET if hpa_leaf[1] else SMALL_OFFSET)))
-        slot = self._nested_walks
-        slot.value += 1
-        slot.touched = True
-        slot = self._nested_cycles
-        slot.value += cycles
-        slot.touched = True
-        slot = self._nested_refs
-        slot.value += refs
-        slot.touched = True
+        self._nested_walks.value += 1
+        self._nested_cycles.value += cycles
+        self._nested_refs.value += refs
         return _new(WalkResult, (cycles, refs, hpa, large))

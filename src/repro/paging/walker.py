@@ -89,7 +89,6 @@ class NativeWalker:
             start = _ROOT
             slot = self._misses
         slot.value += 1
-        slot.touched = True
         table = self.page_table
         va = vaddr & VA_MASK
         if start != _ROOT:
@@ -131,13 +130,7 @@ class NativeWalker:
                 del entries[next(iter(entries))]
             entries[key] = base
         refs = len(steps)
-        slot = self._walks
-        slot.value += 1
-        slot.touched = True
-        slot = self._walk_cycles
-        slot.value += cycles
-        slot.touched = True
-        slot = self._walk_refs
-        slot.value += refs
-        slot.touched = True
+        self._walks.value += 1
+        self._walk_cycles.value += cycles
+        self._walk_refs.value += refs
         return _new(WalkResult, (cycles, refs, leaf[0], large))

@@ -65,16 +65,12 @@ class SramTlb:
         entries = self._sets[set_idx]
         entry = entries.get(key)
         if entry is not None:
-            slot = self._hits
-            slot.value += 1
-            slot.touched = True
+            self._hits.value += 1
             # move_to_end: delete + reinsert keeps dict order == recency.
             del entries[key]
             entries[key] = entry
             return entry
-        slot = self._misses
-        slot.value += 1
-        slot.touched = True
+        self._misses.value += 1
         return None
 
     def contains(self, key: int) -> bool:
@@ -95,13 +91,9 @@ class SramTlb:
         elif len(entries) >= self._ways:
             evicted = next(iter(entries))
             del entries[evicted]
-            slot = self._evictions
-            slot.value += 1
-            slot.touched = True
+            self._evictions.value += 1
         entries[key] = entry
-        slot = self._fills
-        slot.value += 1
-        slot.touched = True
+        self._fills.value += 1
         return evicted
 
     # -- batch-replay support -------------------------------------------------
@@ -139,8 +131,7 @@ class SramTlb:
         dropped = len(self)
         for entries in self._sets:
             entries.clear()
-        if dropped:
-            self.stats.inc("shootdowns", dropped)
+        self.stats.inc("shootdowns", dropped)
         return dropped
 
     def _drop(self, mask: int, bits: int) -> int:
@@ -150,8 +141,7 @@ class SramTlb:
                   for key in entries if key & mask == bits]
         for entries, key in doomed:
             del entries[key]
-        if doomed:
-            self.stats.inc("shootdowns", len(doomed))
+        self.stats.inc("shootdowns", len(doomed))
         return len(doomed)
 
     # -- introspection --------------------------------------------------------

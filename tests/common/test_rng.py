@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.common.rng import ZipfSampler, make_rng, shuffled_ranks, weighted_choice
+from repro.common.rng import ZipfSampler, make_rng, shuffled_ranks
 
 
 class TestMakeRng:
@@ -61,23 +61,3 @@ class TestShuffledRanks:
 
     def test_deterministic(self):
         assert shuffled_ranks(50, make_rng(6)) == shuffled_ranks(50, make_rng(6))
-
-
-class TestWeightedChoice:
-    def test_rejects_mismatched_lengths(self):
-        with pytest.raises(ValueError):
-            weighted_choice(["a"], [1.0, 2.0], make_rng(7))
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            weighted_choice([], [], make_rng(7))
-
-    def test_respects_weights(self):
-        rng = make_rng(8)
-        picks = [weighted_choice(["a", "b"], [9.0, 1.0], rng) for _ in range(2000)]
-        assert picks.count("a") > 1600
-
-    def test_zero_weight_never_picked(self):
-        rng = make_rng(9)
-        picks = {weighted_choice(["a", "b"], [1.0, 0.0], rng) for _ in range(500)}
-        assert picks == {"a"}

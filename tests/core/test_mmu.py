@@ -126,7 +126,7 @@ class TestPomTlbScheme:
         translate(m, 0x1000)
         flow = m.stats["pom_flow"]
         assert flow["set_from_dram_uncached"] >= 1
-        assert flow.get("set_from_l2", 0) == 0
+        assert flow["set_from_l2"] == 0
 
     def test_size_predictor_learns_large_pages(self):
         m = make_machine("pom", large_fraction=1.0)

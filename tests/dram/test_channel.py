@@ -27,15 +27,17 @@ class TestDramChannel:
         assert warm == (2 + 11 + 2) * 4
 
     def test_row_buffer_hit_rate(self):
-        ch, _ = make_channel()
+        # The Fig 11 rate is row_hits / accesses of the channel's group.
+        ch, stats = make_channel()
         ch.access(0)
         ch.access(64)
         ch.access(128)
-        assert ch.row_buffer_hit_rate() == pytest.approx(2 / 3)
+        assert stats["row_hits"] / stats["accesses"] == pytest.approx(2 / 3)
 
     def test_hit_rate_zero_when_untouched(self):
-        ch, _ = make_channel()
-        assert ch.row_buffer_hit_rate() == 0.0
+        ch, stats = make_channel()
+        assert stats["row_hits"] == stats["accesses"] == 0
+        assert stats.as_dict() == {}
 
     def test_bytes_and_access_counters(self):
         ch, stats = make_channel()

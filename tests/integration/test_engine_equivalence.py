@@ -95,6 +95,12 @@ COLD_CASES += [pytest.param(case, scheme, name,
                                     ("pom_skewed", "gups"))
                for case in [f"{scheme}-{name}-priority-tinycache"]]
 CASES += COLD_CASES
+#: Every scheme warm at the cold cases' scale, where the measured phase
+#: still misses: the miss-path counters after the warm-up stats reset.
+CASES += [pytest.param(case, scheme, "gups",
+                       dataclasses.replace(PARAMS, scale=0.3), True, {},
+                       id=case)
+          for scheme in SCHEMES for case in [f"{scheme}-gups-scale0.3"]]
 
 #: The lifecycle studies at small params, verifier armed.  Churn and
 #: migration are first-touch heavy and pin teardown, reclamation and
@@ -149,8 +155,9 @@ def test_counters_bit_identical(case, scheme, name, params, warm, caches):
     result = _machine(scheme, profile, params, caches).run(
         workload.streams, warmup_references=_warmup(workload, warm))
     golden.check(_family(warm), {case: result})
-    if not warm:
-        # A cold case exists to compare the miss path: it must reach it.
+    if params.scale > PARAMS.scale:
+        # Cold cases and warm cases at this scale exist to compare the
+        # miss path: each must reach it.
         assert result.l2_tlb_misses > 0
 
 

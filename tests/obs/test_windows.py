@@ -10,13 +10,8 @@ from repro.obs.windows import WindowedMetrics
 
 def _registry():
     reg = StatRegistry()
-    pom = reg.group("pom_tlb")
-    for key in ("hits_small", "hits_large", "misses_small", "misses_large"):
-        pom.set(key, 0)
-    pred = reg.group("core0.predictor")
-    for key in ("size_correct", "size_wrong", "bypass_correct",
-                "bypass_wrong"):
-        pred.set(key, 0)
+    reg.group("pom_tlb")
+    reg.group("core0.predictor")
     return reg
 
 

@@ -52,7 +52,7 @@ def oracle_translate(scheme, core, ctx, vaddr, page):
     penalty = 0
     l2_miss = tlbs.l2.lookup(key) is None
     if l2_miss:
-        scheme._l2_misses.add()
+        scheme._l2_misses.value += 1
         if shared is None:
             penalty = scheme._resolve_miss(core, vm_id, asid, vaddr, page,
                                            entry)
@@ -70,7 +70,7 @@ def oracle_translate(scheme, core, ctx, vaddr, page):
             shared.insert(key, entry)
     l1.insert(key, entry)
     if l2_miss or shared is not None:
-        scheme._penalty_cycles.add(penalty)
+        scheme._penalty_cycles.value += penalty
     return TranslationResult(cycles, l2_miss, penalty)
 
 
