@@ -31,6 +31,7 @@ from typing import List, Optional
 
 from .common.errors import ConfigError, VerificationError
 from .common.fileio import atomic_write_text
+from .core.mmu import SCHEMES
 from .experiments import (ablations, campaign, consolidation, contention,
                           details, figures, profiling, tables, tradeoff)
 from .experiments.runner import ExperimentParams, SuiteRunner
@@ -73,7 +74,7 @@ _DYNAMIC = {
     "ablation-prefetch": ablations.ablation_prefetch,
 }
 
-_SCHEMES = ("baseline", "pom", "pom_skewed", "shared_l2", "tsb")
+_SCHEMES = tuple(SCHEMES)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -349,7 +350,6 @@ def _audit_parser() -> argparse.ArgumentParser:
 def _audit_main(argv: List[str]) -> int:
     from .common.errors import VerificationError
     from .verify import INVARIANT_REGISTRY, audit_benchmark
-    from .verify.differential import ALL_SCHEMES
 
     args = _audit_parser().parse_args(argv)
     benchmarks = [b for b in args.benchmarks.split(",") if b] or \
@@ -360,7 +360,7 @@ def _audit_main(argv: List[str]) -> int:
                   file=sys.stderr)
             return EXIT_USAGE
     if args.schemes == "all":
-        schemes = ALL_SCHEMES
+        schemes = _SCHEMES
     else:
         schemes = tuple(s for s in args.schemes.split(",") if s)
         for name in schemes:
@@ -478,7 +478,7 @@ def _lifecycle_main(argv: List[str]) -> int:
                   file=sys.stderr)
             return EXIT_USAGE
     if args.schemes == "all":
-        schemes = lifecycle.ALL_SCHEMES
+        schemes = _SCHEMES
     else:
         schemes = tuple(s for s in args.schemes.split(",") if s)
         for name in schemes:
@@ -699,16 +699,17 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
 
+    if (args.experiment == "campaign" and params.workers > 1
+            and (args.trace_out or args.metrics_out)):
+        print("--trace-out and --metrics-out observe in-process runs; "
+              "use them with --workers 0 or 1", file=sys.stderr)
+        return 2
     try:
         obs = _ObsSession(args)
     except OSError as exc:
         print(f"cannot open --trace-out file: {exc}", file=sys.stderr)
         return 2
     obs_factory = obs.factory if obs.enabled else None
-    if (obs.enabled and args.experiment == "campaign" and params.workers > 1):
-        print("note: per-translation tracing/metrics run in-process; "
-              "with --workers > 1 only campaign-level run events are "
-              "traced", file=sys.stderr)
     telemetry = NO_TELEMETRY
     if args.status_out or args.telemetry_dir:
         from .obs import CampaignTelemetry

@@ -395,6 +395,8 @@ class PomTlbScheme(TranslationScheme):
             for core in range(config.num_cores)]
         self.flow_stats = stats.group("pom_flow")
         self._flow = _PomFlowStats(self.flow_stats)
+        #: Stacked-DRAM channel access, bound once for the miss path.
+        self._dram_access = self.pom.dram.access
         self._cache_entries = config.cache_tlb_entries
         self._prefetch = config.tlb_prefetch
         # The first two conjuncts of the bypass decision are run-constant.
@@ -427,9 +429,7 @@ class PomTlbScheme(TranslationScheme):
 
         flow = self._flow
         sources = flow.sources
-        # Stacked-DRAM fetches call the channel (bound per miss, so a
-        # profiler's per-instance wrapper is seen).
-        dram_access = pom.dram.access
+        dram_access = self._dram_access
         probe_slot = pom.probe_slot
         uncached = not self._cache_entries or bypass
         found: Optional[TlbEntry] = None

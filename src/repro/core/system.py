@@ -258,7 +258,7 @@ class Machine:
         else:
             proc = self._native_process(asid)
         # Demand-paging (first touch of a page) goes through the public
-        # ``touch`` so profiling/instrumentation wrappers still see it;
+        # ``touch`` so instrumentation wrappers still see it;
         # resolved pages are served straight from the process dicts.
         touch_slow = partial(self.touch, vm_id, asid)
         return (stream.core, pack_context(vm_id, asid),
@@ -460,6 +460,13 @@ class Machine:
         same five tallies.
         """
         self.obs.fold()
+        histograms = self.obs.histograms
+        pom = getattr(self.scheme, "pom", None)
+        if histograms is not None and pom is not None:
+            histogram = histograms["dram_access_cycles"]
+            histogram.reset()
+            for cycles, accesses in pom.dram.latency_counts():
+                histogram.record_many(cycles, accesses)
         windows = self.obs.windows
         if windows is not None:
             windows.finish()
@@ -477,7 +484,7 @@ class Machine:
             data_cycles=data_cycles,
             page_walks=int(mmu_stats["page_walks"]),
             stats=self.stats,
-            histograms=self.obs.histograms,
+            histograms=histograms,
             windows=windows,
         )
         if self.verifier.active:

@@ -47,9 +47,8 @@ class WalkerPool:
                             Union[NestedWalker, NativeWalker]] = {}
 
     def _read_pte(self, core: int):
-        # A PTE reference is a data-cache load.  Resolved via getattr so
-        # a profiler's per-instance wrapper is picked up; partial avoids
-        # a Python frame per PTE reference.
+        # A PTE reference is a data-cache load; partial avoids a Python
+        # frame per PTE reference.
         return partial(self.hierarchy.data_access, core)
 
     def _walker_for(self, core: int, vm_id: int,

@@ -42,9 +42,6 @@ class DramChannel:
         self._open_rows = [None] * timing.banks
         #: Event tracer; the null object unless Observability attaches one.
         self.trace = NULL_TRACER
-        #: Optional latency histogram (set by Observability on the
-        #: stacked-DRAM channel); None keeps the hot path untouched.
-        self.histogram = None
         # Hot-path constants: the address decomposition (that of
         # :meth:`~repro.dram.scheduler.CommandScheduler.locate`), the
         # CPU-cycle latency of each row-buffer outcome for one cache line
@@ -83,8 +80,6 @@ class DramChannel:
         slot.value += 1
         self._accesses.value += 1
         self._bytes.value += _LINE
-        if self.histogram is not None:
-            self.histogram.record(cycles)
         if self.trace.active:
             self.trace.emit(events.DRAM_ACCESS, cycles=cycles,
                             bank=bank, row=row,
@@ -96,6 +91,14 @@ class DramChannel:
     @property
     def banks(self) -> int:
         return len(self._open_rows)
+
+    def latency_counts(self):
+        """``(cycles, accesses)`` per row-buffer outcome since the last
+        stats reset: each outcome has one latency, so the outcome
+        counters hold the channel's whole latency distribution."""
+        return ((self._hit_cycles, self._row_hits.value),
+                (self._miss_cycles, self._row_misses.value),
+                (self._conflict_cycles, self._row_conflicts.value))
 
 
 def typical_latencies(timing: DramTimingConfig, cpu_mhz: int) -> dict:

@@ -23,7 +23,7 @@ from typing import Dict, Iterable, List, Optional, TextIO, Tuple
 
 from ..common import addr
 from ..faults import NO_FAULTS, FaultPlan
-from ..obs import NO_TELEMETRY, NULL_TRACER
+from ..obs import NO_TELEMETRY
 from ..resilience import (CheckpointStore, RetryPolicy, RunRequest,
                           execute_runs, run_key)
 from ..resilience.workers import simulate_request
@@ -161,6 +161,10 @@ def run_all(params: Optional[ExperimentParams] = None,
     :mod:`repro.obs.telemetry`.  Telemetry writes only to its own files
     and the progress stream; the report on ``out`` stays byte-identical
     with telemetry on or off.
+
+    ``obs_factory`` observes in-process runs only: with
+    ``params.workers > 1`` the runs execute in worker processes and it
+    is not called.
     """
     params = params or ExperimentParams.from_env()
     progress = progress if progress is not None else sys.stderr
@@ -178,9 +182,6 @@ def run_all(params: Optional[ExperimentParams] = None,
             _progress_write(progress,
                             f"# checkpoint: skipped "
                             f"{checkpoint.skipped_lines} damaged line(s)\n")
-
-    control_obs = obs_factory("campaign", "control") if obs_factory else None
-    tracer = control_obs.tracer if control_obs is not None else NULL_TRACER
 
     retry = RetryPolicy(max_retries=params.max_retries,
                         base_delay_s=params.retry_backoff_s,
@@ -210,7 +211,7 @@ def run_all(params: Optional[ExperimentParams] = None,
                               include_sensitivity, runner,
                               simulate_parallel=parallel,
                               checkpoint=checkpoint, retry=retry,
-                              faults=faults, tracer=tracer,
+                              faults=faults,
                               on_outcome=on_outcome,
                               telemetry=telemetry)
     finally:
@@ -221,7 +222,7 @@ def run_all(params: Optional[ExperimentParams] = None,
 
 def _run_all_inner(params, names, requests, out, progress,
                    include_sensitivity, runner, *,
-                   simulate_parallel, checkpoint, retry, faults, tracer,
+                   simulate_parallel, checkpoint, retry, faults,
                    on_outcome, telemetry) -> CampaignResult:
     parallel = simulate_parallel
     # Monotonic, not wall clock: an NTP step mid-campaign must not
@@ -245,7 +246,6 @@ def _run_all_inner(params, names, requests, out, progress,
                             retry=retry,
                             faults=faults,
                             checkpoint=checkpoint,
-                            tracer=tracer,
                             on_outcome=on_outcome,
                             simulate=simulate,
                             telemetry=telemetry)

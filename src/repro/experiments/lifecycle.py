@@ -24,6 +24,7 @@ from __future__ import annotations
 from typing import Iterable, List, Optional
 
 from ..common.config import PomTlbConfig, SystemConfig
+from ..core.mmu import SCHEMES
 from ..core.perfmodel import estimate
 from ..core.system import Machine
 from ..workloads.lifecycle import (LifecycleWorkload, build_churn,
@@ -32,7 +33,7 @@ from ..workloads.suite import get_profile
 from .report import Report
 from .runner import ExperimentParams
 
-ALL_SCHEMES = ("baseline", "pom", "pom_skewed", "shared_l2", "tsb")
+ALL_SCHEMES = tuple(SCHEMES)
 DEFAULT_CHURN_MIX = ("gcc", "mcf", "canneal", "gups")
 DEFAULT_MIGRATION_MIX = ("graph500", "mcf", "gups")
 #: shootdowns per 1000 measured references (0 = interference-free control)

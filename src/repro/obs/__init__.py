@@ -1,4 +1,4 @@
-"""Observability: tracing, latency histograms, windowed metrics, profiling.
+"""Observability: tracing, latency histograms, windowed metrics, telemetry.
 
 The hub is :class:`Observability`: one object a
 :class:`~repro.core.system.Machine` owns that bundles
@@ -11,9 +11,10 @@ The hub is :class:`Observability`: one object a
 * **time-windowed metrics** (:mod:`repro.obs.windows`) showing warm-up
   vs steady-state behaviour per K references.
 
-The host-side :class:`~repro.obs.profiler.SelfTimeProfiler` (where does
-the *simulator* spend wall-clock?) lives alongside but is installed
-explicitly, never by default.
+The campaign's run lifecycle goes to :class:`CampaignTelemetry` (the
+NDJSON status stream), not to the tracer.  Host time (where does the
+*simulator* spend wall-clock?) is ``pomtlb profile``'s job: one run
+under :mod:`cProfile`, see :mod:`repro.experiments.profiling`.
 """
 
 from __future__ import annotations
@@ -51,11 +52,6 @@ class Observability:
         self.window = window
         self.windows: Optional[WindowedMetrics] = None
 
-    @classmethod
-    def disabled(cls) -> "Observability":
-        """Everything off — the seed simulator's exact hot path."""
-        return cls(histograms=False)
-
     # -- wiring --------------------------------------------------------------
 
     def attach(self, machine) -> None:
@@ -65,8 +61,6 @@ class Observability:
         pom = getattr(machine.scheme, "pom", None)
         if pom is not None:
             pom.dram.trace = self.tracer
-            if self.histograms is not None:
-                pom.dram.histogram = self.histograms["dram_access_cycles"]
         for predictor in getattr(machine.scheme, "predictors", ()):
             predictor.trace = self.tracer
         if self.window:

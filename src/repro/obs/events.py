@@ -44,13 +44,6 @@ DRAM_ACCESS = "dram_access"
 WALK = "walk"
 #: One PTE reference inside a walk (dim ``native``/``guest``/``host``).
 WALK_STEP = "walk_step"
-#: A campaign run attempt failed transiently and will be retried
-#: (includes timeouts and worker crashes; ``error`` carries the class).
-RUN_RETRY = "run_retry"
-#: A campaign run exhausted its attempts and was recorded as failed.
-RUN_FAILURE = "run_failure"
-#: A campaign run finished successfully (``restored`` = from checkpoint).
-RUN_COMPLETE = "run_complete"
 #: A consistency-audit invariant was violated (:mod:`repro.verify`).
 VERIFY_VIOLATION = "verify_violation"
 
@@ -69,9 +62,6 @@ EVENT_FIELDS: Dict[str, Tuple[str, ...]] = {
     DRAM_ACCESS: ("bank", "row", "outcome", "cycles"),
     WALK: ("core", "cycles", "refs"),
     WALK_STEP: ("dim", "level", "cycles"),
-    RUN_RETRY: ("benchmark", "scheme", "attempt", "error"),
-    RUN_FAILURE: ("benchmark", "scheme", "attempts", "error"),
-    RUN_COMPLETE: ("benchmark", "scheme", "attempts", "restored"),
     VERIFY_VIOLATION: ("invariant", "detail"),
 }
 

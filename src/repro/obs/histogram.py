@@ -28,8 +28,8 @@ class LogHistogram:
     """Power-of-two-bucketed histogram of integer latencies below 2**64.
 
     Recording is deferred: :attr:`record` is the bound ``append`` of a
-    pending list, so the replay loops and the DRAM channel record a
-    latency with one C-level call and no Python frame.  Every reader
+    pending list, so the replay loops record a latency with one
+    C-level call and no Python frame.  Every reader
     folds the pending values into the buckets first (:meth:`fold`).
     Bucket, count, total, min and max are order-independent, so a fold
     gives exactly the state eager recording would have.  The scalar
@@ -160,18 +160,6 @@ class LogHistogram:
         self._min = _NO_MIN
         self._max = 0
         self._buckets = [0] * _BUCKETS
-
-    def merge(self, other: "LogHistogram") -> None:
-        """Accumulate another histogram's observations into this one."""
-        self.fold()
-        for bucket, n in other._nonempty():
-            self._buckets[bucket] += n
-        self._count += other._count
-        self._total += other._total
-        if other._max > self._max:
-            self._max = other._max
-        if other._min < self._min:
-            self._min = other._min
 
     # -- reporting ----------------------------------------------------------
 

@@ -8,8 +8,8 @@ Two implementations share one protocol:
   cost exactly one attribute check and never call a method.
 * :class:`EventTracer` — the real thing: samples ``1/N`` translations,
   stamps every event with a virtual cycle clock and a sequence number,
-  keeps an optional bounded ring buffer of recent events, and fans each
-  event out to any number of sinks (JSONL, Chrome trace, in-memory).
+  and fans each event out to any number of sinks (JSONL, Chrome trace,
+  in-memory).
 
 Gating contract (enforced by convention at every instrumentation site):
 
@@ -21,7 +21,6 @@ Gating contract (enforced by convention at every instrumentation site):
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Optional
 
 from . import events
@@ -59,24 +58,21 @@ NULL_TRACER = NullTracer()
 
 
 class EventTracer:
-    """Emits one typed event per translation step to sinks and a ring.
+    """Emits one typed event per translation step to its sinks.
 
     ``sample=N`` records every N-th translation (the first of every N).
-    ``ring_capacity`` keeps the most recent events in memory regardless
-    of sinks — handy for tests and post-mortem inspection without I/O.
     ``meta`` is written immediately as a ``run_meta`` event so multi-run
     sinks (e.g. one JSONL file for a whole figure) can split runs.
     """
 
     enabled = True
 
-    def __init__(self, sinks=(), sample: int = 1, ring_capacity: int = 0,
+    def __init__(self, sinks=(), sample: int = 1,
                  meta: Optional[dict] = None) -> None:
         if sample < 1:
             raise ValueError(f"sample must be >= 1, got {sample}")
         self.sinks = list(sinks)
         self.sample = sample
-        self.ring = deque(maxlen=ring_capacity) if ring_capacity else None
         self.active = False
         self.seq = 0            # events written
         self.translations = 0   # translations seen (sampled or not)
@@ -149,8 +145,6 @@ class EventTracer:
     # -- plumbing ------------------------------------------------------------
 
     def _write(self, event: dict) -> None:
-        if self.ring is not None:
-            self.ring.append(event)
         for sink in self.sinks:
             sink.write(event)
 

@@ -20,10 +20,10 @@ On top of either mode: transient failures are retried with the
 :class:`~repro.resilience.retry.RetryPolicy` backoff, successes are
 persisted to the optional :class:`~repro.resilience.checkpoint.CheckpointStore`
 (restored runs skip execution entirely), and every retry / failure /
-completion is traced through the standard event tracer.  A checkpoint
-write failure is a warning, never fatal: losing durability must not lose
-the campaign.  ``KeyboardInterrupt`` tears down children and propagates,
-leaving the checkpoint resumable.
+completion goes to the campaign telemetry (the NDJSON status stream).
+A checkpoint write failure is a warning, never fatal: losing durability
+must not lose the campaign.  ``KeyboardInterrupt`` tears down children
+and propagates, leaving the checkpoint resumable.
 """
 
 from __future__ import annotations
@@ -39,8 +39,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..common.errors import RunTimeout, WorkerCrash
 from ..faults import NO_FAULTS, FaultPlan
-from ..obs import NO_TELEMETRY, NULL_TRACER
-from ..obs import events as obs_events
+from ..obs import NO_TELEMETRY
 from .checkpoint import CheckpointStore, run_key
 from .retry import RetryPolicy, is_transient
 
@@ -195,7 +194,6 @@ def execute_runs(requests: List[RunRequest],
                  retry: Optional[RetryPolicy] = None,
                  faults: FaultPlan = NO_FAULTS,
                  checkpoint: Optional[CheckpointStore] = None,
-                 tracer=NULL_TRACER,
                  on_outcome: Optional[Callable[[RunOutcome], None]] = None,
                  simulate: Optional[Callable] = None,
                  telemetry=NO_TELEMETRY,
@@ -235,7 +233,6 @@ def execute_runs(requests: List[RunRequest],
                                        restored=True)
             if telemetry.enabled:
                 telemetry.run_restored(key, request)
-            _trace_complete(tracer, outcomes[key])
             if on_outcome:
                 on_outcome(outcomes[key])
         else:
@@ -243,7 +240,7 @@ def execute_runs(requests: List[RunRequest],
             todo.append(_Attempt(request, key, 1))
 
     context = _Context(retry=retry, faults=faults, checkpoint=checkpoint,
-                       tracer=tracer, timeout_s=timeout_s,
+                       timeout_s=timeout_s,
                        on_outcome=on_outcome, outcomes=outcomes,
                        telemetry=telemetry)
     if todo:
@@ -261,7 +258,6 @@ class _Context:
     retry: RetryPolicy
     faults: FaultPlan
     checkpoint: Optional[CheckpointStore]
-    tracer: object
     timeout_s: float
     on_outcome: Optional[Callable[[RunOutcome], None]]
     outcomes: Dict[str, RunOutcome]
@@ -291,9 +287,6 @@ class _Context:
                 print(f"warning: checkpoint write failed ({error}); "
                       f"continuing without durability for this run",
                       file=sys.stderr)
-                if self.tracer.enabled:
-                    self.tracer.marker("checkpoint_write_failed",
-                                       error=str(error))
         if self.telemetry.enabled:
             meas = meas or {}
             self.telemetry.run_finished(
@@ -301,7 +294,6 @@ class _Context:
                 attempts=attempt.number,
                 wall_s=meas.get("wall_s", 0.0),
                 cpu_s=meas.get("cpu_s"), checkpoint=written)
-        _trace_complete(self.tracer, outcome)
         if self.on_outcome:
             self.on_outcome(outcome)
 
@@ -314,12 +306,6 @@ class _Context:
                 self.telemetry.run_retry(
                     attempt.key, attempt.request, attempt.number,
                     error=f"{error.type}: {error.message}", delay_s=delay)
-            if self.tracer.enabled:
-                self.tracer.emit(obs_events.RUN_RETRY,
-                                 benchmark=attempt.request.benchmark,
-                                 scheme=attempt.request.scheme,
-                                 attempt=attempt.number,
-                                 error=f"{error.type}: {error.message}")
             return _Attempt(attempt.request, attempt.key, attempt.number + 1,
                             ready_at=time.monotonic() + delay)
         outcome = self.outcomes[attempt.key]
@@ -335,24 +321,9 @@ class _Context:
                 wall_s=meas.get("wall_s", 0.0),
                 cpu_s=meas.get("cpu_s"),
                 error=f"{error.type}: {error.message}")
-        if self.tracer.enabled:
-            self.tracer.emit(obs_events.RUN_FAILURE,
-                             benchmark=attempt.request.benchmark,
-                             scheme=attempt.request.scheme,
-                             attempts=attempt.number,
-                             error=f"{error.type}: {error.message}")
         if self.on_outcome:
             self.on_outcome(outcome)
         return None
-
-
-def _trace_complete(tracer, outcome: RunOutcome) -> None:
-    if tracer.enabled:
-        tracer.emit(obs_events.RUN_COMPLETE,
-                    benchmark=outcome.request.benchmark,
-                    scheme=outcome.request.scheme,
-                    attempts=outcome.attempts,
-                    restored=outcome.restored)
 
 
 # -- serial mode ---------------------------------------------------------------

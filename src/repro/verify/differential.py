@@ -25,13 +25,14 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..common.errors import VerificationError
+from ..core.mmu import SCHEMES
 from ..core.system import Machine, SimulationResult
 from ..workloads.packed import save_packed
 from ..workloads.suite import get_profile
 from ..workloads.trace import CoreStream
 
 #: Schemes the audit covers by default (every implemented scheme).
-ALL_SCHEMES = ("baseline", "pom", "pom_skewed", "shared_l2", "tsb")
+ALL_SCHEMES = tuple(SCHEMES)
 
 #: Budget of candidate re-simulations the shrinker may spend.
 _SHRINK_BUDGET = 200

@@ -37,9 +37,8 @@ class ConsolidatedWorkload:
     warmup_by_core: Dict[int, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        # Index assignments by vm_id once: thp_fraction_for is called
-        # per VM per scheme, and a silent duplicate would make one VM's
-        # THP policy shadow another's.
+        # Index assignments by vm_id once: a silent duplicate would make
+        # one VM's THP policy shadow another's.
         self._by_vm: Dict[int, VmAssignment] = {}
         for assignment in self.assignments:
             if assignment.vm_id in self._by_vm:
@@ -51,14 +50,6 @@ class ConsolidatedWorkload:
     @property
     def references(self) -> int:
         return sum(len(s) for s in self.streams)
-
-    def thp_fraction_for(self, vm_id: int) -> float:
-        try:
-            return self._by_vm[vm_id].profile.thp_large_fraction
-        except KeyError:
-            known = sorted(self._by_vm)
-            raise KeyError(f"no VM {vm_id} in this workload "
-                           f"(assigned vm_ids: {known})") from None
 
     def thp_fractions(self) -> Dict[int, float]:
         """``{vm_id: large fraction}`` for ``Machine(thp_fractions=...)``."""

@@ -58,6 +58,15 @@ class TestDramChannel:
         assert (stats["row_misses"], stats["row_hits"],
                 stats["row_conflicts"]) == (1, 1, 2)
 
+    def test_latency_counts_are_the_charged_latencies(self):
+        ch, stats = make_channel()
+        row = ch.timing.row_buffer_bytes * ch.banks  # bank 0, row 1
+        charged = sorted(ch.access(a) for a in (0, 64, row, 4096, row + 64))
+        assert sorted(cycles for cycles, n in ch.latency_counts()
+                      for _ in range(n)) == charged
+        stats.reset()
+        assert [n for _, n in ch.latency_counts()] == [0, 0, 0]
+
     def test_open_row_tracks_last_access(self):
         ch, stats = make_channel()
         lat = typical_latencies(ch.timing, ch.cpu_mhz)

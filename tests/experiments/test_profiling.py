@@ -9,21 +9,23 @@ _PARAMS = ExperimentParams(num_cores=1, refs_per_core=300, scale=0.02, seed=2)
 class TestProfileBenchmark:
     def test_report_shape(self):
         report = profile_benchmark(_PARAMS, "gups")
-        assert report.headers == ("component", "calls", "total_s", "self_s",
-                                  "self_pct")
-        components = [row[0] for row in report.rows]
-        assert "mmu.translate" in components
-        assert "cache.data_access" in components
-        assert "dram.stacked" in components      # pom scheme has stacked DRAM
+        assert report.headers == ("layer", "calls", "self_s", "self_pct")
+        layers = report.column("layer")
+        assert "core.mmu" in layers
+        assert "paging.nested" in layers
+        assert "core.pom_tlb" in layers      # the pom scheme probes it
+        assert "(builtins)" in layers
+        assert len(set(layers)) == len(layers)
+        assert all(calls > 0 for calls in report.column("calls"))
         assert any("wall-clock" in note for note in report.notes)
 
     def test_baseline_scheme_has_no_stacked_dram(self):
         report = profile_benchmark(_PARAMS, "gups", scheme="baseline")
-        components = [row[0] for row in report.rows]
-        assert "mmu.translate" in components
-        assert "dram.stacked" not in components
+        layers = report.column("layer")
+        assert "core.mmu" in layers
+        assert "paging.nested" in layers
+        assert "core.pom_tlb" not in layers
 
     def test_self_pct_sums_to_100(self):
         report = profile_benchmark(_PARAMS, "gups")
-        total = sum(row[4] for row in report.rows)
-        assert abs(total - 100.0) < 1e-6
+        assert abs(sum(report.column("self_pct")) - 100.0) < 1e-6

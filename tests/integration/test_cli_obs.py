@@ -83,7 +83,8 @@ class TestProfileCommand:
         assert code == 0
         out = capsys.readouterr().out
         assert "Profile: gups under pom" in out
-        assert "mmu.translate" in out
+        assert "core.mmu" in out
+        assert "paging.nested" in out
 
     def test_profile_accepts_scheme(self, capsys):
         code = cli_main(["profile", "--benchmarks", "gups",
@@ -112,6 +113,16 @@ class TestCampaignFlags:
         assert any("Figure 8" in t for t in titles)
         for report in reports:
             assert set(report) == {"title", "headers", "rows", "notes"}
+
+    @pytest.mark.parametrize("flag", ["--trace-out", "--metrics-out"])
+    def test_pooled_campaign_rejects_in_process_observability(
+            self, tmp_path, capsys, flag):
+        target = tmp_path / "obs.jsonl"
+        code = cli_main(["campaign", "--benchmarks", "gups", "--workers",
+                         "2", flag, str(target)] + _SMALL)
+        assert code == 2
+        assert flag in capsys.readouterr().err
+        assert not target.exists()
 
 
 class TestAtomicOutput:

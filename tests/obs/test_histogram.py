@@ -91,30 +91,6 @@ class TestLifecycle:
         assert h.buckets() == []
         assert h.percentile(50) == 0.0
 
-    def test_merge_accumulates(self):
-        a, b = LogHistogram(), LogHistogram()
-        a.record(2)
-        a.record(4)
-        b.record(100)
-        a.merge(b)
-        assert a.count == 3
-        assert a.total == 106
-        assert a.min == 2 and a.max == 100
-        assert a.percentile(100) == 100.0
-
-    def test_merge_empty_is_identity(self):
-        a = LogHistogram()
-        a.record(7)
-        before = a.as_dict()
-        a.merge(LogHistogram())
-        assert a.as_dict() == before
-
-    def test_merge_into_empty(self):
-        a, b = LogHistogram(), LogHistogram()
-        b.record(3)
-        a.merge(b)
-        assert a.count == 1 and a.min == 3 and a.max == 3
-
     def test_as_dict_is_json_ready(self):
         import json
         h = LogHistogram("lat")

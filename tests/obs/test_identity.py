@@ -30,7 +30,7 @@ class TestObservabilityIsPure:
     def test_disabled_default_and_traced_runs_agree(self):
         for scheme in SCHEMES:
             outcomes = []
-            for obs in (Observability.disabled(),        # seed hot path
+            for obs in (Observability(histograms=False),        # seed hot path
                         None,                             # machine default
                         Observability(
                             tracer=EventTracer([ListSink()], sample=1),
@@ -49,7 +49,7 @@ class TestObservabilityIsPure:
         assert result.windows is None
 
     def test_disabled_machine_attaches_nothing(self):
-        stats, result = _run("pom", Observability.disabled())
+        stats, result = _run("pom", Observability(histograms=False))
         assert result.histograms is None
         zeros = result.latency_percentiles("translation_cycles")
         assert zeros == {"p50": 0.0, "p90": 0.0, "p99": 0.0, "max": 0.0}

@@ -4,7 +4,7 @@ A guard that compares wall times carries timer noise (the timing guard
 this one replaced failed on unchanged code).  This guard counts: the
 same gups machine, forced onto the scalar replay loop, runs once with
 the default observability (histograms on, null tracer) and once with
-``Observability.disabled()``, under ``sys.setprofile``.  Histograms
+``Observability(histograms=False)``, under ``sys.setprofile``.  Histograms
 record through a list's bound ``append`` (a C call, invisible to the
 ``call`` event), so the only Python frames they may add are the folds:
 at most ``ceil(refs / FOLD_AT)`` of them, each costing a bounded number
@@ -55,7 +55,7 @@ def _profile_calls(obs, plant=None):
 
 def _extra_calls(plant=None):
     """Calls histograms add over disabled observability, and the bound."""
-    disabled, refs = _profile_calls(Observability.disabled())
+    disabled, refs = _profile_calls(Observability(histograms=False))
     enabled, enabled_refs = _profile_calls(None, plant)
     assert enabled_refs == refs
     return enabled - disabled, math.ceil(refs / FOLD_AT) * CALLS_PER_FOLD

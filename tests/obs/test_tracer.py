@@ -128,17 +128,6 @@ class TestMarkersAndRing:
         tr.end(cycles=1)
         assert any(e["type"] == events.MARKER for e in sink.events)
 
-    def test_ring_buffer_is_bounded_and_keeps_newest(self):
-        tr = EventTracer(ring_capacity=5)
-        for i in range(20):
-            tr.begin(vaddr=i)
-            tr.end(cycles=1, l2_miss=False, penalty=0)
-        assert len(tr.ring) == 5
-        assert tr.ring[-1]["vaddr"] == 19
-
-    def test_no_ring_by_default(self):
-        assert EventTracer().ring is None
-
     def test_run_meta_written_immediately(self):
         sink = ListSink()
         EventTracer([sink], sample=4, meta={"benchmark": "mcf",

@@ -38,7 +38,6 @@ histogram_ops = st.lists(st.one_of(
     st.tuples(st.just("read"), st.sampled_from(
         ["count", "total", "min", "max", "p50", "p99", "buckets", "fold"])),
     st.tuples(st.just("reset")),
-    st.tuples(st.just("merge"), st.lists(values, max_size=20)),
     st.tuples(st.just("roundtrip")),
     st.tuples(st.just("pickle")),
 ), max_size=80)
@@ -72,14 +71,6 @@ class TestDeferredHistogram:
             elif kind == "reset":
                 deferred.reset()
                 eager.reset()
-            elif kind == "merge":
-                other_deferred = LogHistogram("o")
-                other_eager = LogHistogram("o")
-                for value in op[1]:
-                    other_deferred.record(value)
-                    other_eager.record_many(value, 1)
-                deferred.merge(other_deferred)
-                eager.merge(other_eager)
             elif kind == "roundtrip":
                 deferred = LogHistogram.from_dict(deferred.as_dict())
             else:

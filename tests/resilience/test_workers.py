@@ -8,8 +8,6 @@ import pytest
 from repro.common.errors import RunTimeout, TraceFormatError
 from repro.experiments.runner import ExperimentParams, simulate_run
 from repro.faults import NO_FAULTS, FaultPlan
-from repro.obs import EventTracer
-from repro.obs.sinks import ListSink
 from repro.resilience import (
     CheckpointStore,
     RetryPolicy,
@@ -176,27 +174,6 @@ class TestCheckpointIntegration:
                                     req.benchmark, req.scheme, req.params))
         assert outcomes[0].ok  # the campaign keeps the run either way
         assert "checkpoint write failed" in capsys.readouterr().err
-
-
-class TestEvents:
-    def _tracer(self):
-        sink = ListSink()
-        return EventTracer([sink]), sink
-
-    def test_complete_and_retry_and_failure_events(self):
-        tracer, sink = self._tracer()
-        plan = FaultPlan.parse("crash@gups/pom#1,crash@gups/tsb#*")
-        execute_runs([request(), request(scheme="tsb")],
-                     retry=RetryPolicy(max_retries=1, base_delay_s=0.0),
-                     faults=plan, tracer=tracer,
-                     simulate=lambda req, fault: _StubRun())
-        types = [event["type"] for event in sink.events]
-        assert types.count("run_retry") == 2      # one per scheme
-        assert types.count("run_complete") == 1   # pom recovered
-        assert types.count("run_failure") == 1    # tsb exhausted
-        failure = [e for e in sink.events if e["type"] == "run_failure"][0]
-        assert failure["scheme"] == "tsb"
-        assert "WorkerCrash" in failure["error"]
 
 
 class TestPooled:

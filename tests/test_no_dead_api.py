@@ -1,24 +1,23 @@
 """Every function and class in ``src/repro`` has a caller outside the tests.
 
 The guard reads the source with ``ast`` and fails for any ``def`` or
-``class`` whose name appears nowhere else in ``src/``, ``examples/`` or
-``perf/``.  The batch engine does not count as a caller, and neither
-do the imports and ``__all__`` of a package's ``__init__.py``: a
-re-export keeps nothing alive.  A function only
-its own unit tests call is code no measured number depends on: delete
-it with its tests, or name it in :data:`ALLOWED` with the reason it
-stays.
+``class`` whose name the code of ``src/``, ``examples/`` and ``perf/``
+never uses.  A use is an identifier in the syntax tree: a name, an
+attribute, an imported name, a keyword argument, or a string constant
+spelling an identifier outside docstrings (``ledger.wrap(cls,
+"resolve_packed", ...)`` uses ``resolve_packed``).  Comments and
+docstrings are prose, not uses.  The batch engine does not count as a
+caller, and neither do the imports and ``__all__`` of a package's
+``__init__.py``: a re-export keeps nothing alive.  A function only its
+own unit tests call is code no measured number depends on: delete it
+with its tests, or name it in :data:`ALLOWED` with the reason it stays.
 
 The guard matches names, not call targets, so it cannot see a
 test-only method that shares its name with a live one (a test-only
-``render`` on any class passes beside the live ``Report.render``), nor
-one whose name is also a word of some comment or docstring (only tests
-call ``LogHistogram.merge``, but "merge" occurs in prose).
+``render`` on any class passes beside the live ``Report.render``).
 """
 
 import ast
-import re
-from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -38,6 +37,15 @@ ALLOWED = {
     "copy_with": "test_mmu.py's machine builder derives configs with it",
     "partition_of": "test_pom_props.py checks the live POM-TLB address "
                     "partition with it",
+    "ListSink": "the in-memory sink the tracer, replay and identity "
+                "tests use in place of a file sink",
+    "replay_counters": "obs.replay oracle; CI's trace smoke step and the "
+                       "replay tests check traced runs against it",
+    "interleave": "the heap merge that specifies the replay order; the "
+                  "merge-order tests check merge_order against it",
+    "sizes": "the PSC tests read per-level occupancy through it",
+    "unmap": "the shootdown tests remove a guest mapping with it before "
+             "shooting the page down",
 }
 
 
@@ -53,17 +61,40 @@ def _is_reexport(node: ast.stmt) -> bool:
                 for target in node.targets))
 
 
-def _caller_text(path: Path) -> str:
-    """``path``'s source, less a package ``__init__``'s re-exports."""
-    text = path.read_text()
-    if path.name != "__init__.py":
-        return text
-    lines = text.splitlines()
-    for node in ast.parse(text).body:
-        if _is_reexport(node):
-            lines[node.lineno - 1:node.end_lineno] = [""] * (
-                node.end_lineno - node.lineno + 1)
-    return "\n".join(lines)
+def _docstrings(tree: ast.Module) -> set:
+    """``id`` of every docstring node (module, class and function)."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                             ast.AsyncFunctionDef)):
+            body = node.body
+            if (body and isinstance(body[0], ast.Expr)
+                    and isinstance(body[0].value, ast.Constant)
+                    and isinstance(body[0].value.value, str)):
+                found.add(id(body[0].value))
+    return found
+
+
+def _identifiers(path: Path):
+    """Every identifier ``path``'s code uses, less an ``__init__``'s
+    re-exports: names, attributes, imported names, keyword arguments and
+    identifier-valued string constants outside docstrings."""
+    tree = ast.parse(path.read_text())
+    if path.name == "__init__.py":
+        tree.body = [node for node in tree.body if not _is_reexport(node)]
+    docstrings = _docstrings(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield from node.name.split(".")
+        elif isinstance(node, ast.keyword) and node.arg:
+            yield node.arg
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and node.value.isidentifier() and id(node) not in docstrings):
+            yield node.value
 
 
 def _defs():
@@ -80,25 +111,21 @@ def _defs():
                 yield path, node.name
 
 
-def _word_counts() -> Counter:
-    """Identifier occurrences across every file that counts as a caller."""
+def _uses() -> set:
+    """Identifiers used across every file that counts as a caller."""
     files = [path for path in SRC.rglob("*.py") if _is_caller(path)]
     for directory in ("examples", "perf"):
         files.extend((ROOT / directory).rglob("*.py"))
-    words = Counter()
+    uses = set()
     for path in files:
-        words.update(re.findall(r"[A-Za-z_][A-Za-z0-9_]*",
-                                _caller_text(path)))
-    return words
+        uses.update(_identifiers(path))
+    return uses
 
 
 def _uncalled():
-    defs = list(_defs())
-    words = _word_counts()
-    defined = Counter(name for _, name in defs)
-    # A name is used when it occurs more often than it is defined.
+    uses = _uses()
     return sorted({(path.relative_to(ROOT).as_posix(), name)
-                   for path, name in defs if words[name] <= defined[name]})
+                   for path, name in _defs() if name not in uses})
 
 
 class TestNoDeadApi:

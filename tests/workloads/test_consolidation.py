@@ -28,20 +28,12 @@ class TestBuildConsolidation:
 
     def test_thp_fraction_lookup(self):
         wl = build_consolidation(["gcc"], refs_per_core=50, scale=0.03)
-        assert wl.thp_fraction_for(1) == pytest.approx(0.29)
-        with pytest.raises(KeyError):
-            wl.thp_fraction_for(9)
+        assert wl.thp_fractions() == {1: pytest.approx(0.29)}
 
     def test_references_total(self):
         wl = build_consolidation(["gcc", "gups"], refs_per_core=100,
                                  scale=0.03)
         assert wl.references == sum(len(s) for s in wl.streams)
-
-    def test_unknown_vm_error_names_known_ids(self):
-        wl = build_consolidation(["gcc", "gups"], refs_per_core=50,
-                                 scale=0.03)
-        with pytest.raises(KeyError, match=r"no VM 9.*\[1, 2\]"):
-            wl.thp_fraction_for(9)
 
     def test_duplicate_vm_id_raises(self):
         # __post_init__ must refuse: a silent duplicate would let one
@@ -58,7 +50,7 @@ class TestBuildConsolidation:
                                  scale=0.03)
         fractions = wl.thp_fractions()
         assert set(fractions) == {1, 2}
-        assert fractions[1] == wl.thp_fraction_for(1)
+        assert fractions[1] == pytest.approx(0.29)
 
 
 class TestConsolidatedSimulation:
